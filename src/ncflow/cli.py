@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import List, Optional
@@ -19,7 +20,6 @@ from .certificates import Certificate, fingerprint, flow_certificate
 from .coloring import EdgeColoring, chi_n_exact, classify_edge, h_coloring, is_normal
 from .errors import InputError, NcflowError, ResourceLimitError
 from .flows import (
-    conflicts,
     even_cycle_flow,
     extract_disjoint_matchings,
     find_nonconflicting_flow,
@@ -86,15 +86,17 @@ def _resolve_graph(arg: str) -> Pseudograph:
         raise InputError("no graph on stdin")
     if arg in _NAMED:
         return _NAMED[arg]()
+    # a literal may be longer than a file name can be, so it is never opened
+    if not os.path.exists(arg):
+        return parse_any(arg)
     try:
         with open(arg) as fh:
             for line in fh:
                 if line.strip():
                     return parse_any(line)
-        raise InputError(f"no graph line in {arg}")
-    except FileNotFoundError:
-        pass
-    return parse_any(arg)
+    except OSError as exc:
+        raise InputError(f"cannot read {arg}: {exc.strerror}") from exc
+    raise InputError(f"no graph line in {arg}")
 
 
 def _emit(g: Pseudograph, fmt: Optional[str]) -> str:
@@ -134,12 +136,10 @@ def _write_cert(cert: Certificate, path: Optional[str]):
             fh.write(cert.to_json() + "\n")
 
 
-def _print_flow(g, f, tf, theta):
-    h = contract_two_factor(g, tf)
+def _print_flow(f, theta):
+    """Quotient edge i of F-bar's contraction is the i-th edge of the matching F."""
     print("matching:", " ".join(map(str, f.edge_ids)))
-    labels = []
-    for qe, ge in enumerate(h.edge_origin):
-        labels.append(f"{ge}:{klein_bits(theta.values[qe])}")
+    labels = [f"{ge}:{klein_bits(v)}" for ge, v in zip(f.edge_ids, theta.values)]
     print("flow:", " ".join(labels))
 
 
@@ -157,10 +157,9 @@ def _cmd_flow(args) -> int:
             for f in matchings_meeting_all_3cuts_once(g, eid, cuts):
                 mc = min_conflict_flow(g, f, deadline=deadline)
                 if mc and mc.conflict_count == 0:
-                    tf = complement_two_factor(g, f)
-                    h = contract_two_factor(g, tf)
+                    h = contract_two_factor(g, complement_two_factor(g, f))
                     theta = loop_canonicalize(mc.flow, h)
-                    _print_flow(g, f, tf, theta)
+                    _print_flow(f, theta)
                     _write_cert(
                         flow_certificate(g, f, theta, {"nodes": mc.nodes_expanded}),
                         args.certificate,
@@ -175,7 +174,7 @@ def _cmd_flow(args) -> int:
                 res = two_cycle_factor_flow(g, tf)
                 if res is None:
                     continue
-                _print_flow(g, res.matching, res.two_factor, res.flow)
+                _print_flow(res.matching, res.flow)
                 print("branch:", res.branch)
                 _write_cert(
                     flow_certificate(g, res.matching, res.flow, {"branch": res.branch}),
@@ -188,7 +187,7 @@ def _cmd_flow(args) -> int:
             tf = complement_two_factor(g, f)
             if odd_cycle_count(tf) == 0:
                 theta = even_cycle_flow(g, tf)
-                _print_flow(g, f, tf, theta)
+                _print_flow(f, theta)
                 _write_cert(flow_certificate(g, f, theta, {}), args.certificate)
                 return EXIT_FOUND
         return EXIT_NEGATIVE
@@ -208,8 +207,7 @@ def _cmd_flow(args) -> int:
         checked += 1
         theta = find_nonconflicting_flow(g, f, deadline=deadline)
         if theta is not None:
-            tf = complement_two_factor(g, f)
-            _print_flow(g, f, tf, theta)
+            _print_flow(f, theta)
             _write_cert(flow_certificate(g, f, theta, {}), args.certificate)
             return EXIT_FOUND
     print(f"no non-conflicting flow; matchings checked: {checked}")

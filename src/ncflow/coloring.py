@@ -11,11 +11,18 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .errors import InputError, NcflowError
-from .flows import ALPHA, ALPHA_BETA, BETA, FlowAssignment, _f_edge_of_vertex
-from .graph import ContractedGraph, Pseudograph, bridges, contract_two_factor, is_cubic
+from .flows import FlowAssignment
+from .graph import (
+    ContractedGraph,
+    Pseudograph,
+    _contract_vertex_set,
+    bridges,
+    contract_two_factor,
+    is_cubic,
+)
 from .kernels import flow_search, normal_coloring_search
 from .matchings import PerfectMatching, TwoFactor
 
@@ -69,21 +76,26 @@ def palette_at(g: Pseudograph, c: EdgeColoring, v: int) -> Set[int]:
     return {c.colors[e] for e in g.incident(v)}
 
 
-def classify_edge(g: Pseudograph, c: EdgeColoring, eid: int) -> EdgeClass:
-    _require_proper(g, c)
+def _union_size(g: Pseudograph, palettes: Dict[int, Set[int]], eid: int) -> int:
+    """Colors on the closed neighborhood of an edge of a proper coloring."""
     u, v = g.endpoints(eid)
     if g.degree(u) != 3 or g.degree(v) != 3:
         raise InputError("classification needs degree-3 endpoints")
-    size = len(palette_at(g, c, u) | palette_at(g, c, v))
-    kind = {3: POOR, 4: ABNORMAL, 5: RICH}[size]
-    return EdgeClass(kind, size)
+    return len(palettes[u] | palettes[v])
+
+
+def classify_edge(g: Pseudograph, c: EdgeColoring, eid: int) -> EdgeClass:
+    _require_proper(g, c)
+    u, v = g.endpoints(eid)
+    palettes = {u: palette_at(g, c, u), v: palette_at(g, c, v)}
+    size = _union_size(g, palettes, eid)
+    return EdgeClass({3: POOR, 4: ABNORMAL, 5: RICH}[size], size)
 
 
 def is_normal(g: Pseudograph, c: EdgeColoring) -> NormalVerdict:
     _require_proper(g, c)
-    bad = tuple(
-        e for e in range(g.m) if classify_edge(g, c, e).kind == ABNORMAL
-    )
+    palettes = {v: palette_at(g, c, v) for v in range(g.n)}
+    bad = tuple(e for e in range(g.m) if _union_size(g, palettes, e) == 4)
     return NormalVerdict(not bad, bad)
 
 
@@ -116,8 +128,8 @@ def chi_n_exact(
         trail.append((k, nodes))
         if colors is not None:
             witness = EdgeColoring(tuple(colors), k)
-            verdict = is_normal(g, witness)
-            assert verdict.ok
+            if not is_normal(g, witness).ok:
+                raise NcflowError(f"normal-coloring search returned an abnormal {k}-coloring")
             return ChiNResult(k, witness, not g.is_simple(), tuple(trail))
     return None
 
@@ -229,13 +241,13 @@ def coloring_from_flow(
         raise InputError("not a valid flow")
     if not conflicts(g, f, tf, theta, h).is_empty():
         raise InputError("flow has conflicts; the 6-color merge would go abnormal")
-    owner = _f_edge_of_vertex(g, f)
+    f_value = [theta.values[qe] for qe in h.matching_edge_at]
     mu = [0] * g.m
-    for eid in f.edge_ids:
-        mu[eid] = theta.values[h.origin_inverse[eid]]
+    for qe, eid in enumerate(h.edge_origin):
+        mu[eid] = theta.values[qe]
     for cyc in tf.cycles:
         for x0 in (4, 5, 6, 7):
-            vals = _propagate_cycle(g, cyc, owner, mu, x0)
+            vals = _propagate_cycle(cyc, f_value, x0)
             if vals is not None:
                 for eid, val in vals.items():
                     mu[eid] = val
@@ -243,7 +255,8 @@ def coloring_from_flow(
         else:
             raise NcflowError("no leading-bit seed propagates; conservation broken")
     mu_flow = Z2CubedFlow(tuple(mu))
-    assert verify_z2cubed_flow(g, mu_flow)
+    if not verify_z2cubed_flow(g, mu_flow):
+        raise NcflowError("propagated Z2^3 flow does not conserve")
     merged = [2 if v == 1 else v for v in mu]
     colors = tuple(_SIX_PALETTE[v] for v in merged)
     coloring = EdgeColoring(colors, 6)
@@ -253,25 +266,21 @@ def coloring_from_flow(
     return FlowColoringResult(coloring, mu_flow)
 
 
-def _propagate_cycle(
-    g: Pseudograph,
-    cyc,
-    owner: List[int],
-    mu: List[int],
-    x0: int,
-) -> Optional[Dict[int, int]]:
-    """Fix the seed on the first cycle edge and walk conservation around."""
+def _propagate_cycle(cyc, f_value: List[int], x0: int) -> Optional[Dict[int, int]]:
+    """Fix the seed on the first cycle edge and walk conservation around.
+
+    `f_value[v]` is the flow value on the matching edge at vertex v.
+    """
     out = {cyc.edges[0]: x0}
     cur = x0
     k = len(cyc.vertices)
     for i in range(1, k):
-        v = cyc.vertices[i]
-        cur = cur ^ mu[owner[v]]
+        cur = cur ^ f_value[cyc.vertices[i]]
         if cur & 4 == 0:
             return None
         out[cyc.edges[i]] = cur
     # closing consistency at vertices[0]
-    if out[cyc.edges[k - 1]] ^ mu[owner[cyc.vertices[0]]] != x0:
+    if out[cyc.edges[k - 1]] ^ f_value[cyc.vertices[0]] != x0:
         return None
     return out
 
@@ -293,10 +302,11 @@ def z2cubed_flow_coloring(
     if vals is None:
         raise InputError("no nowhere-zero Z2^3 flow found")
     mu = Z2CubedFlow(tuple(vals))
-    assert verify_z2cubed_flow(g, mu)
+    if not verify_z2cubed_flow(g, mu):
+        raise NcflowError("flow search returned a Z2^3 flow that does not conserve")
     coloring = EdgeColoring(tuple(mu.values), 7)
-    verdict = is_normal(g, coloring)
-    assert verdict.ok, "a nowhere-zero Z2^3 flow must color normally"
+    if not is_normal(g, coloring).ok:
+        raise NcflowError("a nowhere-zero Z2^3 flow must color normally")
     return mu, coloring
 
 
@@ -435,22 +445,8 @@ def contract_triangle(
     for a, b in itertools.combinations(tri, 2):
         if g.multiplicity(a, b) != 1:
             raise InputError("triangle edges must have multiplicity one")
-    vmap: Dict[int, int] = {}
-    nxt = 0
-    for v in range(g.n):
-        if v not in ts:
-            vmap[v] = nxt
-            nxt += 1
-    z = nxt
-    edges = []
-    emap: Dict[int, int] = {}
-    for eid, (u, v) in enumerate(g.edges):
-        inu, inv = u in ts, v in ts
-        if inu and inv:
-            continue
-        emap[len(edges)] = eid
-        edges.append((z if inu else vmap[u], z if inv else vmap[v]))
-    return Pseudograph(z + 1, edges), emap
+    gq, _vmap, emap = _contract_vertex_set(g, ts)
+    return gq, emap
 
 
 def lift_over_triangle(
@@ -514,7 +510,6 @@ def h_coloring(
                     seen[w] = True
                     queue.append(w)
     img: Dict[int, int] = {}
-    start = time.monotonic()
 
     def rec(i: int) -> bool:
         if deadline is not None and time.monotonic() > deadline:
@@ -542,7 +537,6 @@ def h_coloring(
                     del img[e]
         return False
 
-    del start
     if rec(0):
         return dict(img)
     return None

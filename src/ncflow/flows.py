@@ -11,8 +11,7 @@ XOR to 0b11).
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -20,6 +19,7 @@ from .errors import ContractError, InputError, NcflowError, ResourceLimitError
 from .graph import (
     ContractedGraph,
     Pseudograph,
+    _contract_vertex_set,
     contract_two_factor,
     is_isomorphic_to_petersen,
 )
@@ -28,8 +28,10 @@ from .matchings import (
     Cycle,
     PerfectMatching,
     TwoFactor,
+    _two_factor_from_cycles,
     complement_two_factor,
     enumerate_perfect_matchings,
+    matchings_through_edge,
     odd_cycle_count,
 )
 
@@ -155,17 +157,6 @@ def enumerate_nz_flows(h: ContractedGraph) -> Iterator[FlowAssignment]:
     yield from rec(0)
 
 
-def _f_edge_of_vertex(g: Pseudograph, f: PerfectMatching) -> List[int]:
-    owner = [-1] * g.n
-    for eid in f.edge_ids:
-        u, v = g.endpoints(eid)
-        owner[u] = eid
-        owner[v] = eid
-    if any(o == -1 for o in owner):
-        raise ContractError("matching does not cover every vertex")
-    return owner
-
-
 def conflicts(
     g: Pseudograph,
     f: PerfectMatching,
@@ -178,41 +169,58 @@ def conflicts(
         h = contract_two_factor(g, tf)
     if len(theta.values) != h.quotient.m:
         raise InputError("flow does not match the contraction of this 2-factor")
-    owner = _f_edge_of_vertex(g, f)
+    if f.edge_ids != h.edge_origin or -1 in h.matching_edge_at:
+        raise ContractError("matching is not the perfect-matching complement of this 2-factor")
+    at = h.matching_edge_at
     out = []
     for cyc in tf.cycles:
         for eid in cyc.edges:
             u, v = g.endpoints(eid)
-            fu, fv = owner[u], owner[v]
-            val_u = theta.values[h.origin_inverse[fu]]
-            val_v = theta.values[h.origin_inverse[fv]]
+            qu, qv = at[u], at[v]
+            val_u = theta.values[qu]
+            val_v = theta.values[qv]
             if val_u ^ val_v == ALPHA_BETA:
-                out.append(ConflictEdge(eid, u, fu, val_u, v, fv, val_v))
+                out.append(
+                    ConflictEdge(eid, u, h.edge_origin[qu], val_u, v, h.edge_origin[qv], val_v)
+                )
     out.sort(key=lambda c: c.fbar_edge)
     return ConflictReport(tuple(out))
 
 
-def _conflict_pairs(
-    g: Pseudograph, f: PerfectMatching, tf: TwoFactor, h: ContractedGraph
-) -> List[Tuple[int, int]]:
+def _conflict_pairs(g: Pseudograph, tf: TwoFactor, h: ContractedGraph) -> List[Tuple[int, int]]:
     """Quotient-edge pairs whose values XOR to alpha+beta iff a conflict exists."""
-    owner = _f_edge_of_vertex(g, f)
+    at = h.matching_edge_at
     pairs = []
     for cyc in tf.cycles:
         for eid in cyc.edges:
             u, v = g.endpoints(eid)
-            pairs.append((h.origin_inverse[owner[u]], h.origin_inverse[owner[v]]))
+            pairs.append((at[u], at[v]))
     return pairs
 
 
-def _search_ctx(g: Pseudograph, f: PerfectMatching):
+def _kernel_flow(
+    g: Pseudograph, f: PerfectMatching, mode: str, deadline: Optional[float]
+) -> Tuple[Optional[FlowAssignment], int, int, TwoFactor]:
+    """Kernel flow search on G/F-bar in `mode`.
+
+    Returns (verified flow or None, its conflict count, nodes expanded, F-bar).
+    """
     tf = complement_two_factor(g, f)
     h = contract_two_factor(g, tf)
-    if h.quotient.m > MAX_QUOTIENT_EDGES:
-        raise ResourceLimitError(
-            f"quotient has {h.quotient.m} edges (> {MAX_QUOTIENT_EDGES})"
-        )
-    return tf, h
+    q = h.quotient
+    if q.m > MAX_QUOTIENT_EDGES:
+        raise ResourceLimitError(f"quotient has {q.m} edges (> {MAX_QUOTIENT_EDGES})")
+    eu = [e[0] for e in q.edges]
+    ev = [e[1] for e in q.edges]
+    vals, conf, nodes, _seen = flow_search(
+        q.n, eu, ev, _conflict_pairs(g, tf, h), mode, deadline=deadline
+    )
+    if vals is None:
+        return None, conf, nodes, tf
+    theta = FlowAssignment(tuple(vals))
+    if not verify_flow(h, theta):
+        raise NcflowError("flow search returned a flow that does not conserve")
+    return theta, conf, nodes, tf
 
 
 def find_nonconflicting_flow(
@@ -221,18 +229,8 @@ def find_nonconflicting_flow(
     deadline: Optional[float] = None,
 ) -> Optional[FlowAssignment]:
     """A conflict-free nowhere-zero flow of G/F-bar, or None after exhaustion."""
-    tf, h = _search_ctx(g, f)
-    q = h.quotient
-    eu = [e[0] for e in q.edges]
-    ev = [e[1] for e in q.edges]
-    vals, conf, _nodes, _seen = flow_search(
-        q.n, eu, ev, _conflict_pairs(g, f, tf, h), "first", deadline=deadline
-    )
-    if vals is None or conf != 0:
-        return None
-    theta = FlowAssignment(tuple(vals))
-    assert verify_flow(h, theta)
-    return theta
+    theta, conf, _nodes, _tf = _kernel_flow(g, f, "first", deadline)
+    return theta if conf == 0 else None
 
 
 @dataclass(frozen=True)
@@ -248,27 +246,21 @@ def min_conflict_flow(
     deadline: Optional[float] = None,
 ) -> Optional[MinConflictResult]:
     """Flow minimizing the conflict count, or None when no NZ flow exists at all."""
-    tf, h = _search_ctx(g, f)
-    q = h.quotient
-    eu = [e[0] for e in q.edges]
-    ev = [e[1] for e in q.edges]
-    vals, conf, nodes, _seen = flow_search(
-        q.n, eu, ev, _conflict_pairs(g, f, tf, h), "min", deadline=deadline
-    )
-    if vals is None:
-        return None
-    theta = FlowAssignment(tuple(vals))
-    assert verify_flow(h, theta)
-    return MinConflictResult(theta, conf, nodes)
+    theta, conf, nodes, _tf = _kernel_flow(g, f, "min", deadline)
+    return None if theta is None else MinConflictResult(theta, conf, nodes)
 
 
 def even_cycle_flow(g: Pseudograph, tf: TwoFactor) -> FlowAssignment:
     """Constant alpha+beta flow; valid because every cycle of the 2-factor is even."""
     if odd_cycle_count(tf) != 0:
         raise InputError("2-factor has an odd cycle; constant flow does not conserve")
-    h = contract_two_factor(g, tf)
+    return _constant_flow(contract_two_factor(g, tf))
+
+
+def _constant_flow(h: ContractedGraph) -> FlowAssignment:
     theta = FlowAssignment((ALPHA_BETA,) * h.quotient.m)
-    assert verify_flow(h, theta)
+    if not verify_flow(h, theta):
+        raise NcflowError("constant alpha+beta flow does not conserve")
     return theta
 
 
@@ -300,19 +292,14 @@ class TwoCycleFlowResult:
     branch: str
 
 
-def _matching_of_two_factor(g: Pseudograph, tf: TwoFactor) -> PerfectMatching:
-    tf_edges = tf.edge_ids()
-    return PerfectMatching(tuple(sorted(e for e in range(g.m) if e not in tf_edges)))
-
-
 def _verified(
     g: Pseudograph,
     f: PerfectMatching,
     tf: TwoFactor,
+    h: ContractedGraph,
     theta: FlowAssignment,
     branch: str,
 ) -> Optional[TwoCycleFlowResult]:
-    h = contract_two_factor(g, tf)
     if not verify_flow(h, theta):
         return None
     if not conflicts(g, f, tf, theta, h).is_empty():
@@ -325,15 +312,17 @@ def _three_colorable_route(g: Pseudograph) -> Optional[TwoCycleFlowResult]:
     for f in enumerate_perfect_matchings(g):
         tf = complement_two_factor(g, f)
         if odd_cycle_count(tf) == 0:
-            return TwoCycleFlowResult(f, tf, even_cycle_flow(g, tf), "case1-3ec")
+            # every quotient vertex has even degree, so the constant flow
+            # conserves without building the quotient
+            theta = FlowAssignment((ALPHA_BETA,) * len(f.edge_ids))
+            return TwoCycleFlowResult(f, tf, theta, "case1-3ec")
     return None
 
 
 def _exhaustive_route(g: Pseudograph) -> Optional[TwoCycleFlowResult]:
     for f in enumerate_perfect_matchings(g):
-        theta = find_nonconflicting_flow(g, f)
-        if theta is not None:
-            tf = complement_two_factor(g, f)
+        theta, conf, _nodes, tf = _kernel_flow(g, f, "first", None)
+        if theta is not None and conf == 0:
             return TwoCycleFlowResult(f, tf, theta, "fallback-exhaustive")
     return None
 
@@ -347,10 +336,13 @@ def two_cycle_factor_flow(g: Pseudograph, tf: TwoFactor) -> Optional[TwoCycleFlo
         raise InputError("2-factor must have at most two cycles")
     if is_isomorphic_to_petersen(g):
         return None
-    f = _matching_of_two_factor(g, tf)
-    if odd_cycle_count(tf) == 0:
-        return TwoCycleFlowResult(f, tf, even_cycle_flow(g, tf), "even")
-    return two_odd_cycle_flow(g, tf)
+    h = contract_two_factor(g, tf)
+    odd = odd_cycle_count(tf)
+    if odd == 0:
+        return TwoCycleFlowResult(PerfectMatching(h.edge_origin), tf, _constant_flow(h), "even")
+    if odd != 2:  # one odd cycle: the graph has an odd order, so it is not cubic
+        raise InputError("expected a 2-factor with exactly two odd cycles")
+    return _two_odd_cycle_route(g, tf, h)
 
 
 def two_odd_cycle_flow(g: Pseudograph, tf: TwoFactor) -> Optional[TwoCycleFlowResult]:
@@ -364,19 +356,19 @@ def two_odd_cycle_flow(g: Pseudograph, tf: TwoFactor) -> Optional[TwoCycleFlowRe
         raise InputError("expected a 2-factor with exactly two odd cycles")
     if is_isomorphic_to_petersen(g):
         return None
-    f = _matching_of_two_factor(g, tf)
+    return _two_odd_cycle_route(g, tf, contract_two_factor(g, tf))
 
-    cyc_of = [-1] * g.n
-    for ci, cyc in enumerate(tf.cycles):
-        for v in cyc.vertices:
-            cyc_of[v] = ci
-    cross = [
-        eid
-        for eid in f.edge_ids
-        if cyc_of[g.endpoints(eid)[0]] != cyc_of[g.endpoints(eid)[1]]
-    ]
+
+def _two_odd_cycle_route(
+    g: Pseudograph, tf: TwoFactor, h: ContractedGraph
+) -> Optional[TwoCycleFlowResult]:
+    """two_odd_cycle_flow past its input checks, on the contraction h of tf."""
+    f = PerfectMatching(h.edge_origin)
+    cyc_of = h.vertex_cycle
+    cross = [h.edge_origin[qe] for qe, (a, b) in enumerate(h.quotient.edges) if a != b]
     n = len(cross)
-    assert n % 2 == 1, "odd cycles must be joined by an odd number of edges"
+    if n % 2 != 1:
+        raise NcflowError("two odd cycles joined by an even number of edges")
     us, vs = [], []
     for eid in cross:
         a, b = g.endpoints(eid)
@@ -398,7 +390,7 @@ def two_odd_cycle_flow(g: Pseudograph, tf: TwoFactor) -> Optional[TwoCycleFlowRe
         for i in range(n):
             for j in range(i + 1, n):
                 if not linked(us[i], us[j]) and not linked(vs[i], vs[j]):
-                    res = _case1_result(g, f, tf, cross, i, j)
+                    res = _case1_result(g, f, tf, h, cross, i, j)
                     if res is not None:
                         return res
     if n >= 5:
@@ -413,7 +405,7 @@ def two_odd_cycle_flow(g: Pseudograph, tf: TwoFactor) -> Optional[TwoCycleFlowRe
             return TwoCycleFlowResult(res.matching, res.two_factor, res.flow, "case2a")
         return _exhaustive_route(g)
     if {(n1 > 0), (n2 > 0)} == {True, False}:
-        res = _case2b(g, f, tf, cross, us, vs, cyc_of, triangle_side=0 if n1 else 1)
+        res = _case2b(g, tf, cross, us, vs, cyc_of, triangle_side=0 if n1 else 1)
         if res is not None:
             return res
     return _exhaustive_route(g)
@@ -423,47 +415,25 @@ def _case1_result(
     g: Pseudograph,
     f: PerfectMatching,
     tf: TwoFactor,
+    h: ContractedGraph,
     cross: List[int],
     i: int,
     j: int,
 ) -> Optional[TwoCycleFlowResult]:
     """One alpha, one beta on non-pair cross edges, alpha+beta elsewhere."""
-    h = contract_two_factor(g, tf)
     vals = [ALPHA_BETA] * h.quotient.m
     vals[h.origin_inverse[cross[i]]] = ALPHA
     vals[h.origin_inverse[cross[j]]] = BETA
-    return _verified(g, f, tf, FlowAssignment(tuple(vals)), "case1")
-
-
-def _two_factor_from_cycles(g: Pseudograph, cycles: Sequence[Cycle]) -> TwoFactor:
-    cyc_of = [-1] * g.n
-    for ci, cyc in enumerate(cycles):
-        for v in cyc.vertices:
-            if cyc_of[v] != -1:
-                raise ContractError("cycles overlap")
-            cyc_of[v] = ci
-    if any(c == -1 for c in cyc_of):
-        raise ContractError("cycles do not cover all vertices")
-    cyc_edges = {e for cyc in cycles for e in cyc.edges}
-    chords = tuple(
-        sorted(
-            eid
-            for eid in range(g.m)
-            if eid not in cyc_edges
-            and cyc_of[g.endpoints(eid)[0]] == cyc_of[g.endpoints(eid)[1]]
-        )
-    )
-    return TwoFactor(tuple(cycles), chords)
+    return _verified(g, f, tf, h, FlowAssignment(tuple(vals)), "case1")
 
 
 def _case2b(
     g: Pseudograph,
-    f: PerfectMatching,
     tf: TwoFactor,
     cross: List[int],
     us: List[int],
     vs: List[int],
-    cyc_of: List[int],
+    cyc_of: Sequence[int],
     triangle_side: int,
 ) -> Optional[TwoCycleFlowResult]:
     """Triangle elimination: n = 3 and one side is a triangle with n_side = 3."""
@@ -491,14 +461,15 @@ def _case2b(
         tf2 = complement_two_factor(g, new_f)
     except ContractError:
         return None
+    h2 = contract_two_factor(g, tf2)
     if odd_cycle_count(tf2) == 0:
-        res = _verified(g, new_f, tf2, even_cycle_flow(g, tf2), "case2b-even")
+        res = _verified(g, new_f, tf2, h2, _constant_flow(h2), "case2b-even")
         if res is not None:
             return res
-    res = _case2b_rewire(g, new_f, tf2, v2, u2, e_u2v2)
+    res = _case2b_rewire(g, new_f, tf2, h2, v2, u2, e_u2v2)
     if res is not None:
         return res
-    res = _case2b_recursion(g, new_f, tf, tf2, v2)
+    res = _case2b_recursion(g, tf, tf2, v2)
     if res is not None:
         return res
     return None
@@ -535,6 +506,7 @@ def _case2b_rewire(
     g: Pseudograph,
     f: PerfectMatching,
     tf: TwoFactor,
+    h: ContractedGraph,
     v2: int,
     u2: int,
     e_u2v2: int,
@@ -543,27 +515,24 @@ def _case2b_rewire(
     odd = [ci for ci, cyc in enumerate(tf.cycles) if len(cyc) % 2 == 1]
     if len(odd) != 2:
         return None
-    h = contract_two_factor(g, tf)
     q = h.quotient
     cf = h.vertex_cycle[v2]
     cg = h.vertex_cycle[u2]
     if cf not in odd or cg not in odd or cf == cg:
         return None
     q_uv = h.origin_inverse[e_u2v2]
-    owner = _f_edge_of_vertex(g, f)
     c_f = tf.cycles[cf]
     v2_nbrs = _cycle_neighbors(c_f, v2)
     forbidden_q = set()
     for w in v2_nbrs:
-        qid = h.origin_inverse[owner[w]]
+        qid = h.matching_edge_at[w]
         a, b = q.edges[qid]
         if a != b:
             forbidden_q.add(qid)
     for w in c_f.vertices:
         if w == v2 or w in v2_nbrs:
             continue
-        e_w = owner[w]
-        q_ew = h.origin_inverse[e_w]
+        q_ew = h.matching_edge_at[w]
         a, b = q.edges[q_ew]
         if a == b:  # chord, stays inside the cycle
             continue
@@ -576,7 +545,7 @@ def _case2b_rewire(
         vals[q_ew] = BETA
         for eid in path:
             vals[eid] = BETA
-        res = _verified(g, f, tf, FlowAssignment(tuple(vals)), "case2b-rewire")
+        res = _verified(g, f, tf, h, FlowAssignment(tuple(vals)), "case2b-rewire")
         if res is not None:
             return res
     return None
@@ -626,34 +595,8 @@ def _bfs_path_edges(
     return None
 
 
-def _contract_vertex_set(
-    g: Pseudograph, keep_out: Set[int]
-) -> Tuple[Pseudograph, Dict[int, int], Dict[int, int]]:
-    """Contract the vertex set `keep_out` to a single new vertex, dropping
-    internal edges.  Returns (graph, vertex_map old->new, edge_map new->old)."""
-    vmap: Dict[int, int] = {}
-    nxt = 0
-    for v in range(g.n):
-        if v not in keep_out:
-            vmap[v] = nxt
-            nxt += 1
-    z = nxt
-    edges = []
-    emap: Dict[int, int] = {}
-    for eid, (a, b) in enumerate(g.edges):
-        ina, inb = a in keep_out, b in keep_out
-        if ina and inb:
-            continue
-        na = z if ina else vmap[a]
-        nb = z if inb else vmap[b]
-        emap[len(edges)] = eid
-        edges.append((na, nb))
-    return Pseudograph(z + 1, edges), vmap, emap
-
-
 def _case2b_recursion(
     g: Pseudograph,
-    f: PerfectMatching,
     tf_orig: TwoFactor,
     tf: TwoFactor,
     v2: int,
@@ -682,12 +625,12 @@ def _case2b_recursion(
     if g.n - len(inside) < 2:
         return None
 
-    h1, _vmap1, emap1 = _contract_vertex_set(g, inside)
+    h1, vmap1, emap1 = _contract_vertex_set(g, inside)
     inv1 = {old: new for new, old in emap1.items()}
     # 2-factor of H1: the triangle survives untouched, the partner cycle is
     # rerouted through the new vertex z
     try:
-        h1_cycles = _restrict_cycles(g, tf_orig, inside, h1, inv1)
+        h1_cycles = _restrict_cycles(tf_orig, inside, h1, vmap1, inv1)
         tf1 = _two_factor_from_cycles(h1, h1_cycles)
     except (ContractError, KeyError, ValueError):
         return None
@@ -714,8 +657,6 @@ def _case2b_recursion(
     h2, _vmap2, emap2 = _contract_vertex_set(g, outside)
     inv2 = {old: new for new, old in emap2.items()}
     t_h2 = inv2[t_g]
-    from .matchings import matchings_through_edge
-
     j_match = None
     for jm in matchings_through_edge(h2, t_h2):
         tf_j = complement_two_factor(h2, jm)
@@ -740,29 +681,23 @@ def _case2b_recursion(
             vals[qe] = sub.flow.values[h1_contracted.origin_inverse[h1_eid]]
         else:
             vals[qe] = x_val
-    res = _verified(g, combined, tf_new, FlowAssignment(tuple(vals)), "case2b-recursion")
-    return res
+    return _verified(g, combined, tf_new, h_new, FlowAssignment(tuple(vals)), "case2b-recursion")
 
 
 def _restrict_cycles(
-    g: Pseudograph,
     tf: TwoFactor,
     inside: Set[int],
     h1: Pseudograph,
+    vmap: Dict[int, int],
     inv1: Dict[int, int],
 ) -> List[Cycle]:
     """Map the 2-factor cycles of G onto H1 = G with `inside` contracted to z.
 
+    `vmap` and `inv1` map G's vertices and edges outside `inside` to H1.
     The contracted cycle disappears; the cycle crossed by the two boundary
     2-factor edges is rerouted through z.
     """
     z = h1.n - 1
-    vmap = {}
-    nxt = 0
-    for v in range(g.n):
-        if v not in inside:
-            vmap[v] = nxt
-            nxt += 1
     out: List[Cycle] = []
     for cyc in tf.cycles:
         verts = cyc.vertices
@@ -818,9 +753,8 @@ def extract_disjoint_matchings(
 
     Returns (alpha_edges, beta_edges) as H5 edge-id tuples; both verified.
     """
-    f = _matching_of_two_factor(g, tf)
     h = contract_two_factor(g, tf)
-    rep = conflicts(g, f, tf, theta, h)
+    rep = conflicts(g, PerfectMatching(h.edge_origin), tf, theta, h)
     if not rep.is_empty():
         raise InputError("flow must be non-conflicting for the extraction")
     if not verify_flow(h, theta):

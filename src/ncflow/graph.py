@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from .errors import ContractError, InputError, ResourceLimitError
 
@@ -214,14 +214,14 @@ class ContractedGraph:
     """Quotient G / F-bar with the edge-identity bridge back to G.
 
     quotient          -- pseudograph on one vertex per 2-factor cycle
-    cycle_of_vertex   -- quotient vertex -> cycle index (identity here)
+    matching_edge_at  -- G-vertex -> quotient edge at it (-1 if none)
     edge_origin       -- quotient edge id -> source edge id in G
     origin_inverse    -- source edge id -> quotient edge id
     vertex_cycle      -- G-vertex -> quotient vertex
     """
 
     quotient: Pseudograph
-    cycle_of_vertex: Tuple[int, ...]
+    matching_edge_at: Tuple[int, ...]
     edge_origin: Tuple[int, ...]
     origin_inverse: Dict[int, int]
     vertex_cycle: Tuple[int, ...]
@@ -245,6 +245,7 @@ def contract_two_factor(g: Pseudograph, two_factor) -> ContractedGraph:
     q_edges: List[Tuple[int, int]] = []
     origin: List[int] = []
     inv: Dict[int, int] = {}
+    at = [-1] * g.n
     for eid, (u, v) in enumerate(g.edges):
         if eid in tf_edges:
             continue
@@ -252,14 +253,39 @@ def contract_two_factor(g: Pseudograph, two_factor) -> ContractedGraph:
         q_edges.append((vertex_cycle[u], vertex_cycle[v]))
         origin.append(eid)
         inv[eid] = qe
+        at[u] = at[v] = qe
     quotient = Pseudograph(len(cycles), q_edges)
     return ContractedGraph(
         quotient=quotient,
-        cycle_of_vertex=tuple(range(len(cycles))),
+        matching_edge_at=tuple(at),
         edge_origin=tuple(origin),
         origin_inverse=inv,
         vertex_cycle=tuple(vertex_cycle),
     )
+
+
+def _contract_vertex_set(
+    g: Pseudograph, keep_out: Set[int]
+) -> Tuple[Pseudograph, Dict[int, int], Dict[int, int]]:
+    """Contract the vertex set `keep_out` to a single new vertex, dropping
+    internal edges.  Returns (graph, vertex_map old->new, edge_map new->old);
+    the new vertex is the last one."""
+    vmap: Dict[int, int] = {}
+    nxt = 0
+    for v in range(g.n):
+        if v not in keep_out:
+            vmap[v] = nxt
+            nxt += 1
+    z = nxt
+    edges = []
+    emap: Dict[int, int] = {}
+    for eid, (a, b) in enumerate(g.edges):
+        ina, inb = a in keep_out, b in keep_out
+        if ina and inb:
+            continue
+        emap[len(edges)] = eid
+        edges.append((z if ina else vmap[a], z if inb else vmap[b]))
+    return Pseudograph(z + 1, edges), vmap, emap
 
 
 def three_edge_cuts(g: Pseudograph) -> List[Tuple[int, int, int]]:
@@ -359,76 +385,10 @@ def _ncr(n: int, r: int) -> int:
     return out
 
 
-# ---------------------------------------------------------------------------
-# isomorphism (plain backtracking; only ever used on small candidates)
-
-
-def _degree_profile(g: Pseudograph, v: int) -> tuple:
-    return (g.degree(v), tuple(sorted(g.degree(w) for w in g.neighbors(v))))
-
-
-def are_isomorphic(g: Pseudograph, h: Pseudograph) -> bool:
-    if g.n != h.n or g.m != h.m:
-        return False
-    if sorted(map(g.degree, range(g.n))) != sorted(map(h.degree, range(h.n))):
-        return False
-    if girth(g) != girth(h):
-        return False
-    gp = [_degree_profile(g, v) for v in range(g.n)]
-    hp = [_degree_profile(h, v) for v in range(h.n)]
-    if sorted(gp) != sorted(hp):
-        return False
-    order = sorted(range(g.n), key=lambda v: (gp[v], v))
-    mapping = [-1] * g.n
-    used = [False] * h.n
-
-    def compatible(v: int, w: int) -> bool:
-        if gp[v] != hp[w]:
-            return False
-        if g.multiplicity(v, v) != h.multiplicity(w, w):
-            return False
-        for x in set(g.neighbors(v)):
-            if mapping[x] != -1 and g.multiplicity(v, x) != h.multiplicity(w, mapping[x]):
-                return False
-        # mapped neighbors of w must be preimages of v's neighbors
-        for y in set(h.neighbors(w)):
-            pre = _inverse(mapping, y)
-            if pre is not None and h.multiplicity(w, y) != g.multiplicity(v, pre):
-                return False
-        return True
-
-    def rec(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in range(h.n):
-            if used[w] or not compatible(v, w):
-                continue
-            mapping[v] = w
-            used[w] = True
-            if rec(i + 1):
-                return True
-            mapping[v] = -1
-            used[w] = False
-        return False
-
-    return rec(0)
-
-
-def _inverse(mapping: List[int], y: int) -> Optional[int]:
-    for i, val in enumerate(mapping):
-        if val == y:
-            return i
-    return None
-
-
-_PETERSEN_CACHE: Optional[Pseudograph] = None
-
-
 def is_isomorphic_to_petersen(g: Pseudograph) -> bool:
-    global _PETERSEN_CACHE
-    if _PETERSEN_CACHE is None:
-        from .generators import petersen
+    """The Petersen graph is the only cubic graph on 10 vertices of girth 5.
 
-        _PETERSEN_CACHE = petersen()
-    return are_isomorphic(g, _PETERSEN_CACHE)
+    By the Moore bound every component of a cubic graph of girth 5 has at
+    least 10 vertices, and the (3,5)-cage on 10 vertices is unique.
+    """
+    return g.n == 10 and is_cubic(g) and girth(g) == 5

@@ -80,11 +80,6 @@ def _match_rec(g: Pseudograph, covered: List[bool], chosen: List[int]) -> Iterat
         covered[v] = covered[w] = False
 
 
-def matching_complement_edges(g: Pseudograph, f: PerfectMatching) -> List[int]:
-    fs = f.as_set()
-    return [eid for eid in range(g.m) if eid not in fs]
-
-
 def complement_two_factor(g: Pseudograph, f: PerfectMatching) -> TwoFactor:
     """Cycle decomposition of G - F for cubic G; 2-cycles from parallel edges allowed."""
     if not is_cubic(g):
@@ -135,16 +130,24 @@ def complement_two_factor(g: Pseudograph, f: PerfectMatching) -> TwoFactor:
         if len(edges) != len(verts) or len(verts) < 2:
             raise ContractError("complement is not a disjoint union of cycles")
         cycles.append(Cycle(tuple(verts), tuple(edges)))
+    return _two_factor_from_cycles(g, cycles)
+
+
+def _two_factor_from_cycles(g: Pseudograph, cycles: Sequence[Cycle]) -> TwoFactor:
+    """The 2-factor made of vertex-disjoint cycles covering G, with its chords."""
     cyc_of = [-1] * g.n
     for ci, cyc in enumerate(cycles):
         for v in cyc.vertices:
+            if cyc_of[v] != -1:
+                raise ContractError("cycles overlap")
             cyc_of[v] = ci
+    if -1 in cyc_of:
+        raise ContractError("cycles do not cover all vertices")
+    cyc_edges = {e for cyc in cycles for e in cyc.edges}
     chords = tuple(
-        sorted(
-            eid
-            for eid in fs
-            if cyc_of[g.endpoints(eid)[0]] == cyc_of[g.endpoints(eid)[1]]
-        )
+        eid
+        for eid, (u, v) in enumerate(g.edges)
+        if cyc_of[u] == cyc_of[v] and eid not in cyc_edges
     )
     return TwoFactor(tuple(cycles), chords)
 

@@ -9,7 +9,7 @@ import pytest
 from ncflow.batch import run_batch
 from ncflow.cli import main
 from ncflow.formats import encode_graph6, encode_sparse6
-from ncflow.generators import fig3_graph, k4, k23, k33, petersen
+from ncflow.generators import fig3_graph, k4, k23, k33, permutation_graph, petersen
 
 from conftest import small_corpus
 
@@ -75,6 +75,15 @@ class TestCliExitCodes:
 
     def test_bad_graph_literal(self, capsys):
         assert main(["flow", "search", "!!!"]) == 2
+
+    def test_long_literals_and_unreadable_paths(self, tmp_path, capsys):
+        literal = encode_graph6(permutation_graph(tuple(range(28))))
+        assert len(literal) >= 256
+        assert main(["flow", "search", literal, "--construct", "even"]) == 0
+        capsys.readouterr()
+        for arg in ("!" * 300, str(tmp_path)):
+            assert main(["flow", "search", arg]) == 2
+            assert "Traceback" not in capsys.readouterr().err
 
     def test_chi_n(self, capsys):
         assert main(["chi-n", "fig3"]) == 0

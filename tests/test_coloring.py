@@ -90,6 +90,21 @@ class TestClassification:
         c = EdgeColoring((1, 2, 3, 4, 2, 1, 3), 4)
         assert classify_edge(g, c, 0).kind == ABNORMAL
 
+    def test_is_normal_checks_properness_once(self, monkeypatch):
+        from ncflow import coloring
+
+        calls = []
+
+        def counted(g, c):
+            calls.append(c)
+            return is_proper(g, c)
+
+        g = petersen()
+        c = chi_n_exact(g, 5).witness
+        monkeypatch.setattr(coloring, "is_proper", counted)
+        assert is_normal(g, c).ok
+        assert len(calls) == 1
+
     def test_improper_rejected(self):
         g = k4()
         with pytest.raises(InputError):

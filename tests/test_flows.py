@@ -4,7 +4,8 @@ import itertools
 
 import pytest
 
-from ncflow.errors import InputError, ResourceLimitError
+from ncflow import coloring, flows
+from ncflow.errors import ContractError, InputError, NcflowError, ResourceLimitError
 from ncflow.flows import (
     ALPHA,
     ALPHA_BETA,
@@ -57,7 +58,7 @@ def fake_contracted(q):
     """ContractedGraph wrapper when only the quotient matters."""
     return ContractedGraph(
         quotient=q,
-        cycle_of_vertex=tuple(range(q.n)),
+        matching_edge_at=(-1,) * q.n,
         edge_origin=tuple(range(q.m)),
         origin_inverse={e: e for e in range(q.m)},
         vertex_cycle=tuple(range(q.n)),
@@ -188,6 +189,14 @@ class TestConflicts:
             b = [c.fbar_edge for c in conflicts(g, f, tf, swapped, h).conflicting_edges]
             assert a == b
 
+    def test_matching_other_than_the_complement_rejected(self):
+        g = k33()
+        f, other = list(enumerate_perfect_matchings(g))[:2]
+        tf, h = contraction_of(g, f)
+        theta = FlowAssignment((ALPHA_BETA,) * h.quotient.m)
+        with pytest.raises(ContractError):
+            conflicts(g, other, tf, theta, h)
+
     def test_report_contents(self):
         g = petersen()
         f = next(enumerate_perfect_matchings(g))
@@ -316,6 +325,25 @@ class TestTwoCycleTheorem:
         assert res.branch == "even"
         self._check(g, res)
 
+    @pytest.mark.parametrize(
+        "sigma, branch",
+        [((0, 1, 2, 3), "even"), ((1, 0, 2, 4, 3, 6, 5), "case1")],
+    )
+    def test_contracts_the_two_factor_once(self, monkeypatch, sigma, branch):
+        calls = []
+
+        def counted(g, tf):
+            calls.append(tf)
+            return contract_two_factor(g, tf)
+
+        monkeypatch.setattr(flows, "contract_two_factor", counted)
+        n = len(sigma)
+        g = permutation_graph(sigma)
+        tf = complement_two_factor(g, PerfectMatching(tuple(range(2 * n, 3 * n))))
+        res = two_cycle_factor_flow(g, tf)
+        assert res.branch == branch
+        assert len(calls) == 1
+
     def test_petersen_refused(self):
         g = petersen()
         f = next(enumerate_perfect_matchings(g))
@@ -418,3 +446,21 @@ class TestEveryTwoFactor:
         assert not rep.all_nonconflicting
         assert len(rep.verdicts) == 6
         assert all(not ok for _f, ok in rep.verdicts)
+
+
+class TestResultChecks:
+    """Failed result checks raise NcflowError, which `python -O` keeps."""
+
+    def test_failed_checks_raise(self, monkeypatch):
+        g = k33()
+        f = next(enumerate_perfect_matchings(g))
+        monkeypatch.setattr(flows, "verify_flow", lambda h, theta: False)
+        with pytest.raises(NcflowError):
+            find_nonconflicting_flow(g, f)
+        with pytest.raises(NcflowError):
+            even_cycle_flow(g, complement_two_factor(g, f))
+        monkeypatch.setattr(
+            coloring, "is_normal", lambda g, c: coloring.NormalVerdict(False, (0,))
+        )
+        with pytest.raises(NcflowError):
+            coloring.chi_n_exact(g, 4)

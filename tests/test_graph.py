@@ -257,6 +257,25 @@ class TestPetersenRecognition:
         edges = [e for i, e in enumerate(g.edges) if i != 0] + [(0, 10), (10, 11), (11, 1)]
         assert not is_isomorphic_to_petersen(build_graph(12, edges))
 
+    def test_agrees_with_networkx_on_ten_vertex_cubic_graphs(self):
+        graphs = [permutation_graph(s) for s in itertools.permutations(range(5))]
+        # a ring of five digons, a K4 beside K33, and a vertex with a loop
+        graphs.append(build_graph(10, [(i, i + 1) for i in range(0, 10, 2)] * 2
+                                  + [(i + 1, (i + 2) % 10) for i in range(0, 10, 2)]))
+        graphs.append(build_graph(10, list(itertools.combinations(range(4), 2))
+                                  + [(a, b) for a in (4, 5, 6) for b in (7, 8, 9)]))
+        graphs.append(build_graph(10, [(0, 0), (0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (3, 5),
+                                       (4, 5), (4, 6), (5, 7), (6, 7), (6, 8), (7, 9),
+                                       (8, 9), (8, 9)]))
+        target = nx.MultiGraph(nx.petersen_graph())
+        seen = set()
+        for g in graphs:
+            assert g.n == 10 and is_cubic(g)
+            expected = nx.is_isomorphic(to_nx(g), target)
+            assert is_isomorphic_to_petersen(g) == expected, g.edges
+            seen.add(expected)
+        assert seen == {True, False}
+
 
 class TestComponents:
     def test_connectivity(self):
