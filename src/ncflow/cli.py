@@ -138,8 +138,9 @@ def _write_cert(cert: Certificate, path: Optional[str]):
 
 def _print_flow(f, theta):
     """Quotient edge i of F-bar's contraction is the i-th edge of the matching F."""
-    print("matching:", " ".join(map(str, f.edge_ids)))
-    labels = [f"{ge}:{klein_bits(v)}" for ge, v in zip(f.edge_ids, theta.values)]
+    ids = sorted(f.edge_ids)
+    print("matching:", " ".join(map(str, ids)))
+    labels = [f"{ge}:{klein_bits(v)}" for ge, v in zip(ids, theta.values)]
     print("flow:", " ".join(labels))
 
 

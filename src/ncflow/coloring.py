@@ -76,26 +76,22 @@ def palette_at(g: Pseudograph, c: EdgeColoring, v: int) -> Set[int]:
     return {c.colors[e] for e in g.incident(v)}
 
 
-def _union_size(g: Pseudograph, palettes: Dict[int, Set[int]], eid: int) -> int:
-    """Colors on the closed neighborhood of an edge of a proper coloring."""
-    u, v = g.endpoints(eid)
-    if g.degree(u) != 3 or g.degree(v) != 3:
-        raise InputError("classification needs degree-3 endpoints")
-    return len(palettes[u] | palettes[v])
-
-
 def classify_edge(g: Pseudograph, c: EdgeColoring, eid: int) -> EdgeClass:
     _require_proper(g, c)
     u, v = g.endpoints(eid)
-    palettes = {u: palette_at(g, c, u), v: palette_at(g, c, v)}
-    size = _union_size(g, palettes, eid)
-    return EdgeClass({3: POOR, 4: ABNORMAL, 5: RICH}[size], size)
+    if g.degree(u) != 3 or g.degree(v) != 3:
+        raise InputError("classification needs degree-3 endpoints")
+    size = len(palette_at(g, c, u) | palette_at(g, c, v))
+    kind = {3: POOR, 4: ABNORMAL, 5: RICH}[size]
+    return EdgeClass(kind, size)
 
 
 def is_normal(g: Pseudograph, c: EdgeColoring) -> NormalVerdict:
     _require_proper(g, c)
-    palettes = {v: palette_at(g, c, v) for v in range(g.n)}
-    bad = tuple(e for e in range(g.m) if _union_size(g, palettes, e) == 4)
+    if any(g.degree(u) != 3 or g.degree(v) != 3 for u, v in g.edges):
+        raise InputError("classification needs degree-3 endpoints")
+    pal = [palette_at(g, c, v) for v in range(g.n)]
+    bad = tuple(e for e, (u, v) in enumerate(g.edges) if len(pal[u] | pal[v]) == 4)
     return NormalVerdict(not bad, bad)
 
 

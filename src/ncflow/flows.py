@@ -169,7 +169,7 @@ def conflicts(
         h = contract_two_factor(g, tf)
     if len(theta.values) != h.quotient.m:
         raise InputError("flow does not match the contraction of this 2-factor")
-    if f.edge_ids != h.edge_origin or -1 in h.matching_edge_at:
+    if f.as_set() != frozenset(h.edge_origin) or -1 in h.matching_edge_at:
         raise ContractError("matching is not the perfect-matching complement of this 2-factor")
     at = h.matching_edge_at
     out = []
@@ -312,10 +312,7 @@ def _three_colorable_route(g: Pseudograph) -> Optional[TwoCycleFlowResult]:
     for f in enumerate_perfect_matchings(g):
         tf = complement_two_factor(g, f)
         if odd_cycle_count(tf) == 0:
-            # every quotient vertex has even degree, so the constant flow
-            # conserves without building the quotient
-            theta = FlowAssignment((ALPHA_BETA,) * len(f.edge_ids))
-            return TwoCycleFlowResult(f, tf, theta, "case1-3ec")
+            return TwoCycleFlowResult(f, tf, even_cycle_flow(g, tf), "case1-3ec")
     return None
 
 

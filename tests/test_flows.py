@@ -197,6 +197,14 @@ class TestConflicts:
         with pytest.raises(ContractError):
             conflicts(g, other, tf, theta, h)
 
+    def test_unsorted_complement_accepted(self):
+        g = petersen()
+        f = next(enumerate_perfect_matchings(g))
+        tf, h = contraction_of(g, f)
+        theta = next(enumerate_nz_flows(h))
+        backwards = PerfectMatching(tuple(reversed(f.edge_ids)))
+        assert conflicts(g, backwards, tf, theta, h) == conflicts(g, f, tf, theta, h)
+
     def test_report_contents(self):
         g = petersen()
         f = next(enumerate_perfect_matchings(g))
