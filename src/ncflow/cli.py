@@ -8,6 +8,7 @@ tripped (timeout or size limit).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -197,12 +198,18 @@ def _cmd_flow(args) -> int:
     if sel == "all":
         stream = enumerate_perfect_matchings(g)
     elif sel.startswith("edge="):
-        stream = matchings_through_edge(g, int(sel[5:]))
+        eid = int(sel[5:])
+        if not 0 <= eid < g.m or g.is_loop(eid):
+            raise InputError(f"--matching {sel}: no non-loop edge {eid}")
+        stream = matchings_through_edge(g, eid)
     else:
         idx = int(sel)
-        stream = (
-            f for i, f in enumerate(enumerate_perfect_matchings(g)) if i == idx
-        )
+        picked = []
+        if idx >= 0:
+            picked = list(itertools.islice(enumerate_perfect_matchings(g), idx, idx + 1))
+        if not picked:
+            raise InputError(f"--matching {sel}: no perfect matching with index {idx}")
+        stream = picked
     checked = 0
     for f in stream:
         checked += 1

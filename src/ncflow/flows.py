@@ -374,10 +374,12 @@ def _two_odd_cycle_route(
         us.append(a)
         vs.append(b)
 
+    cross_set = frozenset(cross)
+
     def linked(a: int, b: int) -> bool:
         # adjacency via cycle edges or chords (anything but the cross matching)
         return any(
-            g.other_end(eid, a) == b for eid in g.incident(a) if eid not in cross
+            g.other_end(eid, a) == b for eid in g.incident(a) if eid not in cross_set
         )
 
     n1 = sum(1 for i in range(n) for j in range(i + 1, n) if linked(us[i], us[j]))

@@ -289,36 +289,65 @@ def _contract_vertex_set(
 
 
 def three_edge_cuts(g: Pseudograph) -> List[Tuple[int, int, int]]:
-    """All 3-edge cuts, i.e. triples of the form boundary(S) (brute force).
+    """All 3-edge cuts, i.e. triples of the form boundary(S), in lexicographic order.
 
-    A triple qualifies only if some vertex bipartition has exactly these
-    three edges crossing; disconnecting triples that leave an edge inside
-    one side are not cuts.  Vertex stars of a cubic graph count as
-    (trivial) cuts; callers needing non-trivial ones filter by side sizes.
+    An edge set is a boundary exactly when it meets every cycle in an even
+    number of edges, so each edge gets its vector in the cycle space: one
+    bit per non-tree edge of a DFS spanning tree (its fundamental cycle),
+    and on a tree edge the XOR of the bits of the fundamental cycles through
+    it.  {a, b, c} is a cut exactly when the three vectors XOR to zero,
+    which bucketing the edges by vector finds in O(m^2) lookups.  Triples
+    that disconnect but leave an edge inside one side are not cuts.  Vertex
+    stars of a cubic graph count as (trivial) cuts; callers needing
+    non-trivial ones filter by side sizes.
     """
-    if not is_connected(g):
+    n, edges = g.n, g.edges
+    # DFS tree from vertex 0; order lists every parent before its children
+    parent_edge = [-1] * n
+    seen = [False] * n
+    order: List[int] = []
+    stack = [0] if n else []
+    while stack:
+        v = stack.pop()
+        if seen[v]:
+            continue
+        seen[v] = True
+        order.append(v)
+        for eid in g.incident(v):
+            w = g.other_end(eid, v)
+            if not seen[w]:
+                parent_edge[w] = eid
+                stack.append(w)
+    if len(order) != n:
         raise InputError("three_edge_cuts requires a connected graph")
+    tree = set(parent_edge)
+    vec = [0] * g.m
+    sub = [0] * n  # XOR of the non-tree bits at the vertices of v's subtree
+    bit = 1
+    for eid, (u, v) in enumerate(edges):
+        if eid in tree or u == v:
+            continue
+        vec[eid] = bit
+        sub[u] ^= bit
+        sub[v] ^= bit
+        bit <<= 1
+    for v in reversed(order):
+        eid = parent_edge[v]
+        if eid != -1:
+            vec[eid] = sub[v]
+            sub[g.other_end(eid, v)] ^= sub[v]
+    # a loop is a cycle on its own, so it lies in no cut: leave loops out
+    ids = [eid for eid, (u, v) in enumerate(edges) if u != v]
+    bucket: Dict[int, List[int]] = {}
+    for eid in ids:
+        bucket.setdefault(vec[eid], []).append(eid)
     cuts = []
-    for trip in itertools.combinations(range(g.m), 3):
-        if any(g.is_loop(e) for e in trip):
-            continue
-        comps = connected_components(g, frozenset(trip))
-        if len(comps) < 2:
-            continue
-        comp_of = {}
-        for ci, comp in enumerate(comps):
-            for v in comp:
-                comp_of[v] = ci
-        ends = [(comp_of[g.endpoints(e)[0]], comp_of[g.endpoints(e)[1]]) for e in trip]
-        if any(a == b for a, b in ends):
-            continue  # an internal edge: not a boundary
-        k = len(comps)
-        # at most 4 components after removing 3 edges; find a bipartition
-        # of the components crossed by all three edges
-        for mask in range(1, 1 << (k - 1)):
-            if all((mask >> a & 1) != (mask >> b & 1) for a, b in ends):
-                cuts.append(trip)
-                break
+    for i, a in enumerate(ids):
+        va = vec[a]
+        for b in ids[i + 1:]:
+            for c in bucket.get(va ^ vec[b], ()):
+                if c > b:
+                    cuts.append((a, b, c))
     return cuts
 
 

@@ -52,32 +52,56 @@ class TwoFactor:
 
 
 def enumerate_perfect_matchings(g: Pseudograph) -> Iterator[PerfectMatching]:
-    """Every perfect matching exactly once, lexicographic on sorted edge ids."""
+    """Every perfect matching exactly once, in DFS order: branch on the lowest
+    uncovered vertex, trying its incident edges in id order."""
     if g.n % 2 == 1:
         return
-    yield from _match_rec(g, [False] * g.n, [])
+    yield from _match_dfs(g, [False] * g.n, [])
 
 
-def _match_rec(g: Pseudograph, covered: List[bool], chosen: List[int]) -> Iterator[PerfectMatching]:
-    v = -1
-    for i, c in enumerate(covered):
-        if not c:
-            v = i
-            break
-    if v == -1:
+def _match_dfs(g: Pseudograph, covered: List[bool], chosen: List[int]) -> Iterator[PerfectMatching]:
+    """Complete `chosen` to perfect matchings, branching on the lowest uncovered vertex.
+
+    One frame [v, next position in g.incident(v), partner] per matched
+    edge, kept on an explicit stack; the partner is -1 while v is unmatched.
+    """
+    n, edges = g.n, g.edges
+    v = 0
+    while v < n and covered[v]:
+        v += 1
+    if v == n:
         yield PerfectMatching(tuple(sorted(chosen)))
         return
-    for eid in g.incident(v):
-        if g.is_loop(eid):
-            continue  # a loop covers its vertex twice
-        w = g.other_end(eid, v)
-        if covered[w]:
+    frames = [[v, 0, -1]]
+    while frames:
+        frame = frames[-1]
+        v, pos, w = frame
+        if w != -1:  # take back the edge this frame tried last
+            covered[v] = covered[w] = False
+            chosen.pop()
+        inc = g.incident(v)
+        while pos < len(inc):
+            eid = inc[pos]
+            pos += 1
+            a, b = edges[eid]
+            w = b if a == v else a
+            if a != b and not covered[w]:  # a loop covers its vertex twice
+                break
+        else:
+            frames.pop()
             continue
+        frame[1] = pos
+        frame[2] = w
         covered[v] = covered[w] = True
         chosen.append(eid)
-        yield from _match_rec(g, covered, chosen)
-        chosen.pop()
-        covered[v] = covered[w] = False
+        # every vertex below v is covered, so the next branch vertex is above it
+        u = v + 1
+        while u < n and covered[u]:
+            u += 1
+        if u == n:
+            yield PerfectMatching(tuple(sorted(chosen)))
+        else:
+            frames.append([u, 0, -1])
 
 
 def complement_two_factor(g: Pseudograph, f: PerfectMatching) -> TwoFactor:
@@ -159,7 +183,7 @@ def matchings_through_edge(g: Pseudograph, eid: int) -> Iterator[PerfectMatching
     u, v = g.endpoints(eid)
     covered = [False] * g.n
     covered[u] = covered[v] = True
-    yield from _match_rec(g, covered, [eid])
+    yield from _match_dfs(g, covered, [eid])
 
 
 def matchings_meeting_all_3cuts_once(

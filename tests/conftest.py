@@ -11,6 +11,7 @@ from ncflow.generators import (
     k33,
     permutation_graph,
     petersen,
+    replace_edge_with_string,
     replace_vertex_with_triangle,
     ring_of_diamonds,
     triangle_replace_all,
@@ -53,6 +54,20 @@ def corpus_16() -> List[Tuple[str, Pseudograph]]:
         ("perm8-shift3", permutation_graph((3, 4, 5, 6, 7, 0, 1, 2))),
     ]
     return small_corpus() + extra
+
+
+def claw_free_corpus() -> List[Pseudograph]:
+    """Acceptance 7's bridgeless claw-free cubic graphs."""
+    graphs = [ring_of_diamonds(k) for k in range(2, 8)]
+    for base in (k4(), k33(), prism(3), prism(4), prism(5), prism(6),
+                 permutation_graph((1, 2, 3, 0)), permutation_graph((0, 2, 4, 1, 3)),
+                 permutation_graph((5, 4, 3, 2, 1, 0)), petersen()):
+        graphs.append(triangle_replace_all(base))
+    for k in (2, 3, 4):
+        ring = ring_of_diamonds(k)
+        for spec in ("D", "2", "D2"):
+            graphs.append(replace_edge_with_string(ring, ring.m - 1, spec))
+    return graphs
 
 
 def glue_two_cut(g1: Pseudograph, e1: int, g2: Pseudograph, e2: int) -> Tuple[Pseudograph, Tuple[int, int]]:

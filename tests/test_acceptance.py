@@ -55,10 +55,8 @@ from ncflow.generators import (
     k33,
     permutation_graph,
     petersen,
-    replace_edge_with_string,
     replace_vertex_with_triangle,
     ring_of_diamonds,
-    triangle_replace_all,
 )
 from ncflow.graph import (
     bridges,
@@ -77,7 +75,14 @@ from ncflow.matchings import (
     odd_cycle_count,
 )
 
-from conftest import CHORD_LAYOUTS, glue_two_cut, prism, small_corpus, triangle_and_nine_cycle
+from conftest import (
+    CHORD_LAYOUTS,
+    claw_free_corpus,
+    glue_two_cut,
+    prism,
+    small_corpus,
+    triangle_and_nine_cycle,
+)
 
 
 def _contracted(g, f):
@@ -212,21 +217,8 @@ def test_06_doubled_triangle_graph_never_normal():
     print(f"ACCEPTANCE 6: PASS — structural witness found; no normal k-coloring for k=3..8 ({elapsed:.2f}s)")
 
 
-def _claw_free_instances():
-    graphs = [ring_of_diamonds(k) for k in range(2, 8)]
-    for base in (k4(), k33(), prism(3), prism(4), prism(5), prism(6),
-                 permutation_graph((1, 2, 3, 0)), permutation_graph((0, 2, 4, 1, 3)),
-                 permutation_graph((5, 4, 3, 2, 1, 0)), petersen()):
-        graphs.append(triangle_replace_all(base))
-    for k in (2, 3, 4):
-        ring = ring_of_diamonds(k)
-        for spec in ("D", "2", "D2"):
-            graphs.append(replace_edge_with_string(ring, ring.m - 1, spec))
-    return graphs
-
-
 def test_07_claw_free_every_edge():
-    graphs = _claw_free_instances()
+    graphs = claw_free_corpus()
     assert len(graphs) >= 25
     for g in graphs:
         assert is_cubic(g) and not bridges(g) and is_claw_free(g)

@@ -1,15 +1,18 @@
 """Batch runner determinism and the CLI's exit-code contract."""
 
+import itertools
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from ncflow.batch import run_batch
 from ncflow.cli import main
 from ncflow.formats import encode_graph6, encode_sparse6
-from ncflow.generators import fig3_graph, k4, k23, k33, permutation_graph, petersen
+from ncflow.generators import counterexample_family, fig3_graph, k4, k23, k33, permutation_graph, petersen
+from ncflow.graph import build_graph
 
 from conftest import small_corpus
 
@@ -84,6 +87,42 @@ class TestCliExitCodes:
         for arg in ("!" * 300, str(tmp_path)):
             assert main(["flow", "search", arg]) == 2
             assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sel", ["-1", "6", "99"])
+    def test_matching_index_out_of_range_is_input_error(self, sel, capsys):
+        # k33 has a flow and six perfect matchings, indices 0..5
+        assert main(["flow", "search", "k33", "--matching", sel]) == 2
+        assert "matchings checked" not in capsys.readouterr().out
+
+    def test_matching_edge_out_of_range_is_input_error(self, capsys):
+        assert main(["flow", "search", "k33", "--matching", "edge=99"]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_matching_edge_on_a_loop_is_input_error(self, capsys):
+        g = build_graph(2, [(0, 0), (0, 1), (1, 1)])
+        assert main(["flow", "search", encode_sparse6(g), "--matching", "edge=0"]) == 2
+        assert "matchings checked" not in capsys.readouterr().out
+
+    def test_matching_index_stops_the_stream_at_the_chosen_matching(self, monkeypatch, capsys):
+        import ncflow.cli as cli
+
+        real = cli.enumerate_perfect_matchings
+
+        def stream_that_must_stop(g):
+            yield from itertools.islice(real(g), 3)
+            raise AssertionError("matchings after the chosen one were enumerated")
+
+        monkeypatch.setattr(cli, "enumerate_perfect_matchings", stream_that_must_stop)
+        # no matching of the Petersen graph has a flow, so only the stream can stop the search
+        assert main(["flow", "search", "petersen", "--matching", "2"]) == 1
+        assert "matchings checked: 1" in capsys.readouterr().out
+
+    def test_clawfree_honours_the_deadline(self, monkeypatch, capsys):
+        monkeypatch.setenv("NZFLOW_TIMEOUT_SECS", "0.5")
+        [literal] = lines_for(counterexample_family(2))
+        start = time.monotonic()
+        assert main(["flow", "search", literal, "--construct", "clawfree"]) == 3
+        assert time.monotonic() - start < 3
 
     def test_chi_n(self, capsys):
         assert main(["chi-n", "fig3"]) == 0

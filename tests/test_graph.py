@@ -1,6 +1,7 @@
 """Graph model: construction, bridges, girth, contraction, cuts, isomorphism."""
 
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -33,7 +34,7 @@ from ncflow.graph import (
 )
 from ncflow.matchings import PerfectMatching, complement_two_factor, enumerate_perfect_matchings
 
-from conftest import small_corpus
+from conftest import claw_free_corpus, small_corpus
 
 
 def to_nx(g: Pseudograph) -> nx.MultiGraph:
@@ -173,7 +174,71 @@ class TestContraction:
                 assert girth(q) <= girth(g), name
 
 
+def brute_force_three_edge_cuts(g: Pseudograph):
+    """Reference: a triple is a cut when some bipartition of the components
+    of G - T has all three edges crossing (C(m,3) component scans)."""
+    cuts = []
+    for trip in itertools.combinations(range(g.m), 3):
+        if any(g.is_loop(e) for e in trip):
+            continue
+        comps = connected_components(g, frozenset(trip))
+        if len(comps) < 2:
+            continue
+        comp_of = {}
+        for ci, comp in enumerate(comps):
+            for v in comp:
+                comp_of[v] = ci
+        ends = [(comp_of[g.endpoints(e)[0]], comp_of[g.endpoints(e)[1]]) for e in trip]
+        if any(a == b for a, b in ends):
+            continue
+        k = len(comps)
+        for mask in range(1, 1 << (k - 1)):
+            if all((mask >> a & 1) != (mask >> b & 1) for a, b in ends):
+                cuts.append(trip)
+                break
+    return cuts
+
+
+def random_connected_cubic_multigraph(n: int, rng: random.Random) -> Pseudograph:
+    """Configuration model (loops and parallel edges kept), redrawn until connected."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        g = build_graph(n, zip(stubs[::2], stubs[1::2]))
+        if is_connected(g):
+            return g
+
+
 class TestThreeEdgeCuts:
+    def test_agrees_with_brute_force_on_acceptance_7_graphs(self):
+        for g in claw_free_corpus():
+            assert three_edge_cuts(g) == brute_force_three_edge_cuts(g), g
+
+    def test_agrees_with_brute_force_on_a_bridged_graph(self):
+        g = fig3_graph()
+        assert bridges(g)
+        assert three_edge_cuts(g) == brute_force_three_edge_cuts(g)
+
+    def test_agrees_with_brute_force_on_random_multigraphs(self):
+        rng = random.Random(2024)
+        graphs = [random_connected_cubic_multigraph(rng.choice((2, 4, 6, 8, 10, 12)), rng)
+                  for _ in range(120)]
+        assert any(not g.is_simple() for g in graphs)
+        assert any(any(g.is_loop(e) for e in range(g.m)) for g in graphs)
+        for g in graphs:
+            assert three_edge_cuts(g) == brute_force_three_edge_cuts(g), g.edges
+
+    def test_loops_lie_in_no_cut(self):
+        # vertex 0 carries a loop, so its star is not a boundary
+        g = build_graph(4, [(0, 0), (0, 1), (1, 2), (1, 3), (2, 3), (2, 3)])
+        cuts = three_edge_cuts(g)
+        assert cuts == brute_force_three_edge_cuts(g)
+        assert all(0 not in cut for cut in cuts)
+
+    def test_disconnected_graph_rejected(self):
+        with pytest.raises(InputError):
+            three_edge_cuts(build_graph(4, [(0, 1), (0, 1), (0, 1), (2, 3), (2, 3), (2, 3)]))
+
     def test_petersen_only_trivial_cuts(self):
         g = petersen()
         cuts = three_edge_cuts(g)

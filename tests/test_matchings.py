@@ -6,6 +6,7 @@ import pytest
 
 from ncflow.errors import ContractError, InputError
 from ncflow.generators import (
+    counterexample_family,
     fig3_graph,
     k4,
     k23,
@@ -25,6 +26,25 @@ from ncflow.matchings import (
 )
 
 from conftest import small_corpus
+
+
+def reference_matchings(g, covered, chosen):
+    """Recursive DFS: branch on the lowest uncovered vertex, its edges in id order."""
+    v = next((i for i, c in enumerate(covered) if not c), None)
+    if v is None:
+        yield tuple(sorted(chosen))
+        return
+    for eid in g.incident(v):
+        w = g.other_end(eid, v)
+        if g.is_loop(eid) or covered[w]:
+            continue
+        covered[v] = covered[w] = True
+        yield from reference_matchings(g, covered, chosen + [eid])
+        covered[v] = covered[w] = False
+
+
+def reference_corpus():
+    return small_corpus() + [("cef1", counterexample_family(1))]
 
 
 class TestEnumeration:
@@ -53,6 +73,11 @@ class TestEnumeration:
     def test_deterministic_order(self):
         g = petersen()
         assert list(enumerate_perfect_matchings(g)) == list(enumerate_perfect_matchings(g))
+
+    def test_same_stream_as_recursive_reference(self):
+        for name, g in reference_corpus():
+            got = [f.edge_ids for f in enumerate_perfect_matchings(g)]
+            assert got == list(reference_matchings(g, [False] * g.n, [])), name
 
     def test_stream_is_lazy(self):
         stream = enumerate_perfect_matchings(petersen())
@@ -139,6 +164,15 @@ class TestThroughEdge:
         for name, g in small_corpus():
             for eid in range(g.m):
                 assert next(matchings_through_edge(g, eid), None) is not None, (name, eid)
+
+    def test_same_stream_as_recursive_reference(self):
+        for name, g in reference_corpus():
+            for eid in range(g.m):
+                covered = [False] * g.n
+                u, v = g.endpoints(eid)
+                covered[u] = covered[v] = True
+                got = [f.edge_ids for f in matchings_through_edge(g, eid)]
+                assert got == list(reference_matchings(g, covered, [eid])), (name, eid)
 
     def test_fig3_bridge_lies_in_every_matching(self):
         g = fig3_graph()
