@@ -40,7 +40,7 @@ def flow_cases():
             q = h.quotient
             eu = [e[0] for e in q.edges]
             ev = [e[1] for e in q.edges]
-            pairs = _conflict_pairs(g, f, tf, h)
+            pairs = _conflict_pairs(g, tf, h)
             out.append((f"{name}/m{i}", q.n, eu, ev, pairs))
             if i >= 2:
                 break

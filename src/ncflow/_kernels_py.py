@@ -9,7 +9,13 @@ is importable.  Both implement identical semantics:
 * `normal_coloring_search` -- proper k-edge-coloring search with poor/rich
   pruning and canonical color introduction (colors first appear in
   increasing order, which is sound because normality is invariant under
-  palette permutation).
+  palette permutation).  Each vertex keeps a bitmask of the colors at it:
+  properness is one AND, abnormality a 4-bit union of two masks.  The edge
+  order is fixed, so the depth at which each edge's closed star becomes
+  fully colored is computed before the search, and every edge is checked
+  once, at that depth.  Its input must be cubic and loop-free; both
+  callers (`chi_n_exact` and `admits_normal_k_coloring`) refuse anything
+  else.
 """
 
 from __future__ import annotations
@@ -166,8 +172,17 @@ def normal_coloring_search(
 ) -> Tuple[Optional[List[int]], int]:
     """First proper k-edge-coloring without abnormal edges, or None on exhaustion.
 
+    Edges are colored in a fixed BFS order over the line graph.  `pal[v]`
+    is the bitmask of colors on the colored edges at v, so color c is free
+    for edge uv when bit c of `pal[u] | pal[v]` is clear, and a fully
+    colored closed star of uv is abnormal when that union has 4 bits.  The
+    order is static, so the depth at which each closed star becomes fully
+    colored is known in advance; the edges whose stars complete at a depth
+    are checked there and nowhere else.
+
     Endpoints of every edge must have degree 3 for the poor/rich pruning to
-    apply; callers guarantee cubic loop-free input.  Returns (colors, nodes).
+    apply; both callers in `ncflow.coloring` reject loops and non-cubic
+    graphs.  Returns (colors, nodes).
     """
     if deadline is not None and time.monotonic() > deadline:
         raise SearchTimeout
@@ -179,90 +194,74 @@ def normal_coloring_search(
     for e in range(m):
         incid[eu[e]].append(e)
         incid[ev[e]].append(e)
-
-    adjacent: List[List[int]] = [[] for _ in range(m)]
-    star: List[List[int]] = [[] for _ in range(m)]
-    for e in range(m):
-        seen = set()
-        for v in (eu[e], ev[e]):
-            for f in incid[v]:
-                if f != e and f not in seen:
-                    seen.add(f)
-                    adjacent[e].append(f)
-                    star[e].append(f)
-
-    # closed star of e = e plus its star; when fully colored, classify
-    closed_uncolored = [len(star[e]) + 1 for e in range(m)]
+    # edges sharing an endpoint with e (e excluded, parallel edges once)
+    adjacent = [
+        list(dict.fromkeys(f for v in (eu[e], ev[e]) for f in incid[v] if f != e))
+        for e in range(m)
+    ]
 
     # BFS order over the line graph so closed stars complete early
     order: List[int] = []
     placed = [False] * m
+    head = 0
     for s in range(m):
         if placed[s]:
             continue
         placed[s] = True
-        queue = [s]
-        while queue:
-            e = queue.pop(0)
-            order.append(e)
-            for f in adjacent[e]:
+        order.append(s)
+        while head < len(order):
+            for f in adjacent[order[head]]:
                 if not placed[f]:
                     placed[f] = True
-                    queue.append(f)
+                    order.append(f)
+            head += 1
 
+    # checks[d]: endpoints of the edges whose closed star is fully colored
+    # once the edge at depth d is
+    checks: List[List[Tuple[int, int]]] = [[] for _ in range(m)]
+    if forbid_abnormal:
+        depth_of = [0] * m
+        for d, e in enumerate(order):
+            depth_of[e] = d
+        for e in range(m):
+            done = max(depth_of[f] for f in adjacent[e] + [e])
+            checks[done].append((eu[e], ev[e]))
+    steps = [(e, eu[e], ev[e], tuple(checks[d])) for d, e in enumerate(order)]
+
+    # choices[top]: (color, bit) pairs open to an edge when colors 1..top
+    # are in use; a new color enters only as top + 1 (canonical order)
+    choices = [
+        tuple((c, 1 << c) for c in range(1, min(k, top + 1) + 1))
+        for top in range(max(k, 0) + 1)
+    ]
+    pal = [0] * n
     color = [0] * m
     nodes = 0
-
-    def star_ok(e: int) -> bool:
-        # all five colors known: poor (3) or rich (5); abnormal (4) pruned
-        cu = set()
-        cv = set()
-        a, b = eu[e], ev[e]
-        for f in incid[a]:
-            cu.add(color[f])
-        for f in incid[b]:
-            cv.add(color[f])
-        size = len(cu | cv)
-        return size != 4
 
     def rec(depth: int, maxused: int) -> bool:
         nonlocal nodes
         if depth == m:
             return True
-        e = order[depth]
-        limit = min(k, maxused + 1)
-        for c in range(1, limit + 1):
+        e, u, v, star_checks = steps[depth]
+        used = pal[u] | pal[v]
+        for c, bit in choices[maxused]:
             nodes += 1
             if deadline is not None and nodes % _DEADLINE_STRIDE == 0:
                 if time.monotonic() > deadline:
                     raise SearchTimeout
-            ok = True
-            for f in adjacent[e]:
-                if color[f] == c:
-                    ok = False
-                    break
-            if not ok:
+            if used & bit:
                 continue
-            color[e] = c
-            good = True
-            if forbid_abnormal:
-                closed_uncolored[e] -= 1
-                for f in star[e]:
-                    closed_uncolored[f] -= 1
-                if closed_uncolored[e] == 0 and not star_ok(e):
-                    good = False
-                if good:
-                    for f in star[e]:
-                        if closed_uncolored[f] == 0 and not star_ok(f):
-                            good = False
-                            break
-            if good and rec(depth + 1, max(maxused, c)):
-                return True
-            if forbid_abnormal:
-                closed_uncolored[e] += 1
-                for f in star[e]:
-                    closed_uncolored[f] += 1
-            color[e] = 0
+            pal[u] |= bit
+            pal[v] |= bit
+            for a, b in star_checks:
+                if (pal[a] | pal[b]).bit_count() == 4:
+                    break
+            else:
+                if rec(depth + 1, c if c > maxused else maxused):
+                    color[e] = c
+                    return True
+            pal[u] ^= bit
+            pal[v] ^= bit
         return False
 
     if rec(0, 0):

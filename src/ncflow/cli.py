@@ -48,7 +48,7 @@ from .generators import (
     ring_of_diamonds,
     string_gadget,
 )
-from .graph import Pseudograph, contract_two_factor, is_cubic, three_edge_cuts
+from .graph import Pseudograph, is_cubic, three_edge_cuts
 from .kernels import SearchTimeout
 from .matchings import (
     PerfectMatching,
@@ -159,8 +159,7 @@ def _cmd_flow(args) -> int:
             for f in matchings_meeting_all_3cuts_once(g, eid, cuts):
                 mc = min_conflict_flow(g, f, deadline=deadline)
                 if mc and mc.conflict_count == 0:
-                    h = contract_two_factor(g, complement_two_factor(g, f))
-                    theta = loop_canonicalize(mc.flow, h)
+                    theta = loop_canonicalize(mc.flow, mc.contracted)
                     _print_flow(f, theta)
                     _write_cert(
                         flow_certificate(g, f, theta, {"nodes": mc.nodes_expanded}),

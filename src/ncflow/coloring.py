@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .errors import InputError, NcflowError
 from .flows import FlowAssignment
@@ -103,6 +103,32 @@ class ChiNResult:
     nodes_per_k: Tuple[Tuple[int, int], ...]  # (k tried, nodes expanded)
 
 
+def _normal_search(
+    g: Pseudograph, ks: Iterable[int], deadline: Optional[float]
+) -> Tuple[Optional[EdgeColoring], Tuple[Tuple[int, int], ...]]:
+    """First normal k-coloring of g over the palettes `ks`, tried in order.
+
+    Refuses loops and non-cubic graphs, where normality is undefined, and
+    raises NcflowError if the kernel's witness is not normal.  Returns
+    (witness or None, (k, nodes expanded) for every k tried).
+    """
+    _reject_loops(g)
+    if not is_cubic(g):
+        raise InputError("normal chromatic index is defined for cubic graphs")
+    eu = [e[0] for e in g.edges]
+    ev = [e[1] for e in g.edges]
+    trail = []
+    for k in ks:
+        colors, nodes = normal_coloring_search(g.n, eu, ev, k, deadline=deadline)
+        trail.append((k, nodes))
+        if colors is not None:
+            witness = EdgeColoring(tuple(colors), k)
+            if not is_normal(g, witness).ok:
+                raise NcflowError(f"normal-coloring search returned an abnormal {k}-coloring")
+            return witness, tuple(trail)
+    return None, tuple(trail)
+
+
 def chi_n_exact(
     g: Pseudograph, k_max: int, deadline: Optional[float] = None
 ) -> Optional[ChiNResult]:
@@ -113,34 +139,18 @@ def chi_n_exact(
     Multigraphs are accepted but flagged: the published index is defined
     for simple cubic graphs only.
     """
-    _reject_loops(g)
-    if not is_cubic(g):
-        raise InputError("normal chromatic index is defined for cubic graphs")
-    eu = [e[0] for e in g.edges]
-    ev = [e[1] for e in g.edges]
-    trail = []
-    for k in range(3, k_max + 1):
-        colors, nodes = normal_coloring_search(g.n, eu, ev, k, deadline=deadline)
-        trail.append((k, nodes))
-        if colors is not None:
-            witness = EdgeColoring(tuple(colors), k)
-            if not is_normal(g, witness).ok:
-                raise NcflowError(f"normal-coloring search returned an abnormal {k}-coloring")
-            return ChiNResult(k, witness, not g.is_simple(), tuple(trail))
-    return None
+    witness, trail = _normal_search(g, range(3, k_max + 1), deadline)
+    if witness is None:
+        return None
+    return ChiNResult(witness.k, witness, not g.is_simple(), trail)
 
 
 def admits_normal_k_coloring(
     g: Pseudograph, k: int, deadline: Optional[float] = None
 ) -> Optional[EdgeColoring]:
     """Decision version: some normal k-coloring, not necessarily minimal k."""
-    _reject_loops(g)
-    eu = [e[0] for e in g.edges]
-    ev = [e[1] for e in g.edges]
-    colors, _nodes = normal_coloring_search(g.n, eu, ev, k, deadline=deadline)
-    if colors is None:
-        return None
-    return EdgeColoring(tuple(colors), k)
+    witness, _trail = _normal_search(g, (k,), deadline)
+    return witness
 
 
 @dataclass(frozen=True)

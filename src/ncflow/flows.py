@@ -200,10 +200,11 @@ def _conflict_pairs(g: Pseudograph, tf: TwoFactor, h: ContractedGraph) -> List[T
 
 def _kernel_flow(
     g: Pseudograph, f: PerfectMatching, mode: str, deadline: Optional[float]
-) -> Tuple[Optional[FlowAssignment], int, int, TwoFactor]:
+) -> Tuple[Optional[FlowAssignment], int, int, TwoFactor, ContractedGraph]:
     """Kernel flow search on G/F-bar in `mode`.
 
-    Returns (verified flow or None, its conflict count, nodes expanded, F-bar).
+    Returns (verified flow or None, its conflict count, nodes expanded,
+    F-bar, G/F-bar).
     """
     tf = complement_two_factor(g, f)
     h = contract_two_factor(g, tf)
@@ -216,11 +217,11 @@ def _kernel_flow(
         q.n, eu, ev, _conflict_pairs(g, tf, h), mode, deadline=deadline
     )
     if vals is None:
-        return None, conf, nodes, tf
+        return None, conf, nodes, tf, h
     theta = FlowAssignment(tuple(vals))
     if not verify_flow(h, theta):
         raise NcflowError("flow search returned a flow that does not conserve")
-    return theta, conf, nodes, tf
+    return theta, conf, nodes, tf, h
 
 
 def find_nonconflicting_flow(
@@ -229,15 +230,19 @@ def find_nonconflicting_flow(
     deadline: Optional[float] = None,
 ) -> Optional[FlowAssignment]:
     """A conflict-free nowhere-zero flow of G/F-bar, or None after exhaustion."""
-    theta, conf, _nodes, _tf = _kernel_flow(g, f, "first", deadline)
+    theta, conf, _nodes, _tf, _h = _kernel_flow(g, f, "first", deadline)
     return theta if conf == 0 else None
 
 
 @dataclass(frozen=True)
 class MinConflictResult:
+    """Minimum-conflict flow of G/F-bar, with the F-bar and G/F-bar it lives on."""
+
     flow: FlowAssignment
     conflict_count: int
     nodes_expanded: int
+    two_factor: TwoFactor
+    contracted: ContractedGraph
 
 
 def min_conflict_flow(
@@ -246,8 +251,8 @@ def min_conflict_flow(
     deadline: Optional[float] = None,
 ) -> Optional[MinConflictResult]:
     """Flow minimizing the conflict count, or None when no NZ flow exists at all."""
-    theta, conf, nodes, _tf = _kernel_flow(g, f, "min", deadline)
-    return None if theta is None else MinConflictResult(theta, conf, nodes)
+    theta, conf, nodes, tf, h = _kernel_flow(g, f, "min", deadline)
+    return None if theta is None else MinConflictResult(theta, conf, nodes, tf, h)
 
 
 def even_cycle_flow(g: Pseudograph, tf: TwoFactor) -> FlowAssignment:
@@ -318,7 +323,7 @@ def _three_colorable_route(g: Pseudograph) -> Optional[TwoCycleFlowResult]:
 
 def _exhaustive_route(g: Pseudograph) -> Optional[TwoCycleFlowResult]:
     for f in enumerate_perfect_matchings(g):
-        theta, conf, _nodes, tf = _kernel_flow(g, f, "first", None)
+        theta, conf, _nodes, tf, _h = _kernel_flow(g, f, "first", None)
         if theta is not None and conf == 0:
             return TwoCycleFlowResult(f, tf, theta, "fallback-exhaustive")
     return None

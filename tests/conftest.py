@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
 from typing import Dict, List, Tuple
 
 import pytest
 
+import ncflow
 from ncflow.generators import (
     k4,
     k33,
@@ -123,3 +131,40 @@ def corpus():
 @pytest.fixture(scope="session")
 def corpus16():
     return corpus_16()
+
+
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    """The committed `_kernels.c`, built into a temporary directory and loaded.
+
+    The module is left out of `sys.modules` (Cython's init registers it
+    there), so `import ncflow._kernels` still finds only an in-package
+    build.  Skips when no C compiler or no `Python.h` is available.
+    """
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler (cc) on PATH; compiled kernel not built")
+    include = sysconfig.get_paths()["include"]
+    if not os.path.exists(os.path.join(include, "Python.h")):
+        pytest.skip(f"no Python.h under {include}; compiled kernel not built")
+    src = Path(ncflow.__file__).with_name("_kernels.c")
+    out = tmp_path_factory.mktemp("kernels") / ("_kernels" + sysconfig.get_config_var("EXT_SUFFIX"))
+    build = subprocess.run(
+        [cc, "-O2", "-shared", "-fPIC", f"-I{include}", str(src), "-o", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    if build.returncode != 0:
+        pytest.fail(f"compiling {src.name} failed:\n{build.stderr}")
+    name = "ncflow._kernels"
+    installed = sys.modules.get(name)
+    spec = importlib.util.spec_from_file_location(name, out)
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        if installed is None:
+            sys.modules.pop(name, None)
+        else:
+            sys.modules[name] = installed
+    return module

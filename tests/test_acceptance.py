@@ -149,8 +149,7 @@ def test_02_counterexample_family_l1():
     for f in itertools.islice(enumerate_perfect_matchings(g), 6):
         mc = min_conflict_flow(g, f)
         assert mc is not None and mc.conflict_count >= 1
-        tf, h = _contracted(g, f)
-        rep = conflicts(g, f, tf, mc.flow, h)
+        rep = conflicts(g, f, mc.two_factor, mc.flow, mc.contracted)
         assert any(
             c.u < 30 and c.v < 30 and c.u // 10 == c.v // 10
             for c in rep.conflicting_edges
@@ -228,10 +227,10 @@ def test_07_claw_free_every_edge():
             for f in matchings_meeting_all_3cuts_once(g, eid, cuts):
                 mc = min_conflict_flow(g, f)
                 if mc is not None and mc.conflict_count == 0:
-                    tf, h = _contracted(g, f)
+                    h = mc.contracted
                     theta = loop_canonicalize(mc.flow, h)
                     assert verify_flow(h, theta)
-                    assert conflicts(g, f, tf, theta, h).is_empty()
+                    assert conflicts(g, f, mc.two_factor, theta, h).is_empty()
                     ok = True
                     break
             assert ok, (g.n, eid)

@@ -135,6 +135,15 @@ class TestCliExitCodes:
         monkeypatch.setenv("NZFLOW_TIMEOUT_SECS", "0.000001")
         assert main(["chi-n", "petersen"]) == 3
 
+    def test_chi_n_deadline_fires_mid_search(self, monkeypatch):
+        # the full search takes seconds (over 11M nodes at k = 5), so only
+        # the kernel's periodic deadline check can stop it in time
+        monkeypatch.setenv("NZFLOW_TIMEOUT_SECS", "0.5")
+        [literal] = lines_for(counterexample_family(2))
+        start = time.monotonic()
+        assert main(["chi-n", literal]) == 3
+        assert time.monotonic() - start < 3
+
     def test_constructive_twocycle(self, capsys):
         assert main(["flow", "search", "k33", "--construct", "twocycle"]) == 0
         assert "branch:" in capsys.readouterr().out

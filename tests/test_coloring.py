@@ -28,15 +28,18 @@ from ncflow.coloring import (
     verify_z2cubed_flow,
     z2cubed_flow_coloring,
 )
-from ncflow.errors import InputError
+from ncflow import _kernels_py, coloring
+from ncflow.errors import InputError, NcflowError
 from ncflow.flows import ALPHA, BETA, find_nonconflicting_flow
 from ncflow.generators import (
+    counterexample_family,
     diamond,
     fig3_graph,
     fig3_published_coloring,
     fig4_graph,
     k4,
     k23,
+    k23_with_p10v,
     k33,
     petersen,
     replace_vertex_with_triangle,
@@ -144,6 +147,65 @@ class TestChiN:
     def test_multigraph_flagged(self):
         res = chi_n_exact(k23(), 7)
         assert res is not None and res.multigraph
+
+    def test_decision_version_refuses_non_cubic_graphs(self):
+        c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        with pytest.raises(InputError):
+            admits_normal_k_coloring(c4, 3)
+        with pytest.raises(InputError):
+            admits_normal_k_coloring(build_graph(2, [(0, 0), (0, 1), (1, 1)]), 3)
+
+    def test_decision_version_checks_its_witness(self, monkeypatch):
+        monkeypatch.setattr(coloring, "is_normal", lambda g, c: coloring.NormalVerdict(False, (0,)))
+        with pytest.raises(NcflowError):
+            admits_normal_k_coloring(k33(), 3)
+
+
+# chi_n_exact(g, 7) on the pure-Python kernel: node counts per palette and
+# the witness, which the search order fixes exactly
+CHI_N_GOLDEN = [
+    (
+        "petersen",
+        petersen,
+        ((3, 174), (4, 314), (5, 3805)),
+        (1, 4, 3, 5, 2, 5, 1, 3, 2, 4, 3, 5, 2, 1, 4),
+    ),
+    (
+        "k23_with_p10v",
+        k23_with_p10v,
+        ((3, 285), (4, 478), (5, 7126)),
+        (1, 4, 2, 2, 3, 4, 5, 1, 2, 5, 3, 1, 1, 4, 2, 2, 3, 4, 5, 1, 2, 5, 3, 1, 3, 5, 4),
+    ),
+    (
+        "counterexample_family(1)",
+        lambda: counterexample_family(1),
+        ((3, 285), (4, 478), (5, 21095)),
+        (1, 4, 2, 5, 2, 3, 4, 5, 1, 4, 2, 5, 3, 1, 5, 3, 4, 2, 4, 1, 3, 2, 5, 3, 4, 2,
+         1, 5, 4, 3, 5, 1, 5, 2, 3, 1, 4, 3, 5, 1, 2, 4, 3, 1, 1, 2, 2, 3, 2, 3, 1),
+    ),
+    (
+        "fig3",
+        fig3_graph,
+        ((3, 60), (4, 98), (5, 358), (6, 733), (7, 1301)),
+        (1, 2, 4, 6, 5, 7, 3, 1, 2, 4, 6, 5, 7, 3, 3),
+    ),
+    (
+        "triangle_replace_all(petersen)",
+        lambda: triangle_replace_all(petersen()),
+        ((3, 4242), (4, 7182), (5, 972874)),
+        (1, 5, 2, 4, 3, 4, 1, 2, 3, 5, 2, 4, 3, 1, 5, 2, 3, 1, 4, 5, 1, 3, 2, 5, 1, 4,
+         2, 5, 3, 4, 2, 5, 4, 4, 3, 2, 3, 1, 4, 1, 5, 3, 5, 2, 1),
+    ),
+]
+
+
+@pytest.mark.parametrize("name,build,trail,witness", CHI_N_GOLDEN, ids=[c[0] for c in CHI_N_GOLDEN])
+def test_pure_python_kernel_golden(monkeypatch, name, build, trail, witness):
+    monkeypatch.setattr(coloring, "normal_coloring_search", _kernels_py.normal_coloring_search)
+    res = chi_n_exact(build(), 7)
+    assert res.nodes_per_k == trail
+    assert res.k == trail[-1][0]
+    assert res.witness.colors == witness
 
 
 class TestStructuralAbnormality:

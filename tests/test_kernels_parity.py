@@ -1,5 +1,10 @@
 """The compiled and pure-Python kernels must agree result-for-result,
-including node counts, so certificates are backend-independent."""
+including node counts, so certificates are backend-independent.
+
+`compiled` (tests/conftest.py) builds the committed `_kernels.c` into a
+temporary directory; these tests skip only when no C compiler or no
+`Python.h` is present.
+"""
 
 import os
 import random
@@ -9,11 +14,17 @@ import sys
 import pytest
 
 from ncflow import _kernels_py
-from ncflow.generators import fig3_graph, k4, k23_with_p10v, k33, petersen
+from ncflow.generators import (
+    counterexample_family,
+    fig3_graph,
+    k4,
+    k23_with_p10v,
+    k33,
+    petersen,
+    replace_vertex_with_triangle,
+)
 from ncflow.graph import contract_two_factor
 from ncflow.matchings import complement_two_factor, enumerate_perfect_matchings
-
-compiled = pytest.importorskip("ncflow._kernels")
 
 
 def flow_instances():
@@ -58,13 +69,13 @@ def flow_instances():
 
 class TestFlowParity:
     @pytest.mark.parametrize("mode", ["first", "min", "count"])
-    def test_exact_agreement(self, mode):
+    def test_exact_agreement(self, mode, compiled):
         for nq, eu, ev, pairs in flow_instances():
             a = _kernels_py.flow_search(nq, eu, ev, pairs, mode)
             b = compiled.flow_search(nq, eu, ev, pairs, mode)
             assert a == b, (nq, eu, ev, pairs, mode)
 
-    def test_deadline_raises_in_both(self):
+    def test_deadline_raises_in_both(self, compiled):
         g = petersen()
         f = next(enumerate_perfect_matchings(g))
         tf = complement_two_factor(g, f)
@@ -77,22 +88,27 @@ class TestFlowParity:
                 impl.flow_search(q.n, eu, ev, [], "min", deadline=0.0)
 
 
+def petersen_with_triangles(vertices):
+    g = petersen()
+    for v in vertices:
+        g = replace_vertex_with_triangle(g, v)
+    return g
+
+
 class TestColoringParity:
-    def test_exact_agreement(self):
-        cases = []
-        for g in (k4(), k33(), petersen(), fig3_graph()):
-            eu = [e[0] for e in g.edges]
-            ev = [e[1] for e in g.edges]
-            for k in (3, 4, 5):
-                cases.append((g.n, eu, ev, k))
-        g = k23_with_p10v()
-        cases.append((g.n, [e[0] for e in g.edges], [e[1] for e in g.edges], 3))
+    def test_exact_agreement(self, compiled):
+        graphs = [(g, k) for g in (k4(), k33(), petersen(), fig3_graph()) for k in (3, 4, 5)]
+        graphs.append((k23_with_p10v(), 3))
+        graphs += [(petersen_with_triangles(vs), 5) for vs in ((0,), (0, 1), (0, 1, 2))]
+        graphs.append((counterexample_family(1), 5))
+        graphs += [(fig3_graph(), 6), (fig3_graph(), 7)]
+        cases = [(g.n, [e[0] for e in g.edges], [e[1] for e in g.edges], k) for g, k in graphs]
         for n, eu, ev, k in cases:
             a = _kernels_py.normal_coloring_search(n, eu, ev, k)
             b = compiled.normal_coloring_search(n, eu, ev, k)
             assert a == b, (n, k)
 
-    def test_forbid_flag_parity(self):
+    def test_forbid_flag_parity(self, compiled):
         g = petersen()
         eu = [e[0] for e in g.edges]
         ev = [e[1] for e in g.edges]
@@ -104,6 +120,7 @@ class TestColoringParity:
 
 class TestBackendSelection:
     def test_default_is_compiled_here(self):
+        pytest.importorskip("ncflow._kernels", reason="no compiled kernel in the package")
         from ncflow import kernels
 
         if os.environ.get("NZFLOW_PURE_PYTHON"):
