@@ -5,7 +5,11 @@ is importable.  Both implement identical semantics:
 
 * `flow_search` -- backtracking over edge values of a group Z_2^b with
   vertex-saturation (conservation) pruning and optional conflict-pair
-  pruning / branch-and-bound.
+  pruning / branch-and-bound.  The edge order is fixed, so a step table
+  built once per call records at each depth which vertex the edge closes
+  (its value is then forced) and which conflict partners are already
+  valued; the search keeps no per-vertex edge counts.  "first" mode, which
+  prunes every conflict, runs its own recursion without a conflict count.
 * `normal_coloring_search` -- proper k-edge-coloring search with poor/rich
   pruning and canonical color introduction (colors first appear in
   increasing order, which is sound because normality is invariant under
@@ -50,6 +54,19 @@ def flow_search(
 
     Returns (values or None, conflict_count_of_result, nodes_expanded, flows_seen).
     For "count", flows_seen is the flow count and values is None.
+
+    Edges are valued in a fixed vertex-grouped order, and `steps[depth]`
+    holds what the search needs at each depth: the edge, its endpoints,
+    the vertex it closes (the first endpoint at which it is the last
+    non-loop edge, or -1) and whether it closes both, and its conflict
+    partners valued at earlier depths.  A closing edge can only take the
+    XOR already at the vertex it closes.  A later partner is still unvalued
+    when the edge is tried and a self-pair never counts, so only earlier
+    partners are kept; a duplicate pair counts twice.  A loop closes
+    nothing and XORs its value into its vertex twice, which changes
+    nothing.  Each value tried is one node, pruned or not.  "first" prunes
+    every conflict, so the conflict count is 0 on every path and it has its
+    own recursion without one; "min" and "count" share one that carries it.
     """
     if deadline is not None and time.monotonic() > deadline:
         raise SearchTimeout
@@ -73,91 +90,111 @@ def flow_search(
             if not placed[e]:
                 placed[e] = True
                 order.append(e)
-    for e in range(m):  # isolated-safe
-        if not placed[e]:
-            order.append(e)
 
-    partners: List[List[int]] = [[] for _ in range(m)]
-    for a, b in conflict_pairs:
-        partners[a].append(b)
-        partners[b].append(a)
-
-    rem = [0] * nq
-    for e in range(m):
+    depth_of = [0] * m
+    last = [-1] * nq  # depth of the last non-loop edge at each vertex
+    for d, e in enumerate(order):
+        depth_of[e] = d
         if eu[e] != ev[e]:
-            rem[eu[e]] += 1
-            rem[ev[e]] += 1
-    acc = [0] * nq
-    val = [0] * m
+            last[eu[e]] = last[ev[e]] = d
+    earlier: List[List[int]] = [[] for _ in range(m)]
+    for a, b in conflict_pairs:
+        if depth_of[a] < depth_of[b]:
+            earlier[b].append(a)
+        elif depth_of[b] < depth_of[a]:
+            earlier[a].append(b)
+    steps = []
+    for d, e in enumerate(order):
+        u, v = eu[e], ev[e]
+        closes = u if last[u] == d else v if last[v] == d else -1
+        both = last[u] == d and last[v] == d
+        steps.append((e, u, v, closes, both, tuple(earlier[e])))
 
+    # x conflicts with a valued partner holding x ^ 3 (alpha+beta apart);
+    # -1 matches nothing, since an unvalued partner (0) never conflicts
+    choices = tuple((x, x ^ 3 or -1) for x in values)
+    acc = [0] * nq
+    val = [0] * m  # not cleared on backtracking: only earlier partners are read
+    nodes = 0
+
+    if mode == "first":
+
+        def first(depth: int) -> bool:
+            nonlocal nodes
+            if depth == m:
+                return True
+            e, u, v, closes, both, partners = steps[depth]
+            if closes < 0:
+                cands = choices
+            else:
+                x = acc[closes]
+                if x == 0 or (both and acc[v] != x):
+                    return False
+                cands = ((x, x ^ 3 or -1),)
+            for x, clash in cands:
+                nodes += 1
+                if deadline is not None and nodes % _DEADLINE_STRIDE == 0:
+                    if time.monotonic() > deadline:
+                        raise SearchTimeout
+                for p in partners:
+                    if val[p] == clash:
+                        break
+                else:
+                    val[e] = x
+                    acc[u] ^= x
+                    acc[v] ^= x
+                    if first(depth + 1):
+                        return True
+                    acc[u] ^= x
+                    acc[v] ^= x
+            return False
+
+        if first(0):
+            return val, 0, nodes, 1
+        return None, 0, nodes, 0
+
+    counting = mode == "count"
     best_val: Optional[List[int]] = None
     best_conf = len(conflict_pairs) + 1
-    nodes = 0
     flows_seen = 0
-    counting = mode == "count"
-    first = mode == "first"
-    vals = tuple(values)
 
-    def rec(depth: int, conf: int) -> bool:
+    def rec(depth: int, conf: int) -> None:
         nonlocal nodes, flows_seen, best_val, best_conf
         if depth == m:
             flows_seen += 1
             if not counting and conf < best_conf:
                 best_conf = conf
                 best_val = val[:]
-                return first and conf == 0
-            return False
-        e = order[depth]
-        u, v = eu[e], ev[e]
-        loop = u == v
-        if loop:
-            candidates = vals
+            return
+        e, u, v, closes, both, partners = steps[depth]
+        if closes < 0:
+            cands = choices
         else:
-            cu = rem[u] == 1
-            cv = rem[v] == 1
-            if cu and cv:
-                candidates = (acc[u],) if acc[u] == acc[v] and acc[u] != 0 else ()
-            elif cu:
-                candidates = (acc[u],) if acc[u] != 0 else ()
-            elif cv:
-                candidates = (acc[v],) if acc[v] != 0 else ()
-            else:
-                candidates = vals
-        for x in candidates:
+            x = acc[closes]
+            if x == 0 or (both and acc[v] != x):
+                return
+            cands = ((x, x ^ 3 or -1),)
+        for x, clash in cands:
             nodes += 1
             if deadline is not None and nodes % _DEADLINE_STRIDE == 0:
                 if time.monotonic() > deadline:
                     raise SearchTimeout
-            dconf = 0
+            c = conf
             if not counting:
-                for p in partners[e]:
-                    if val[p] != 0 and (val[p] ^ x) == 3:
-                        dconf += 1
-                if first and dconf:
-                    continue
-                if conf + dconf >= best_conf:
+                for p in partners:
+                    if val[p] == clash:
+                        c += 1
+                if c >= best_conf:
                     continue
             val[e] = x
-            if not loop:
-                acc[u] ^= x
-                acc[v] ^= x
-                rem[u] -= 1
-                rem[v] -= 1
-            done = rec(depth + 1, conf + dconf)
-            val[e] = 0
-            if not loop:
-                acc[u] ^= x
-                acc[v] ^= x
-                rem[u] += 1
-                rem[v] += 1
-            if done:
-                return True
-        return False
+            acc[u] ^= x
+            acc[v] ^= x
+            rec(depth + 1, c)
+            acc[u] ^= x
+            acc[v] ^= x
 
     rec(0, 0)
-    if counting:
-        return None, 0, nodes, flows_seen
-    if best_val is None:
+    if counting or best_val is None:
         return None, 0, nodes, flows_seen
     return best_val, best_conf, nodes, flows_seen
 

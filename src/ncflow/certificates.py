@@ -23,7 +23,7 @@ from .flows import (
     verify_flow,
 )
 from .graph import Pseudograph, contract_two_factor
-from .matchings import PerfectMatching, complement_two_factor
+from .matchings import PerfectMatching, complement_two_factor, covered_vertices
 
 SCHEMA_VERSION = 1
 
@@ -159,13 +159,8 @@ def verify_certificate(cert: Certificate, g: Pseudograph) -> bool:
             if a & b:
                 return False
             for sel in (a, b):
-                seen = set()
-                for eid in sel:
-                    u, v = g.endpoints(eid)
-                    if u in seen or v in seen or u == v:
-                        return False
-                    seen.update((u, v))
-                if len(seen) != g.n:
+                cover = covered_vertices(g, sel)
+                if cover is None or len(cover) != g.n:
                     return False
             return True
         if cert.kind == "no-flow-for-any-matching":

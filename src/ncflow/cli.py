@@ -49,7 +49,7 @@ from .generators import (
     string_gadget,
 )
 from .graph import Pseudograph, is_cubic, three_edge_cuts
-from .kernels import SearchTimeout
+from .kernels import SearchTimeout, check_deadline
 from .matchings import (
     PerfectMatching,
     complement_two_factor,
@@ -145,6 +145,49 @@ def _print_flow(f, theta):
     print("flow:", " ".join(labels))
 
 
+def _report_flow(g: Pseudograph, f, theta, stats: dict, path: Optional[str]) -> int:
+    _print_flow(f, theta)
+    if "branch" in stats:
+        print("branch:", stats["branch"])
+    _write_cert(flow_certificate(g, f, theta, stats), path)
+    return EXIT_FOUND
+
+
+# constructive routes: (matching, flow, certificate stats) or None
+
+
+def _clawfree_route(g: Pseudograph, deadline: float):
+    cuts = three_edge_cuts(g)
+    for f in matchings_meeting_all_3cuts_once(g, 0, cuts) if g.m else ():
+        mc = min_conflict_flow(g, f, deadline=deadline)
+        if mc and mc.conflict_count == 0:
+            return f, loop_canonicalize(mc.flow, mc.contracted), {"nodes": mc.nodes_expanded}
+    return None
+
+
+def _twocycle_route(g: Pseudograph, deadline: float):
+    for f in enumerate_perfect_matchings(g):
+        check_deadline(deadline)
+        tf = complement_two_factor(g, f)
+        if len(tf.cycles) <= 2:
+            res = two_cycle_factor_flow(g, tf, deadline=deadline)
+            if res is not None:
+                return res.matching, res.flow, {"branch": res.branch}
+    return None
+
+
+def _even_route(g: Pseudograph, deadline: float):
+    for f in enumerate_perfect_matchings(g):
+        check_deadline(deadline)
+        tf = complement_two_factor(g, f)
+        if odd_cycle_count(tf) == 0:
+            return f, even_cycle_flow(g, tf), {}
+    return None
+
+
+_ROUTES = {"clawfree": _clawfree_route, "twocycle": _twocycle_route, "even": _even_route}
+
+
 def _cmd_flow(args) -> int:
     if args.action != "search":
         raise InputError(f"unknown flow action {args.action!r}")
@@ -153,47 +196,14 @@ def _cmd_flow(args) -> int:
         raise InputError("flow search expects a cubic graph")
     deadline = _deadline()
 
-    if args.construct == "clawfree":
-        cuts = three_edge_cuts(g)
-        for eid in range(g.m):
-            for f in matchings_meeting_all_3cuts_once(g, eid, cuts):
-                mc = min_conflict_flow(g, f, deadline=deadline)
-                if mc and mc.conflict_count == 0:
-                    theta = loop_canonicalize(mc.flow, mc.contracted)
-                    _print_flow(f, theta)
-                    _write_cert(
-                        flow_certificate(g, f, theta, {"nodes": mc.nodes_expanded}),
-                        args.certificate,
-                    )
-                    return EXIT_FOUND
-            break
-        return EXIT_NEGATIVE
-    if args.construct == "twocycle":
-        for f in enumerate_perfect_matchings(g):
-            tf = complement_two_factor(g, f)
-            if len(tf.cycles) <= 2:
-                res = two_cycle_factor_flow(g, tf)
-                if res is None:
-                    continue
-                _print_flow(res.matching, res.flow)
-                print("branch:", res.branch)
-                _write_cert(
-                    flow_certificate(g, res.matching, res.flow, {"branch": res.branch}),
-                    args.certificate,
-                )
-                return EXIT_FOUND
-        return EXIT_NEGATIVE
-    if args.construct == "even":
-        for f in enumerate_perfect_matchings(g):
-            tf = complement_two_factor(g, f)
-            if odd_cycle_count(tf) == 0:
-                theta = even_cycle_flow(g, tf)
-                _print_flow(f, theta)
-                _write_cert(flow_certificate(g, f, theta, {}), args.certificate)
-                return EXIT_FOUND
-        return EXIT_NEGATIVE
-
     sel = args.matching
+    if args.construct is not None:
+        found = _ROUTES[args.construct](g, deadline)
+        if found is not None:
+            return _report_flow(g, *found, args.certificate)
+        # a route that finds nothing has not refuted every matching
+        print(f"route {args.construct} found no flow; searching every matching", file=sys.stderr)
+        sel = "all"
     if sel == "all":
         stream = enumerate_perfect_matchings(g)
     elif sel.startswith("edge="):
@@ -214,9 +224,7 @@ def _cmd_flow(args) -> int:
         checked += 1
         theta = find_nonconflicting_flow(g, f, deadline=deadline)
         if theta is not None:
-            _print_flow(f, theta)
-            _write_cert(flow_certificate(g, f, theta, {}), args.certificate)
-            return EXIT_FOUND
+            return _report_flow(g, f, theta, {}, args.certificate)
     print(f"no non-conflicting flow; matchings checked: {checked}")
     _write_cert(
         Certificate(

@@ -9,7 +9,6 @@ coloring is normal when no edge is abnormal.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -23,8 +22,8 @@ from .graph import (
     contract_two_factor,
     is_cubic,
 )
-from .kernels import flow_search, normal_coloring_search
-from .matchings import PerfectMatching, TwoFactor
+from .kernels import check_deadline, flow_search, normal_coloring_search
+from .matchings import PerfectMatching, TwoFactor, covered_vertices
 
 POOR = "poor"
 RICH = "rich"
@@ -323,14 +322,8 @@ def verify_conjecture4_witness(
     edge joins an x-star to a y-star (read symmetrically)."""
     if not verify_z2cubed_flow(g, mu):
         raise InputError("not a valid nowhere-zero Z2^3 flow")
-    sel = [e for e in range(g.m) if mu.values[e] in {x, y}]
-    seen: Set[int] = set()
-    for e in sel:
-        a, b = g.endpoints(e)
-        if a in seen or b in seen or a == b:
-            return False
-        seen.add(a)
-        seen.add(b)
+    if covered_vertices(g, (e for e in range(g.m) if mu.values[e] in {x, y})) is None:
+        return False
     for u, v in g.edges:
         for a, b in ((x, y), (y, x)):
             for eu in g.incident(u):
@@ -518,10 +511,7 @@ def h_coloring(
     img: Dict[int, int] = {}
 
     def rec(i: int) -> bool:
-        if deadline is not None and time.monotonic() > deadline:
-            from .kernels import SearchTimeout
-
-            raise SearchTimeout
+        check_deadline(deadline)
         if i == len(order):
             return True
         v = order[i]

@@ -23,13 +23,14 @@ from .graph import (
     contract_two_factor,
     is_isomorphic_to_petersen,
 )
-from .kernels import flow_search
+from .kernels import check_deadline, flow_search
 from .matchings import (
     Cycle,
     PerfectMatching,
     TwoFactor,
     _two_factor_from_cycles,
     complement_two_factor,
+    covered_vertices,
     enumerate_perfect_matchings,
     matchings_through_edge,
     odd_cycle_count,
@@ -312,27 +313,35 @@ def _verified(
     return TwoCycleFlowResult(f, tf, theta, branch)
 
 
-def _three_colorable_route(g: Pseudograph) -> Optional[TwoCycleFlowResult]:
+def _three_colorable_route(
+    g: Pseudograph, deadline: Optional[float]
+) -> Optional[TwoCycleFlowResult]:
     """First matching whose complement has only even cycles, with the constant flow."""
     for f in enumerate_perfect_matchings(g):
+        check_deadline(deadline)
         tf = complement_two_factor(g, f)
         if odd_cycle_count(tf) == 0:
             return TwoCycleFlowResult(f, tf, even_cycle_flow(g, tf), "case1-3ec")
     return None
 
 
-def _exhaustive_route(g: Pseudograph) -> Optional[TwoCycleFlowResult]:
+def _exhaustive_route(
+    g: Pseudograph, deadline: Optional[float]
+) -> Optional[TwoCycleFlowResult]:
     for f in enumerate_perfect_matchings(g):
-        theta, conf, _nodes, tf, _h = _kernel_flow(g, f, "first", None)
+        theta, conf, _nodes, tf, _h = _kernel_flow(g, f, "first", deadline)
         if theta is not None and conf == 0:
             return TwoCycleFlowResult(f, tf, theta, "fallback-exhaustive")
     return None
 
 
-def two_cycle_factor_flow(g: Pseudograph, tf: TwoFactor) -> Optional[TwoCycleFlowResult]:
+def two_cycle_factor_flow(
+    g: Pseudograph, tf: TwoFactor, deadline: Optional[float] = None
+) -> Optional[TwoCycleFlowResult]:
     """Theorem entry point for a 2-factor with at most two cycles.
 
-    Returns None only for the Petersen graph.
+    Returns None only for the Petersen graph.  The matching loops of the
+    fallback routes raise SearchTimeout once `deadline` has passed.
     """
     if len(tf.cycles) > 2:
         raise InputError("2-factor must have at most two cycles")
@@ -344,7 +353,7 @@ def two_cycle_factor_flow(g: Pseudograph, tf: TwoFactor) -> Optional[TwoCycleFlo
         return TwoCycleFlowResult(PerfectMatching(h.edge_origin), tf, _constant_flow(h), "even")
     if odd != 2:  # one odd cycle: the graph has an odd order, so it is not cubic
         raise InputError("expected a 2-factor with exactly two odd cycles")
-    return _two_odd_cycle_route(g, tf, h)
+    return _two_odd_cycle_route(g, tf, h, deadline)
 
 
 def two_odd_cycle_flow(g: Pseudograph, tf: TwoFactor) -> Optional[TwoCycleFlowResult]:
@@ -358,11 +367,11 @@ def two_odd_cycle_flow(g: Pseudograph, tf: TwoFactor) -> Optional[TwoCycleFlowRe
         raise InputError("expected a 2-factor with exactly two odd cycles")
     if is_isomorphic_to_petersen(g):
         return None
-    return _two_odd_cycle_route(g, tf, contract_two_factor(g, tf))
+    return _two_odd_cycle_route(g, tf, contract_two_factor(g, tf), None)
 
 
 def _two_odd_cycle_route(
-    g: Pseudograph, tf: TwoFactor, h: ContractedGraph
+    g: Pseudograph, tf: TwoFactor, h: ContractedGraph, deadline: Optional[float]
 ) -> Optional[TwoCycleFlowResult]:
     """two_odd_cycle_flow past its input checks, on the contraction h of tf."""
     f = PerfectMatching(h.edge_origin)
@@ -398,21 +407,22 @@ def _two_odd_cycle_route(
                     if res is not None:
                         return res
     if n >= 5:
-        res = _three_colorable_route(g)
+        res = _three_colorable_route(g, deadline)
         if res is not None:
             return res
-        return _exhaustive_route(g)
+        return _exhaustive_route(g, deadline)
     # n == 3
     if n1 >= 1 and n2 >= 1:
-        res = _three_colorable_route(g)
+        res = _three_colorable_route(g, deadline)
         if res is not None:
             return TwoCycleFlowResult(res.matching, res.two_factor, res.flow, "case2a")
-        return _exhaustive_route(g)
+        return _exhaustive_route(g, deadline)
     if {(n1 > 0), (n2 > 0)} == {True, False}:
-        res = _case2b(g, tf, cross, us, vs, cyc_of, triangle_side=0 if n1 else 1)
+        side = 0 if n1 else 1
+        res = _case2b(g, tf, cross, us, vs, cyc_of, triangle_side=side, deadline=deadline)
         if res is not None:
             return res
-    return _exhaustive_route(g)
+    return _exhaustive_route(g, deadline)
 
 
 def _case1_result(
@@ -439,6 +449,7 @@ def _case2b(
     vs: List[int],
     cyc_of: Sequence[int],
     triangle_side: int,
+    deadline: Optional[float],
 ) -> Optional[TwoCycleFlowResult]:
     """Triangle elimination: n = 3 and one side is a triangle with n_side = 3."""
     if triangle_side == 1:
@@ -473,7 +484,7 @@ def _case2b(
     res = _case2b_rewire(g, new_f, tf2, h2, v2, u2, e_u2v2)
     if res is not None:
         return res
-    res = _case2b_recursion(g, tf, tf2, v2)
+    res = _case2b_recursion(g, tf, tf2, v2, deadline)
     if res is not None:
         return res
     return None
@@ -604,6 +615,7 @@ def _case2b_recursion(
     tf_orig: TwoFactor,
     tf: TwoFactor,
     v2: int,
+    deadline: Optional[float],
 ) -> Optional[TwoCycleFlowResult]:
     """Contract the odd cycle through v2, solve the smaller graph, splice back.
 
@@ -640,7 +652,7 @@ def _case2b_recursion(
         return None
     if len(tf1.cycles) > 2:
         return None
-    sub = two_cycle_factor_flow(h1, tf1)
+    sub = two_cycle_factor_flow(h1, tf1, deadline=deadline)
     if sub is None:
         return None
     f0 = sub.matching
@@ -794,14 +806,10 @@ def extract_disjoint_matchings(
                 "this contradicts the published counting argument"
             )
     for name, sel in (("alpha", alpha_edges), ("beta", beta_edges)):
-        seen = set()
-        for eid in sel:
-            a, b = h5.endpoints(eid)
-            if a in seen or b in seen or a == b:
-                raise NcflowError(f"{name}-edges do not form a matching")
-            seen.add(a)
-            seen.add(b)
-        if len(seen) != h5.n:
+        cover = covered_vertices(h5, sel)
+        if cover is None:
+            raise NcflowError(f"{name}-edges do not form a matching")
+        if len(cover) != h5.n:
             raise NcflowError(f"{name}-edges do not cover every vertex")
     if set(alpha_edges) & set(beta_edges):
         raise NcflowError("extracted matchings are not edge-disjoint")

@@ -7,6 +7,8 @@ the backend-parity tests).
 from __future__ import annotations
 
 import os
+import time
+from typing import Optional
 
 from ._kernels_py import SearchTimeout  # single exception type for both backends
 
@@ -22,4 +24,11 @@ BACKEND: str = _impl.BACKEND
 flow_search = _impl.flow_search
 normal_coloring_search = _impl.normal_coloring_search
 
-__all__ = ["BACKEND", "flow_search", "normal_coloring_search", "SearchTimeout"]
+
+def check_deadline(deadline: Optional[float]) -> None:
+    """Raise SearchTimeout once `time.monotonic()` has passed `deadline`."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise SearchTimeout
+
+
+__all__ = ["BACKEND", "check_deadline", "flow_search", "normal_coloring_search", "SearchTimeout"]

@@ -8,7 +8,7 @@ certificates reproduce.  Streams are lazy generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import ContractError, InputError
 from .graph import Pseudograph, is_cubic, three_edge_cuts
@@ -49,6 +49,20 @@ class TwoFactor:
             if v in cyc.vertices:
                 return ci
         raise KeyError(v)
+
+
+def covered_vertices(g: Pseudograph, edge_ids: Iterable[int]) -> Optional[Set[int]]:
+    """The vertices the edges cover, or None when they are not a matching
+    (two share a vertex, or one is a loop).  They form a perfect matching
+    when the set has g.n vertices."""
+    seen: Set[int] = set()
+    for eid in edge_ids:
+        a, b = g.endpoints(eid)
+        if a == b or a in seen or b in seen:
+            return None
+        seen.add(a)
+        seen.add(b)
+    return seen
 
 
 def enumerate_perfect_matchings(g: Pseudograph) -> Iterator[PerfectMatching]:

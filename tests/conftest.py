@@ -24,7 +24,9 @@ from ncflow.generators import (
     ring_of_diamonds,
     triangle_replace_all,
 )
-from ncflow.graph import Pseudograph, bridges, build_graph, is_cubic
+from ncflow.flows import _conflict_pairs
+from ncflow.graph import Pseudograph, bridges, build_graph, contract_two_factor, is_cubic
+from ncflow.matchings import PerfectMatching, complement_two_factor
 
 
 def prism(n: int) -> Pseudograph:
@@ -76,6 +78,15 @@ def claw_free_corpus() -> List[Pseudograph]:
         for spec in ("D", "2", "D2"):
             graphs.append(replace_edge_with_string(ring, ring.m - 1, spec))
     return graphs
+
+
+def kernel_instance(g: Pseudograph, f: PerfectMatching) -> Tuple[int, List[int], List[int], List[Tuple[int, int]]]:
+    """The (nq, eu, ev, conflict_pairs) arguments `find_nonconflicting_flow`
+    hands the flow kernel for the matching f of g."""
+    tf = complement_two_factor(g, f)
+    h = contract_two_factor(g, tf)
+    q = h.quotient
+    return q.n, [a for a, _ in q.edges], [b for _, b in q.edges], _conflict_pairs(g, tf, h)
 
 
 def glue_two_cut(g1: Pseudograph, e1: int, g2: Pseudograph, e2: int) -> Tuple[Pseudograph, Tuple[int, int]]:

@@ -11,7 +11,16 @@ import pytest
 from ncflow.batch import run_batch
 from ncflow.cli import main
 from ncflow.formats import encode_graph6, encode_sparse6
-from ncflow.generators import counterexample_family, fig3_graph, k4, k23, k33, permutation_graph, petersen
+from ncflow.generators import (
+    counterexample_family,
+    fig3_graph,
+    k4,
+    k23,
+    k33,
+    permutation_graph,
+    petersen,
+    triangle_replace_all,
+)
 from ncflow.graph import build_graph
 
 from conftest import small_corpus
@@ -123,6 +132,39 @@ class TestCliExitCodes:
         start = time.monotonic()
         assert main(["flow", "search", literal, "--construct", "clawfree"]) == 3
         assert time.monotonic() - start < 3
+
+    @pytest.mark.parametrize("route", ["twocycle", "even"])
+    def test_route_honours_the_deadline(self, monkeypatch, route):
+        # counterexample_family(3) has 294,912 perfect matchings
+        monkeypatch.setenv("NZFLOW_TIMEOUT_SECS", "0.5")
+        [literal] = lines_for(counterexample_family(3))
+        start = time.monotonic()
+        assert main(["flow", "search", literal, "--construct", route]) == 3
+        assert time.monotonic() - start < 3
+
+    def test_even_route_without_a_flow_searches_every_matching(self, capsys):
+        # no perfect matching of this graph leaves only even cycles, yet one has a flow
+        [literal] = lines_for(triangle_replace_all(petersen()))
+        assert main(["flow", "search", literal, "--construct", "even"]) == 0
+        out, err = capsys.readouterr()
+        assert "route even found no flow; searching every matching" in err
+        assert main(["flow", "search", literal]) == 0
+        assert capsys.readouterr().out == out
+
+    @pytest.mark.parametrize(
+        "route, stub",
+        [("twocycle", "two_cycle_factor_flow"), ("clawfree", "min_conflict_flow")],
+    )
+    def test_failed_route_exits_as_the_exhaustive_search(self, monkeypatch, capsys, route, stub):
+        import ncflow.cli as cli
+
+        monkeypatch.setattr(cli, stub, lambda *args, **kwargs: None)
+        assert main(["flow", "search", "k33", "--construct", route]) == 0
+        out, err = capsys.readouterr()
+        assert f"route {route} found no flow; searching every matching" in err
+        assert "flow:" in out and "branch:" not in out
+        assert main(["flow", "search", "petersen", "--construct", route]) == 1
+        assert "matchings checked: 6" in capsys.readouterr().out
 
     def test_chi_n(self, capsys):
         assert main(["chi-n", "fig3"]) == 0

@@ -89,6 +89,25 @@ class TestOtherKinds:
         cert.payload["colors"][0] = cert.payload["colors"][1]
         assert not verify_certificate(cert, g)
 
+    @pytest.mark.parametrize(
+        "alpha, beta, ok",
+        [
+            ([0, 4, 8], [1, 5, 6], True),  # two disjoint perfect matchings of K33
+            ([0, 4, 8], [0, 5, 7], False),  # they share edge 0
+            ([0, 4], [1, 5, 6], False),  # alpha misses vertices 2 and 5
+            ([0, 1, 8], [2, 3, 7], False),  # edges 0 and 1 meet at vertex 0
+            ([0, 4, 99], [1, 5, 6], False),  # no edge 99
+        ],
+    )
+    def test_disjoint_matchings_certificate(self, alpha, beta, ok):
+        g = k33()
+        cert = Certificate(
+            kind="disjoint-matchings",
+            graph_fingerprint=fingerprint(g),
+            payload={"alpha": alpha, "beta": beta},
+        )
+        assert verify_certificate(cert, g) is ok
+
     def test_negative_certificate_needs_stats(self):
         g = petersen()
         cert = Certificate(

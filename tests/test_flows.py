@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from ncflow import coloring, flows
+from ncflow import _kernels_py, coloring, flows
 from ncflow.errors import ContractError, InputError, NcflowError, ResourceLimitError
 from ncflow.flows import (
     ALPHA,
@@ -27,6 +27,7 @@ from ncflow.flows import (
     verify_flow,
 )
 from ncflow.generators import (
+    counterexample_family,
     expand_vertices_to_5cycles,
     fig3_graph,
     k4,
@@ -37,8 +38,10 @@ from ncflow.generators import (
     petersen,
     replace_vertex_with_triangle,
     ring_of_diamonds,
+    triangle_replace_all,
 )
 from ncflow.graph import ContractedGraph, build_graph, contract_two_factor
+from ncflow.kernels import SearchTimeout
 from ncflow.matchings import (
     PerfectMatching,
     complement_two_factor,
@@ -46,7 +49,7 @@ from ncflow.matchings import (
     odd_cycle_count,
 )
 
-from conftest import CHORD_LAYOUTS, small_corpus, triangle_and_nine_cycle
+from conftest import CHORD_LAYOUTS, kernel_instance, small_corpus, triangle_and_nine_cycle
 
 
 def contraction_of(g, f):
@@ -325,6 +328,20 @@ class TestTwoCycleTheorem:
         # oracle: exhaustive search agrees a flow exists for that matching
         assert find_nonconflicting_flow(g, res.matching) is not None
 
+    @pytest.mark.parametrize("sigma, branch", [((0, 1, 2), "case2a"), ((0, 1, 2, 3, 4), "case1-3ec")])
+    def test_deadline_reaches_the_fallback_routes(self, monkeypatch, sigma, branch):
+        n = len(sigma)
+        g = permutation_graph(sigma)
+        tf = complement_two_factor(g, PerfectMatching(tuple(range(2 * n, 3 * n))))
+        assert two_cycle_factor_flow(g, tf).branch == branch
+        with pytest.raises(SearchTimeout):
+            two_cycle_factor_flow(g, tf, deadline=0.0)
+        # with no 3-edge-colorable matching found, the exhaustive route is next
+        monkeypatch.setattr(flows, "_three_colorable_route", lambda g, deadline: None)
+        assert two_cycle_factor_flow(g, tf).branch == "fallback-exhaustive"
+        with pytest.raises(SearchTimeout):
+            two_cycle_factor_flow(g, tf, deadline=0.0)
+
     def test_even_branch(self):
         g = permutation_graph((0, 1, 2, 3))
         f = PerfectMatching((8, 9, 10, 11))
@@ -472,3 +489,68 @@ class TestResultChecks:
         )
         with pytest.raises(NcflowError):
             coloring.chi_n_exact(g, 4)
+
+
+# _kernels_py.flow_search on fixed quotients, recorded before the kernel was
+# rewritten around its step table: the values, conflict count, node count and
+# flows seen that the search order fixes exactly
+FAMILY1_FIRST_NODES = (
+    (658, 658, 630, 630, 630, 630, 658, 658, 658, 630, 630, 658, 658, 630, 630, 658)
+    + (644, 644, 616, 616, 616, 616, 644, 644, 644, 616, 616, 644, 644, 616, 616, 644) * 2
+    + (658, 658, 630, 630, 630, 630, 658, 658, 658, 630, 630, 658, 658, 630, 630, 658)
+    + (98,) * 32
+)
+
+MIN_GOLDEN = {
+    "petersen": [([1, 2, 3, 3, 3], 1, 117, 2)] * 3,
+    "triangle_replace_all(k4)": [
+        ([1, 2, 3, 3, 2, 1], 4, 52, 1),
+        ([1, 2, 3, 1, 3, 1], 1, 32, 3),
+        ([1, 1, 1, 1, 1, 1], 0, 18, 1),
+    ],
+    "triangle_replace_all(k33)": [
+        ([1, 2, 3, 2, 3, 1, 3, 1, 2], 6, 176, 1),
+        ([1, 2, 3, 2, 3, 2, 1, 3, 3], 2, 72, 4),
+        ([1, 2, 3, 1, 2, 1, 2, 3, 3], 2, 1704, 4),
+    ],
+}
+
+
+class TestPurePythonFlowKernelGolden:
+    def test_first_on_every_matching_of_the_family(self):
+        g = counterexample_family(1)
+        results = [
+            _kernels_py.flow_search(*kernel_instance(g, f), "first")
+            for f in enumerate_perfect_matchings(g)
+        ]
+        assert all(r[:2] == (None, 0) and r[3] == 0 for r in results)
+        assert tuple(r[2] for r in results) == FAMILY1_FIRST_NODES
+        assert sum(r[2] for r in results) == 43904
+
+    @pytest.mark.parametrize("name", sorted(MIN_GOLDEN))
+    def test_min_on_the_first_three_matchings(self, name):
+        g = {
+            "petersen": petersen,
+            "triangle_replace_all(k4)": lambda: triangle_replace_all(k4()),
+            "triangle_replace_all(k33)": lambda: triangle_replace_all(k33()),
+        }[name]()
+        matchings = itertools.islice(enumerate_perfect_matchings(g), 3)
+        got = [_kernels_py.flow_search(*kernel_instance(g, f), "min") for f in matchings]
+        assert got == MIN_GOLDEN[name]
+
+    @pytest.mark.parametrize("build,expected", [(petersen, (None, 0, 180, 60)), (k33, (None, 0, 39, 27))])
+    def test_count_on_every_quotient(self, build, expected):
+        g = build()
+        for f in enumerate_perfect_matchings(g):
+            assert _kernels_py.flow_search(*kernel_instance(g, f), "count") == expected
+
+    @pytest.mark.parametrize(
+        "build,expected",
+        [(k4, ([1, 2, 3, 3, 2, 1], 0, 10, 1)), (k33, ([1, 2, 3, 2, 3, 1, 3, 1, 2], 0, 29, 1))],
+    )
+    def test_z2_cubed_search(self, build, expected):
+        # the call z2cubed_flow_coloring makes
+        g = build()
+        eu = [a for a, _ in g.edges]
+        ev = [b for _, b in g.edges]
+        assert _kernels_py.flow_search(g.n, eu, ev, [], "first", values=tuple(range(1, 8))) == expected

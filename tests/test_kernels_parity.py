@@ -26,9 +26,16 @@ from ncflow.generators import (
 from ncflow.graph import contract_two_factor
 from ncflow.matchings import complement_two_factor, enumerate_perfect_matchings
 
+from conftest import kernel_instance
+
 
 def flow_instances():
-    """(nq, eu, ev, conflict_pairs) drawn from real contractions plus fuzz."""
+    """(nq, eu, ev, conflict_pairs) drawn from real contractions plus fuzz.
+
+    The second fuzz keeps self-pairs (a, a) and duplicate pairs, and both
+    draw loops; the `counterexample_family(1)` quotients are the ones
+    `find_nonconflicting_flow` searches.
+    """
     out = []
     for g in (petersen(), k33(), k4()):
         for f in enumerate_perfect_matchings(g):
@@ -64,6 +71,16 @@ def flow_instances():
             if a != b:
                 pairs.add((min(a, b), max(a, b)))
         out.append((nq, eu, ev, sorted(pairs)))
+    for _ in range(60):
+        nq = rng.randint(1, 4)
+        m = rng.randint(1, 9)
+        eu = [rng.randrange(nq) for _ in range(m)]
+        ev = [rng.randrange(nq) for _ in range(m)]
+        pairs = [(rng.randrange(m), rng.randrange(m)) for _ in range(rng.randint(0, 2 * m))]
+        pairs += pairs[: rng.randint(0, len(pairs))]
+        out.append((nq, eu, ev, pairs))
+    g = counterexample_family(1)
+    out += [kernel_instance(g, f) for f in enumerate_perfect_matchings(g)]
     return out
 
 
@@ -71,6 +88,8 @@ class TestFlowParity:
     @pytest.mark.parametrize("mode", ["first", "min", "count"])
     def test_exact_agreement(self, mode, compiled):
         for nq, eu, ev, pairs in flow_instances():
+            if mode == "count" and len(eu) > 12:
+                continue  # a 17-edge family quotient has 648,000 flows: ~1 s each in Python
             a = _kernels_py.flow_search(nq, eu, ev, pairs, mode)
             b = compiled.flow_search(nq, eu, ev, pairs, mode)
             assert a == b, (nq, eu, ev, pairs, mode)

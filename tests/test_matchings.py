@@ -19,6 +19,7 @@ from ncflow.graph import build_graph, three_edge_cuts
 from ncflow.matchings import (
     PerfectMatching,
     complement_two_factor,
+    covered_vertices,
     enumerate_perfect_matchings,
     matchings_meeting_all_3cuts_once,
     matchings_through_edge,
@@ -228,3 +229,14 @@ class TestThreeCutRespecting:
                 star = set(g.incident(v))
                 assert len(fs & star) == 1
             break
+
+
+class TestCoveredVertices:
+    def test_matchings_and_non_matchings(self):
+        g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (2, 2)])
+        assert covered_vertices(g, [0, 2]) == {0, 1, 2, 3}
+        assert covered_vertices(g, [1]) == {1, 2}
+        assert covered_vertices(g, []) == set()
+        assert covered_vertices(g, [0, 1]) is None  # both at vertex 1
+        assert covered_vertices(g, [0, 4]) is None  # a loop covers its vertex twice
+        assert covered_vertices(g, [0, 0]) is None
