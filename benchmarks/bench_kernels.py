@@ -1,10 +1,24 @@
 """Compare the compiled and pure-Python search kernels.
 
 Run:  python3 benchmarks/bench_kernels.py
+
+Cases:
+- flow_search in "min" mode on three matchings each of Petersen and
+  counterexample_family(1);
+- flow_search in "first" mode on the quotients of 32 matchings of
+  counterexample_family(2), one from each block of 160 in enumeration
+  order: the exhaustive negatives whose speed decides whether a compiled
+  flow kernel is worth keeping;
+- normal_coloring_search on fig3 (k = 6) and k23_with_p10v (k = 4).
+
+Each time is seconds per call, the best of three batches; a batch repeats
+the call until it lasts 50 ms, so sub-millisecond calls are not read off a
+single run.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 
 from ncflow import complement_two_factor, enumerate_perfect_matchings
@@ -20,61 +34,85 @@ try:
 except ImportError:
     BACKENDS = [("python", _kernels_py)]
 
+BATCH_SECONDS = 0.05
+FAMILY2_BLOCK = 160
+
 
 def time_it(fn, repeat=3):
+    """(best seconds per call, last result)."""
+    t0 = time.perf_counter()
+    result = fn()
+    once = time.perf_counter() - t0
+    number = max(1, int(BATCH_SECONDS / once)) if once > 0 else 1000
     best = float("inf")
-    result = None
     for _ in range(repeat):
         t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
+        for _ in range(number):
+            result = fn()
+        best = min(best, (time.perf_counter() - t0) / number)
     return best, result
 
 
-def flow_cases():
+def kernel_args(g, f):
+    tf = complement_two_factor(g, f)
+    h = contract_two_factor(g, tf)
+    q = h.quotient
+    return q.n, [e[0] for e in q.edges], [e[1] for e in q.edges], _conflict_pairs(g, tf, h)
+
+
+def min_cases():
     out = []
     for name, g in [("petersen", petersen()), ("family-l1", counterexample_family(1))]:
-        for i, f in enumerate(enumerate_perfect_matchings(g)):
-            tf = complement_two_factor(g, f)
-            h = contract_two_factor(g, tf)
-            q = h.quotient
-            eu = [e[0] for e in q.edges]
-            ev = [e[1] for e in q.edges]
-            pairs = _conflict_pairs(g, tf, h)
-            out.append((f"{name}/m{i}", q.n, eu, ev, pairs))
-            if i >= 2:
-                break
+        for i, f in enumerate(itertools.islice(enumerate_perfect_matchings(g), 3)):
+            out.append((f"{name}/m{i}", kernel_args(g, f)))
     return out
 
 
+def family2_quotients():
+    g = counterexample_family(2)
+    picks = itertools.islice(enumerate_perfect_matchings(g), 0, None, FAMILY2_BLOCK)
+    return [kernel_args(g, f) for f in picks]
+
+
+def compare(label, calls):
+    """[(backend, seconds per call, result)] for the same calls on each
+    backend; every backend must return the same."""
+    rows = []
+    for bname, impl in BACKENDS:
+        secs, res = time_it(lambda: calls(impl))
+        rows.append((bname, secs, res))
+    if any(res != rows[0][2] for _b, _s, res in rows):
+        raise SystemExit(f"backend disagreement on {label}")
+    return rows
+
+
+def show(label, bname, secs, tag):
+    print(f"{label:<28}{bname:<10}{secs:>12.6f}{tag:>20}")
+
+
 def main():
-    print(f"{'case':<28}{'backend':<10}{'seconds':>12}{'result':>16}")
-    for label, nq, eu, ev, pairs in flow_cases():
-        ref = None
-        for bname, impl in BACKENDS:
-            secs, res = time_it(
-                lambda: impl.flow_search(nq, eu, ev, pairs, "min")
-            )
-            vals, conf, nodes, seen = res
-            tag = f"conf={conf} n={nodes}"
-            print(f"{label:<28}{bname:<10}{secs:>12.6f}{tag:>16}")
-            if ref is None:
-                ref = res
-            else:
-                assert res == ref, f"backend disagreement on {label}"
+    print(f"{'case':<28}{'backend':<10}{'seconds':>12}{'result':>20}")
+    for label, (nq, eu, ev, pairs) in min_cases():
+        rows = compare(label, lambda impl: impl.flow_search(nq, eu, ev, pairs, "min"))
+        for bname, secs, (_vals, conf, nodes, _seen) in rows:
+            show(label, bname, secs, f"conf={conf} n={nodes}")
+    quotients = family2_quotients()
+    label = f"family-l2/first x{len(quotients)}"
+    totals = [(bname, 0.0, 0) for bname, _impl in BACKENDS]
+    for nq, eu, ev, pairs in quotients:
+        rows = compare(label, lambda impl: impl.flow_search(nq, eu, ev, pairs, "first"))
+        for i, (bname, secs, (vals, conf, nodes, _seen)) in enumerate(rows):
+            if vals is not None and conf == 0:
+                raise SystemExit(f"{label}: {bname} found a flow on the negative family")
+            totals[i] = (bname, totals[i][1] + secs, totals[i][2] + nodes)
+    for bname, secs, nodes in totals:
+        show(label, bname, secs, f"none n={nodes}")
     for label, g, k in [("fig3/k6", fig3_graph(), 6), ("k23p10v/k4", k23_with_p10v(), 4)]:
         eu = [e[0] for e in g.edges]
         ev = [e[1] for e in g.edges]
-        ref = None
-        for bname, impl in BACKENDS:
-            secs, res = time_it(lambda: impl.normal_coloring_search(g.n, eu, ev, k))
-            colors, nodes = res
-            tag = f"{'hit' if colors else 'miss'} n={nodes}"
-            print(f"{label:<28}{bname:<10}{secs:>12.6f}{tag:>16}")
-            if ref is None:
-                ref = res
-            else:
-                assert res == ref, f"backend disagreement on {label}"
+        rows = compare(label, lambda impl: impl.normal_coloring_search(g.n, eu, ev, k))
+        for bname, secs, (colors, nodes) in rows:
+            show(label, bname, secs, f"{'hit' if colors else 'miss'} n={nodes}")
 
 
 if __name__ == "__main__":

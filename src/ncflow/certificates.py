@@ -15,14 +15,8 @@ from typing import Any, Dict, Optional
 
 from . import __version__
 from .errors import InputError
-from .flows import (
-    FlowAssignment,
-    conflicts,
-    klein_bits,
-    klein_from_bits,
-    verify_flow,
-)
-from .graph import Pseudograph, contract_two_factor
+from .flows import FlowAssignment, _is_nonconflicting_flow, klein_bits, klein_from_bits
+from .graph import Pseudograph
 from .matchings import PerfectMatching, complement_two_factor, covered_vertices
 
 SCHEMA_VERSION = 1
@@ -133,9 +127,7 @@ def verify_certificate(cert: Certificate, g: Pseudograph) -> bool:
             theta = FlowAssignment(
                 tuple(klein_from_bits(b) for b in cert.payload["flow"])
             )
-            tf = complement_two_factor(g, f)
-            h = contract_two_factor(g, tf)
-            return verify_flow(h, theta) and conflicts(g, f, tf, theta, h).is_empty()
+            return _is_nonconflicting_flow(g, f, complement_two_factor(g, f), theta)
         if cert.kind == "normal-coloring":
             from .coloring import EdgeColoring, is_normal
 
@@ -154,11 +146,12 @@ def verify_certificate(cert: Certificate, g: Pseudograph) -> bool:
                 g, mu, cert.payload["x"], cert.payload["y"]
             )
         if cert.kind == "disjoint-matchings":
-            a = set(cert.payload["alpha"])
-            b = set(cert.payload["beta"])
-            if a & b:
+            a = cert.payload["alpha"]
+            b = cert.payload["beta"]
+            if set(a) & set(b):
                 return False
             for sel in (a, b):
+                # covered_vertices refuses an edge listed twice
                 cover = covered_vertices(g, sel)
                 if cover is None or len(cover) != g.n:
                     return False

@@ -13,13 +13,12 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .errors import InputError, NcflowError
-from .flows import FlowAssignment
+from .flows import FlowAssignment, _conflict_edges, _conserves, _f_edge_positions
 from .graph import (
     ContractedGraph,
     Pseudograph,
     _contract_vertex_set,
     bridges,
-    contract_two_factor,
     is_cubic,
 )
 from .kernels import check_deadline, flow_search, normal_coloring_search
@@ -54,14 +53,22 @@ def _reject_loops(g: Pseudograph):
 
 
 def is_proper(g: Pseudograph, c: EdgeColoring) -> bool:
-    if len(c.colors) != g.m:
+    colors, k = c.colors, c.k
+    if len(colors) != g.m:
         return False
-    if any(not (1 <= col <= c.k) for col in c.colors):
+    pal = [0] * g.n  # vertex -> bitmask of the colors at it
+    try:
+        for (u, v), col in zip(g.edges, colors):
+            if not 1 <= col <= k:
+                return False
+            bit = 1 << col
+            # a loop meets its vertex once, as in g.incident
+            if (pal[u] | pal[v]) & bit:
+                return False
+            pal[u] |= bit
+            pal[v] |= bit
+    except TypeError:  # a color that is not an integer
         return False
-    for v in range(g.n):
-        cols = [c.colors[e] for e in g.incident(v)]
-        if len(cols) != len(set(cols)):
-            return False
     return True
 
 
@@ -87,10 +94,15 @@ def classify_edge(g: Pseudograph, c: EdgeColoring, eid: int) -> EdgeClass:
 
 def is_normal(g: Pseudograph, c: EdgeColoring) -> NormalVerdict:
     _require_proper(g, c)
-    if any(g.degree(u) != 3 or g.degree(v) != 3 for u, v in g.edges):
+    pal = [0] * g.n
+    for (u, v), col in zip(g.edges, c.colors):
+        pal[u] |= 1 << col
+        pal[v] |= 1 << col
+    # proper and loop-free, so a vertex has one palette bit per edge at it;
+    # a vertex that is an endpoint has a nonzero palette
+    if any(p.bit_count() != 3 for p in pal if p):
         raise InputError("classification needs degree-3 endpoints")
-    pal = [palette_at(g, c, v) for v in range(g.n)]
-    bad = tuple(e for e, (u, v) in enumerate(g.edges) if len(pal[u] | pal[v]) == 4)
+    bad = tuple(e for e, (u, v) in enumerate(g.edges) if (pal[u] | pal[v]).bit_count() == 4)
     return NormalVerdict(not bad, bad)
 
 
@@ -236,20 +248,18 @@ def coloring_from_flow(
 
     Matching edges carry (0, theta); each 2-factor cycle gets a leading-bit
     seed propagated around it; the resulting 3-bit flow is then collapsed
-    by recoloring (0, beta) as (0, alpha).
+    by recoloring (0, beta) as (0, alpha).  `h` is accepted for
+    compatibility and not used: theta is read on G.
     """
-    from .flows import conflicts, verify_flow
-
-    if h is None:
-        h = contract_two_factor(g, tf)
-    if not verify_flow(h, theta):
+    ids, at = _f_edge_positions(g, f, tf, theta)
+    f_value = [theta.values[i] for i in at]
+    if not _conserves(tf, f_value):
         raise InputError("not a valid flow")
-    if not conflicts(g, f, tf, theta, h).is_empty():
+    if _conflict_edges(g, tf, ids, at, theta.values):
         raise InputError("flow has conflicts; the 6-color merge would go abnormal")
-    f_value = [theta.values[qe] for qe in h.matching_edge_at]
     mu = [0] * g.m
-    for qe, eid in enumerate(h.edge_origin):
-        mu[eid] = theta.values[qe]
+    for i, eid in enumerate(ids):
+        mu[eid] = theta.values[i]
     for cyc in tf.cycles:
         for x0 in (4, 5, 6, 7):
             vals = _propagate_cycle(cyc, f_value, x0)

@@ -20,6 +20,7 @@ from .graph import (
     ContractedGraph,
     Pseudograph,
     _contract_vertex_set,
+    _two_factor_marks,
     contract_two_factor,
     is_isomorphic_to_petersen,
 )
@@ -158,6 +159,79 @@ def enumerate_nz_flows(h: ContractedGraph) -> Iterator[FlowAssignment]:
     yield from rec(0)
 
 
+def _f_edge_positions(
+    g: Pseudograph, f: PerfectMatching, tf: TwoFactor, theta: FlowAssignment
+) -> Tuple[List[int], List[int]]:
+    """(F's edge ids in id order, G-vertex -> position of the F-edge at it).
+
+    contract_two_factor numbers the quotient edges in G's id order, so the
+    F-edge at position i is quotient edge i and carries theta.values[i]:
+    a flow on G/F-bar can be read on G without building the quotient.
+    Raises ContractError unless the cycles of F-bar cover G once and F,
+    each id listed once, is the perfect matching complementary to F-bar,
+    and InputError unless theta has one value per quotient edge.
+    """
+    _vertex_cycle, on_cycle = _two_factor_marks(g, tf.cycles)
+    if len(theta.values) != on_cycle.count(False):
+        raise InputError("flow does not match the contraction of this 2-factor")
+    ids = sorted(f.edge_ids)
+    edges, m = g.edges, g.m
+    at = [-1] * g.n
+    for i, eid in enumerate(ids):
+        if not 0 <= eid < m or on_cycle[eid]:
+            break
+        u, v = edges[eid]
+        if u == v or at[u] != -1 or at[v] != -1:
+            break
+        at[u] = at[v] = i
+    else:
+        if len(ids) == len(theta.values) and -1 not in at:
+            return ids, at
+    raise ContractError("matching is not the perfect-matching complement of this 2-factor")
+
+
+def _conserves(tf: TwoFactor, f_value: Sequence[int]) -> bool:
+    """verify_flow on G/F-bar, read on G from the F-values at each vertex.
+
+    A quotient vertex is one cycle of F-bar; it balances when the F-values
+    around the cycle XOR to zero.  A chord meets its cycle twice and
+    cancels, as a loop does in verify_flow.
+    """
+    for cyc in tf.cycles:
+        acc = 0
+        for v in cyc.vertices:
+            acc ^= f_value[v]
+        if acc:
+            return False
+    return True
+
+
+def _conflict_edges(
+    g: Pseudograph, tf: TwoFactor, ids: Sequence[int], at: Sequence[int], vals: Sequence[int]
+) -> List[ConflictEdge]:
+    """The 2-factor edges with alpha at one end and beta at the other, in
+    cycle order; `ids` and `at` are _f_edge_positions' output."""
+    edges = g.edges
+    out = []
+    for cyc in tf.cycles:
+        for eid in cyc.edges:
+            u, v = edges[eid]
+            qu, qv = at[u], at[v]
+            val_u, val_v = vals[qu], vals[qv]
+            if val_u ^ val_v == ALPHA_BETA:
+                out.append(ConflictEdge(eid, u, ids[qu], val_u, v, ids[qv], val_v))
+    return out
+
+
+def _is_nonconflicting_flow(
+    g: Pseudograph, f: PerfectMatching, tf: TwoFactor, theta: FlowAssignment
+) -> bool:
+    """theta is a flow of G/F-bar with no conflict; G/F-bar is never built."""
+    ids, at = _f_edge_positions(g, f, tf, theta)
+    vals = theta.values
+    return _conserves(tf, [vals[i] for i in at]) and not _conflict_edges(g, tf, ids, at, vals)
+
+
 def conflicts(
     g: Pseudograph,
     f: PerfectMatching,
@@ -165,25 +239,12 @@ def conflicts(
     theta: FlowAssignment,
     h: Optional[ContractedGraph] = None,
 ) -> ConflictReport:
-    """All conflicting 2-factor edges; symmetric in alpha/beta."""
-    if h is None:
-        h = contract_two_factor(g, tf)
-    if len(theta.values) != h.quotient.m:
-        raise InputError("flow does not match the contraction of this 2-factor")
-    if f.as_set() != frozenset(h.edge_origin) or -1 in h.matching_edge_at:
-        raise ContractError("matching is not the perfect-matching complement of this 2-factor")
-    at = h.matching_edge_at
-    out = []
-    for cyc in tf.cycles:
-        for eid in cyc.edges:
-            u, v = g.endpoints(eid)
-            qu, qv = at[u], at[v]
-            val_u = theta.values[qu]
-            val_v = theta.values[qv]
-            if val_u ^ val_v == ALPHA_BETA:
-                out.append(
-                    ConflictEdge(eid, u, h.edge_origin[qu], val_u, v, h.edge_origin[qv], val_v)
-                )
+    """All conflicting 2-factor edges; symmetric in alpha/beta.
+
+    `h` is accepted for compatibility and not used: theta is read on G.
+    """
+    ids, at = _f_edge_positions(g, f, tf, theta)
+    out = _conflict_edges(g, tf, ids, at, theta.values)
     out.sort(key=lambda c: c.fbar_edge)
     return ConflictReport(tuple(out))
 
@@ -302,13 +363,10 @@ def _verified(
     g: Pseudograph,
     f: PerfectMatching,
     tf: TwoFactor,
-    h: ContractedGraph,
     theta: FlowAssignment,
     branch: str,
 ) -> Optional[TwoCycleFlowResult]:
-    if not verify_flow(h, theta):
-        return None
-    if not conflicts(g, f, tf, theta, h).is_empty():
+    if not _is_nonconflicting_flow(g, f, tf, theta):
         return None
     return TwoCycleFlowResult(f, tf, theta, branch)
 
@@ -388,24 +446,23 @@ def _two_odd_cycle_route(
         us.append(a)
         vs.append(b)
 
+    # adjacency via cycle edges or chords (anything but the cross matching)
     cross_set = frozenset(cross)
-
-    def linked(a: int, b: int) -> bool:
-        # adjacency via cycle edges or chords (anything but the cross matching)
-        return any(
-            g.other_end(eid, a) == b for eid in g.incident(a) if eid not in cross_set
-        )
-
-    n1 = sum(1 for i in range(n) for j in range(i + 1, n) if linked(us[i], us[j]))
-    n2 = sum(1 for i in range(n) for j in range(i + 1, n) if linked(vs[i], vs[j]))
+    linked = set()
+    for eid, (a, b) in enumerate(g.edges):
+        if eid not in cross_set:
+            linked.add((a, b))
+            linked.add((b, a))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    n1 = sum(1 for i, j in pairs if (us[i], us[j]) in linked)
+    n2 = sum(1 for i, j in pairs if (vs[i], vs[j]) in linked)
 
     if comb(n, 2) - n1 > n2:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not linked(us[i], us[j]) and not linked(vs[i], vs[j]):
-                    res = _case1_result(g, f, tf, h, cross, i, j)
-                    if res is not None:
-                        return res
+        for i, j in pairs:
+            if (us[i], us[j]) not in linked and (vs[i], vs[j]) not in linked:
+                res = _case1_result(g, f, tf, h, cross, i, j)
+                if res is not None:
+                    return res
     if n >= 5:
         res = _three_colorable_route(g, deadline)
         if res is not None:
@@ -438,7 +495,7 @@ def _case1_result(
     vals = [ALPHA_BETA] * h.quotient.m
     vals[h.origin_inverse[cross[i]]] = ALPHA
     vals[h.origin_inverse[cross[j]]] = BETA
-    return _verified(g, f, tf, h, FlowAssignment(tuple(vals)), "case1")
+    return _verified(g, f, tf, FlowAssignment(tuple(vals)), "case1")
 
 
 def _case2b(
@@ -478,7 +535,7 @@ def _case2b(
         return None
     h2 = contract_two_factor(g, tf2)
     if odd_cycle_count(tf2) == 0:
-        res = _verified(g, new_f, tf2, h2, _constant_flow(h2), "case2b-even")
+        res = _verified(g, new_f, tf2, _constant_flow(h2), "case2b-even")
         if res is not None:
             return res
     res = _case2b_rewire(g, new_f, tf2, h2, v2, u2, e_u2v2)
@@ -560,7 +617,7 @@ def _case2b_rewire(
         vals[q_ew] = BETA
         for eid in path:
             vals[eid] = BETA
-        res = _verified(g, f, tf, h, FlowAssignment(tuple(vals)), "case2b-rewire")
+        res = _verified(g, f, tf, FlowAssignment(tuple(vals)), "case2b-rewire")
         if res is not None:
             return res
     return None
@@ -689,15 +746,12 @@ def _case2b_recursion(
         tf_new = complement_two_factor(g, combined)
     except ContractError:
         return None
-    h_new = contract_two_factor(g, tf_new)
-    vals = [0] * h_new.quotient.m
-    for qe, ge in enumerate(h_new.edge_origin):
-        if ge in f0_g:
-            h1_eid = inv1[ge]
-            vals[qe] = sub.flow.values[h1_contracted.origin_inverse[h1_eid]]
-        else:
-            vals[qe] = x_val
-    return _verified(g, combined, tf_new, h_new, FlowAssignment(tuple(vals)), "case2b-recursion")
+    # quotient edge i of G/tf_new is the i-th edge of `combined`
+    vals = [
+        sub.flow.values[h1_contracted.origin_inverse[inv1[ge]]] if ge in f0_g else x_val
+        for ge in combined.edge_ids
+    ]
+    return _verified(g, combined, tf_new, FlowAssignment(tuple(vals)), "case2b-recursion")
 
 
 def _restrict_cycles(

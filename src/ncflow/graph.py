@@ -15,6 +15,21 @@ from .errors import ContractError, InputError, ResourceLimitError
 
 INFINITY = float("inf")
 
+# One (u, v) tuple per vertex pair, shared by every graph built in this
+# process, so that thousands of small graphs held at once (a sweep's inputs)
+# do not each keep their own copies.  Tuples are immutable, so sharing is
+# invisible to callers; only ids below the limit are kept, which bounds the
+# table at _SHARED_PAIR_LIMIT ** 2 entries.
+_SHARED_PAIR_LIMIT = 128
+_shared_pairs: Dict[Tuple[int, int], Tuple[int, int]] = {}
+
+
+def _shared_pair(u: int, v: int) -> Tuple[int, int]:
+    pair = (u, v)
+    if u < _SHARED_PAIR_LIMIT and v < _SHARED_PAIR_LIMIT:
+        return _shared_pairs.setdefault(pair, pair)
+    return pair
+
 
 class Pseudograph:
     """Undirected multigraph allowing loops and parallel edges.
@@ -28,14 +43,26 @@ class Pseudograph:
     def __init__(self, n: int, edges: Sequence[Tuple[int, int]]):
         if n < 0:
             raise InputError("vertex count must be nonnegative")
+        pairs = []
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u},{v}) out of range for {n} vertices")
+            pairs.append(_shared_pair(u, v))
+        self._fill(n, tuple(pairs))
+
+    @classmethod
+    def _trusted(cls, n: int, edges: Tuple[Tuple[int, int], ...]) -> "Pseudograph":
+        """A graph whose caller already guarantees 0 <= u, v < n for every edge."""
+        g = cls.__new__(cls)
+        g._fill(n, edges)
+        return g
+
+    def _fill(self, n: int, edges: Tuple[Tuple[int, int], ...]) -> None:
         self.n = n
-        self.edges: Tuple[Tuple[int, int], ...] = tuple((u, v) for u, v in edges)
+        self.edges = edges
         incident: List[List[int]] = [[] for _ in range(n)]
         degree = [0] * n
-        for eid, (u, v) in enumerate(self.edges):
+        for eid, (u, v) in enumerate(edges):
             incident[u].append(eid)
             degree[u] += 1
             if v == u:
@@ -110,7 +137,7 @@ def build_graph(vertex_count: int, edge_list: Iterable[Tuple[int, int]]) -> Pseu
 
 
 def is_cubic(g: Pseudograph) -> bool:
-    return all(g.degree(v) == 3 for v in range(g.n))
+    return g._degree.count(3) == g.n
 
 
 def connected_components(g: Pseudograph, removed_edges: frozenset = frozenset()) -> List[List[int]]:
@@ -227,34 +254,49 @@ class ContractedGraph:
     vertex_cycle: Tuple[int, ...]
 
 
-def contract_two_factor(g: Pseudograph, two_factor) -> ContractedGraph:
-    """Collapse each cycle of the 2-factor; the quotient edges are the F-edges.
+def _two_factor_marks(g: Pseudograph, cycles) -> Tuple[List[int], List[bool]]:
+    """(G-vertex -> index of its 2-factor cycle, edge id -> on some cycle).
 
-    Chords (F-edges with both endpoints on one cycle) become loops.
+    Raises ContractError unless the cycles cover every vertex exactly once
+    and use edges of G only.
     """
-    cycles = two_factor.cycles
+    m = g.m
     vertex_cycle = [-1] * g.n
+    on_cycle = [False] * m
     for ci, cyc in enumerate(cycles):
         for v in cyc.vertices:
             if vertex_cycle[v] != -1:
                 raise ContractError("2-factor cycles are not vertex-disjoint")
             vertex_cycle[v] = ci
-    if any(c == -1 for c in vertex_cycle):
+        for eid in cyc.edges:
+            if not 0 <= eid < m:
+                raise ContractError(f"2-factor edge {eid} is not an edge of the graph")
+            on_cycle[eid] = True
+    if -1 in vertex_cycle:
         raise ContractError("2-factor does not cover all vertices")
-    tf_edges = two_factor.edge_ids()
+    return vertex_cycle, on_cycle
+
+
+def contract_two_factor(g: Pseudograph, two_factor) -> ContractedGraph:
+    """Collapse each cycle of the 2-factor; the quotient edges are the F-edges.
+
+    Quotient edges are numbered in G's edge-id order.  Chords (F-edges with
+    both endpoints on one cycle) become loops.
+    """
+    vertex_cycle, on_cycle = _two_factor_marks(g, two_factor.cycles)
     q_edges: List[Tuple[int, int]] = []
     origin: List[int] = []
     inv: Dict[int, int] = {}
     at = [-1] * g.n
     for eid, (u, v) in enumerate(g.edges):
-        if eid in tf_edges:
+        if on_cycle[eid]:
             continue
-        qe = len(q_edges)
+        qe = len(origin)
         q_edges.append((vertex_cycle[u], vertex_cycle[v]))
         origin.append(eid)
         inv[eid] = qe
         at[u] = at[v] = qe
-    quotient = Pseudograph(len(cycles), q_edges)
+    quotient = Pseudograph._trusted(len(two_factor.cycles), tuple(q_edges))
     return ContractedGraph(
         quotient=quotient,
         matching_edge_at=tuple(at),

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import ContractError, InputError
-from .graph import Pseudograph, is_cubic, three_edge_cuts
+from .graph import Pseudograph, _two_factor_marks, is_cubic, three_edge_cuts
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,12 @@ class TwoFactor:
 
 def covered_vertices(g: Pseudograph, edge_ids: Iterable[int]) -> Optional[Set[int]]:
     """The vertices the edges cover, or None when they are not a matching
-    (two share a vertex, or one is a loop).  They form a perfect matching
-    when the set has g.n vertices."""
+    (an id out of range or listed twice, two sharing a vertex, or a loop).
+    They form a perfect matching when the set has g.n vertices."""
     seen: Set[int] = set()
     for eid in edge_ids:
+        if not 0 <= eid < g.m:
+            return None
         a, b = g.endpoints(eid)
         if a == b or a in seen or b in seen:
             return None
@@ -119,73 +121,66 @@ def _match_dfs(g: Pseudograph, covered: List[bool], chosen: List[int]) -> Iterat
 
 
 def complement_two_factor(g: Pseudograph, f: PerfectMatching) -> TwoFactor:
-    """Cycle decomposition of G - F for cubic G; 2-cycles from parallel edges allowed."""
+    """Cycle decomposition of G - F for cubic G; 2-cycles from parallel edges allowed.
+
+    Each cycle starts at its lowest vertex, leaves it by its lower non-F
+    edge and walks on through the one non-F edge at each vertex that it did
+    not arrive by; cycles come in the order of their lowest vertices.
+    """
     if not is_cubic(g):
         raise InputError("complement_two_factor requires a cubic graph")
-    if any(g.is_loop(e) for e in range(g.m)):
+    edges = g.edges
+    if any(u == v for u, v in edges):
         raise InputError("cubic input graphs may not contain loops")
-    fs = f.as_set()
+    m = len(edges)
+    in_f = [False] * m
     covered = [0] * g.n
-    for eid in fs:
-        u, v = g.endpoints(eid)
+    for eid in f.edge_ids:
+        if not 0 <= eid < m or in_f[eid]:
+            raise ContractError("not a perfect matching of this graph")
+        in_f[eid] = True
+        u, v = edges[eid]
         covered[u] += 1
         covered[v] += 1
-    if any(c != 1 for c in covered):
+    if covered.count(1) != g.n:
         raise ContractError("not a perfect matching of this graph")
-    rem = [[] for _ in range(g.n)]
-    for eid in range(g.m):
-        if eid in fs:
-            continue
-        u, v = g.endpoints(eid)
-        rem[u].append(eid)
-        rem[v].append(eid)
+    # F is perfect and G cubic and loop-free: every vertex has two non-F edges
+    incident = g.incident
+    cycle_of = [-1] * g.n
     cycles: List[Cycle] = []
-    used_edge = [False] * g.m
-    seen_v = [False] * g.n
     for start in range(g.n):
-        if seen_v[start]:
+        if cycle_of[start] != -1:
             continue
+        ci = len(cycles)
+        cycle_of[start] = ci
         verts = [start]
-        edges = []
-        seen_v[start] = True
-        v = start
+        cyc_edges: List[int] = []
+        v, came_by = start, -1
         while True:
-            nxt_eid = None
-            for eid in rem[v]:
-                if not used_edge[eid]:
-                    nxt_eid = eid
+            for eid in incident(v):
+                if not in_f[eid] and eid != came_by:
                     break
-            if nxt_eid is None:
+            cyc_edges.append(eid)
+            a, b = edges[eid]
+            v, came_by = (b if a == v else a), eid
+            if v == start:
                 break
-            used_edge[nxt_eid] = True
-            edges.append(nxt_eid)
-            w = g.other_end(nxt_eid, v)
-            if w == start and len(edges) == len(verts):
-                break
-            verts.append(w)
-            seen_v[w] = True
-            v = w
-        if len(edges) != len(verts) or len(verts) < 2:
-            raise ContractError("complement is not a disjoint union of cycles")
-        cycles.append(Cycle(tuple(verts), tuple(edges)))
-    return _two_factor_from_cycles(g, cycles)
+            cycle_of[v] = ci
+            verts.append(v)
+        cycles.append(Cycle(tuple(verts), tuple(cyc_edges)))
+    chords = tuple(
+        eid for eid in sorted(f.edge_ids) if cycle_of[edges[eid][0]] == cycle_of[edges[eid][1]]
+    )
+    return TwoFactor(tuple(cycles), chords)
 
 
 def _two_factor_from_cycles(g: Pseudograph, cycles: Sequence[Cycle]) -> TwoFactor:
     """The 2-factor made of vertex-disjoint cycles covering G, with its chords."""
-    cyc_of = [-1] * g.n
-    for ci, cyc in enumerate(cycles):
-        for v in cyc.vertices:
-            if cyc_of[v] != -1:
-                raise ContractError("cycles overlap")
-            cyc_of[v] = ci
-    if -1 in cyc_of:
-        raise ContractError("cycles do not cover all vertices")
-    cyc_edges = {e for cyc in cycles for e in cyc.edges}
+    cyc_of, on_cycle = _two_factor_marks(g, cycles)
     chords = tuple(
         eid
         for eid, (u, v) in enumerate(g.edges)
-        if cyc_of[u] == cyc_of[v] and eid not in cyc_edges
+        if cyc_of[u] == cyc_of[v] and not on_cycle[eid]
     )
     return TwoFactor(tuple(cycles), chords)
 

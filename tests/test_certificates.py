@@ -11,10 +11,10 @@ from ncflow.certificates import (
     verify_certificate,
 )
 from ncflow.errors import InputError
-from ncflow.flows import find_nonconflicting_flow
+from ncflow.flows import ALPHA_BETA, FlowAssignment, find_nonconflicting_flow
 from ncflow.generators import k4, k33, petersen
 from ncflow.graph import build_graph
-from ncflow.matchings import enumerate_perfect_matchings
+from ncflow.matchings import PerfectMatching, enumerate_perfect_matchings
 
 from conftest import small_corpus
 
@@ -67,6 +67,15 @@ class TestFlowCertificate:
         _g, cert = self._cert()
         assert not verify_certificate(cert, petersen())
 
+    def test_matching_listing_an_edge_twice_fails(self):
+        # K33 edges 0, 4, 8 are a perfect matching; its complement is a
+        # 6-cycle, so the constant alpha+beta flow on it is non-conflicting
+        g = k33()
+        cert = flow_certificate(g, PerfectMatching((0, 4, 8)), FlowAssignment((ALPHA_BETA,) * 3), {})
+        assert verify_certificate(cert, g)
+        cert.payload["matching"] = [0, 4, 8, 8]
+        assert not verify_certificate(cert, g)
+
     def test_garbled_payload_is_false_not_crash(self):
         g, cert = self._cert()
         bad = Certificate.from_json(cert.to_json())
@@ -97,6 +106,9 @@ class TestOtherKinds:
             ([0, 4], [1, 5, 6], False),  # alpha misses vertices 2 and 5
             ([0, 1, 8], [2, 3, 7], False),  # edges 0 and 1 meet at vertex 0
             ([0, 4, 99], [1, 5, 6], False),  # no edge 99
+            ([0, 4, 8, 8], [1, 5, 6], False),  # edge 8 listed twice
+            ([0, 4, 8], [1, 5, 6, 6], False),  # edge 6 listed twice
+            ([0, 4, -1], [1, 5, 6], False),  # no edge -1
         ],
     )
     def test_disjoint_matchings_certificate(self, alpha, beta, ok):

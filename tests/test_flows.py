@@ -1,15 +1,22 @@
 """Flow engine: conservation, conflicts, search, and the constructive routes."""
 
 import itertools
+import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ncflow import _kernels_py, coloring, flows
+from ncflow.coloring import coloring_from_flow
 from ncflow.errors import ContractError, InputError, NcflowError, ResourceLimitError
 from ncflow.flows import (
     ALPHA,
     ALPHA_BETA,
     BETA,
+    KLEIN_VALUES,
+    ConflictEdge,
+    ConflictReport,
     FlowAssignment,
     conflicts,
     enumerate_nz_flows,
@@ -49,7 +56,13 @@ from ncflow.matchings import (
     odd_cycle_count,
 )
 
-from conftest import CHORD_LAYOUTS, kernel_instance, small_corpus, triangle_and_nine_cycle
+from conftest import (
+    CHORD_LAYOUTS,
+    claw_free_corpus,
+    kernel_instance,
+    small_corpus,
+    triangle_and_nine_cycle,
+)
 
 
 def contraction_of(g, f):
@@ -219,6 +232,105 @@ class TestConflicts:
             assert c.f_edge_u in f.as_set() and c.f_edge_v in f.as_set()
 
 
+def contracted_conflicts(g, f, tf, theta):
+    """conflicts() as computed on the quotient G/F-bar: the reference for the
+    read-on-G implementation, with the same exceptions."""
+    h = contract_two_factor(g, tf)
+    if len(theta.values) != h.quotient.m:
+        raise InputError("flow does not match the contraction of this 2-factor")
+    if f.as_set() != frozenset(h.edge_origin) or -1 in h.matching_edge_at:
+        raise ContractError("matching is not the perfect-matching complement of this 2-factor")
+    at = h.matching_edge_at
+    out = []
+    for cyc in tf.cycles:
+        for eid in cyc.edges:
+            u, v = g.endpoints(eid)
+            val_u, val_v = theta.values[at[u]], theta.values[at[v]]
+            if val_u ^ val_v == ALPHA_BETA:
+                out.append(ConflictEdge(eid, u, h.edge_origin[at[u]], val_u, v, h.edge_origin[at[v]], val_v))
+    out.sort(key=lambda c: c.fbar_edge)
+    return ConflictReport(tuple(out))
+
+
+def check_read_on_g(g, f, theta):
+    """conflicts and coloring_from_flow without h agree with the quotient."""
+    tf, h = contraction_of(g, f)
+    ref = contracted_conflicts(g, f, tf, theta)
+    assert conflicts(g, f, tf, theta) == ref
+    if verify_flow(h, theta) and ref.is_empty():
+        res = coloring_from_flow(g, f, tf, theta)
+        assert coloring.is_normal(g, res.coloring).ok
+        for qe, eid in enumerate(h.edge_origin):
+            assert res.mu.values[eid] == theta.values[qe]
+    else:
+        with pytest.raises(InputError):
+            coloring_from_flow(g, f, tf, theta)
+
+
+def flows_to_check(h, rng):
+    """Valid flows, random (mostly non-conserving) values, and alpha/beta swaps."""
+    out = list(itertools.islice(enumerate_nz_flows(h), 6))
+    out += [FlowAssignment(tuple(rng.choice(KLEIN_VALUES) for _ in range(h.quotient.m))) for _ in range(4)]
+    swap = {ALPHA: BETA, BETA: ALPHA, ALPHA_BETA: ALPHA_BETA}
+    out += [FlowAssignment(tuple(swap[v] for v in th.values)) for th in out[:2]]
+    return out
+
+
+@st.composite
+def cubic_multigraph_and_matching(draw):
+    """A loop-free cubic multigraph (parallel edges allowed) from a random
+    pairing of 3n half-edges, with one of its perfect matchings."""
+    n = draw(st.sampled_from((2, 4, 6, 8)))
+    stubs = draw(st.permutations([v for v in range(n) for _ in range(3)]))
+    edges = [(stubs[i], stubs[i + 1]) for i in range(0, 3 * n, 2)]
+    assume(all(u != v for u, v in edges))
+    g = build_graph(n, edges)
+    matchings = list(itertools.islice(enumerate_perfect_matchings(g), 20))
+    assume(matchings)
+    return g, matchings[draw(st.integers(0, len(matchings) - 1))]
+
+
+class TestReadOnG:
+    """conflicts and coloring_from_flow read theta on G, not on G/F-bar."""
+
+    def test_agrees_with_the_quotient_on_the_corpora(self):
+        rng = random.Random(7)
+        graphs = [g for _name, g in small_corpus()] + claw_free_corpus()
+        for g in graphs:
+            for f in itertools.islice(enumerate_perfect_matchings(g), 3):
+                _tf, h = contraction_of(g, f)
+                for theta in flows_to_check(h, rng):
+                    check_read_on_g(g, f, theta)
+
+    @settings(max_examples=150, deadline=None)
+    @given(cubic_multigraph_and_matching(), st.randoms(use_true_random=False))
+    def test_agrees_with_the_quotient_on_random_multigraphs(self, gf, rng):
+        g, f = gf
+        _tf, h = contraction_of(g, f)
+        for theta in flows_to_check(h, rng):
+            check_read_on_g(g, f, theta)
+
+    def test_exceptions_match_the_quotient(self):
+        g = k33()
+        f, other = list(enumerate_perfect_matchings(g))[:2]
+        tf, h = contraction_of(g, f)
+        theta = FlowAssignment((ALPHA_BETA,) * h.quotient.m)
+        short = FlowAssignment((ALPHA_BETA,) * (h.quotient.m - 1))
+        doubled = PerfectMatching(f.edge_ids + f.edge_ids[-1:])
+        for fn in (contracted_conflicts, conflicts):
+            with pytest.raises(ContractError):
+                fn(g, other, tf, theta)
+            with pytest.raises(InputError):
+                fn(g, f, tf, short)
+        # the quotient check saw a set and let an edge listed twice through
+        assert contracted_conflicts(g, doubled, tf, theta).is_empty()
+        with pytest.raises(ContractError):
+            conflicts(g, doubled, tf, theta)
+        for bad_f, bad_theta in ((other, theta), (f, short), (doubled, theta)):
+            with pytest.raises(InputError):
+                coloring_from_flow(g, bad_f, tf, bad_theta)
+
+
 class TestFindNonconflicting:
     def test_bipartite_always_present(self):
         g = k33()
@@ -355,18 +467,25 @@ class TestTwoCycleTheorem:
         [((0, 1, 2, 3), "even"), ((1, 0, 2, 4, 3, 6, 5), "case1")],
     )
     def test_contracts_the_two_factor_once(self, monkeypatch, sigma, branch):
+        """One contraction for the route and the coloring of its flow."""
+        import ncflow
+        from ncflow import certificates, graph
+
         calls = []
 
         def counted(g, tf):
             calls.append(tf)
             return contract_two_factor(g, tf)
 
-        monkeypatch.setattr(flows, "contract_two_factor", counted)
+        for mod in (ncflow, graph, flows, coloring, certificates):
+            if getattr(mod, "contract_two_factor", None) is contract_two_factor:
+                monkeypatch.setattr(mod, "contract_two_factor", counted)
         n = len(sigma)
         g = permutation_graph(sigma)
         tf = complement_two_factor(g, PerfectMatching(tuple(range(2 * n, 3 * n))))
         res = two_cycle_factor_flow(g, tf)
         assert res.branch == branch
+        coloring_from_flow(g, res.matching, res.two_factor, res.flow)
         assert len(calls) == 1
 
     def test_petersen_refused(self):

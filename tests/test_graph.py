@@ -68,6 +68,13 @@ class TestBuild:
         with pytest.raises(InputError):
             build_graph(2, [(0, 2)])
 
+    def test_graphs_share_their_endpoint_pairs(self):
+        a = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 1)])
+        b = build_graph(3, [(1, 2), (0, 1)])
+        assert a.edges[0] is a.edges[3] is b.edges[1]
+        assert a.edges[1] is b.edges[0]
+        assert a.edges == ((0, 1), (1, 2), (2, 3), (0, 1))
+
     def test_cubic_checks(self):
         assert is_cubic(petersen())
         assert is_cubic(k23())

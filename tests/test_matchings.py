@@ -44,6 +44,36 @@ def reference_matchings(g, covered, chosen):
         covered[v] = covered[w] = False
 
 
+def reference_complement(g, f):
+    """Cycles of G - F by the first unused non-F edge at each vertex, each
+    cycle from its lowest vertex: the order complement_two_factor keeps."""
+    fs = set(f.edge_ids)
+    rem = [[] for _ in range(g.n)]
+    for eid, (u, v) in enumerate(g.edges):
+        if eid not in fs:
+            rem[u].append(eid)
+            rem[v].append(eid)
+    used = set()
+    seen = [False] * g.n
+    cycles = []
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        verts, edges, v = [start], [], start
+        seen[start] = True
+        while True:
+            eid = next(e for e in rem[v] if e not in used)
+            used.add(eid)
+            edges.append(eid)
+            v = g.other_end(eid, v)
+            if v == start:
+                break
+            verts.append(v)
+            seen[v] = True
+        cycles.append((tuple(verts), tuple(edges)))
+    return cycles
+
+
 def reference_corpus():
     return small_corpus() + [("cef1", counterexample_family(1))]
 
@@ -141,10 +171,21 @@ class TestComplement:
                     want = {cyc.vertices[i], cyc.vertices[(i + 1) % k]}
                     assert ends == want or (len(want) == 1 and len(ends) == 2 and k == 2), name
 
+    def test_same_cycles_as_reference(self):
+        for name, g in reference_corpus() + [("k23", k23()), ("ring2", ring_of_diamonds(2))]:
+            for f in enumerate_perfect_matchings(g):
+                tf = complement_two_factor(g, f)
+                got = [(cyc.vertices, cyc.edges) for cyc in tf.cycles]
+                assert got == reference_complement(g, f), name
+
     def test_wrong_matching_rejected(self):
         g = petersen()
         with pytest.raises(ContractError):
             complement_two_factor(g, PerfectMatching((0, 1, 2, 3, 4)))
+        f = next(enumerate_perfect_matchings(g))
+        for bad in (f.edge_ids + f.edge_ids[:1], f.edge_ids[:-1] + (g.m,)):
+            with pytest.raises(ContractError):
+                complement_two_factor(g, PerfectMatching(bad))
 
     def test_non_cubic_rejected(self):
         g = build_graph(2, [(0, 1)])
@@ -240,3 +281,5 @@ class TestCoveredVertices:
         assert covered_vertices(g, [0, 1]) is None  # both at vertex 1
         assert covered_vertices(g, [0, 4]) is None  # a loop covers its vertex twice
         assert covered_vertices(g, [0, 0]) is None
+        assert covered_vertices(g, [0, 5]) is None  # no edge 5
+        assert covered_vertices(g, [0, -1]) is None  # no edge -1
