@@ -158,7 +158,7 @@ def _report_flow(g: Pseudograph, f, theta, stats: dict, path: Optional[str]) -> 
 
 def _clawfree_route(g: Pseudograph, deadline: float):
     cuts = three_edge_cuts(g)
-    for f in matchings_meeting_all_3cuts_once(g, 0, cuts) if g.m else ():
+    for f in matchings_meeting_all_3cuts_once(g, 0, cuts, deadline) if g.m else ():
         mc = min_conflict_flow(g, f, deadline=deadline)
         if mc and mc.conflict_count == 0:
             return f, loop_canonicalize(mc.flow, mc.contracted), {"nodes": mc.nodes_expanded}
@@ -205,17 +205,17 @@ def _cmd_flow(args) -> int:
         print(f"route {args.construct} found no flow; searching every matching", file=sys.stderr)
         sel = "all"
     if sel == "all":
-        stream = enumerate_perfect_matchings(g)
+        stream = enumerate_perfect_matchings(g, deadline=deadline)
     elif sel.startswith("edge="):
         eid = int(sel[5:])
         if not 0 <= eid < g.m or g.is_loop(eid):
             raise InputError(f"--matching {sel}: no non-loop edge {eid}")
-        stream = matchings_through_edge(g, eid)
+        stream = matchings_through_edge(g, eid, deadline=deadline)
     else:
         idx = int(sel)
         picked = []
         if idx >= 0:
-            picked = list(itertools.islice(enumerate_perfect_matchings(g), idx, idx + 1))
+            picked = list(itertools.islice(enumerate_perfect_matchings(g, deadline=deadline), idx, idx + 1))
         if not picked:
             raise InputError(f"--matching {sel}: no perfect matching with index {idx}")
         stream = picked

@@ -2,7 +2,20 @@
 
 Enumeration is DFS on the lowest-indexed uncovered vertex, branching over
 its incident edges in id order, so streams are deterministic and
-certificates reproduce.  Streams are lazy generators.
+certificates reproduce.  Streams are lazy generators; each takes an
+optional deadline, checked every 1,024 search frames.
+
+Matchings that meet every 3-edge cut exactly once (the first step of the
+paper's claw-free proof) are found by pruning that same search, not by
+filtering its output.  In a cubic graph the side S of a 3-edge cut has
+3|S| = 2e(S) + 3, so |S| is odd and every perfect matching meets the cut
+in one or three edges: "exactly once" means "not all three".  The search
+skips an edge while a cut through it already holds a matching edge, which
+cuts off only branches without a valid matching, so the stream is the
+filtered one in the same order.  Vertex stars are met once by every
+perfect matching and are not tracked.  The index from edges to the
+remaining cuts is built once per graph and cut list and kept while the
+same pair comes back, as it does when a caller goes through every edge.
 """
 
 from __future__ import annotations
@@ -12,6 +25,7 @@ from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set,
 
 from .errors import ContractError, InputError
 from .graph import Pseudograph, _two_factor_marks, is_cubic, three_edge_cuts
+from .kernels import check_deadline
 
 
 @dataclass(frozen=True)
@@ -67,41 +81,98 @@ def covered_vertices(g: Pseudograph, edge_ids: Iterable[int]) -> Optional[Set[in
     return seen
 
 
-def enumerate_perfect_matchings(g: Pseudograph) -> Iterator[PerfectMatching]:
+def enumerate_perfect_matchings(
+    g: Pseudograph, deadline: Optional[float] = None
+) -> Iterator[PerfectMatching]:
     """Every perfect matching exactly once, in DFS order: branch on the lowest
-    uncovered vertex, trying its incident edges in id order."""
+    uncovered vertex, trying its incident edges in id order.  Raises
+    SearchTimeout once `deadline` (a `time.monotonic()` value) has passed."""
     if g.n % 2 == 1:
         return
-    yield from _match_dfs(g, [False] * g.n, [])
+    yield from _match_dfs(g, [False] * g.n, [], None, deadline)
 
 
-def _match_dfs(g: Pseudograph, covered: List[bool], chosen: List[int]) -> Iterator[PerfectMatching]:
+# frames between two deadline checks in _match_dfs
+_DEADLINE_EVERY = 1024
+
+# the last graph searched and its _partners table
+_last_partners: Tuple[Optional[Pseudograph], Tuple[Tuple[Tuple[int, int], ...], ...]] = (None, ())
+
+
+def _partners(g: Pseudograph) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """For each vertex v, its (edge id, other end) pairs in g.incident(v) order, loops left out."""
+    global _last_partners
+    last_g, table = _last_partners
+    if last_g is not g:
+        edges = g.edges
+        rows = []
+        for v in range(g.n):
+            row = []
+            for eid in g.incident(v):
+                a, b = edges[eid]
+                if a != b:  # a loop covers its vertex twice
+                    row.append((eid, b if a == v else a))
+            rows.append(tuple(row))
+        table = tuple(rows)
+        _last_partners = (g, table)
+    return table
+
+
+def _match_dfs(
+    g: Pseudograph,
+    covered: List[bool],
+    chosen: List[int],
+    index: Optional[_CutIndex],
+    deadline: Optional[float],
+) -> Iterator[PerfectMatching]:
     """Complete `chosen` to perfect matchings, branching on the lowest uncovered vertex.
 
-    One frame [v, next position in g.incident(v), partner] per matched
+    One frame [v, next position in v's partner pairs, partner] per matched
     edge, kept on an explicit stack; the partner is -1 while v is unmatched.
+    With a cut index, an edge is skipped while a cut through it already
+    holds an edge of `chosen` (blocked[eid] counts those cuts), and a
+    matching is yielded only once every indexed cut holds one.
     """
-    n, edges = g.n, g.edges
+    n = g.n
+    partners = _partners(g)
+    if index is None:
+        blocked = None
+    else:
+        blocked = [0] * g.m
+        touch, width, total = index.touch, index.width, index.total
+        met = 0
+        for eid in chosen:  # at most one edge, so no cut is met twice
+            for e in touch[eid]:
+                blocked[e] += 1
+            met += width[eid]
     v = 0
     while v < n and covered[v]:
         v += 1
     if v == n:
-        yield PerfectMatching(tuple(sorted(chosen)))
+        if blocked is None or met == total:
+            yield PerfectMatching(tuple(sorted(chosen)))
         return
     frames = [[v, 0, -1]]
+    tick = _DEADLINE_EVERY
     while frames:
+        tick -= 1
+        if not tick:
+            tick = _DEADLINE_EVERY
+            check_deadline(deadline)
         frame = frames[-1]
         v, pos, w = frame
         if w != -1:  # take back the edge this frame tried last
             covered[v] = covered[w] = False
-            chosen.pop()
-        inc = g.incident(v)
-        while pos < len(inc):
-            eid = inc[pos]
+            eid = chosen.pop()
+            if blocked is not None:
+                for e in touch[eid]:
+                    blocked[e] -= 1
+                met -= width[eid]
+        pv = partners[v]
+        while pos < len(pv):
+            eid, w = pv[pos]
             pos += 1
-            a, b = edges[eid]
-            w = b if a == v else a
-            if a != b and not covered[w]:  # a loop covers its vertex twice
+            if not covered[w] and not (blocked and blocked[eid]):
                 break
         else:
             frames.pop()
@@ -110,12 +181,17 @@ def _match_dfs(g: Pseudograph, covered: List[bool], chosen: List[int]) -> Iterat
         frame[2] = w
         covered[v] = covered[w] = True
         chosen.append(eid)
+        if blocked is not None:
+            for e in touch[eid]:
+                blocked[e] += 1
+            met += width[eid]
         # every vertex below v is covered, so the next branch vertex is above it
         u = v + 1
         while u < n and covered[u]:
             u += 1
         if u == n:
-            yield PerfectMatching(tuple(sorted(chosen)))
+            if blocked is None or met == total:
+                yield PerfectMatching(tuple(sorted(chosen)))
         else:
             frames.append([u, 0, -1])
 
@@ -185,29 +261,96 @@ def _two_factor_from_cycles(g: Pseudograph, cycles: Sequence[Cycle]) -> TwoFacto
     return TwoFactor(tuple(cycles), chords)
 
 
-def matchings_through_edge(g: Pseudograph, eid: int) -> Iterator[PerfectMatching]:
-    """Perfect matchings containing a prescribed edge; empty on bridged inputs is allowed."""
+def matchings_through_edge(
+    g: Pseudograph,
+    eid: int,
+    cuts: Optional[Sequence[Sequence[int]]] = None,
+    deadline: Optional[float] = None,
+) -> Iterator[PerfectMatching]:
+    """Perfect matchings containing a prescribed edge; empty on bridged inputs is allowed.
+
+    With `cuts`, only the matchings that meet every listed edge set in
+    exactly one edge, found by pruning the search (see the module
+    docstring).  Raises SearchTimeout once `deadline` has passed.
+    """
     if g.is_loop(eid):
         return
+    index = None if cuts is None else _cut_index(g, cuts)
     u, v = g.endpoints(eid)
     covered = [False] * g.n
     covered[u] = covered[v] = True
-    yield from _match_dfs(g, covered, [eid])
+    yield from _match_dfs(g, covered, [eid], index, deadline)
+
+
+@dataclass(frozen=True)
+class _CutIndex:
+    """The cuts that are not vertex stars, seen from each edge.
+
+    touch[e] lists the edges of every such cut through e (e itself once
+    per cut), width[e] counts those cuts, total counts them all.
+    """
+
+    touch: Tuple[Tuple[int, ...], ...]
+    width: Tuple[int, ...]
+    total: int
+
+
+# the last graph, its cut list as a tuple, and their index: callers pass
+# the same cuts for every edge of a graph, so the index is built once
+_last_index: Tuple[Optional[Pseudograph], tuple, Optional[_CutIndex]] = (None, (), None)
+
+
+def _cut_index(g: Pseudograph, cuts: Iterable[Sequence[int]]) -> _CutIndex:
+    global _last_index
+    key = tuple(cuts)
+    last_g, last_key, index = _last_index
+    if last_g is g and last_key == key:
+        return index
+    # a perfect matching meets the star of every vertex exactly once
+    stars = {frozenset(g.incident(v)) for v in range(g.n)}
+    m = g.m
+    touch: List[List[int]] = [[] for _ in range(m)]
+    width = [0] * m
+    total = 0
+    for cut in key:
+        ids = frozenset(cut)
+        if ids in stars:
+            continue
+        total += 1
+        inside = sorted(e for e in ids if 0 <= e < m)
+        for e in inside:
+            touch[e].extend(inside)
+            width[e] += 1
+    index = _CutIndex(tuple(map(tuple, touch)), tuple(width), total)
+    _last_index = (g, key, index)
+    return index
 
 
 def matchings_meeting_all_3cuts_once(
-    g: Pseudograph, eid: int, cuts: Optional[Sequence[Tuple[int, int, int]]] = None
+    g: Pseudograph,
+    eid: int,
+    cuts: Optional[Sequence[Tuple[int, int, int]]] = None,
+    deadline: Optional[float] = None,
 ) -> Iterator[PerfectMatching]:
     """Matchings through eid that intersect every 3-edge-cut in exactly one edge.
 
-    The cut list may be passed in to amortize enumeration across calls.
+    In a cubic graph a perfect matching meets every 3-edge cut in one or
+    three edges (the side S of a cut has 3|S| = 2e(S) + 3, so |S| is odd),
+    so "exactly once" means "not all three".  The search therefore skips
+    every edge whose cut already holds a matching edge, which removes only
+    branches without a valid matching: the stream is that of
+    matchings_through_edge with the cut test applied, in the same order.
+    Vertex stars are met once by every perfect matching and are not
+    tracked; any listed edge set that is not a cut is still checked for
+    exactly one matching edge before a matching is yielded.
+
+    The cut index is built once and reused while the same graph and cut
+    list come back, so pass one list (by default three_edge_cuts(g),
+    computed per call) for every edge of a graph.
     """
     if cuts is None:
         cuts = three_edge_cuts(g)
-    for f in matchings_through_edge(g, eid):
-        fs = f.as_set()
-        if all(len(fs.intersection(cut)) == 1 for cut in cuts):
-            yield f
+    yield from matchings_through_edge(g, eid, cuts, deadline)
 
 
 def odd_cycle_count(tf: TwoFactor) -> int:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import os
 import shutil
 import subprocess
@@ -12,6 +13,8 @@ from pathlib import Path
 from typing import Dict, List, Tuple
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 import ncflow
 from ncflow.generators import (
@@ -26,7 +29,7 @@ from ncflow.generators import (
 )
 from ncflow.flows import _conflict_pairs
 from ncflow.graph import Pseudograph, bridges, build_graph, contract_two_factor, is_cubic
-from ncflow.matchings import PerfectMatching, complement_two_factor
+from ncflow.matchings import PerfectMatching, complement_two_factor, enumerate_perfect_matchings
 
 
 def prism(n: int) -> Pseudograph:
@@ -78,6 +81,20 @@ def claw_free_corpus() -> List[Pseudograph]:
         for spec in ("D", "2", "D2"):
             graphs.append(replace_edge_with_string(ring, ring.m - 1, spec))
     return graphs
+
+
+@st.composite
+def cubic_multigraph_and_matching(draw):
+    """A loop-free cubic multigraph (parallel edges allowed) from a random
+    pairing of 3n half-edges, with one of its perfect matchings."""
+    n = draw(st.sampled_from((2, 4, 6, 8)))
+    stubs = draw(st.permutations([v for v in range(n) for _ in range(3)]))
+    edges = [(stubs[i], stubs[i + 1]) for i in range(0, 3 * n, 2)]
+    assume(all(u != v for u, v in edges))
+    g = build_graph(n, edges)
+    matchings = list(itertools.islice(enumerate_perfect_matchings(g), 20))
+    assume(matchings)
+    return g, matchings[draw(st.integers(0, len(matchings) - 1))]
 
 
 def kernel_instance(g: Pseudograph, f: PerfectMatching) -> Tuple[int, List[int], List[int], List[Tuple[int, int]]]:

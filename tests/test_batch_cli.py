@@ -117,8 +117,8 @@ class TestCliExitCodes:
 
         real = cli.enumerate_perfect_matchings
 
-        def stream_that_must_stop(g):
-            yield from itertools.islice(real(g), 3)
+        def stream_that_must_stop(g, deadline=None):
+            yield from itertools.islice(real(g, deadline=deadline), 3)
             raise AssertionError("matchings after the chosen one were enumerated")
 
         monkeypatch.setattr(cli, "enumerate_perfect_matchings", stream_that_must_stop)
@@ -131,6 +131,22 @@ class TestCliExitCodes:
         [literal] = lines_for(counterexample_family(2))
         start = time.monotonic()
         assert main(["flow", "search", literal, "--construct", "clawfree"]) == 3
+        assert time.monotonic() - start < 3
+
+    @pytest.mark.parametrize(
+        "args", [["--matching", "all"], ["--matching", "edge=0"], ["--matching", "290000"], ["--construct", "clawfree"]]
+    )
+    def test_matching_streams_honour_the_deadline(self, monkeypatch, args):
+        # with searches that return at once, only the matching streams of
+        # counterexample_family(3) (294,912 matchings) can run long
+        import ncflow.cli as cli
+
+        monkeypatch.setattr(cli, "find_nonconflicting_flow", lambda *a, **kw: None)
+        monkeypatch.setattr(cli, "min_conflict_flow", lambda *a, **kw: None)
+        monkeypatch.setenv("NZFLOW_TIMEOUT_SECS", "0.5")
+        [literal] = lines_for(counterexample_family(3))
+        start = time.monotonic()
+        assert main(["flow", "search", literal, *args]) == 3
         assert time.monotonic() - start < 3
 
     @pytest.mark.parametrize("route", ["twocycle", "even"])

@@ -10,9 +10,10 @@ from ncflow.certificates import (
     flow_certificate,
     verify_certificate,
 )
+from ncflow.coloring import chi_n_exact
 from ncflow.errors import InputError
 from ncflow.flows import ALPHA_BETA, FlowAssignment, find_nonconflicting_flow
-from ncflow.generators import k4, k33, petersen
+from ncflow.generators import fig3_graph, k4, k33, petersen
 from ncflow.graph import build_graph
 from ncflow.matchings import PerfectMatching, enumerate_perfect_matchings
 
@@ -139,3 +140,27 @@ class TestOtherKinds:
     def test_invalid_json_rejected(self):
         with pytest.raises(InputError):
             Certificate.from_json("{nope")
+
+
+class TestChiNValueCertificate:
+    @staticmethod
+    def _cert(g, k, witness):
+        return Certificate(
+            kind="chi-n-value",
+            graph_fingerprint=fingerprint(g),
+            payload={"k": k, "witness": list(witness)},
+        )
+
+    def test_honest_certificates_verify(self):
+        for g in (petersen(), k33(), fig3_graph()):
+            res = chi_n_exact(g, 7)
+            assert len(set(res.witness.colors)) == res.k
+            assert verify_certificate(self._cert(g, res.k, res.witness.colors), g)
+
+    def test_claiming_more_colours_than_the_witness_uses_fails(self):
+        # Petersen's own normal 5-colouring does not show that chi'_N = 7
+        g = petersen()
+        res = chi_n_exact(g, 7)
+        assert res.k == 5
+        assert not verify_certificate(self._cert(g, 7, res.witness.colors), g)
+        assert not verify_certificate(self._cert(g, 6, res.witness.colors), g)

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncflow import _kernels_py, coloring, flows
@@ -59,6 +59,7 @@ from ncflow.matchings import (
 from conftest import (
     CHORD_LAYOUTS,
     claw_free_corpus,
+    cubic_multigraph_and_matching,
     kernel_instance,
     small_corpus,
     triangle_and_nine_cycle,
@@ -274,20 +275,6 @@ def flows_to_check(h, rng):
     swap = {ALPHA: BETA, BETA: ALPHA, ALPHA_BETA: ALPHA_BETA}
     out += [FlowAssignment(tuple(swap[v] for v in th.values)) for th in out[:2]]
     return out
-
-
-@st.composite
-def cubic_multigraph_and_matching(draw):
-    """A loop-free cubic multigraph (parallel edges allowed) from a random
-    pairing of 3n half-edges, with one of its perfect matchings."""
-    n = draw(st.sampled_from((2, 4, 6, 8)))
-    stubs = draw(st.permutations([v for v in range(n) for _ in range(3)]))
-    edges = [(stubs[i], stubs[i + 1]) for i in range(0, 3 * n, 2)]
-    assume(all(u != v for u, v in edges))
-    g = build_graph(n, edges)
-    matchings = list(itertools.islice(enumerate_perfect_matchings(g), 20))
-    assume(matchings)
-    return g, matchings[draw(st.integers(0, len(matchings) - 1))]
 
 
 class TestReadOnG:

@@ -1,8 +1,12 @@
 """Perfect matchings, complementary 2-factors, and 3-cut-respecting streams."""
 
 import itertools
+import random
+import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ncflow.errors import ContractError, InputError
 from ncflow.generators import (
@@ -15,7 +19,8 @@ from ncflow.generators import (
     ring_of_diamonds,
     triangle_replace_all,
 )
-from ncflow.graph import build_graph, three_edge_cuts
+from ncflow.graph import build_graph, connected_components, three_edge_cuts
+from ncflow.kernels import SearchTimeout
 from ncflow.matchings import (
     PerfectMatching,
     complement_two_factor,
@@ -26,7 +31,7 @@ from ncflow.matchings import (
     odd_cycle_count,
 )
 
-from conftest import small_corpus
+from conftest import claw_free_corpus, cubic_multigraph_and_matching, small_corpus
 
 
 def reference_matchings(g, covered, chosen):
@@ -270,6 +275,96 @@ class TestThreeCutRespecting:
                 star = set(g.incident(v))
                 assert len(fs & star) == 1
             break
+
+
+def filtered_reference(g, eid, cuts):
+    """matchings_through_edge, then keep the matchings meeting every cut in exactly one edge."""
+    sets = [frozenset(c) for c in cuts]
+    return [f for f in matchings_through_edge(g, eid) if all(len(f.as_set() & c) == 1 for c in sets)]
+
+
+def assert_pruned_stream_is_filtered(g, cuts, name=""):
+    for eid in range(g.m):
+        got = list(matchings_meeting_all_3cuts_once(g, eid, cuts))
+        assert got == filtered_reference(g, eid, cuts), (name, eid)
+
+
+class TestPrunedCutStream:
+    """The cut-pruned search yields the filtered stream, in the same order."""
+
+    def test_claw_free_corpus(self):
+        for g in claw_free_corpus():
+            assert_pruned_stream_is_filtered(g, three_edge_cuts(g), repr(g))
+
+    def test_small_corpus_family_and_fig3(self):
+        graphs = small_corpus() + [("cef1", counterexample_family(1)), ("fig3", fig3_graph())]
+        for name, g in graphs:
+            assert_pruned_stream_is_filtered(g, three_edge_cuts(g), name)
+
+    @settings(max_examples=150, deadline=None)
+    @given(cubic_multigraph_and_matching())
+    def test_random_connected_cubic_multigraphs(self, gf):
+        g, _f = gf
+        assume(len(connected_components(g)) == 1)
+        assert_pruned_stream_is_filtered(g, three_edge_cuts(g))
+
+    @settings(max_examples=100, deadline=None)
+    @given(cubic_multigraph_and_matching(), st.randoms(use_true_random=False))
+    def test_edge_triples_that_are_not_cuts(self, gf, rng):
+        # the parity argument needs real cuts; any other triple, an id
+        # listed twice or out of range included, must still be filtered
+        g, _f = gf
+        triples = [tuple(rng.randrange(-1, g.m + 1) for _ in range(3)) for _ in range(rng.randrange(1, 5))]
+        assert_pruned_stream_is_filtered(g, triples)
+
+    def test_vertex_stars_only_prune_nothing(self):
+        for name, g in small_corpus() + [("tri-k4", triangle_replace_all(k4()))]:
+            stars = [tuple(g.incident(v)) for v in range(g.n)]
+            for eid in range(g.m):
+                assert list(matchings_meeting_all_3cuts_once(g, eid, stars)) == list(
+                    matchings_through_edge(g, eid)
+                ), (name, eid)
+
+    def test_default_cuts_and_cut_lists_that_change(self):
+        # the index is kept for one (graph, cuts) pair: alternating graphs
+        # and cut lists must rebuild it every time
+        rng = random.Random(3)
+        graphs = [triangle_replace_all(k4()), ring_of_diamonds(3), triangle_replace_all(k33())]
+        cut_lists = [(g, three_edge_cuts(g)) for g in graphs]
+        cut_lists += [(g, cuts[: len(cuts) // 2]) for g, cuts in cut_lists]
+        for _ in range(30):
+            g, cuts = rng.choice(cut_lists)
+            eid = rng.randrange(g.m)
+            assert list(matchings_meeting_all_3cuts_once(g, eid, cuts)) == filtered_reference(g, eid, cuts)
+            assert list(matchings_meeting_all_3cuts_once(g, eid)) == filtered_reference(g, eid, three_edge_cuts(g))
+
+
+class TestDeadline:
+    """A search through counterexample_family(3)'s 294,912 matchings stops at its deadline."""
+
+    @staticmethod
+    def assert_stops_early(stream):
+        yielded = 0
+        with pytest.raises(SearchTimeout):
+            for _f in stream:
+                yielded += 1
+                if yielded == 2000:
+                    pytest.fail("2,000 matchings yielded after the deadline")
+
+    def test_enumeration(self):
+        g = counterexample_family(3)
+        self.assert_stops_early(enumerate_perfect_matchings(g, deadline=time.monotonic() - 1))
+
+    def test_through_edge_and_cut_streams(self):
+        g = counterexample_family(3)
+        past = time.monotonic() - 1
+        self.assert_stops_early(matchings_through_edge(g, 0, deadline=past))
+        self.assert_stops_early(matchings_meeting_all_3cuts_once(g, 0, three_edge_cuts(g), deadline=past))
+
+    def test_no_deadline_changes_nothing(self):
+        g = triangle_replace_all(k4())
+        later = time.monotonic() + 300
+        assert list(enumerate_perfect_matchings(g, deadline=later)) == list(enumerate_perfect_matchings(g))
 
 
 class TestCoveredVertices:
