@@ -13,7 +13,10 @@ Cases:
 
 Each time is seconds per call, the best of three batches; a batch repeats
 the call until it lasts 50 ms, so sub-millisecond calls are not read off a
-single run.
+single run.  Node counts are printed beside the times; both backends must
+return the same result, node count included.  The "first" set is timed as
+one pass over its 32 quotients, with its total node count, and with both
+backends present the script prints the ratio of their times.
 """
 
 from __future__ import annotations
@@ -86,16 +89,16 @@ def compare(label, calls):
     return rows
 
 
-def show(label, bname, secs, tag):
-    print(f"{label:<28}{bname:<10}{secs:>12.6f}{tag:>20}")
+def show(label, bname, secs, nodes, tag):
+    print(f"{label:<28}{bname:<10}{secs:>12.6f}{nodes:>12}{tag:>10}")
 
 
 def main():
-    print(f"{'case':<28}{'backend':<10}{'seconds':>12}{'result':>20}")
+    print(f"{'case':<28}{'backend':<10}{'seconds':>12}{'nodes':>12}{'result':>10}")
     for label, (nq, eu, ev, pairs) in min_cases():
         rows = compare(label, lambda impl: impl.flow_search(nq, eu, ev, pairs, "min"))
         for bname, secs, (_vals, conf, nodes, _seen) in rows:
-            show(label, bname, secs, f"conf={conf} n={nodes}")
+            show(label, bname, secs, nodes, f"conf={conf}")
     quotients = family2_quotients()
     label = f"family-l2/first x{len(quotients)}"
     totals = [(bname, 0.0, 0) for bname, _impl in BACKENDS]
@@ -106,13 +109,15 @@ def main():
                 raise SystemExit(f"{label}: {bname} found a flow on the negative family")
             totals[i] = (bname, totals[i][1] + secs, totals[i][2] + nodes)
     for bname, secs, nodes in totals:
-        show(label, bname, secs, f"none n={nodes}")
+        show(label, bname, secs, nodes, "none")
+    if len(totals) == 2:
+        print(f"{label:<28}{'python/c':<10}{totals[1][1] / totals[0][1]:>11.1f}x")
     for label, g, k in [("fig3/k6", fig3_graph(), 6), ("k23p10v/k4", k23_with_p10v(), 4)]:
         eu = [e[0] for e in g.edges]
         ev = [e[1] for e in g.edges]
         rows = compare(label, lambda impl: impl.normal_coloring_search(g.n, eu, ev, k))
         for bname, secs, (colors, nodes) in rows:
-            show(label, bname, secs, f"{'hit' if colors else 'miss'} n={nodes}")
+            show(label, bname, secs, nodes, "hit" if colors else "miss")
 
 
 if __name__ == "__main__":

@@ -1545,6 +1545,7 @@ struct __pyx_t_6ncflow_8_kernels_SearchState {
   int *partner_off;
   int *partner_dat;
   int *vals;
+  int *sym_skip;
   int nvals;
   int mode;
   long nodes;
@@ -2489,7 +2490,8 @@ static int __Pyx_State_RemoveModule(void*);
 /* Module declarations from "ncflow._kernels" */
 static int __pyx_v_6ncflow_8_kernels__DEADLINE_STRIDE;
 static int *__pyx_f_6ncflow_8_kernels__alloc(int); /*proto*/
-static int __pyx_f_6ncflow_8_kernels__flow_rec(struct __pyx_t_6ncflow_8_kernels_SearchState *, int, int); /*proto*/
+static CYTHON_INLINE int __pyx_f_6ncflow_8_kernels__swap_alpha_beta(int); /*proto*/
+static int __pyx_f_6ncflow_8_kernels__flow_rec(struct __pyx_t_6ncflow_8_kernels_SearchState *, int, int, int); /*proto*/
 static int __pyx_f_6ncflow_8_kernels__star_ok(struct __pyx_t_6ncflow_8_kernels_ColorState *, int); /*proto*/
 static int __pyx_f_6ncflow_8_kernels__color_rec(struct __pyx_t_6ncflow_8_kernels_ColorState *, int, int); /*proto*/
 /* #### Code section: typeinfo ### */
@@ -2791,7 +2793,16 @@ static int *__pyx_f_6ncflow_8_kernels__alloc(int __pyx_v_k) {
  *     cdef int cand[3]
 */
 
-static int __pyx_f_6ncflow_8_kernels__flow_rec(struct __pyx_t_6ncflow_8_kernels_SearchState *__pyx_v_s, int __pyx_v_depth, int __pyx_v_conf) {
+/* "ncflow/_kernels.pyx"
+ * cdef inline int _swap_alpha_beta(int x) noexcept nogil:
+ *     """x with bits 0 and 1 exchanged: alpha = 1 <-> beta = 2 (and 5 <-> 6)."""
+ *     return x ^ 3 if (x ^ (x >> 1)) & 1 else x
+*/
+static CYTHON_INLINE int __pyx_f_6ncflow_8_kernels__swap_alpha_beta(int __pyx_v_x) {
+  return ((__pyx_v_x ^ (__pyx_v_x >> 1)) & 1) ? (__pyx_v_x ^ 3) : __pyx_v_x;
+}
+
+static int __pyx_f_6ncflow_8_kernels__flow_rec(struct __pyx_t_6ncflow_8_kernels_SearchState *__pyx_v_s, int __pyx_v_depth, int __pyx_v_conf, int __pyx_v_sym) {
   int __pyx_v_e;
   int __pyx_v_u;
   int __pyx_v_v;
@@ -3294,6 +3305,16 @@ static int __pyx_f_6ncflow_8_kernels__flow_rec(struct __pyx_t_6ncflow_8_kernels_
   for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
     __pyx_v_i = __pyx_t_5;
 
+    /* "ncflow/_kernels.pyx"
+ *     for i in range(ncand):
+ *         if sym and use_vals and s.sym_skip[i]:             # <<<<<<<<<<<<<<
+ *             continue
+ *         x = s.vals[i] if use_vals else cand[i]
+*/
+    if (__pyx_v_sym && __pyx_v_use_vals && (__pyx_v_s->sym_skip[__pyx_v_i])) {
+      goto __pyx_L22_continue;
+    }
+
     /* "ncflow/_kernels.pyx":88
  *         ncand = s.nvals
  *     for i in range(ncand):
@@ -3625,7 +3646,7 @@ static int __pyx_f_6ncflow_8_kernels__flow_rec(struct __pyx_t_6ncflow_8_kernels_
  *         s.val[e] = 0
  *         if not loop:
 */
-    __pyx_t_6 = __pyx_f_6ncflow_8_kernels__flow_rec(__pyx_v_s, (__pyx_v_depth + 1), (__pyx_v_conf + __pyx_v_dconf)); if (unlikely(__pyx_t_6 == ((int)-1))) __PYX_ERR(0, 108, __pyx_L1_error)
+    __pyx_t_6 = __pyx_f_6ncflow_8_kernels__flow_rec(__pyx_v_s, (__pyx_v_depth + 1), (__pyx_v_conf + __pyx_v_dconf), (__pyx_v_sym && (__pyx_f_6ncflow_8_kernels__swap_alpha_beta(__pyx_v_x) == __pyx_v_x))); if (unlikely(__pyx_t_6 == ((int)-1))) __PYX_ERR(0, 108, __pyx_L1_error)
     __pyx_v_done = __pyx_t_6;
 
     /* "ncflow/_kernels.pyx":109
@@ -3917,8 +3938,10 @@ static PyObject *__pyx_pf_6ncflow_8_kernels_flow_search(CYTHON_UNUSED PyObject *
   int __pyx_v_e;
   int __pyx_v_v;
   int __pyx_v_i;
+  int __pyx_v_j;
   int __pyx_v_a;
   int __pyx_v_b;
+  int __pyx_v_sym;
   PyObject *__pyx_v_placed = NULL;
   PyObject *__pyx_v_incid = NULL;
   PyObject *__pyx_v_order_py = NULL;
@@ -4236,6 +4259,15 @@ static PyObject *__pyx_pf_6ncflow_8_kernels_flow_search(CYTHON_UNUSED PyObject *
   __pyx_t_8 = PyObject_Length(__pyx_v_values); if (unlikely(__pyx_t_8 == ((Py_ssize_t)-1))) __PYX_ERR(0, 143, __pyx_L1_error)
   __pyx_t_9 = __pyx_f_6ncflow_8_kernels__alloc(__pyx_t_8); if (unlikely(__pyx_t_9 == ((void *)NULL))) __PYX_ERR(0, 143, __pyx_L1_error)
   __pyx_v_s.vals = __pyx_t_9;
+
+  /* "ncflow/_kernels.pyx"
+ *     s.vals = _alloc(len(values))
+ *     s.sym_skip = _alloc(len(values))             # <<<<<<<<<<<<<<
+ *     try:
+*/
+  __pyx_t_8 = PyObject_Length(__pyx_v_values); if (unlikely(__pyx_t_8 == ((Py_ssize_t)-1))) __PYX_ERR(0, 143, __pyx_L1_error)
+  __pyx_t_9 = __pyx_f_6ncflow_8_kernels__alloc(__pyx_t_8); if (unlikely(__pyx_t_9 == ((void *)NULL))) __PYX_ERR(0, 143, __pyx_L1_error)
+  __pyx_v_s.sym_skip = __pyx_t_9;
 
   /* "ncflow/_kernels.pyx":144
  *     s.partner_dat = _alloc(2 * len(conflict_pairs))
@@ -5032,6 +5064,30 @@ static PyObject *__pyx_pf_6ncflow_8_kernels_flow_search(CYTHON_UNUSED PyObject *
     __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
     __pyx_v_s.mode = __pyx_t_11;
 
+    /* "ncflow/_kernels.pyx"
+ *         # "first" and "min" break the symmetry when `values` is closed
+ *         # under the swap; "count" must see every flow
+ *         sym = s.mode != 2
+ *         for i in range(s.nvals):
+ *             j = 0
+ *             while j < s.nvals and s.vals[j] != _swap_alpha_beta(s.vals[i]):
+ *                 j += 1
+ *             if j == s.nvals:
+ *                 sym = 0
+ *             s.sym_skip[i] = j < i
+*/
+    __pyx_v_sym = (__pyx_v_s.mode != 2);
+    for (__pyx_v_i = 0; __pyx_v_i < __pyx_v_s.nvals; __pyx_v_i++) {
+      __pyx_v_j = 0;
+      while (__pyx_v_j < __pyx_v_s.nvals && (__pyx_v_s.vals[__pyx_v_j]) != __pyx_f_6ncflow_8_kernels__swap_alpha_beta((__pyx_v_s.vals[__pyx_v_i]))) {
+        __pyx_v_j = (__pyx_v_j + 1);
+      }
+      if (__pyx_v_j == __pyx_v_s.nvals) {
+        __pyx_v_sym = 0;
+      }
+      (__pyx_v_s.sym_skip[__pyx_v_i]) = (__pyx_v_j < __pyx_v_i);
+    }
+
     /* "ncflow/_kernels.pyx":192
  *             s.vals[i] = values[i]
  *         s.mode = {"first": 0, "min": 1, "count": 2}[mode]
@@ -5107,7 +5163,7 @@ static PyObject *__pyx_pf_6ncflow_8_kernels_flow_search(CYTHON_UNUSED PyObject *
  * 
  *         if s.mode == 2:
 */
-    __pyx_t_11 = __pyx_f_6ncflow_8_kernels__flow_rec((&__pyx_v_s), 0, 0); if (unlikely(__pyx_t_11 == ((int)-1))) __PYX_ERR(0, 199, __pyx_L9_error)
+    __pyx_t_11 = __pyx_f_6ncflow_8_kernels__flow_rec((&__pyx_v_s), 0, 0, __pyx_v_sym); if (unlikely(__pyx_t_11 == ((int)-1))) __PYX_ERR(0, 199, __pyx_L9_error)
 
     /* "ncflow/_kernels.pyx":201
  *         _flow_rec(&s, 0, 0)
@@ -5373,6 +5429,7 @@ static PyObject *__pyx_pf_6ncflow_8_kernels_flow_search(CYTHON_UNUSED PyObject *
  * 
 */
         PyMem_Free(__pyx_v_s.vals);
+        PyMem_Free(__pyx_v_s.sym_skip);
       }
       __Pyx_XGIVEREF(__pyx_t_24);
       __Pyx_XGIVEREF(__pyx_t_25);
@@ -5479,6 +5536,7 @@ static PyObject *__pyx_pf_6ncflow_8_kernels_flow_search(CYTHON_UNUSED PyObject *
  * 
 */
       PyMem_Free(__pyx_v_s.vals);
+      PyMem_Free(__pyx_v_s.sym_skip);
       __pyx_r = __pyx_t_26;
       __pyx_t_26 = 0;
       goto __pyx_L0;

@@ -2,7 +2,15 @@
 """Compiled search kernels; semantics identical to `_kernels_py`.
 
 The recursion is flattened over C arrays; deadline checks are strided the
-same way as the fallback so node counts agree between backends.
+same way as the fallback so node counts agree between backends.  The flow
+search breaks the alpha <-> beta symmetry by the fallback's rule (see
+`_kernels_py.flow_search`): `sym_skip[i]` marks a value whose swap comes
+earlier in `values`, and such a value is not tried, nor counted as a node,
+while every edge valued so far holds a swap-fixed value.
+
+The committed `_kernels.c` was generated by Cython 3 from the revision of
+this file before the symmetry rule; the rule was then written into it by
+hand, line for line as here, so regenerating it gives the same kernel.
 """
 
 import time
@@ -28,6 +36,7 @@ cdef struct SearchState:
     int* partner_off
     int* partner_dat
     int* vals
+    int* sym_skip
     int nvals
     int mode  # 0 first, 1 min, 2 count
     long nodes
@@ -46,7 +55,12 @@ cdef int* _alloc(int k) except NULL:
     return p
 
 
-cdef int _flow_rec(SearchState* s, int depth, int conf) except -1:
+cdef inline int _swap_alpha_beta(int x) noexcept nogil:
+    """x with bits 0 and 1 exchanged: alpha = 1 <-> beta = 2 (and 5 <-> 6)."""
+    return x ^ 3 if (x ^ (x >> 1)) & 1 else x
+
+
+cdef int _flow_rec(SearchState* s, int depth, int conf, int sym) except -1:
     cdef int e, u, v, loop, i, x, dconf, p, ncand, done
     cdef int cand[3]
     cdef int use_vals
@@ -85,6 +99,8 @@ cdef int _flow_rec(SearchState* s, int depth, int conf) except -1:
     if use_vals:
         ncand = s.nvals
     for i in range(ncand):
+        if sym and use_vals and s.sym_skip[i]:
+            continue
         x = s.vals[i] if use_vals else cand[i]
         s.nodes += 1
         if s.has_deadline and s.nodes % _DEADLINE_STRIDE == 0:
@@ -105,7 +121,7 @@ cdef int _flow_rec(SearchState* s, int depth, int conf) except -1:
             s.acc[v] ^= x
             s.rem[u] -= 1
             s.rem[v] -= 1
-        done = _flow_rec(s, depth + 1, conf + dconf)
+        done = _flow_rec(s, depth + 1, conf + dconf, sym and _swap_alpha_beta(x) == x)
         s.val[e] = 0
         if not loop:
             s.acc[u] ^= x
@@ -128,7 +144,7 @@ def flow_search(int nq, eu, ev, conflict_pairs, mode, values=(1, 2, 3), deadline
         return [], 0, 0, 1
 
     cdef SearchState s
-    cdef int e, v, i, a, b
+    cdef int e, v, i, j, a, b, sym
     s.m = m
     s.nq = nq
     s.eu = _alloc(m)
@@ -141,6 +157,7 @@ def flow_search(int nq, eu, ev, conflict_pairs, mode, values=(1, 2, 3), deadline
     s.partner_off = _alloc(m + 1)
     s.partner_dat = _alloc(2 * len(conflict_pairs))
     s.vals = _alloc(len(values))
+    s.sym_skip = _alloc(len(values))
     try:
         for e in range(m):
             s.eu[e] = eu[e]
@@ -189,6 +206,16 @@ def flow_search(int nq, eu, ev, conflict_pairs, mode, values=(1, 2, 3), deadline
         for i in range(s.nvals):
             s.vals[i] = values[i]
         s.mode = {"first": 0, "min": 1, "count": 2}[mode]
+        # "first" and "min" break the symmetry when `values` is closed
+        # under the swap; "count" must see every flow
+        sym = s.mode != 2
+        for i in range(s.nvals):
+            j = 0
+            while j < s.nvals and s.vals[j] != _swap_alpha_beta(s.vals[i]):
+                j += 1
+            if j == s.nvals:
+                sym = 0
+            s.sym_skip[i] = j < i
         s.nodes = 0
         s.flows_seen = 0
         s.best_conf = len(conflict_pairs) + 1
@@ -196,7 +223,7 @@ def flow_search(int nq, eu, ev, conflict_pairs, mode, values=(1, 2, 3), deadline
         s.has_deadline = 0 if deadline is None else 1
         s.deadline = 0.0 if deadline is None else deadline
 
-        _flow_rec(&s, 0, 0)
+        _flow_rec(&s, 0, 0, sym)
 
         if s.mode == 2:
             return None, 0, s.nodes, s.flows_seen
@@ -215,6 +242,7 @@ def flow_search(int nq, eu, ev, conflict_pairs, mode, values=(1, 2, 3), deadline
         PyMem_Free(s.partner_off)
         PyMem_Free(s.partner_dat)
         PyMem_Free(s.vals)
+        PyMem_Free(s.sym_skip)
 
 
 cdef struct ColorState:

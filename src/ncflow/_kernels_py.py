@@ -10,6 +10,11 @@ is importable.  Both implement identical semantics:
   (its value is then forced) and which conflict partners are already
   valued; the search keeps no per-vertex edge counts.  "first" mode, which
   prunes every conflict, runs its own recursion without a conflict count.
+  "first" and "min" also break the alpha <-> beta symmetry: swapping bits 0
+  and 1 of every value maps flows to flows with the same conflicts, so
+  until some edge holds a value the swap moves, a free edge skips a value
+  whose image comes earlier in `values`.  The flow returned is unchanged;
+  exhaustive negatives expand about half the nodes.
 * `normal_coloring_search` -- proper k-edge-coloring search with poor/rich
   pruning and canonical color introduction (colors first appear in
   increasing order, which is sound because normality is invariant under
@@ -34,6 +39,11 @@ _DEADLINE_STRIDE = 4096
 
 class SearchTimeout(Exception):
     pass
+
+
+def _swap_alpha_beta(x: int) -> int:
+    """x with bits 0 and 1 exchanged: alpha = 1 <-> beta = 2 (and 5 <-> 6)."""
+    return x ^ 3 if (x ^ x >> 1) & 1 else x
 
 
 def flow_search(
@@ -67,6 +77,19 @@ def flow_search(
     nothing.  Each value tried is one node, pruned or not.  "first" prunes
     every conflict, so the conflict count is 0 on every path and it has its
     own recursion without one; "min" and "count" share one that carries it.
+
+    Symmetry breaking ("first" and "min", when `values` is closed under
+    sigma = `_swap_alpha_beta`): sigma is an automorphism of the group that
+    fixes alpha + beta = 3, so it maps every flow to a flow with the same
+    conflicts.  Until some edge holds a value sigma moves, a free edge
+    skips each x whose sigma(x) comes earlier in `values` (a skipped value
+    is not a node); a closing edge then takes an XOR of sigma-fixed values,
+    which is sigma-fixed itself.  The flow returned is the first in the
+    static order (for "min", the first with the fewest conflicts), and its
+    first sigma-moved value is the earlier one of its pair, so values and
+    conflict counts are those of the unpruned search; nodes and, in "min",
+    flows_seen are not.  Each candidate carries the candidate list of the
+    next free edge: `full` once the symmetry is broken, `sym` before.
     """
     if deadline is not None and time.monotonic() > deadline:
         raise SearchTimeout
@@ -111,27 +134,37 @@ def flow_search(
         steps.append((e, u, v, closes, both, tuple(earlier[e])))
 
     # x conflicts with a valued partner holding x ^ 3 (alpha+beta apart);
-    # -1 matches nothing, since an unvalued partner (0) never conflicts
-    choices = tuple((x, x ^ 3 or -1) for x in values)
+    # -1 matches nothing, since an unvalued partner (0) never conflicts.
+    # Each entry ends with the candidate list for the next free edge.
+    values = list(values)
+    full: List[Tuple[int, int, list]] = []
+    full += [(x, x ^ 3 or -1, full) for x in values]
+    sym = full
+    if mode != "count" and all(_swap_alpha_beta(x) in values for x in values):
+        sym = []
+        for i, x in enumerate(values):
+            sx = _swap_alpha_beta(x)
+            if sx not in values[:i]:
+                sym.append((x, x ^ 3 or -1, sym if sx == x else full))
     acc = [0] * nq
     val = [0] * m  # not cleared on backtracking: only earlier partners are read
     nodes = 0
 
     if mode == "first":
 
-        def first(depth: int) -> bool:
+        def first(depth: int, free: list) -> bool:
             nonlocal nodes
             if depth == m:
                 return True
             e, u, v, closes, both, partners = steps[depth]
             if closes < 0:
-                cands = choices
+                cands = free
             else:
                 x = acc[closes]
                 if x == 0 or (both and acc[v] != x):
                     return False
-                cands = ((x, x ^ 3 or -1),)
-            for x, clash in cands:
+                cands = ((x, x ^ 3 or -1, free),)
+            for x, clash, nxt in cands:
                 nodes += 1
                 if deadline is not None and nodes % _DEADLINE_STRIDE == 0:
                     if time.monotonic() > deadline:
@@ -143,13 +176,13 @@ def flow_search(
                     val[e] = x
                     acc[u] ^= x
                     acc[v] ^= x
-                    if first(depth + 1):
+                    if first(depth + 1, nxt):
                         return True
                     acc[u] ^= x
                     acc[v] ^= x
             return False
 
-        if first(0):
+        if first(0, sym):
             return val, 0, nodes, 1
         return None, 0, nodes, 0
 
@@ -158,7 +191,7 @@ def flow_search(
     best_conf = len(conflict_pairs) + 1
     flows_seen = 0
 
-    def rec(depth: int, conf: int) -> None:
+    def rec(depth: int, conf: int, free: list) -> None:
         nonlocal nodes, flows_seen, best_val, best_conf
         if depth == m:
             flows_seen += 1
@@ -168,13 +201,13 @@ def flow_search(
             return
         e, u, v, closes, both, partners = steps[depth]
         if closes < 0:
-            cands = choices
+            cands = free
         else:
             x = acc[closes]
             if x == 0 or (both and acc[v] != x):
                 return
-            cands = ((x, x ^ 3 or -1),)
-        for x, clash in cands:
+            cands = ((x, x ^ 3 or -1, free),)
+        for x, clash, nxt in cands:
             nodes += 1
             if deadline is not None and nodes % _DEADLINE_STRIDE == 0:
                 if time.monotonic() > deadline:
@@ -189,11 +222,11 @@ def flow_search(
             val[e] = x
             acc[u] ^= x
             acc[v] ^= x
-            rec(depth + 1, c)
+            rec(depth + 1, c, nxt)
             acc[u] ^= x
             acc[v] ^= x
 
-    rec(0, 0)
+    rec(0, 0, sym)
     if counting or best_val is None:
         return None, 0, nodes, flows_seen
     return best_val, best_conf, nodes, flows_seen

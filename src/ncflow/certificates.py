@@ -118,6 +118,7 @@ def verify_certificate(cert: Certificate, g: Pseudograph) -> bool:
 
     Positive kinds re-run the polynomial checks; negative kinds verify the
     fingerprint and schema only (their content is exhaustion statistics).
+    A payload of the wrong shape or type is refuted (False), never raised.
     """
     if cert.graph_fingerprint != fingerprint(g):
         return False
@@ -160,6 +161,6 @@ def verify_certificate(cert: Certificate, g: Pseudograph) -> bool:
             return True
         if cert.kind == "no-flow-for-any-matching":
             return "matchings_checked" in cert.stats
-    except (InputError, KeyError, IndexError):
+    except (InputError, KeyError, IndexError, TypeError, ValueError):
         return False
     return False

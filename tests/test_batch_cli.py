@@ -211,6 +211,36 @@ class TestCliExitCodes:
         line = capsys.readouterr().out.strip()
         assert main(["flow", "search", line, "--construct", "clawfree"]) == 0
 
+    @pytest.mark.parametrize(
+        "k, matching, nodes_before",
+        [
+            (2, [0, 4, 6, 11], 12),
+            (3, [0, 4, 6, 10, 12, 17], 18),
+            (4, [0, 4, 6, 10, 12, 16, 18, 23], 24),
+        ],
+    )
+    def test_clawfree_rings_keep_their_flow(self, k, matching, nodes_before, tmp_path, capsys):
+        # matching, flow and the node count recorded before the kernel broke
+        # the alpha <-> beta symmetry; only the node count may change, downwards
+        from ncflow.certificates import Certificate, verify_certificate
+        from ncflow.formats import parse_any
+        from ncflow.generators import ring_of_diamonds
+
+        [line] = lines_for(ring_of_diamonds(k))
+        g = parse_any(line)  # edge ids as the CLI reads them
+        cert_path = tmp_path / "cert.json"
+        assert main(["flow", "search", line, "--construct", "clawfree", "--certificate", str(cert_path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out == [
+            "matching: " + " ".join(map(str, matching)),
+            "flow: " + " ".join(f"{e}:11" for e in matching),
+        ]
+        cert = Certificate.from_json(cert_path.read_text())
+        assert cert.payload == {"matching": matching, "flow": ["11"] * len(matching)}
+        assert set(cert.stats) == {"nodes"}
+        assert 0 < cert.stats["nodes"] <= nodes_before
+        assert verify_certificate(cert, g)
+
     def test_thomassen_k6(self, capsys):
         assert main(["thomassen", "k6"]) == 0
         out = capsys.readouterr().out

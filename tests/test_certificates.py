@@ -164,3 +164,34 @@ class TestChiNValueCertificate:
         assert res.k == 5
         assert not verify_certificate(self._cert(g, 7, res.witness.colors), g)
         assert not verify_certificate(self._cert(g, 6, res.witness.colors), g)
+
+
+class TestWronglyTypedPayloads:
+    """A payload of the wrong type is refuted, not raised as TypeError."""
+
+    @pytest.mark.parametrize(
+        "kind, payload",
+        [
+            ("chi-n-value", {"k": 5, "witness": 3}),
+            ("flow-found", {"matching": 5}),
+            ("normal-coloring", {"colors": None}),
+            ("flow-found", {"matching": [0, 1, 2], "flow": None}),
+            ("flow-found", {"matching": [0, "a", 2], "flow": []}),
+            ("normal-coloring", {"colors": [1] * 15, "k": None}),
+            ("conjecture4-witness", {"mu": 7, "x": 1, "y": 2}),
+            ("disjoint-matchings", {"alpha": None, "beta": [1]}),
+            ("flow-found", ["matching", "flow"]),
+            ("chi-n-value", None),
+        ],
+    )
+    def test_refuted_on_petersen(self, kind, payload):
+        g = petersen()
+        cert = Certificate(kind=kind, graph_fingerprint=fingerprint(g), payload=payload)
+        assert verify_certificate(cert, g) is False
+
+    def test_stats_of_the_wrong_type(self):
+        g = petersen()
+        cert = Certificate(
+            kind="no-flow-for-any-matching", graph_fingerprint=fingerprint(g), payload={}, stats=None
+        )
+        assert verify_certificate(cert, g) is False

@@ -597,27 +597,29 @@ class TestResultChecks:
             coloring.chi_n_exact(g, 4)
 
 
-# _kernels_py.flow_search on fixed quotients, recorded before the kernel was
-# rewritten around its step table: the values, conflict count, node count and
-# flows seen that the search order fixes exactly
+# _kernels_py.flow_search on fixed quotients: the values, conflict count,
+# node count and flows seen that the search order fixes exactly.  Values and
+# conflict counts were recorded before the kernel was rewritten around its
+# step table, node counts once it broke the alpha <-> beta symmetry in
+# "first" and "min" mode (which changes node counts only)
 FAMILY1_FIRST_NODES = (
-    (658, 658, 630, 630, 630, 630, 658, 658, 658, 630, 630, 658, 658, 630, 630, 658)
-    + (644, 644, 616, 616, 616, 616, 644, 644, 644, 616, 616, 644, 644, 616, 616, 644) * 2
-    + (658, 658, 630, 630, 630, 630, 658, 658, 658, 630, 630, 658, 658, 630, 630, 658)
-    + (98,) * 32
+    (331, 331, 317, 317, 317, 317, 331, 331, 331, 317, 317, 331, 331, 317, 317, 331)
+    + (324, 324, 310, 310, 310, 310, 324, 324, 324, 310, 310, 324, 324, 310, 310, 324) * 2
+    + (331, 331, 317, 317, 317, 317, 331, 331, 331, 317, 317, 331, 331, 317, 317, 331)
+    + (51,) * 32
 )
 
 MIN_GOLDEN = {
-    "petersen": [([1, 2, 3, 3, 3], 1, 117, 2)] * 3,
+    "petersen": [([1, 2, 3, 3, 3], 1, 72, 2)] * 3,
     "triangle_replace_all(k4)": [
-        ([1, 2, 3, 3, 2, 1], 4, 52, 1),
-        ([1, 2, 3, 1, 3, 1], 1, 32, 3),
-        ([1, 1, 1, 1, 1, 1], 0, 18, 1),
+        ([1, 2, 3, 3, 2, 1], 4, 27, 1),
+        ([1, 2, 3, 1, 3, 1], 1, 25, 3),
+        ([1, 1, 1, 1, 1, 1], 0, 17, 1),
     ],
     "triangle_replace_all(k33)": [
-        ([1, 2, 3, 2, 3, 1, 3, 1, 2], 6, 176, 1),
-        ([1, 2, 3, 2, 3, 2, 1, 3, 3], 2, 72, 4),
-        ([1, 2, 3, 1, 2, 1, 2, 3, 3], 2, 1704, 4),
+        ([1, 2, 3, 2, 3, 1, 3, 1, 2], 6, 89, 1),
+        ([1, 2, 3, 2, 3, 2, 1, 3, 3], 2, 51, 4),
+        ([1, 2, 3, 1, 2, 1, 2, 3, 3], 2, 978, 4),
     ],
 }
 
@@ -631,7 +633,7 @@ class TestPurePythonFlowKernelGolden:
         ]
         assert all(r[:2] == (None, 0) and r[3] == 0 for r in results)
         assert tuple(r[2] for r in results) == FAMILY1_FIRST_NODES
-        assert sum(r[2] for r in results) == 43904
+        assert sum(r[2] for r in results) == 22144
 
     @pytest.mark.parametrize("name", sorted(MIN_GOLDEN))
     def test_min_on_the_first_three_matchings(self, name):

@@ -6,12 +6,15 @@ temporary directory; these tests skip only when no C compiler or no
 `Python.h` is present.
 """
 
+import itertools
 import os
 import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncflow import _kernels_py
 from ncflow.generators import (
@@ -105,6 +108,102 @@ class TestFlowParity:
         for impl in (_kernels_py, compiled):
             with pytest.raises(_kernels_py.SearchTimeout):
                 impl.flow_search(q.n, eu, ev, [], "min", deadline=0.0)
+
+
+def static_order(nq, eu, ev):
+    """The kernels' edge order: vertex by vertex, each vertex's incident
+    edges in id order, every edge at its first appearance."""
+    order = []
+    for v in range(nq):
+        for e in range(len(eu)):
+            if v in (eu[e], ev[e]) and e not in order:
+                order.append(e)
+    return order
+
+
+def enumerate_flows(nq, eu, ev, values):
+    """Every flow the kernels search, in their order, by brute force.
+
+    An edge that is the last non-loop edge at one of its endpoints in the
+    static order takes the value conservation leaves there, which must be
+    non-zero; every other edge takes a value from `values`, tried in the
+    order given.  Yields values indexed by edge id.
+    """
+    order = static_order(nq, eu, ev)
+    last = {}
+    for d, e in enumerate(order):
+        if eu[e] != ev[e]:
+            last[eu[e]] = last[ev[e]] = d
+    closing = set(last.values())
+    domains = [range(1, 8) if d in closing else values for d in range(len(order))]
+    for assignment in itertools.product(*domains):
+        val = [0] * len(eu)
+        acc = [0] * nq
+        for e, x in zip(order, assignment):
+            val[e] = x
+            if eu[e] != ev[e]:
+                acc[eu[e]] ^= x
+                acc[ev[e]] ^= x
+        if not any(acc):
+            yield val
+
+
+def conflict_count(val, pairs, depth_of):
+    """Pairs whose values are alpha + beta apart; a self-pair never counts, a
+    duplicate pair counts twice, and a partner that holds 0 (the kernels'
+    "unvalued" mark) never conflicts with an edge valued after it."""
+    count = 0
+    for a, b in pairs:
+        if a != b:
+            early, late = sorted((a, b), key=depth_of.__getitem__)
+            count += val[early] != 0 and val[early] ^ val[late] == 3
+    return count
+
+
+@st.composite
+def small_flow_instances(draw):
+    """Multigraphs with loops, and conflict pairs with self-pairs and
+    duplicates, small enough to enumerate every assignment.  The value
+    lists cover Z2^2 and Z2^3, a zero value, a list the swap does not
+    close, and repeated values."""
+    values = draw(st.sampled_from([(1, 2, 3), tuple(range(1, 8)), (0, 1, 2, 3), (3, 1), (2, 3, 2, 1, 3)]))
+    nq = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 4 if len(values) > 4 else 6))
+    eu = draw(st.lists(st.integers(0, nq - 1), min_size=m, max_size=m))
+    ev = draw(st.lists(st.integers(0, nq - 1), min_size=m, max_size=m))
+    pairs = []
+    if m:
+        pairs = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)), max_size=2 * m))
+        pairs += pairs[: draw(st.integers(0, len(pairs)))]
+    return nq, eu, ev, pairs, values
+
+
+class TestFlowOracle:
+    """Both backends against brute-force enumeration in the static order.
+
+    "first" and "min" break the alpha <-> beta symmetry, which may change
+    only node counts: "first" must still return the first conflict-free
+    flow and "min" the first flow with the fewest conflicts.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_flow_instances())
+    def test_first_and_min_match_enumeration(self, compiled, instance):
+        nq, eu, ev, pairs, values = instance
+        depth_of = {e: d for d, e in enumerate(static_order(nq, eu, ev))}
+        flows = [(val, conflict_count(val, pairs, depth_of)) for val in enumerate_flows(nq, eu, ev, values)]
+        clean = [val for val, conf in flows if conf == 0]
+        fewest = min(flows, key=lambda fc: fc[1], default=None)  # min keeps the first
+
+        results = {}
+        for mode in ("first", "min", "count"):
+            results[mode] = _kernels_py.flow_search(nq, eu, ev, pairs, mode, values=values)
+            assert compiled.flow_search(nq, eu, ev, pairs, mode, values=values) == results[mode]
+        vals, conf, _nodes, seen = results["first"]
+        assert (vals, conf, seen) == ((clean[0], 0, 1) if clean else (None, 0, 0))
+        vals, conf, _nodes, _seen = results["min"]
+        assert (vals, conf) == (fewest if fewest else (None, 0))
+        assert results["count"][3] == len(flows)
 
 
 def petersen_with_triangles(vertices):
