@@ -1,6 +1,10 @@
-"""Compare the compiled and pure-Python search kernels.
+"""Compare the C and pure-Python search kernels.
 
-Run:  python3 benchmarks/bench_kernels.py
+Run:  python3 benchmarks/bench_kernels.py [LIBRARY]
+
+LIBRARY is a build of `src/ncflow/_kernels.c` (`cc -O2 -shared -fPIC
+_kernels.c -o _kernels.so`); without it the script uses the library that
+`ncflow.kernels` loads, if there is one, and times Python alone otherwise.
 
 Cases:
 - flow_search in "min" mode on three matchings each of Petersen and
@@ -16,26 +20,23 @@ the call until it lasts 50 ms, so sub-millisecond calls are not read off a
 single run.  Node counts are printed beside the times; both backends must
 return the same result, node count included.  The "first" set is timed as
 one pass over its 32 quotients, with its total node count, and with both
-backends present the script prints the ratio of their times.
+backends present the script prints the ratio of their times.  With the C
+kernels, all 5,120 "first" searches of counterexample_family(2) are also
+timed once each, summed (the exhaustive negative of the paper's family).
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import sys
 import time
 
 from ncflow import complement_two_factor, enumerate_perfect_matchings
-from ncflow import _kernels_py
+from ncflow import _kernels_py, kernels
 from ncflow.flows import _conflict_pairs
 from ncflow.generators import counterexample_family, fig3_graph, k23_with_p10v, petersen
 from ncflow.graph import contract_two_factor
-
-try:
-    from ncflow import _kernels
-
-    BACKENDS = [("c", _kernels), ("python", _kernels_py)]
-except ImportError:
-    BACKENDS = [("python", _kernels_py)]
 
 BATCH_SECONDS = 0.05
 FAMILY2_BLOCK = 160
@@ -71,10 +72,21 @@ def min_cases():
     return out
 
 
-def family2_quotients():
+def family2_quotients(step=FAMILY2_BLOCK):
     g = counterexample_family(2)
-    picks = itertools.islice(enumerate_perfect_matchings(g), 0, None, FAMILY2_BLOCK)
+    picks = itertools.islice(enumerate_perfect_matchings(g), 0, None, step)
     return [kernel_args(g, f) for f in picks]
+
+
+def backends():
+    """[(name, kernels)]: C first when a library is given or built."""
+    path = sys.argv[1] if len(sys.argv) > 1 else kernels.LIBRARY
+    if os.path.exists(path):
+        return [("c", kernels.bind(path)), ("python", _kernels_py)]
+    return [("python", _kernels_py)]
+
+
+BACKENDS = backends()
 
 
 def compare(label, calls):
@@ -97,14 +109,14 @@ def main():
     print(f"{'case':<28}{'backend':<10}{'seconds':>12}{'nodes':>12}{'result':>10}")
     for label, (nq, eu, ev, pairs) in min_cases():
         rows = compare(label, lambda impl: impl.flow_search(nq, eu, ev, pairs, "min"))
-        for bname, secs, (_vals, conf, nodes, _seen) in rows:
+        for bname, secs, (_vals, conf, nodes) in rows:
             show(label, bname, secs, nodes, f"conf={conf}")
     quotients = family2_quotients()
     label = f"family-l2/first x{len(quotients)}"
     totals = [(bname, 0.0, 0) for bname, _impl in BACKENDS]
     for nq, eu, ev, pairs in quotients:
         rows = compare(label, lambda impl: impl.flow_search(nq, eu, ev, pairs, "first"))
-        for i, (bname, secs, (vals, conf, nodes, _seen)) in enumerate(rows):
+        for i, (bname, secs, (vals, conf, nodes)) in enumerate(rows):
             if vals is not None and conf == 0:
                 raise SystemExit(f"{label}: {bname} found a flow on the negative family")
             totals[i] = (bname, totals[i][1] + secs, totals[i][2] + nodes)
@@ -112,6 +124,12 @@ def main():
         show(label, bname, secs, nodes, "none")
     if len(totals) == 2:
         print(f"{label:<28}{'python/c':<10}{totals[1][1] / totals[0][1]:>11.1f}x")
+    if BACKENDS[0][0] == "c":
+        every = family2_quotients(step=1)
+        impl = BACKENDS[0][1]
+        t0 = time.perf_counter()
+        nodes = sum(impl.flow_search(*args, "first")[2] for args in every)
+        show(f"family-l2/first all {len(every)}", "c", time.perf_counter() - t0, nodes, "none")
     for label, g, k in [("fig3/k6", fig3_graph(), 6), ("k23p10v/k4", k23_with_p10v(), 4)]:
         eu = [e[0] for e in g.edges]
         ev = [e[1] for e in g.edges]

@@ -1,29 +1,27 @@
-"""Build script: compiles the optional search-kernel extension.
+"""Build script: compiles the optional C search kernels.
 
-The package works without the extension (a pure-Python twin of the
-kernels is selected at import time), so a failed compile is downgraded
-to a warning instead of aborting the install.
+`src/ncflow/_kernels.c` uses no Python C-API; it is built as a plain
+shared library, `ncflow/_kernels.so`, which `ncflow.kernels` loads with
+ctypes.  The package works without it (the pure-Python kernels are used
+instead), so a failed compile is downgraded to a warning instead of
+aborting the install.
 """
 
+import os
 import warnings
 
-from setuptools import setup
+from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
 
 
-def extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        warnings.warn("cython not available; installing without compiled kernels")
+class OptionalLibrary(build_ext):
+    def get_ext_filename(self, fullname):
+        # the fixed name `ncflow.kernels.LIBRARY` looks for
+        return os.path.join(*fullname.split(".")) + ".so"
+
+    def get_export_symbols(self, ext):
         return []
-    return cythonize(
-        ["src/ncflow/_kernels.pyx"],
-        language_level=3,
-    )
 
-
-class OptionalBuildExt(build_ext):
     def run(self):
         try:
             super().run()
@@ -37,4 +35,7 @@ class OptionalBuildExt(build_ext):
             warnings.warn(f"compiled kernels skipped: {exc}")
 
 
-setup(ext_modules=extensions(), cmdclass={"build_ext": OptionalBuildExt})
+setup(
+    ext_modules=[Extension("ncflow._kernels", ["src/ncflow/_kernels.c"])],
+    cmdclass={"build_ext": OptionalLibrary},
+)

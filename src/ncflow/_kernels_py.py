@@ -1,20 +1,21 @@
 """Pure-Python search kernels.
 
-Twin of the compiled extension `_kernels`; `ncflow.kernels` picks whichever
-is importable.  Both implement identical semantics:
+The readable reference for the C kernels in `_kernels.c`; `ncflow.kernels`
+uses those when the library is built and these otherwise.  Both implement
+identical semantics, node counts included:
 
 * `flow_search` -- backtracking over edge values of a group Z_2^b with
-  vertex-saturation (conservation) pruning and optional conflict-pair
-  pruning / branch-and-bound.  The edge order is fixed, so a step table
-  built once per call records at each depth which vertex the edge closes
-  (its value is then forced) and which conflict partners are already
-  valued; the search keeps no per-vertex edge counts.  "first" mode, which
-  prunes every conflict, runs its own recursion without a conflict count.
-  "first" and "min" also break the alpha <-> beta symmetry: swapping bits 0
-  and 1 of every value maps flows to flows with the same conflicts, so
-  until some edge holds a value the swap moves, a free edge skips a value
-  whose image comes earlier in `values`.  The flow returned is unchanged;
-  exhaustive negatives expand about half the nodes.
+  vertex-saturation (conservation) pruning and conflict-pair pruning
+  ("first") or branch-and-bound ("min").  The edge order is fixed, so a
+  step table built once per call records at each depth which vertex the
+  edge closes (its value is then forced) and which conflict partners are
+  already valued; the search keeps no per-vertex edge counts.  "first"
+  mode, which prunes every conflict, runs its own recursion without a
+  conflict count.  Both modes break the alpha <-> beta symmetry: swapping
+  bits 0 and 1 of every value maps flows to flows with the same
+  conflicts, so until some edge holds a value the swap moves, a free edge
+  skips a value whose image comes earlier in `values`.  The flow returned
+  is unchanged; exhaustive negatives expand about half the nodes.
 * `normal_coloring_search` -- proper k-edge-coloring search with poor/rich
   pruning and canonical color introduction (colors first appear in
   increasing order, which is sound because normality is invariant under
@@ -46,6 +47,16 @@ def _swap_alpha_beta(x: int) -> int:
     return x ^ 3 if (x ^ x >> 1) & 1 else x
 
 
+def check_search_args(mode: str, values: Sequence[int]) -> None:
+    """Reject what neither backend's `flow_search` handles: a mode other
+    than "first" or "min", and the value 0, which both use as the mark of
+    an unvalued edge."""
+    if mode not in ("first", "min"):
+        raise ValueError(f"unknown flow search mode {mode!r}")
+    if 0 in values:
+        raise ValueError("flow values must be non-zero")
+
+
 def flow_search(
     nq: int,
     eu: Sequence[int],
@@ -54,16 +65,15 @@ def flow_search(
     mode: str,
     values: Sequence[int] = (1, 2, 3),
     deadline: Optional[float] = None,
-) -> Tuple[Optional[List[int]], int, int, int]:
+) -> Tuple[Optional[List[int]], int, int]:
     """Search nowhere-zero flows with XOR conservation at every vertex.
 
     mode:
       "first" -- first flow with zero conflicts (prunes on any conflict)
       "min"   -- flow minimizing the number of conflicts (branch & bound)
-      "count" -- count all nowhere-zero flows (conflicts ignored)
 
-    Returns (values or None, conflict_count_of_result, nodes_expanded, flows_seen).
-    For "count", flows_seen is the flow count and values is None.
+    Returns (values or None, conflict_count_of_result, nodes_expanded).
+    `values` must not hold 0 (ValueError).
 
     Edges are valued in a fixed vertex-grouped order, and `steps[depth]`
     holds what the search needs at each depth: the edge, its endpoints,
@@ -76,29 +86,25 @@ def flow_search(
     nothing and XORs its value into its vertex twice, which changes
     nothing.  Each value tried is one node, pruned or not.  "first" prunes
     every conflict, so the conflict count is 0 on every path and it has its
-    own recursion without one; "min" and "count" share one that carries it.
+    own recursion without one.
 
-    Symmetry breaking ("first" and "min", when `values` is closed under
-    sigma = `_swap_alpha_beta`): sigma is an automorphism of the group that
-    fixes alpha + beta = 3, so it maps every flow to a flow with the same
+    Symmetry breaking (when `values` is closed under sigma =
+    `_swap_alpha_beta`): sigma is an automorphism of the group that fixes
+    alpha + beta = 3, so it maps every flow to a flow with the same
     conflicts.  Until some edge holds a value sigma moves, a free edge
     skips each x whose sigma(x) comes earlier in `values` (a skipped value
     is not a node); a closing edge then takes an XOR of sigma-fixed values,
     which is sigma-fixed itself.  The flow returned is the first in the
     static order (for "min", the first with the fewest conflicts), and its
     first sigma-moved value is the earlier one of its pair, so values and
-    conflict counts are those of the unpruned search; nodes and, in "min",
-    flows_seen are not.  Each candidate carries the candidate list of the
-    next free edge: `full` once the symmetry is broken, `sym` before.
+    conflict counts are those of the unpruned search; nodes are not.  Each
+    candidate carries the candidate list of the next free edge: `full` once
+    the symmetry is broken, `sym` before.
     """
+    check_search_args(mode, values)
     if deadline is not None and time.monotonic() > deadline:
         raise SearchTimeout
     m = len(eu)
-    if m == 0:
-        empty: List[int] = []
-        if mode == "count":
-            return None, 0, 0, 1
-        return empty, 0, 0, 1
 
     # vertex-grouped static order so conservation closes vertices early
     order: List[int] = []
@@ -134,18 +140,18 @@ def flow_search(
         steps.append((e, u, v, closes, both, tuple(earlier[e])))
 
     # x conflicts with a valued partner holding x ^ 3 (alpha+beta apart);
-    # -1 matches nothing, since an unvalued partner (0) never conflicts.
-    # Each entry ends with the candidate list for the next free edge.
+    # every partner read is valued, and no value is 0.  Each entry ends
+    # with the candidate list for the next free edge.
     values = list(values)
     full: List[Tuple[int, int, list]] = []
-    full += [(x, x ^ 3 or -1, full) for x in values]
+    full += [(x, x ^ 3, full) for x in values]
     sym = full
-    if mode != "count" and all(_swap_alpha_beta(x) in values for x in values):
+    if all(_swap_alpha_beta(x) in values for x in values):
         sym = []
         for i, x in enumerate(values):
             sx = _swap_alpha_beta(x)
             if sx not in values[:i]:
-                sym.append((x, x ^ 3 or -1, sym if sx == x else full))
+                sym.append((x, x ^ 3, sym if sx == x else full))
     acc = [0] * nq
     val = [0] * m  # not cleared on backtracking: only earlier partners are read
     nodes = 0
@@ -163,7 +169,7 @@ def flow_search(
                 x = acc[closes]
                 if x == 0 or (both and acc[v] != x):
                     return False
-                cands = ((x, x ^ 3 or -1, free),)
+                cands = ((x, x ^ 3, free),)
             for x, clash, nxt in cands:
                 nodes += 1
                 if deadline is not None and nodes % _DEADLINE_STRIDE == 0:
@@ -183,19 +189,16 @@ def flow_search(
             return False
 
         if first(0, sym):
-            return val, 0, nodes, 1
-        return None, 0, nodes, 0
+            return val, 0, nodes
+        return None, 0, nodes
 
-    counting = mode == "count"
     best_val: Optional[List[int]] = None
     best_conf = len(conflict_pairs) + 1
-    flows_seen = 0
 
     def rec(depth: int, conf: int, free: list) -> None:
-        nonlocal nodes, flows_seen, best_val, best_conf
+        nonlocal nodes, best_val, best_conf
         if depth == m:
-            flows_seen += 1
-            if not counting and conf < best_conf:
+            if conf < best_conf:
                 best_conf = conf
                 best_val = val[:]
             return
@@ -206,19 +209,18 @@ def flow_search(
             x = acc[closes]
             if x == 0 or (both and acc[v] != x):
                 return
-            cands = ((x, x ^ 3 or -1, free),)
+            cands = ((x, x ^ 3, free),)
         for x, clash, nxt in cands:
             nodes += 1
             if deadline is not None and nodes % _DEADLINE_STRIDE == 0:
                 if time.monotonic() > deadline:
                     raise SearchTimeout
             c = conf
-            if not counting:
-                for p in partners:
-                    if val[p] == clash:
-                        c += 1
-                if c >= best_conf:
-                    continue
+            for p in partners:
+                if val[p] == clash:
+                    c += 1
+            if c >= best_conf:
+                continue
             val[e] = x
             acc[u] ^= x
             acc[v] ^= x
@@ -227,9 +229,9 @@ def flow_search(
             acc[v] ^= x
 
     rec(0, 0, sym)
-    if counting or best_val is None:
-        return None, 0, nodes, flows_seen
-    return best_val, best_conf, nodes, flows_seen
+    if best_val is None:
+        return None, 0, nodes
+    return best_val, best_conf, nodes
 
 
 def normal_coloring_search(
@@ -257,8 +259,6 @@ def normal_coloring_search(
     if deadline is not None and time.monotonic() > deadline:
         raise SearchTimeout
     m = len(eu)
-    if m == 0:
-        return [], 0
 
     incid: List[List[int]] = [[] for _ in range(n)]
     for e in range(m):

@@ -311,7 +311,7 @@ def z2cubed_flow_coloring(
         raise InputError("graph has a bridge; no nowhere-zero flow exists")
     eu = [e[0] for e in g.edges]
     ev = [e[1] for e in g.edges]
-    vals, _conf, _nodes, _seen = flow_search(
+    vals, _conf, _nodes = flow_search(
         g.n, eu, ev, [], "first", values=tuple(range(1, 8)), deadline=deadline
     )
     if vals is None:

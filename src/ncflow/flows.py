@@ -275,7 +275,7 @@ def _kernel_flow(
         raise ResourceLimitError(f"quotient has {q.m} edges (> {MAX_QUOTIENT_EDGES})")
     eu = [e[0] for e in q.edges]
     ev = [e[1] for e in q.edges]
-    vals, conf, nodes, _seen = flow_search(
+    vals, conf, nodes = flow_search(
         q.n, eu, ev, _conflict_pairs(g, tf, h), mode, deadline=deadline
     )
     if vals is None:

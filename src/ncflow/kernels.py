@@ -1,24 +1,118 @@
-"""Kernel backend selection: compiled extension if built, pure Python otherwise.
+"""Kernel backend selection: the compiled C kernels if built, pure Python otherwise.
 
-Set NZFLOW_PURE_PYTHON=1 to force the fallback (used by the benchmark and
-the backend-parity tests).
+The C kernels are `_kernels.c`, a plain C file with no Python C-API,
+compiled to `_kernels.so` in this package (`python setup.py build_ext
+--inplace`, or by hand with `cc -O2 -shared -fPIC`) and bound with
+ctypes by `bind`.  When that file is absent the pure-Python twin in
+`_kernels_py` is used, without importing ctypes.  Set NZFLOW_PURE_PYTHON=1
+to force the fallback.  Both backends return the same results, node
+counts included.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from types import SimpleNamespace
 from typing import Optional
 
-from ._kernels_py import SearchTimeout  # single exception type for both backends
+from . import _kernels_py
+from ._kernels_py import SearchTimeout, check_search_args
 
-if os.environ.get("NZFLOW_PURE_PYTHON"):
-    from . import _kernels_py as _impl
-else:
+LIBRARY = os.path.join(os.path.dirname(__file__), "_kernels.so")
+
+# status codes of the C entry points
+_EXHAUSTED, _FOUND, _TIMEOUT, _NOMEM, _BADINDEX = range(5)
+_MODES = {"first": 0, "min": 1}
+
+
+def _seconds_left(deadline: Optional[float]) -> float:
+    """Seconds until `deadline` for the C kernels, -1 for none; raises
+    SearchTimeout once it has passed, as `_kernels_py` does on entry."""
+    if deadline is None:
+        return -1.0
+    left = deadline - time.monotonic()
+    if left < 0:
+        raise SearchTimeout
+    return left
+
+
+def _check(status: int) -> None:
+    """Raise what a C kernel's failure status stands for."""
+    if status == _TIMEOUT:
+        raise SearchTimeout
+    if status == _NOMEM:
+        raise MemoryError
+    if status == _BADINDEX:
+        raise IndexError("vertex or edge index out of range")
+
+
+def bind(path: str) -> SimpleNamespace:
+    """The C kernels of the library at `path`, with `_kernels_py`'s API.
+
+    Returns a namespace with BACKEND = "c", `flow_search` and
+    `normal_coloring_search`.  Raises OSError when the file is not a
+    loadable library and AttributeError when it lacks the entry points.
+    Input arrays go to C packed by `struct` into bytes, which is faster
+    than filling ctypes or `array` arrays; results come back in an `array`.
+    """
+    import ctypes
+    import struct
+    from array import array
+
+    lib = ctypes.CDLL(path)
+    c_int, c_nodes = ctypes.c_int, ctypes.c_longlong
+    ints_in, ints_out = ctypes.c_char_p, ctypes.c_void_p
+    c_flow = lib.nc_flow_search
+    c_flow.argtypes = [c_int, c_int, ints_in, ints_in, c_int, ints_in, c_int, c_int, ints_in, ctypes.c_double]
+    c_flow.argtypes += [ints_out, ctypes.POINTER(c_int), ctypes.POINTER(c_nodes)]
+    c_flow.restype = c_int
+    c_color = lib.nc_normal_coloring_search
+    c_color.argtypes = [c_int, c_int, ints_in, ints_in, c_int, c_int, ctypes.c_double, ints_out]
+    c_color.argtypes += [ctypes.POINTER(c_nodes)]
+    c_color.restype = c_int
+
+    def pack(seq) -> bytes:
+        return struct.pack("%di" % len(seq), *seq)
+
+    def flow_search(nq, eu, ev, conflict_pairs, mode, values=(1, 2, 3), deadline=None):
+        """See `_kernels_py.flow_search`; same contract and return shape."""
+        check_search_args(mode, values)
+        seconds = _seconds_left(deadline)
+        m, npairs = len(eu), len(conflict_pairs)
+        pairs = struct.pack(
+            "%di" % (2 * npairs), *[a for a, _ in conflict_pairs], *[b for _, b in conflict_pairs]
+        )
+        out, conf, nodes = array("i", [0]) * m, c_int(), c_nodes()
+        status = c_flow(
+            nq, m, pack(eu), pack(ev), npairs, pairs, _MODES[mode], len(values), pack(values),
+            seconds, out.buffer_info()[0], conf, nodes,
+        )
+        _check(status)
+        if status == _FOUND:
+            return out.tolist(), conf.value, nodes.value
+        return None, 0, nodes.value
+
+    def normal_coloring_search(n, eu, ev, k, forbid_abnormal=True, deadline=None):
+        """See `_kernels_py.normal_coloring_search`; same contract."""
+        seconds = _seconds_left(deadline)
+        m = len(eu)
+        out, nodes = array("i", [0]) * m, c_nodes()
+        status = c_color(
+            n, m, pack(eu), pack(ev), k, 1 if forbid_abnormal else 0, seconds, out.buffer_info()[0], nodes
+        )
+        _check(status)
+        return (out.tolist() if status == _FOUND else None), nodes.value
+
+    return SimpleNamespace(BACKEND="c", flow_search=flow_search, normal_coloring_search=normal_coloring_search)
+
+
+_impl = _kernels_py
+if not os.environ.get("NZFLOW_PURE_PYTHON") and os.path.exists(LIBRARY):
     try:
-        from . import _kernels as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as _impl
+        _impl = bind(LIBRARY)
+    except (OSError, AttributeError):
+        pass
 
 BACKEND: str = _impl.BACKEND
 flow_search = _impl.flow_search
@@ -31,4 +125,4 @@ def check_deadline(deadline: Optional[float]) -> None:
         raise SearchTimeout
 
 
-__all__ = ["BACKEND", "check_deadline", "flow_search", "normal_coloring_search", "SearchTimeout"]
+__all__ = ["BACKEND", "bind", "check_deadline", "flow_search", "normal_coloring_search", "SearchTimeout"]

@@ -2,13 +2,9 @@
 
 from __future__ import annotations
 
-import importlib.util
 import itertools
-import os
 import shutil
 import subprocess
-import sys
-import sysconfig
 from pathlib import Path
 from typing import Dict, List, Tuple
 
@@ -17,6 +13,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 import ncflow
+from ncflow import kernels
 from ncflow.generators import (
     k4,
     k33,
@@ -162,37 +159,30 @@ def corpus16():
 
 
 @pytest.fixture(scope="session")
-def compiled(tmp_path_factory):
-    """The committed `_kernels.c`, built into a temporary directory and loaded.
+def kernel_library(tmp_path_factory) -> Path:
+    """The package's `_kernels.c` compiled with `cc -O2 -shared -fPIC` into a
+    temporary directory, under the file name `ncflow.kernels` loads.
 
-    The module is left out of `sys.modules` (Cython's init registers it
-    there), so `import ncflow._kernels` still finds only an in-package
-    build.  Skips when no C compiler or no `Python.h` is available.
+    The C file uses no Python headers, so only a C compiler is needed;
+    skips when there is none.
     """
     cc = shutil.which("cc")
     if cc is None:
-        pytest.skip("no C compiler (cc) on PATH; compiled kernel not built")
-    include = sysconfig.get_paths()["include"]
-    if not os.path.exists(os.path.join(include, "Python.h")):
-        pytest.skip(f"no Python.h under {include}; compiled kernel not built")
+        pytest.skip("no C compiler (cc) on PATH; C kernels not built")
     src = Path(ncflow.__file__).with_name("_kernels.c")
-    out = tmp_path_factory.mktemp("kernels") / ("_kernels" + sysconfig.get_config_var("EXT_SUFFIX"))
+    out = tmp_path_factory.mktemp("kernels") / Path(kernels.LIBRARY).name
     build = subprocess.run(
-        [cc, "-O2", "-shared", "-fPIC", f"-I{include}", str(src), "-o", str(out)],
+        [cc, "-O2", "-shared", "-fPIC", str(src), "-o", str(out)],
         capture_output=True,
         text=True,
     )
     if build.returncode != 0:
         pytest.fail(f"compiling {src.name} failed:\n{build.stderr}")
-    name = "ncflow._kernels"
-    installed = sys.modules.get(name)
-    spec = importlib.util.spec_from_file_location(name, out)
-    module = importlib.util.module_from_spec(spec)
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        if installed is None:
-            sys.modules.pop(name, None)
-        else:
-            sys.modules[name] = installed
-    return module
+    return out
+
+
+@pytest.fixture(scope="session")
+def compiled(kernel_library):
+    """The C kernels, bound through `ncflow.kernels.bind` as the package
+    binds them."""
+    return kernels.bind(str(kernel_library))

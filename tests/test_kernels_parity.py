@@ -1,22 +1,26 @@
-"""The compiled and pure-Python kernels must agree result-for-result,
-including node counts, so certificates are backend-independent.
+"""The C and pure-Python kernels must agree result-for-result, including
+node counts, so certificates are backend-independent.
 
-`compiled` (tests/conftest.py) builds the committed `_kernels.c` into a
-temporary directory; these tests skip only when no C compiler or no
-`Python.h` is present.
+`compiled` (tests/conftest.py) builds the package's `_kernels.c` into a
+temporary directory and binds it as `ncflow.kernels` does; these tests
+skip only when no C compiler is present.
 """
 
 import itertools
 import os
 import random
+import shutil
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncflow import _kernels_py
+import ncflow
+from ncflow import _kernels_py, kernels
 from ncflow.generators import (
     counterexample_family,
     fig3_graph,
@@ -88,11 +92,9 @@ def flow_instances():
 
 
 class TestFlowParity:
-    @pytest.mark.parametrize("mode", ["first", "min", "count"])
+    @pytest.mark.parametrize("mode", ["first", "min"])
     def test_exact_agreement(self, mode, compiled):
         for nq, eu, ev, pairs in flow_instances():
-            if mode == "count" and len(eu) > 12:
-                continue  # a 17-edge family quotient has 648,000 flows: ~1 s each in Python
             a = _kernels_py.flow_search(nq, eu, ev, pairs, mode)
             b = compiled.flow_search(nq, eu, ev, pairs, mode)
             assert a == b, (nq, eu, ev, pairs, mode)
@@ -108,6 +110,35 @@ class TestFlowParity:
         for impl in (_kernels_py, compiled):
             with pytest.raises(_kernels_py.SearchTimeout):
                 impl.flow_search(q.n, eu, ev, [], "min", deadline=0.0)
+
+    def test_deadline_inside_the_search(self, compiled):
+        # "min" on this quotient expands 2,751,154 nodes (about 25 ms in C),
+        # so a deadline 2 ms ahead passes inside the search, at a strided
+        # check; the backend then answers the next call as usual
+        g = counterexample_family(2)
+        matching = next(enumerate_perfect_matchings(g))
+        instance = kernel_instance(g, matching)
+        for impl in (_kernels_py, compiled):
+            with pytest.raises(_kernels_py.SearchTimeout):
+                impl.flow_search(*instance, "min", deadline=time.monotonic() + 0.002)
+            assert impl.flow_search(*instance, "first") == (None, 0, 2948)
+
+    @pytest.mark.parametrize("mode,values", [("first", (0, 1, 2, 3)), ("min", (1, 2, 3, 0)), ("count", (1, 2, 3))])
+    def test_zero_value_and_unknown_mode_raise_in_both(self, mode, values, compiled):
+        # 0 is both kernels' mark of an unvalued edge
+        for impl in (_kernels_py, compiled):
+            with pytest.raises(ValueError):
+                impl.flow_search(2, [0, 0, 1], [1, 1, 0], [(0, 1)], mode, values=values)
+
+    def test_out_of_range_index_raises_in_both(self, compiled):
+        # the C kernels check every index before touching memory
+        for impl in (_kernels_py, compiled):
+            with pytest.raises(IndexError):
+                impl.flow_search(2, [0, 0, 2], [1, 1, 0], [], "first")
+            with pytest.raises(IndexError):
+                impl.flow_search(2, [0, 0, 1], [1, 1, 0], [(0, 3)], "min")
+            with pytest.raises(IndexError):
+                impl.normal_coloring_search(2, [0, 0, 1], [1, 1, 2], 3)
 
 
 def static_order(nq, eu, ev):
@@ -148,25 +179,19 @@ def enumerate_flows(nq, eu, ev, values):
             yield val
 
 
-def conflict_count(val, pairs, depth_of):
-    """Pairs whose values are alpha + beta apart; a self-pair never counts, a
-    duplicate pair counts twice, and a partner that holds 0 (the kernels'
-    "unvalued" mark) never conflicts with an edge valued after it."""
-    count = 0
-    for a, b in pairs:
-        if a != b:
-            early, late = sorted((a, b), key=depth_of.__getitem__)
-            count += val[early] != 0 and val[early] ^ val[late] == 3
-    return count
+def conflict_count(val, pairs):
+    """Pairs whose values are alpha + beta apart; a self-pair never counts
+    and a duplicate pair counts twice."""
+    return sum(a != b and val[a] ^ val[b] == 3 for a, b in pairs)
 
 
 @st.composite
 def small_flow_instances(draw):
     """Multigraphs with loops, and conflict pairs with self-pairs and
     duplicates, small enough to enumerate every assignment.  The value
-    lists cover Z2^2 and Z2^3, a zero value, a list the swap does not
-    close, and repeated values."""
-    values = draw(st.sampled_from([(1, 2, 3), tuple(range(1, 8)), (0, 1, 2, 3), (3, 1), (2, 3, 2, 1, 3)]))
+    lists cover Z2^2 and Z2^3, a list the swap does not close, and
+    repeated values."""
+    values = draw(st.sampled_from([(1, 2, 3), tuple(range(1, 8)), (3, 1), (2, 3, 2, 1, 3)]))
     nq = draw(st.integers(1, 3))
     m = draw(st.integers(0, 4 if len(values) > 4 else 6))
     eu = draw(st.lists(st.integers(0, nq - 1), min_size=m, max_size=m))
@@ -190,20 +215,18 @@ class TestFlowOracle:
     @given(small_flow_instances())
     def test_first_and_min_match_enumeration(self, compiled, instance):
         nq, eu, ev, pairs, values = instance
-        depth_of = {e: d for d, e in enumerate(static_order(nq, eu, ev))}
-        flows = [(val, conflict_count(val, pairs, depth_of)) for val in enumerate_flows(nq, eu, ev, values)]
+        flows = [(val, conflict_count(val, pairs)) for val in enumerate_flows(nq, eu, ev, values)]
         clean = [val for val, conf in flows if conf == 0]
         fewest = min(flows, key=lambda fc: fc[1], default=None)  # min keeps the first
 
         results = {}
-        for mode in ("first", "min", "count"):
+        for mode in ("first", "min"):
             results[mode] = _kernels_py.flow_search(nq, eu, ev, pairs, mode, values=values)
             assert compiled.flow_search(nq, eu, ev, pairs, mode, values=values) == results[mode]
-        vals, conf, _nodes, seen = results["first"]
-        assert (vals, conf, seen) == ((clean[0], 0, 1) if clean else (None, 0, 0))
-        vals, conf, _nodes, _seen = results["min"]
+        vals, conf, _nodes = results["first"]
+        assert (vals, conf) == ((clean[0], 0) if clean else (None, 0))
+        vals, conf, _nodes = results["min"]
         assert (vals, conf) == (fewest if fewest else (None, 0))
-        assert results["count"][3] == len(flows)
 
 
 def petersen_with_triangles(vertices):
@@ -237,13 +260,31 @@ class TestColoringParity:
 
 
 class TestBackendSelection:
-    def test_default_is_compiled_here(self):
-        pytest.importorskip("ncflow._kernels", reason="no compiled kernel in the package")
-        from ncflow import kernels
+    """`ncflow.kernels` picks its backend at import, in a fresh process
+    importing a copy of the package."""
 
-        if os.environ.get("NZFLOW_PURE_PYTHON"):
-            pytest.skip("suite forced to pure python")
-        assert kernels.BACKEND == "c"
+    @staticmethod
+    def backend(package_parent, **env_extra):
+        code = "import sys; from ncflow import kernels; print(kernels.BACKEND, 'ctypes' in sys.modules)"
+        env = {k: v for k, v in os.environ.items() if k != "NZFLOW_PURE_PYTHON"}
+        env.update(env_extra, PYTHONPATH=str(package_parent))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, cwd=package_parent, capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
+        return out.stdout.split()
+
+    def test_library_next_to_the_package_is_used(self, kernel_library, tmp_path):
+        package = tmp_path / "ncflow"
+        library_name = Path(kernels.LIBRARY).name
+        shutil.copytree(Path(ncflow.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__", library_name))
+        library = package / library_name
+        assert self.backend(tmp_path) == ["python", "False"]  # no library: ctypes stays unloaded
+        shutil.copyfile(kernel_library, library)
+        assert self.backend(tmp_path) == ["c", "True"]
+        assert self.backend(tmp_path, NZFLOW_PURE_PYTHON="1") == ["python", "False"]
+        library.write_bytes(b"not a shared library\n" * 64)
+        assert self.backend(tmp_path)[0] == "python"
 
     def test_env_var_forces_fallback(self):
         code = "from ncflow import kernels; print(kernels.BACKEND)"
