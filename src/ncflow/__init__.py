@@ -39,7 +39,6 @@ from .graph import (
     is_claw_free,
     is_connected,
     is_cubic,
-    is_cyclically_k_edge_connected,
     three_edge_cuts,
 )
 from .coloring import (

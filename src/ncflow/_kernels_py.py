@@ -47,14 +47,35 @@ def _swap_alpha_beta(x: int) -> int:
     return x ^ 3 if (x ^ x >> 1) & 1 else x
 
 
-def check_search_args(mode: str, values: Sequence[int]) -> None:
+def check_edge_args(n: int, eu: Sequence[int], ev: Sequence[int]) -> None:
+    """Reject an edge list neither backend reads safely: `eu` and `ev` of
+    different lengths (ValueError) or an endpoint outside [0, n)
+    (IndexError, as the C kernels' own check raises)."""
+    if len(eu) != len(ev):
+        raise ValueError("eu and ev must have one entry per edge")
+    if eu and (min(eu) < 0 or min(ev) < 0 or max(eu) >= n or max(ev) >= n):
+        raise IndexError("vertex or edge index out of range")
+
+
+def check_search_args(
+    nq: int,
+    eu: Sequence[int],
+    ev: Sequence[int],
+    conflict_pairs: Sequence[Tuple[int, int]],
+    mode: str,
+    values: Sequence[int],
+) -> None:
     """Reject what neither backend's `flow_search` handles: a mode other
-    than "first" or "min", and the value 0, which both use as the mark of
-    an unvalued edge."""
+    than "first" or "min", the value 0, which both use as the mark of an
+    unvalued edge (ValueError), a bad edge list (`check_edge_args`) and a
+    conflict pair id outside [0, m) (IndexError)."""
     if mode not in ("first", "min"):
         raise ValueError(f"unknown flow search mode {mode!r}")
     if 0 in values:
         raise ValueError("flow values must be non-zero")
+    check_edge_args(nq, eu, ev)
+    if conflict_pairs:  # a pair list is an edge list over the m edges
+        check_edge_args(len(eu), *zip(*conflict_pairs))
 
 
 def flow_search(
@@ -73,7 +94,7 @@ def flow_search(
       "min"   -- flow minimizing the number of conflicts (branch & bound)
 
     Returns (values or None, conflict_count_of_result, nodes_expanded).
-    `values` must not hold 0 (ValueError).
+    Raises as `check_search_args` does on bad arguments.
 
     Edges are valued in a fixed vertex-grouped order, and `steps[depth]`
     holds what the search needs at each depth: the edge, its endpoints,
@@ -101,7 +122,7 @@ def flow_search(
     candidate carries the candidate list of the next free edge: `full` once
     the symmetry is broken, `sym` before.
     """
-    check_search_args(mode, values)
+    check_search_args(nq, eu, ev, conflict_pairs, mode, values)
     if deadline is not None and time.monotonic() > deadline:
         raise SearchTimeout
     m = len(eu)
@@ -254,8 +275,10 @@ def normal_coloring_search(
 
     Endpoints of every edge must have degree 3 for the poor/rich pruning to
     apply; both callers in `ncflow.coloring` reject loops and non-cubic
-    graphs.  Returns (colors, nodes).
+    graphs.  Returns (colors, nodes).  Raises as `check_edge_args` does
+    on a bad edge list.
     """
+    check_edge_args(n, eu, ev)
     if deadline is not None and time.monotonic() > deadline:
         raise SearchTimeout
     m = len(eu)

@@ -17,11 +17,10 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .coloring import chi_n_exact
 from .errors import NcflowError, ResourceLimitError
-from .flows import find_nonconflicting_flow, nonconflicting_for_every_two_factor
+from .flows import matching_verdicts, nonconflicting_for_every_two_factor
 from .formats import parse_any
 from .graph import bridges, is_claw_free, is_cubic
 from .kernels import SearchTimeout
-from .matchings import enumerate_perfect_matchings
 
 MODES = ("nonconflicting", "chi-n", "every-2-factor")
 
@@ -106,9 +105,9 @@ def _run_one(args: Tuple[int, str, str, float]) -> BatchRow:
         if mode == "nonconflicting":
             found = False
             checked = 0
-            for f in enumerate_perfect_matchings(g):
+            for _f, theta in matching_verdicts(g, deadline=deadline):
                 checked += 1
-                if find_nonconflicting_flow(g, f, deadline=deadline) is not None:
+                if theta is not None:
                     found = True
                     break
             row.verdict = "yes" if found else "no"

@@ -21,11 +21,12 @@ from .certificates import Certificate, fingerprint, flow_certificate
 from .coloring import EdgeColoring, chi_n_exact, classify_edge, h_coloring, is_normal
 from .errors import InputError, NcflowError, ResourceLimitError
 from .flows import (
-    even_cycle_flow,
+    _three_colorable_route,
     extract_disjoint_matchings,
     find_nonconflicting_flow,
     klein_bits,
     loop_canonicalize,
+    matching_verdicts,
     min_conflict_flow,
     two_cycle_factor_flow,
 )
@@ -56,7 +57,6 @@ from .matchings import (
     enumerate_perfect_matchings,
     matchings_meeting_all_3cuts_once,
     matchings_through_edge,
-    odd_cycle_count,
 )
 
 EXIT_FOUND = 0
@@ -177,12 +177,8 @@ def _twocycle_route(g: Pseudograph, deadline: float):
 
 
 def _even_route(g: Pseudograph, deadline: float):
-    for f in enumerate_perfect_matchings(g):
-        check_deadline(deadline)
-        tf = complement_two_factor(g, f)
-        if odd_cycle_count(tf) == 0:
-            return f, even_cycle_flow(g, tf), {}
-    return None
+    res = _three_colorable_route(g, deadline)
+    return None if res is None else (res.matching, res.flow, {})
 
 
 _ROUTES = {"clawfree": _clawfree_route, "twocycle": _twocycle_route, "even": _even_route}
@@ -204,14 +200,13 @@ def _cmd_flow(args) -> int:
         # a route that finds nothing has not refuted every matching
         print(f"route {args.construct} found no flow; searching every matching", file=sys.stderr)
         sel = "all"
-    if sel == "all":
-        stream = enumerate_perfect_matchings(g, deadline=deadline)
-    elif sel.startswith("edge="):
+    stream = None  # "all": every perfect matching
+    if sel.startswith("edge="):
         eid = int(sel[5:])
         if not 0 <= eid < g.m or g.is_loop(eid):
             raise InputError(f"--matching {sel}: no non-loop edge {eid}")
         stream = matchings_through_edge(g, eid, deadline=deadline)
-    else:
+    elif sel != "all":
         idx = int(sel)
         picked = []
         if idx >= 0:
@@ -220,9 +215,8 @@ def _cmd_flow(args) -> int:
             raise InputError(f"--matching {sel}: no perfect matching with index {idx}")
         stream = picked
     checked = 0
-    for f in stream:
+    for f, theta in matching_verdicts(g, stream, deadline):
         checked += 1
-        theta = find_nonconflicting_flow(g, f, deadline=deadline)
         if theta is not None:
             return _report_flow(g, f, theta, {}, args.certificate)
     print(f"no non-conflicting flow; matchings checked: {checked}")

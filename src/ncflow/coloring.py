@@ -14,13 +14,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .errors import InputError, NcflowError
 from .flows import FlowAssignment, _conflict_edges, _conserves, _f_edge_positions
-from .graph import (
-    ContractedGraph,
-    Pseudograph,
-    _contract_vertex_set,
-    bridges,
-    is_cubic,
-)
+from .graph import Pseudograph, _contract_vertex_set, bridges, is_cubic
 from .kernels import check_deadline, flow_search, normal_coloring_search
 from .matchings import PerfectMatching, TwoFactor, covered_vertices
 
@@ -238,18 +232,13 @@ class FlowColoringResult:
 
 
 def coloring_from_flow(
-    g: Pseudograph,
-    f: PerfectMatching,
-    tf: TwoFactor,
-    theta: FlowAssignment,
-    h: Optional[ContractedGraph] = None,
+    g: Pseudograph, f: PerfectMatching, tf: TwoFactor, theta: FlowAssignment
 ) -> FlowColoringResult:
-    """Normal 6-edge-coloring from a non-conflicting flow.
+    """Normal 6-edge-coloring from a non-conflicting flow, read on G.
 
     Matching edges carry (0, theta); each 2-factor cycle gets a leading-bit
     seed propagated around it; the resulting 3-bit flow is then collapsed
-    by recoloring (0, beta) as (0, alpha).  `h` is accepted for
-    compatibility and not used: theta is read on G.
+    by recoloring (0, beta) as (0, alpha).
     """
     ids, at = _f_edge_positions(g, f, tf, theta)
     f_value = [theta.values[i] for i in at]

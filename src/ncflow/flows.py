@@ -11,9 +11,9 @@ XOR to 0b11).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import ContractError, InputError, NcflowError, ResourceLimitError
 from .graph import (
@@ -232,17 +232,8 @@ def _is_nonconflicting_flow(
     return _conserves(tf, [vals[i] for i in at]) and not _conflict_edges(g, tf, ids, at, vals)
 
 
-def conflicts(
-    g: Pseudograph,
-    f: PerfectMatching,
-    tf: TwoFactor,
-    theta: FlowAssignment,
-    h: Optional[ContractedGraph] = None,
-) -> ConflictReport:
-    """All conflicting 2-factor edges; symmetric in alpha/beta.
-
-    `h` is accepted for compatibility and not used: theta is read on G.
-    """
+def conflicts(g: Pseudograph, f: PerfectMatching, tf: TwoFactor, theta: FlowAssignment) -> ConflictReport:
+    """All conflicting 2-factor edges; symmetric in alpha/beta; theta is read on G."""
     ids, at = _f_edge_positions(g, f, tf, theta)
     out = _conflict_edges(g, tf, ids, at, theta.values)
     out.sort(key=lambda c: c.fbar_edge)
@@ -294,6 +285,24 @@ def find_nonconflicting_flow(
     """A conflict-free nowhere-zero flow of G/F-bar, or None after exhaustion."""
     theta, conf, _nodes, _tf, _h = _kernel_flow(g, f, "first", deadline)
     return theta if conf == 0 else None
+
+
+def matching_verdicts(
+    g: Pseudograph,
+    matchings: Optional[Iterable[PerfectMatching]] = None,
+    deadline: Optional[float] = None,
+) -> Iterator[Tuple[PerfectMatching, Optional[FlowAssignment]]]:
+    """(F, find_nonconflicting_flow(g, F) or None) for each matching F in turn.
+
+    The one loop behind every exhaustive search over matchings; a caller
+    stops it at the first flow it needs.  `matchings` defaults to every
+    perfect matching of g, enumerated under the same deadline, so the
+    stream raises SearchTimeout even while the searches return at once.
+    """
+    if matchings is None:
+        matchings = enumerate_perfect_matchings(g, deadline=deadline)
+    for f in matchings:
+        yield f, find_nonconflicting_flow(g, f, deadline=deadline)
 
 
 @dataclass(frozen=True)
@@ -386,10 +395,9 @@ def _three_colorable_route(
 def _exhaustive_route(
     g: Pseudograph, deadline: Optional[float]
 ) -> Optional[TwoCycleFlowResult]:
-    for f in enumerate_perfect_matchings(g):
-        theta, conf, _nodes, tf, _h = _kernel_flow(g, f, "first", deadline)
-        if theta is not None and conf == 0:
-            return TwoCycleFlowResult(f, tf, theta, "fallback-exhaustive")
+    for f, theta in matching_verdicts(g, deadline=deadline):
+        if theta is not None:
+            return TwoCycleFlowResult(f, complement_two_factor(g, f), theta, "fallback-exhaustive")
     return None
 
 
@@ -463,17 +471,12 @@ def _two_odd_cycle_route(
                 res = _case1_result(g, f, tf, h, cross, i, j)
                 if res is not None:
                     return res
-    if n >= 5:
+    # n >= 5 and case 1 gave no flow, or n == 3 with links on both sides (case 2a)
+    if n >= 5 or (n1 >= 1 and n2 >= 1):
         res = _three_colorable_route(g, deadline)
-        if res is not None:
-            return res
-        return _exhaustive_route(g, deadline)
-    # n == 3
-    if n1 >= 1 and n2 >= 1:
-        res = _three_colorable_route(g, deadline)
-        if res is not None:
-            return TwoCycleFlowResult(res.matching, res.two_factor, res.flow, "case2a")
-        return _exhaustive_route(g, deadline)
+        if res is None:
+            return _exhaustive_route(g, deadline)
+        return res if n >= 5 else replace(res, branch="case2a")
     if {(n1 > 0), (n2 > 0)} == {True, False}:
         side = 0 if n1 else 1
         res = _case2b(g, tf, cross, us, vs, cyc_of, triangle_side=side, deadline=deadline)
@@ -541,10 +544,7 @@ def _case2b(
     res = _case2b_rewire(g, new_f, tf2, h2, v2, u2, e_u2v2)
     if res is not None:
         return res
-    res = _case2b_recursion(g, tf, tf2, v2, deadline)
-    if res is not None:
-        return res
-    return None
+    return _case2b_recursion(g, tf, tf2, v2, deadline)
 
 
 def _edge_between(
@@ -824,7 +824,7 @@ def extract_disjoint_matchings(
     Returns (alpha_edges, beta_edges) as H5 edge-id tuples; both verified.
     """
     h = contract_two_factor(g, tf)
-    rep = conflicts(g, PerfectMatching(h.edge_origin), tf, theta, h)
+    rep = conflicts(g, PerfectMatching(h.edge_origin), tf, theta)
     if not rep.is_empty():
         raise InputError("flow must be non-conflicting for the extraction")
     if not verify_flow(h, theta):
@@ -884,11 +884,5 @@ def nonconflicting_for_every_two_factor(
     g: Pseudograph, deadline: Optional[float] = None
 ) -> EveryFactorReport:
     """True iff every perfect matching admits a non-conflicting flow."""
-    verdicts = []
-    ok = True
-    for f in enumerate_perfect_matchings(g):
-        theta = find_nonconflicting_flow(g, f, deadline=deadline)
-        good = theta is not None
-        ok = ok and good
-        verdicts.append((f, good))
-    return EveryFactorReport(ok, tuple(verdicts))
+    verdicts = tuple((f, theta is not None) for f, theta in matching_verdicts(g, deadline=deadline))
+    return EveryFactorReport(all(good for _f, good in verdicts), verdicts)

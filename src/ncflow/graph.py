@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-from .errors import ContractError, InputError, ResourceLimitError
+from .errors import ContractError, InputError
 
 INFINITY = float("inf")
 
@@ -123,9 +123,6 @@ class Pseudograph:
                 return False
             seen.add(key)
         return True
-
-    def edge_multiset(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(sorted((u, v) if u <= v else (v, u) for u, v in self.edges))
 
     def __repr__(self) -> str:
         return f"Pseudograph(n={self.n}, m={self.m})"
@@ -409,51 +406,6 @@ def is_claw_free(g: Pseudograph) -> bool:
                 continue
             return False
     return True
-
-
-def _has_cycle_component_count(g: Pseudograph, removed: frozenset) -> int:
-    """Number of components of G - removed that contain a cycle."""
-    count = 0
-    for comp in connected_components(g, removed):
-        comp_set = set(comp)
-        m_comp = sum(
-            1
-            for eid, (u, v) in enumerate(g.edges)
-            if eid not in removed and u in comp_set
-        )
-        if m_comp >= len(comp):
-            count += 1
-    return count
-
-
-_CYCLIC_GUARD = 3_000_000
-
-
-def is_cyclically_k_edge_connected(g: Pseudograph, k: int) -> bool:
-    """Decide cyclic k-edge-connectivity by enumerating cuts of size < k.
-
-    Graphs with no two vertex-disjoint cycle components under any deletion
-    are reported True for every k (documented convention).
-    """
-    if k > 6:
-        raise InputError("k must be at most 6")
-    total = sum(_ncr(g.m, c) for c in range(1, k))
-    if total > _CYCLIC_GUARD:
-        raise ResourceLimitError(f"cyclic connectivity guard: {total} cuts to scan")
-    for c in range(1, k):
-        for cut in itertools.combinations(range(g.m), c):
-            if _has_cycle_component_count(g, frozenset(cut)) >= 2:
-                return False
-    return True
-
-
-def _ncr(n: int, r: int) -> int:
-    if r < 0 or r > n:
-        return 0
-    out = 1
-    for i in range(r):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def is_isomorphic_to_petersen(g: Pseudograph) -> bool:

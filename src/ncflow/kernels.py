@@ -17,7 +17,7 @@ from types import SimpleNamespace
 from typing import Optional
 
 from . import _kernels_py
-from ._kernels_py import SearchTimeout, check_search_args
+from ._kernels_py import SearchTimeout, check_edge_args, check_search_args
 
 LIBRARY = os.path.join(os.path.dirname(__file__), "_kernels.so")
 
@@ -77,7 +77,7 @@ def bind(path: str) -> SimpleNamespace:
 
     def flow_search(nq, eu, ev, conflict_pairs, mode, values=(1, 2, 3), deadline=None):
         """See `_kernels_py.flow_search`; same contract and return shape."""
-        check_search_args(mode, values)
+        check_search_args(nq, eu, ev, conflict_pairs, mode, values)
         seconds = _seconds_left(deadline)
         m, npairs = len(eu), len(conflict_pairs)
         pairs = struct.pack(
@@ -95,6 +95,7 @@ def bind(path: str) -> SimpleNamespace:
 
     def normal_coloring_search(n, eu, ev, k, forbid_abnormal=True, deadline=None):
         """See `_kernels_py.normal_coloring_search`; same contract."""
+        check_edge_args(n, eu, ev)
         seconds = _seconds_left(deadline)
         m = len(eu)
         out, nodes = array("i", [0]) * m, c_nodes()

@@ -58,12 +58,6 @@ class TwoFactor:
     def edge_ids(self) -> FrozenSet[int]:
         return frozenset(e for cyc in self.cycles for e in cyc.edges)
 
-    def cycle_of(self, v: int) -> int:
-        for ci, cyc in enumerate(self.cycles):
-            if v in cyc.vertices:
-                return ci
-        raise KeyError(v)
-
 
 def covered_vertices(g: Pseudograph, edge_ids: Iterable[int]) -> Optional[Set[int]]:
     """The vertices the edges cover, or None when they are not a matching

@@ -129,7 +129,7 @@ def test_01_petersen_negative():
         flows = list(enumerate_nz_flows(h))
         assert 0 < len(flows) <= 3 ** 5
         for theta in flows:
-            assert conflicts(g, f, tf, theta, h).count >= 1
+            assert conflicts(g, f, tf, theta).count >= 1
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
     print(f"ACCEPTANCE 1: PASS — Petersen: 6 matchings, every NZ flow conflicts ({elapsed:.2f}s)")
@@ -149,7 +149,7 @@ def test_02_counterexample_family_l1():
     for f in itertools.islice(enumerate_perfect_matchings(g), 6):
         mc = min_conflict_flow(g, f)
         assert mc is not None and mc.conflict_count >= 1
-        rep = conflicts(g, f, mc.two_factor, mc.flow, mc.contracted)
+        rep = conflicts(g, f, mc.two_factor, mc.flow)
         assert any(
             c.u < 30 and c.v < 30 and c.u // 10 == c.v // 10
             for c in rep.conflicting_edges
@@ -169,7 +169,7 @@ def test_03_even_cycle_fast_path():
             theta = even_cycle_flow(g, tf)
             h = contract_two_factor(g, tf)
             assert verify_flow(h, theta)
-            assert conflicts(g, f, tf, theta, h).is_empty(), name
+            assert conflicts(g, f, tf, theta).is_empty(), name
             if sampled < 50:
                 assert find_nonconflicting_flow(g, f) is not None, name
                 sampled += 1
@@ -181,7 +181,7 @@ def test_04_six_coloring_pipeline():
     flows = _found_flows()
     assert flows
     for g, f, tf, theta, h in flows:
-        res = coloring_from_flow(g, f, tf, theta, h)
+        res = coloring_from_flow(g, f, tf, theta)
         assert res.coloring.k <= 6
         assert is_normal(g, res.coloring).ok
         assert verify_conjecture4_witness(g, res.mu, ALPHA, BETA)
@@ -230,7 +230,7 @@ def test_07_claw_free_every_edge():
                     h = mc.contracted
                     theta = loop_canonicalize(mc.flow, h)
                     assert verify_flow(h, theta)
-                    assert conflicts(g, f, mc.two_factor, theta, h).is_empty()
+                    assert conflicts(g, f, mc.two_factor, theta).is_empty()
                     ok = True
                     break
             assert ok, (g.n, eid)
@@ -252,7 +252,7 @@ def test_08_two_cycle_two_factors():
                 continue
             h = contract_two_factor(g, res.two_factor)
             assert verify_flow(h, res.flow)
-            assert conflicts(g, res.matching, res.two_factor, res.flow, h).is_empty()
+            assert conflicts(g, res.matching, res.two_factor, res.flow).is_empty()
             assert find_nonconflicting_flow(g, res.matching) is not None  # oracle
             branches.add(res.branch)
             instances += 1
@@ -264,7 +264,7 @@ def test_08_two_cycle_two_factors():
         assert res is not None
         h = contract_two_factor(g, res.two_factor)
         assert verify_flow(h, res.flow)
-        assert conflicts(g, res.matching, res.two_factor, res.flow, h).is_empty()
+        assert conflicts(g, res.matching, res.two_factor, res.flow).is_empty()
         assert find_nonconflicting_flow(g, res.matching) is not None
         branches.add(res.branch)
         chorded += 1

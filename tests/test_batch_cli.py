@@ -10,7 +10,8 @@ import pytest
 
 from ncflow.batch import run_batch
 from ncflow.cli import main
-from ncflow.formats import encode_graph6, encode_sparse6
+from ncflow.flows import nonconflicting_for_every_two_factor
+from ncflow.formats import encode_graph6, encode_sparse6, parse_any
 from ncflow.generators import (
     counterexample_family,
     fig3_graph,
@@ -22,6 +23,8 @@ from ncflow.generators import (
     triangle_replace_all,
 )
 from ncflow.graph import build_graph
+from ncflow.kernels import SearchTimeout
+from ncflow.matchings import enumerate_perfect_matchings
 
 from conftest import small_corpus
 
@@ -66,6 +69,65 @@ class TestRunBatch:
     def test_blank_lines_ignored(self):
         rep = run_batch(["", encode_graph6(k4()), "  \n"], "chi-n")
         assert len(rep.rows) == 1
+
+
+@pytest.fixture
+def searches_return_at_once(monkeypatch):
+    """find_nonconflicting_flow answers None at once, at every binding, so
+    only the matching stream's own deadline check can stop a long search."""
+    import ncflow
+    from ncflow import batch, cli, flows
+
+    for mod in (ncflow, flows, batch, cli):
+        monkeypatch.setattr(mod, "find_nonconflicting_flow", lambda *a, **kw: None, raising=False)
+
+
+class TestOneVerdictStream:
+    """Every exhaustive search over matchings goes through flows.matching_verdicts."""
+
+    def test_every_two_factor_honours_the_deadline(self, searches_return_at_once):
+        # counterexample_family(3) has 294,912 perfect matchings
+        g = counterexample_family(3)
+        start = time.monotonic()
+        with pytest.raises(SearchTimeout):
+            nonconflicting_for_every_two_factor(g, deadline=start + 0.5)
+        assert time.monotonic() - start < 3
+
+    @pytest.mark.parametrize("mode", ["nonconflicting", "every-2-factor"])
+    def test_batch_searches_honour_the_deadline(self, searches_return_at_once, mode):
+        start = time.monotonic()
+        [row] = run_batch(lines_for(counterexample_family(3)), mode, timeout_secs=0.5).rows
+        assert row.error == "timeout"
+        assert time.monotonic() - start < 3
+
+    def test_entry_points_agree(self, corpus16, capsys):
+        """The CLI, batch `nonconflicting` and batch `every-2-factor` give
+        one verdict per graph, with the same matching counts."""
+        graphs = [g for _name, g in corpus16] + [counterexample_family(1)]
+        lines = lines_for(*graphs)
+        search = run_batch(lines, "nonconflicting").rows
+        every = run_batch(lines, "every-2-factor").rows
+        negatives = 0
+        for line, row, all_row in zip(lines, search, every):
+            # edge ids are those of the parsed literal, as the CLI and batch see them
+            matchings = list(enumerate_perfect_matchings(parse_any(line)))
+            checked = row.detail["matchings_checked"]
+            code = main(["flow", "search", line])
+            out = capsys.readouterr().out
+            assert code == (1 if row.verdict == "no" else 0), line
+            if code == 1:
+                negatives += 1
+                assert f"matchings checked: {len(matchings)}" in out
+                assert checked == len(matchings)
+                assert all_row.verdict == "no"
+            else:
+                # the CLI reports the matching at which batch stopped
+                stopped_at = " ".join(map(str, matchings[checked - 1].edge_ids))
+                assert f"matching: {stopped_at}\n" in out
+            assert all_row.detail["matchings"] == len(matchings)
+            if all_row.verdict == "yes":
+                assert row.verdict == "yes" and checked == 1
+        assert negatives == 3  # petersen, perm5-shift2 and counterexample_family(1)
 
 
 class TestCliExitCodes:
@@ -140,8 +202,9 @@ class TestCliExitCodes:
         # with searches that return at once, only the matching streams of
         # counterexample_family(3) (294,912 matchings) can run long
         import ncflow.cli as cli
+        import ncflow.flows as flows
 
-        monkeypatch.setattr(cli, "find_nonconflicting_flow", lambda *a, **kw: None)
+        monkeypatch.setattr(flows, "find_nonconflicting_flow", lambda *a, **kw: None)
         monkeypatch.setattr(cli, "min_conflict_flow", lambda *a, **kw: None)
         monkeypatch.setenv("NZFLOW_TIMEOUT_SECS", "0.5")
         [literal] = lines_for(counterexample_family(3))

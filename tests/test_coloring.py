@@ -242,7 +242,7 @@ class TestColoringFromFlow:
         for name, g, f, theta in self._cases():
             tf = complement_two_factor(g, f)
             h = contract_two_factor(g, tf)
-            res = coloring_from_flow(g, f, tf, theta, h)
+            res = coloring_from_flow(g, f, tf, theta)
             c = res.coloring
             assert c.k == 6
             assert is_normal(g, c).ok, name
@@ -267,9 +267,9 @@ class TestColoringFromFlow:
         tf = complement_two_factor(g, f)
         h = contract_two_factor(g, tf)
         theta = next(enumerate_nz_flows(h))
-        assert not conflicts(g, f, tf, theta, h).is_empty()
+        assert not conflicts(g, f, tf, theta).is_empty()
         with pytest.raises(InputError):
-            coloring_from_flow(g, f, tf, theta, h)
+            coloring_from_flow(g, f, tf, theta)
 
 
 class TestZ2CubedColoring:

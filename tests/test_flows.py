@@ -163,7 +163,7 @@ class TestConflicts:
             tf, h = contraction_of(g, f)
             theta = FlowAssignment((ALPHA_BETA,) * h.quotient.m)
             if verify_flow(h, theta):
-                assert conflicts(g, f, tf, theta, h).is_empty(), name
+                assert conflicts(g, f, tf, theta).is_empty(), name
 
     def test_triangle_remark(self):
         # a 2-factor triangle whose three matching edges carry alpha, beta,
@@ -182,7 +182,7 @@ class TestConflicts:
                         if eid in f.as_set():
                             owner_vals.add(theta.values[h.origin_inverse[eid]])
                 if owner_vals == {ALPHA, BETA, ALPHA_BETA}:
-                    rep = conflicts(g, f, tf, theta, h)
+                    rep = conflicts(g, f, tf, theta)
                     on_tri = [c for c in rep.conflicting_edges if c.fbar_edge in tri[0].edges]
                     assert len(on_tri) == 1
                     return
@@ -193,7 +193,7 @@ class TestConflicts:
         for f in enumerate_perfect_matchings(g):
             tf, h = contraction_of(g, f)
             for theta in enumerate_nz_flows(h):
-                assert not conflicts(g, f, tf, theta, h).is_empty()
+                assert not conflicts(g, f, tf, theta).is_empty()
 
     def test_alpha_beta_swap_invariance(self):
         swap = {ALPHA: BETA, BETA: ALPHA, ALPHA_BETA: ALPHA_BETA}
@@ -202,8 +202,8 @@ class TestConflicts:
         tf, h = contraction_of(g, f)
         for theta in itertools.islice(enumerate_nz_flows(h), 10):
             swapped = FlowAssignment(tuple(swap[v] for v in theta.values))
-            a = [c.fbar_edge for c in conflicts(g, f, tf, theta, h).conflicting_edges]
-            b = [c.fbar_edge for c in conflicts(g, f, tf, swapped, h).conflicting_edges]
+            a = [c.fbar_edge for c in conflicts(g, f, tf, theta).conflicting_edges]
+            b = [c.fbar_edge for c in conflicts(g, f, tf, swapped).conflicting_edges]
             assert a == b
 
     def test_matching_other_than_the_complement_rejected(self):
@@ -212,7 +212,7 @@ class TestConflicts:
         tf, h = contraction_of(g, f)
         theta = FlowAssignment((ALPHA_BETA,) * h.quotient.m)
         with pytest.raises(ContractError):
-            conflicts(g, other, tf, theta, h)
+            conflicts(g, other, tf, theta)
 
     def test_unsorted_complement_accepted(self):
         g = petersen()
@@ -220,14 +220,14 @@ class TestConflicts:
         tf, h = contraction_of(g, f)
         theta = next(enumerate_nz_flows(h))
         backwards = PerfectMatching(tuple(reversed(f.edge_ids)))
-        assert conflicts(g, backwards, tf, theta, h) == conflicts(g, f, tf, theta, h)
+        assert conflicts(g, backwards, tf, theta) == conflicts(g, f, tf, theta)
 
     def test_report_contents(self):
         g = petersen()
         f = next(enumerate_perfect_matchings(g))
         tf, h = contraction_of(g, f)
         theta = next(enumerate_nz_flows(h))
-        for c in conflicts(g, f, tf, theta, h).conflicting_edges:
+        for c in conflicts(g, f, tf, theta).conflicting_edges:
             assert {c.value_u, c.value_v} == {ALPHA, BETA}
             assert c.u in g.endpoints(c.fbar_edge) and c.v in g.endpoints(c.fbar_edge)
             assert c.f_edge_u in f.as_set() and c.f_edge_v in f.as_set()
@@ -254,7 +254,7 @@ def contracted_conflicts(g, f, tf, theta):
 
 
 def check_read_on_g(g, f, theta):
-    """conflicts and coloring_from_flow without h agree with the quotient."""
+    """conflicts and coloring_from_flow, read on G, agree with the quotient."""
     tf, h = contraction_of(g, f)
     ref = contracted_conflicts(g, f, tf, theta)
     assert conflicts(g, f, tf, theta) == ref
@@ -331,7 +331,7 @@ class TestFindNonconflicting:
             assert theta is not None
             tf, h = contraction_of(g, f)
             assert verify_flow(h, theta)
-            assert conflicts(g, f, tf, theta, h).is_empty()
+            assert conflicts(g, f, tf, theta).is_empty()
 
     def test_petersen_absent_for_all_matchings(self):
         g = petersen()
@@ -371,7 +371,7 @@ class TestMinConflict:
         f = next(enumerate_perfect_matchings(g))
         tf, h = contraction_of(g, f)
         oracle = min(
-            conflicts(g, f, tf, th, h).count for th in enumerate_nz_flows(h)
+            conflicts(g, f, tf, th).count for th in enumerate_nz_flows(h)
         )
         assert min_conflict_flow(g, f).conflict_count == oracle
 
@@ -387,7 +387,7 @@ class TestEvenCycleFlow:
                 assert set(theta.values) == {ALPHA_BETA}
                 h = contract_two_factor(g, tf)
                 assert verify_flow(h, theta)
-                assert conflicts(g, f, tf, theta, h).is_empty(), name
+                assert conflicts(g, f, tf, theta).is_empty(), name
 
     def test_odd_cycle_rejected(self):
         g = petersen()
@@ -407,8 +407,8 @@ class TestLoopCanonicalize:
                 if u == v:
                     assert canon.values[eid] == ALPHA_BETA
             assert verify_flow(h, canon)
-            before = conflicts(g, f, tf, theta, h).count
-            after = conflicts(g, f, tf, canon, h).count
+            before = conflicts(g, f, tf, theta).count
+            after = conflicts(g, f, tf, canon).count
             assert after <= before
 
     def test_no_loops_is_identity(self):
@@ -423,7 +423,7 @@ class TestTwoCycleTheorem:
     def _check(self, g, res):
         tf, h = res.two_factor, contract_two_factor(g, res.two_factor)
         assert verify_flow(h, res.flow)
-        assert conflicts(g, res.matching, tf, res.flow, h).is_empty()
+        assert conflicts(g, res.matching, tf, res.flow).is_empty()
         # oracle: exhaustive search agrees a flow exists for that matching
         assert find_nonconflicting_flow(g, res.matching) is not None
 
@@ -556,7 +556,7 @@ class TestDisjointMatchingExtraction:
         h = contract_two_factor(g, tf)
         f = PerfectMatching(tuple(sorted(set(range(g.m)) - tf.edge_ids())))
         for theta in enumerate_nz_flows(h):
-            if not conflicts(g, f, tf, theta, h).is_empty():
+            if not conflicts(g, f, tf, theta).is_empty():
                 with pytest.raises(InputError):
                     extract_disjoint_matchings(h5, g, tf, theta)
                 return

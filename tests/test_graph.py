@@ -28,7 +28,6 @@ from ncflow.graph import (
     is_claw_free,
     is_connected,
     is_cubic,
-    is_cyclically_k_edge_connected,
     is_isomorphic_to_petersen,
     three_edge_cuts,
 )
@@ -296,24 +295,6 @@ class TestClawFree:
 
         for name, g in small_corpus():
             assert is_claw_free(g) == oracle(g), name
-
-
-class TestCyclicConnectivity:
-    def test_petersen_is_cyclically_five_connected(self):
-        g = petersen()
-        for k in range(1, 6):
-            assert is_cyclically_k_edge_connected(g, k)
-        assert not is_cyclically_k_edge_connected(g, 6)
-
-    def test_k4_has_no_disjoint_cycles(self):
-        # nothing can separate two cycle-containing parts: vacuously true
-        for k in range(1, 7):
-            assert is_cyclically_k_edge_connected(k4(), k)
-
-    def test_two_cut_ring_fails_at_three(self):
-        g = ring_of_diamonds(2)
-        assert is_cyclically_k_edge_connected(g, 2)
-        assert not is_cyclically_k_edge_connected(g, 3)
 
 
 class TestPetersenRecognition:

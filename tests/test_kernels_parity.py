@@ -140,6 +140,35 @@ class TestFlowParity:
             with pytest.raises(IndexError):
                 impl.normal_coloring_search(2, [0, 0, 1], [1, 1, 2], 3)
 
+    @pytest.mark.parametrize("bad", [-1, -2, 2, 7])
+    def test_every_vertex_id_is_range_checked_in_both(self, bad, compiled):
+        # a negative id would index Python lists from the end
+        for impl in (_kernels_py, compiled):
+            for mode in ("first", "min"):
+                with pytest.raises(IndexError):
+                    impl.flow_search(2, [0, 0, bad], [1, 1, 0], [], mode)
+                with pytest.raises(IndexError):
+                    impl.flow_search(2, [0, 0, 1], [1, bad, 0], [], mode)
+            with pytest.raises(IndexError):
+                impl.normal_coloring_search(2, [bad, 0, 0], [1, 1, 1], 3)
+            with pytest.raises(IndexError):
+                impl.normal_coloring_search(2, [0, 0, 0], [1, 1, bad], 3)
+
+    @pytest.mark.parametrize("pair", [(-1, 0), (0, -3), (3, 0), (1, 9)])
+    def test_every_conflict_pair_id_is_range_checked_in_both(self, pair, compiled):
+        for impl in (_kernels_py, compiled):
+            for mode in ("first", "min"):
+                with pytest.raises(IndexError):
+                    impl.flow_search(2, [0, 0, 1], [1, 1, 0], [(0, 1), pair], mode)
+
+    def test_edge_lists_of_different_lengths_raise_in_both(self, compiled):
+        # C would read past the end of the shorter array
+        for impl in (_kernels_py, compiled):
+            with pytest.raises(ValueError):
+                impl.flow_search(2, [0, 0, 1], [1, 1], [], "first")
+            with pytest.raises(ValueError):
+                impl.normal_coloring_search(2, [0, 0], [1, 1, 1], 3)
+
 
 def static_order(nq, eu, ev):
     """The kernels' edge order: vertex by vertex, each vertex's incident

@@ -1,0 +1,89 @@
+"""Source hygiene of the package, checked with `ast` (no linter needed).
+
+* No `assert` statement: `python -O` strips them, so a result check
+  written as one would silently stop checking.
+* No import that the module never uses.  `__init__.py` is exempt, since
+  its imports are the public re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import ncflow
+
+SOURCES = sorted(Path(ncflow.__file__).parent.glob("*.py"))
+
+
+def _names_in(node) -> set:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def _used_names(tree: ast.Module) -> set:
+    """Every name read in the module, including the names inside string
+    annotations (`-> "Pseudograph"`) and those listed in `__all__`."""
+    used = _names_in(tree)
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for ann in filter(None, annotations):
+        for const in ast.walk(ann):
+            if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                used |= _names_in(ast.parse(const.value, mode="eval"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return used
+
+
+def unused_imports(tree: ast.Module) -> list:
+    """(line, name) of each imported name the module never reads."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.append((node.lineno, alias.asname or alias.name.split(".")[0]))
+    used = _used_names(tree)
+    return [(line, name) for line, name in imported if name not in used]
+
+
+def asserts(tree: ast.Module) -> list:
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert asserts(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_no_unused_imports(path):
+    assert unused_imports(ast.parse(path.read_text())) == []
+
+
+class TestTheChecksThemselves:
+    def test_flags_an_assert(self):
+        assert asserts(ast.parse("def f(x):\n    assert x\n")) == [2]
+
+    def test_flags_an_unused_import(self):
+        src = "from typing import Optional, Tuple\nimport os\n\ndef f() -> Tuple:\n    return ()\n"
+        assert unused_imports(ast.parse(src)) == [(1, "Optional"), (2, "os")]
+
+    def test_counts_string_annotations_all_and_attributes_as_uses(self):
+        src = (
+            "import os.path\nfrom x import A, B\n__all__ = ['B']\n\n"
+            "def f() -> 'A':\n    return os.path.sep\n"
+        )
+        assert unused_imports(ast.parse(src)) == []
