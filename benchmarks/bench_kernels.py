@@ -61,7 +61,7 @@ def kernel_args(g, f):
     tf = complement_two_factor(g, f)
     h = contract_two_factor(g, tf)
     q = h.quotient
-    return q.n, [e[0] for e in q.edges], [e[1] for e in q.edges], _conflict_pairs(g, tf, h)
+    return q.n, [e[0] for e in q.edges], [e[1] for e in q.edges], *_conflict_pairs(g, tf, h)
 
 
 def min_cases():
@@ -107,15 +107,15 @@ def show(label, bname, secs, nodes, tag):
 
 def main():
     print(f"{'case':<28}{'backend':<10}{'seconds':>12}{'nodes':>12}{'result':>10}")
-    for label, (nq, eu, ev, pairs) in min_cases():
-        rows = compare(label, lambda impl: impl.flow_search(nq, eu, ev, pairs, "min"))
+    for label, args in min_cases():
+        rows = compare(label, lambda impl: impl.flow_search(*args, "min"))
         for bname, secs, (_vals, conf, nodes) in rows:
             show(label, bname, secs, nodes, f"conf={conf}")
     quotients = family2_quotients()
     label = f"family-l2/first x{len(quotients)}"
     totals = [(bname, 0.0, 0) for bname, _impl in BACKENDS]
-    for nq, eu, ev, pairs in quotients:
-        rows = compare(label, lambda impl: impl.flow_search(nq, eu, ev, pairs, "first"))
+    for args in quotients:
+        rows = compare(label, lambda impl: impl.flow_search(*args, "first"))
         for i, (bname, secs, (vals, conf, nodes)) in enumerate(rows):
             if vals is not None and conf == 0:
                 raise SystemExit(f"{label}: {bname} found a flow on the negative family")

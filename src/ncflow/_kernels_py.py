@@ -61,33 +61,37 @@ def check_search_args(
     nq: int,
     eu: Sequence[int],
     ev: Sequence[int],
-    conflict_pairs: Sequence[Tuple[int, int]],
+    first: Sequence[int],
+    second: Sequence[int],
     mode: str,
     values: Sequence[int],
 ) -> None:
     """Reject what neither backend's `flow_search` handles: a mode other
     than "first" or "min", the value 0, which both use as the mark of an
-    unvalued edge (ValueError), a bad edge list (`check_edge_args`) and a
-    conflict pair id outside [0, m) (IndexError)."""
+    unvalued edge (ValueError), and a bad edge list or conflict pair list
+    (`check_edge_args`: the pairs are an edge list over the m edges)."""
     if mode not in ("first", "min"):
         raise ValueError(f"unknown flow search mode {mode!r}")
     if 0 in values:
         raise ValueError("flow values must be non-zero")
     check_edge_args(nq, eu, ev)
-    if conflict_pairs:  # a pair list is an edge list over the m edges
-        check_edge_args(len(eu), *zip(*conflict_pairs))
+    check_edge_args(len(eu), first, second)
 
 
 def flow_search(
     nq: int,
     eu: Sequence[int],
     ev: Sequence[int],
-    conflict_pairs: Sequence[Tuple[int, int]],
+    first: Sequence[int],
+    second: Sequence[int],
     mode: str,
     values: Sequence[int] = (1, 2, 3),
     deadline: Optional[float] = None,
 ) -> Tuple[Optional[List[int]], int, int]:
     """Search nowhere-zero flows with XOR conservation at every vertex.
+
+    Conflict pair i is (first[i], second[i]): two edge ids whose values
+    conflict when they are alpha + beta apart.
 
     mode:
       "first" -- first flow with zero conflicts (prunes on any conflict)
@@ -122,7 +126,7 @@ def flow_search(
     candidate carries the candidate list of the next free edge: `full` once
     the symmetry is broken, `sym` before.
     """
-    check_search_args(nq, eu, ev, conflict_pairs, mode, values)
+    check_search_args(nq, eu, ev, first, second, mode, values)
     if deadline is not None and time.monotonic() > deadline:
         raise SearchTimeout
     m = len(eu)
@@ -148,7 +152,7 @@ def flow_search(
         if eu[e] != ev[e]:
             last[eu[e]] = last[ev[e]] = d
     earlier: List[List[int]] = [[] for _ in range(m)]
-    for a, b in conflict_pairs:
+    for a, b in zip(first, second):
         if depth_of[a] < depth_of[b]:
             earlier[b].append(a)
         elif depth_of[b] < depth_of[a]:
@@ -214,7 +218,7 @@ def flow_search(
         return None, 0, nodes
 
     best_val: Optional[List[int]] = None
-    best_conf = len(conflict_pairs) + 1
+    best_conf = len(first) + 1
 
     def rec(depth: int, conf: int, free: list) -> None:
         nonlocal nodes, best_val, best_conf

@@ -16,7 +16,7 @@ import time
 from typing import List, Optional
 
 from . import __version__
-from .batch import graph_timeout, run_batch
+from .batch import MODES, graph_timeout, run_batch
 from .certificates import Certificate, fingerprint, flow_certificate
 from .coloring import EdgeColoring, chi_n_exact, classify_edge, h_coloring, is_normal
 from .errors import InputError, NcflowError, ResourceLimitError
@@ -50,7 +50,7 @@ from .generators import (
     string_gadget,
 )
 from .graph import Pseudograph, is_cubic, three_edge_cuts
-from .kernels import SearchTimeout, check_deadline
+from .kernels import SearchTimeout
 from .matchings import (
     PerfectMatching,
     complement_two_factor,
@@ -166,8 +166,7 @@ def _clawfree_route(g: Pseudograph, deadline: float):
 
 
 def _twocycle_route(g: Pseudograph, deadline: float):
-    for f in enumerate_perfect_matchings(g):
-        check_deadline(deadline)
+    for f in enumerate_perfect_matchings(g, deadline=deadline):
         tf = complement_two_factor(g, f)
         if len(tf.cycles) <= 2:
             res = two_cycle_factor_flow(g, tf, deadline=deadline)
@@ -364,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ba = sub.add_parser("batch", help="run a corpus file")
     ba.add_argument("corpus")
-    ba.add_argument("--mode", required=True, choices=("nonconflicting", "chi-n", "every-2-factor"))
+    ba.add_argument("--mode", required=True, choices=MODES)
     ba.add_argument("--jobs", type=int, default=1)
     ba.add_argument("--report")
     ba.set_defaults(func=_cmd_batch)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .errors import InputError, NcflowError
-from .flows import FlowAssignment, _conflict_edges, _conserves, _f_edge_positions
+from .flows import FlowAssignment, _conflict_edges, _conserves, _f_edge_positions, _xor_balanced
 from .graph import Pseudograph, _contract_vertex_set, bridges, is_cubic
 from .kernels import check_deadline, flow_search, normal_coloring_search
 from .matchings import PerfectMatching, TwoFactor, covered_vertices
@@ -211,13 +211,7 @@ class Z2CubedFlow:
 def verify_z2cubed_flow(g: Pseudograph, mu: Z2CubedFlow) -> bool:
     if len(mu.values) != g.m:
         raise InputError("flow does not cover every edge")
-    acc = [0] * g.n
-    for eid, (u, v) in enumerate(g.edges):
-        if u == v:
-            continue
-        acc[u] ^= mu.values[eid]
-        acc[v] ^= mu.values[eid]
-    return all(a == 0 for a in acc)
+    return _xor_balanced(g, mu.values)
 
 
 # palette order for 6-colorings built from flows: alpha+beta before alpha,
@@ -301,7 +295,7 @@ def z2cubed_flow_coloring(
     eu = [e[0] for e in g.edges]
     ev = [e[1] for e in g.edges]
     vals, _conf, _nodes = flow_search(
-        g.n, eu, ev, [], "first", values=tuple(range(1, 8)), deadline=deadline
+        g.n, eu, ev, [], [], "first", values=tuple(range(1, 8)), deadline=deadline
     )
     if vals is None:
         raise InputError("no nowhere-zero Z2^3 flow found")

@@ -20,11 +20,11 @@ from .graph import (
     ContractedGraph,
     Pseudograph,
     _contract_vertex_set,
-    _two_factor_marks,
+    _two_factor_index,
     contract_two_factor,
     is_isomorphic_to_petersen,
 )
-from .kernels import check_deadline, flow_search
+from .kernels import flow_search
 from .matchings import (
     Cycle,
     PerfectMatching,
@@ -99,18 +99,22 @@ class ConflictReport:
         return not self.conflicting_edges
 
 
+def _xor_balanced(g: Pseudograph, values: Sequence[int]) -> bool:
+    """The edge values, one per edge of g, XOR to zero at every vertex;
+    a loop meets its vertex twice and cancels."""
+    acc = [0] * g.n
+    for x, (u, v) in zip(values, g.edges):
+        if u != v:
+            acc[u] ^= x
+            acc[v] ^= x
+    return not any(acc)
+
+
 def verify_flow(h: ContractedGraph, theta: FlowAssignment) -> bool:
     """Conservation at every quotient vertex; loops cancel themselves."""
-    q = h.quotient
-    if len(theta.values) != q.m:
+    if len(theta.values) != h.quotient.m:
         raise InputError("flow assignment does not cover every quotient edge")
-    acc = [0] * q.n
-    for eid, (u, v) in enumerate(q.edges):
-        if u == v:
-            continue
-        acc[u] ^= theta.values[eid]
-        acc[v] ^= theta.values[eid]
-    return all(a == 0 for a in acc)
+    return _xor_balanced(h.quotient, theta.values)
 
 
 def enumerate_nz_flows(h: ContractedGraph) -> Iterator[FlowAssignment]:
@@ -167,27 +171,16 @@ def _f_edge_positions(
     contract_two_factor numbers the quotient edges in G's id order, so the
     F-edge at position i is quotient edge i and carries theta.values[i]:
     a flow on G/F-bar can be read on G without building the quotient.
-    Raises ContractError unless the cycles of F-bar cover G once and F,
-    each id listed once, is the perfect matching complementary to F-bar,
-    and InputError unless theta has one value per quotient edge.
+    Raises ContractError as `_two_factor_index` does, and when F is not
+    the matching off F-bar with each id listed once; InputError unless
+    theta has one value per quotient edge.
     """
-    _vertex_cycle, on_cycle = _two_factor_marks(g, tf.cycles)
-    if len(theta.values) != on_cycle.count(False):
+    _vertex_cycle, ids, at = _two_factor_index(g, tf.cycles)
+    if len(theta.values) != len(ids):
         raise InputError("flow does not match the contraction of this 2-factor")
-    ids = sorted(f.edge_ids)
-    edges, m = g.edges, g.m
-    at = [-1] * g.n
-    for i, eid in enumerate(ids):
-        if not 0 <= eid < m or on_cycle[eid]:
-            break
-        u, v = edges[eid]
-        if u == v or at[u] != -1 or at[v] != -1:
-            break
-        at[u] = at[v] = i
-    else:
-        if len(ids) == len(theta.values) and -1 not in at:
-            return ids, at
-    raise ContractError("matching is not the perfect-matching complement of this 2-factor")
+    if sorted(f.edge_ids) != ids:
+        raise ContractError("matching is not the perfect-matching complement of this 2-factor")
+    return ids, at
 
 
 def _conserves(tf: TwoFactor, f_value: Sequence[int]) -> bool:
@@ -240,15 +233,13 @@ def conflicts(g: Pseudograph, f: PerfectMatching, tf: TwoFactor, theta: FlowAssi
     return ConflictReport(tuple(out))
 
 
-def _conflict_pairs(g: Pseudograph, tf: TwoFactor, h: ContractedGraph) -> List[Tuple[int, int]]:
-    """Quotient-edge pairs whose values XOR to alpha+beta iff a conflict exists."""
+def _conflict_pairs(g: Pseudograph, tf: TwoFactor, h: ContractedGraph) -> Tuple[List[int], List[int]]:
+    """Quotient-edge pairs whose values XOR to alpha+beta iff a conflict
+    exists, one per 2-factor edge, as the kernels take them: the first
+    edge of every pair, then the second."""
     at = h.matching_edge_at
-    pairs = []
-    for cyc in tf.cycles:
-        for eid in cyc.edges:
-            u, v = g.endpoints(eid)
-            pairs.append((at[u], at[v]))
-    return pairs
+    ends = [g.edges[eid] for cyc in tf.cycles for eid in cyc.edges]
+    return [at[u] for u, _ in ends], [at[v] for _, v in ends]
 
 
 def _kernel_flow(
@@ -267,7 +258,7 @@ def _kernel_flow(
     eu = [e[0] for e in q.edges]
     ev = [e[1] for e in q.edges]
     vals, conf, nodes = flow_search(
-        q.n, eu, ev, _conflict_pairs(g, tf, h), mode, deadline=deadline
+        q.n, eu, ev, *_conflict_pairs(g, tf, h), mode, deadline=deadline
     )
     if vals is None:
         return None, conf, nodes, tf, h
@@ -384,8 +375,7 @@ def _three_colorable_route(
     g: Pseudograph, deadline: Optional[float]
 ) -> Optional[TwoCycleFlowResult]:
     """First matching whose complement has only even cycles, with the constant flow."""
-    for f in enumerate_perfect_matchings(g):
-        check_deadline(deadline)
+    for f in enumerate_perfect_matchings(g, deadline=deadline):
         tf = complement_two_factor(g, f)
         if odd_cycle_count(tf) == 0:
             return TwoCycleFlowResult(f, tf, even_cycle_flow(g, tf), "case1-3ec")
@@ -731,7 +721,7 @@ def _case2b_recursion(
     inv2 = {old: new for new, old in emap2.items()}
     t_h2 = inv2[t_g]
     j_match = None
-    for jm in matchings_through_edge(h2, t_h2):
+    for jm in matchings_through_edge(h2, t_h2, deadline=deadline):
         tf_j = complement_two_factor(h2, jm)
         if odd_cycle_count(tf_j) == 0:
             j_match = jm

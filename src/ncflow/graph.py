@@ -238,7 +238,7 @@ class ContractedGraph:
     """Quotient G / F-bar with the edge-identity bridge back to G.
 
     quotient          -- pseudograph on one vertex per 2-factor cycle
-    matching_edge_at  -- G-vertex -> quotient edge at it (-1 if none)
+    matching_edge_at  -- G-vertex -> quotient edge at it
     edge_origin       -- quotient edge id -> source edge id in G
     origin_inverse    -- source edge id -> quotient edge id
     vertex_cycle      -- G-vertex -> quotient vertex
@@ -251,11 +251,14 @@ class ContractedGraph:
     vertex_cycle: Tuple[int, ...]
 
 
-def _two_factor_marks(g: Pseudograph, cycles) -> Tuple[List[int], List[bool]]:
-    """(G-vertex -> index of its 2-factor cycle, edge id -> on some cycle).
+def _two_factor_index(g: Pseudograph, cycles) -> Tuple[List[int], List[int], List[int]]:
+    """(G-vertex -> index of its cycle, the off-cycle edge ids in id order,
+    G-vertex -> position of its off-cycle edge in that list).
 
-    Raises ContractError unless the cycles cover every vertex exactly once
-    and use edges of G only.
+    The off-cycle edges are F for the 2-factor F-bar, and position i is
+    quotient edge i of G/F-bar.  Raises ContractError unless the cycles
+    cover every vertex exactly once, use edges of G only, and leave a
+    perfect matching of G off the cycles.
     """
     m = g.m
     vertex_cycle = [-1] * g.n
@@ -271,34 +274,34 @@ def _two_factor_marks(g: Pseudograph, cycles) -> Tuple[List[int], List[bool]]:
             on_cycle[eid] = True
     if -1 in vertex_cycle:
         raise ContractError("2-factor does not cover all vertices")
-    return vertex_cycle, on_cycle
+    ids = [eid for eid in range(m) if not on_cycle[eid]]
+    at = [-1] * g.n
+    edges = g.edges
+    for i, eid in enumerate(ids):
+        u, v = edges[eid]
+        at[u] = at[v] = i
+    # n endpoints (a loop's two included) reach all n vertices only when
+    # each vertex is the end of exactly one edge
+    if 2 * len(ids) != g.n or -1 in at:
+        raise ContractError("the edges off the 2-factor are not a perfect matching")
+    return vertex_cycle, ids, at
 
 
 def contract_two_factor(g: Pseudograph, two_factor) -> ContractedGraph:
     """Collapse each cycle of the 2-factor; the quotient edges are the F-edges.
 
     Quotient edges are numbered in G's edge-id order.  Chords (F-edges with
-    both endpoints on one cycle) become loops.
+    both endpoints on one cycle) become loops.  Raises ContractError as
+    `_two_factor_index` does.
     """
-    vertex_cycle, on_cycle = _two_factor_marks(g, two_factor.cycles)
-    q_edges: List[Tuple[int, int]] = []
-    origin: List[int] = []
-    inv: Dict[int, int] = {}
-    at = [-1] * g.n
-    for eid, (u, v) in enumerate(g.edges):
-        if on_cycle[eid]:
-            continue
-        qe = len(origin)
-        q_edges.append((vertex_cycle[u], vertex_cycle[v]))
-        origin.append(eid)
-        inv[eid] = qe
-        at[u] = at[v] = qe
-    quotient = Pseudograph._trusted(len(two_factor.cycles), tuple(q_edges))
+    vertex_cycle, ids, at = _two_factor_index(g, two_factor.cycles)
+    edges = g.edges
+    q_edges = tuple((vertex_cycle[edges[eid][0]], vertex_cycle[edges[eid][1]]) for eid in ids)
     return ContractedGraph(
-        quotient=quotient,
+        quotient=Pseudograph._trusted(len(two_factor.cycles), q_edges),
         matching_edge_at=tuple(at),
-        edge_origin=tuple(origin),
-        origin_inverse=inv,
+        edge_origin=tuple(ids),
+        origin_inverse={eid: i for i, eid in enumerate(ids)},
         vertex_cycle=tuple(vertex_cycle),
     )
 

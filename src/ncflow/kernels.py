@@ -75,14 +75,12 @@ def bind(path: str) -> SimpleNamespace:
     def pack(seq) -> bytes:
         return struct.pack("%di" % len(seq), *seq)
 
-    def flow_search(nq, eu, ev, conflict_pairs, mode, values=(1, 2, 3), deadline=None):
+    def flow_search(nq, eu, ev, first, second, mode, values=(1, 2, 3), deadline=None):
         """See `_kernels_py.flow_search`; same contract and return shape."""
-        check_search_args(nq, eu, ev, conflict_pairs, mode, values)
+        check_search_args(nq, eu, ev, first, second, mode, values)
         seconds = _seconds_left(deadline)
-        m, npairs = len(eu), len(conflict_pairs)
-        pairs = struct.pack(
-            "%di" % (2 * npairs), *[a for a, _ in conflict_pairs], *[b for _, b in conflict_pairs]
-        )
+        m, npairs = len(eu), len(first)
+        pairs = pack(first) + pack(second)  # the layout nc_flow_search reads
         out, conf, nodes = array("i", [0]) * m, c_int(), c_nodes()
         status = c_flow(
             nq, m, pack(eu), pack(ev), npairs, pairs, _MODES[mode], len(values), pack(values),

@@ -3,7 +3,8 @@
 Enumeration is DFS on the lowest-indexed uncovered vertex, branching over
 its incident edges in id order, so streams are deterministic and
 certificates reproduce.  Streams are lazy generators; each takes an
-optional deadline, checked every 1,024 search frames.
+optional deadline, checked on the first search frame and every 1,024
+frames after it.
 
 Matchings that meet every 3-edge cut exactly once (the first step of the
 paper's claw-free proof) are found by pruning that same search, not by
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import ContractError, InputError
-from .graph import Pseudograph, _two_factor_marks, is_cubic, three_edge_cuts
+from .graph import Pseudograph, _two_factor_index, is_cubic, three_edge_cuts
 from .kernels import check_deadline
 
 
@@ -63,11 +64,13 @@ def covered_vertices(g: Pseudograph, edge_ids: Iterable[int]) -> Optional[Set[in
     """The vertices the edges cover, or None when they are not a matching
     (an id out of range or listed twice, two sharing a vertex, or a loop).
     They form a perfect matching when the set has g.n vertices."""
+    edges = g.edges
+    m = len(edges)
     seen: Set[int] = set()
     for eid in edge_ids:
-        if not 0 <= eid < g.m:
+        if not 0 <= eid < m:
             return None
-        a, b = g.endpoints(eid)
+        a, b = edges[eid]
         if a == b or a in seen or b in seen:
             return None
         seen.add(a)
@@ -147,7 +150,7 @@ def _match_dfs(
             yield PerfectMatching(tuple(sorted(chosen)))
         return
     frames = [[v, 0, -1]]
-    tick = _DEADLINE_EVERY
+    tick = 1  # check on the first frame, so a passed deadline stops even a short stream
     while frames:
         tick -= 1
         if not tick:
@@ -202,18 +205,12 @@ def complement_two_factor(g: Pseudograph, f: PerfectMatching) -> TwoFactor:
     edges = g.edges
     if any(u == v for u, v in edges):
         raise InputError("cubic input graphs may not contain loops")
-    m = len(edges)
-    in_f = [False] * m
-    covered = [0] * g.n
-    for eid in f.edge_ids:
-        if not 0 <= eid < m or in_f[eid]:
-            raise ContractError("not a perfect matching of this graph")
-        in_f[eid] = True
-        u, v = edges[eid]
-        covered[u] += 1
-        covered[v] += 1
-    if covered.count(1) != g.n:
+    cover = covered_vertices(g, f.edge_ids)
+    if cover is None or len(cover) != g.n:
         raise ContractError("not a perfect matching of this graph")
+    in_f = [False] * len(edges)
+    for eid in f.edge_ids:
+        in_f[eid] = True
     # F is perfect and G cubic and loop-free: every vertex has two non-F edges
     incident = g.incident
     cycle_of = [-1] * g.n
@@ -245,13 +242,12 @@ def complement_two_factor(g: Pseudograph, f: PerfectMatching) -> TwoFactor:
 
 
 def _two_factor_from_cycles(g: Pseudograph, cycles: Sequence[Cycle]) -> TwoFactor:
-    """The 2-factor made of vertex-disjoint cycles covering G, with its chords."""
-    cyc_of, on_cycle = _two_factor_marks(g, cycles)
-    chords = tuple(
-        eid
-        for eid, (u, v) in enumerate(g.edges)
-        if cyc_of[u] == cyc_of[v] and not on_cycle[eid]
-    )
+    """The 2-factor made of vertex-disjoint cycles covering G, with its chords.
+
+    Raises ContractError as `_two_factor_index` does."""
+    cyc_of, ids, _at = _two_factor_index(g, cycles)
+    edges = g.edges
+    chords = tuple(eid for eid in ids if cyc_of[edges[eid][0]] == cyc_of[edges[eid][1]])
     return TwoFactor(tuple(cycles), chords)
 
 

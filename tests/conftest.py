@@ -26,7 +26,7 @@ from ncflow.generators import (
 )
 from ncflow.flows import _conflict_pairs
 from ncflow.graph import Pseudograph, bridges, build_graph, contract_two_factor, is_cubic
-from ncflow.matchings import PerfectMatching, complement_two_factor, enumerate_perfect_matchings
+from ncflow.matchings import Cycle, PerfectMatching, TwoFactor, complement_two_factor, enumerate_perfect_matchings
 
 
 def prism(n: int) -> Pseudograph:
@@ -94,13 +94,26 @@ def cubic_multigraph_and_matching(draw):
     return g, matchings[draw(st.integers(0, len(matchings) - 1))]
 
 
-def kernel_instance(g: Pseudograph, f: PerfectMatching) -> Tuple[int, List[int], List[int], List[Tuple[int, int]]]:
-    """The (nq, eu, ev, conflict_pairs) arguments `find_nonconflicting_flow`
+def kernel_instance(g: Pseudograph, f: PerfectMatching) -> Tuple[int, List[int], List[int], List[int], List[int]]:
+    """The (nq, eu, ev, first, second) arguments `find_nonconflicting_flow`
     hands the flow kernel for the matching f of g."""
     tf = complement_two_factor(g, f)
     h = contract_two_factor(g, tf)
     q = h.quotient
-    return q.n, [a for a, _ in q.edges], [b for _, b in q.edges], _conflict_pairs(g, tf, h)
+    return q.n, [a for a, _ in q.edges], [b for _, b in q.edges], *_conflict_pairs(g, tf, h)
+
+
+def flat(pairs: List[Tuple[int, int]]) -> Tuple[List[int], List[int]]:
+    """Conflict pairs in the kernels' layout: every first edge, then every second."""
+    return [a for a, _ in pairs], [b for _, b in pairs]
+
+
+def k4_with_doubled_diagonal() -> Tuple[Pseudograph, TwoFactor]:
+    """K4 with a second 0-2 edge, and its Hamiltonian 4-cycle 0-1-2-3 (edges
+    0..3) as a 2-factor.  The edges off the cycle, 4 and 6 (both 0-2) and
+    5 (1-3), meet twice at vertices 0 and 2: not a perfect matching."""
+    g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3), (0, 2)])
+    return g, TwoFactor((Cycle((0, 1, 2, 3), (0, 1, 2, 3)),), (4, 5, 6))
 
 
 def glue_two_cut(g1: Pseudograph, e1: int, g2: Pseudograph, e2: int) -> Tuple[Pseudograph, Tuple[int, int]]:

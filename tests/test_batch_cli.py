@@ -33,6 +33,25 @@ def lines_for(*graphs):
     return [encode_graph6(g) if g.is_simple() else encode_sparse6(g) for g in graphs]
 
 
+def cubic_without_a_perfect_matching(k):
+    """Three k-prisms, each with one rung subdivided, and a hub joined by a
+    bridge to each subdivision vertex: 6k + 4 vertices, all of degree 3.
+    Removing the hub leaves three odd blocks, so there is no perfect
+    matching, and the enumeration backtracks through the blocks' partial
+    matchings for a long time before it ends."""
+    hub = 3 * (2 * k + 1)
+    edges = []
+    for block in range(3):
+        o = block * (2 * k + 1)
+        mid = o + 2 * k  # subdivides the rung o - (o + k)
+        for i in range(k):
+            edges += [(o + i, o + (i + 1) % k), (o + k + i, o + k + (i + 1) % k)]
+            if i:
+                edges.append((o + i, o + k + i))
+        edges += [(o, mid), (mid, o + k), (mid, hub)]
+    return build_graph(hub + 1, edges)
+
+
 class TestRunBatch:
     def test_nonconflicting_verdicts(self):
         rep = run_batch(lines_for(k4(), k33(), petersen()), "nonconflicting")
@@ -217,6 +236,16 @@ class TestCliExitCodes:
         # counterexample_family(3) has 294,912 perfect matchings
         monkeypatch.setenv("NZFLOW_TIMEOUT_SECS", "0.5")
         [literal] = lines_for(counterexample_family(3))
+        start = time.monotonic()
+        assert main(["flow", "search", literal, "--construct", route]) == 3
+        assert time.monotonic() - start < 3
+
+    @pytest.mark.parametrize("route", ["even", "twocycle"])
+    def test_route_honours_the_deadline_without_a_perfect_matching(self, monkeypatch, route):
+        # the route's matching stream yields nothing here, so only the
+        # enumeration itself can see the deadline
+        monkeypatch.setenv("NZFLOW_TIMEOUT_SECS", "0.5")
+        [literal] = lines_for(cubic_without_a_perfect_matching(16))
         start = time.monotonic()
         assert main(["flow", "search", literal, "--construct", route]) == 3
         assert time.monotonic() - start < 3

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncflow import _kernels_py, coloring, flows
+from ncflow.certificates import flow_certificate, verify_certificate
 from ncflow.coloring import coloring_from_flow
 from ncflow.errors import ContractError, InputError, NcflowError, ResourceLimitError
 from ncflow.flows import (
@@ -60,6 +61,7 @@ from conftest import (
     CHORD_LAYOUTS,
     claw_free_corpus,
     cubic_multigraph_and_matching,
+    k4_with_doubled_diagonal,
     kernel_instance,
     small_corpus,
     triangle_and_nine_cycle,
@@ -316,6 +318,17 @@ class TestReadOnG:
         for bad_f, bad_theta in ((other, theta), (f, short), (doubled, theta)):
             with pytest.raises(InputError):
                 coloring_from_flow(g, bad_f, tf, bad_theta)
+
+    def test_refuses_a_two_factor_whose_complement_is_not_a_perfect_matching(self):
+        g, tf = k4_with_doubled_diagonal()
+        theta = FlowAssignment((ALPHA_BETA,) * 3)
+        for ids in ((4, 5, 6), (4, 5), (5, 6)):
+            f = PerfectMatching(ids)
+            with pytest.raises(ContractError):
+                conflicts(g, f, tf, theta)
+            with pytest.raises(ContractError):
+                coloring_from_flow(g, f, tf, theta)
+            assert not verify_certificate(flow_certificate(g, f, theta, {}), g)
 
 
 class TestFindNonconflicting:
@@ -655,4 +668,4 @@ class TestPurePythonFlowKernelGolden:
         g = build()
         eu = [a for a, _ in g.edges]
         ev = [b for _, b in g.edges]
-        assert _kernels_py.flow_search(g.n, eu, ev, [], "first", values=tuple(range(1, 8))) == expected
+        assert _kernels_py.flow_search(g.n, eu, ev, [], [], "first", values=tuple(range(1, 8))) == expected

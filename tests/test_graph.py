@@ -31,9 +31,9 @@ from ncflow.graph import (
     is_isomorphic_to_petersen,
     three_edge_cuts,
 )
-from ncflow.matchings import PerfectMatching, complement_two_factor, enumerate_perfect_matchings
+from ncflow.matchings import Cycle, PerfectMatching, TwoFactor, complement_two_factor, enumerate_perfect_matchings
 
-from conftest import claw_free_corpus, small_corpus
+from conftest import claw_free_corpus, k4_with_doubled_diagonal, small_corpus
 
 
 def to_nx(g: Pseudograph) -> nx.MultiGraph:
@@ -170,6 +170,20 @@ class TestContraction:
         h = contract_two_factor(g, tf)
         assert h.quotient.n == 1
         assert all(u == v for u, v in h.quotient.edges)
+
+    def test_refuses_a_two_factor_whose_complement_is_not_a_perfect_matching(self):
+        # edges 4 and 6 both end at vertices 0 and 2: the quotient would give
+        # each of them two matching edges, and matching_edge_at only one
+        g, tf = k4_with_doubled_diagonal()
+        with pytest.raises(ContractError):
+            contract_two_factor(g, tf)
+        # as many edges off the 2-cycles 0=1 and 2=3 as a perfect matching
+        # has, but two of them share vertex 0, or one is a loop
+        two_cycles = TwoFactor((Cycle((0, 1), (0, 1)), Cycle((2, 3), (2, 3))), ())
+        for off in ([(0, 2), (0, 3)], [(0, 0), (1, 2)]):
+            g = build_graph(4, [(0, 1), (0, 1), (2, 3), (2, 3)] + off)
+            with pytest.raises(ContractError):
+                contract_two_factor(g, two_cycles)
 
     def test_girth_monotone_under_contraction(self):
         for name, g in small_corpus():

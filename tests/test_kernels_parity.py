@@ -33,11 +33,11 @@ from ncflow.generators import (
 from ncflow.graph import contract_two_factor
 from ncflow.matchings import complement_two_factor, enumerate_perfect_matchings
 
-from conftest import kernel_instance
+from conftest import flat, kernel_instance
 
 
 def flow_instances():
-    """(nq, eu, ev, conflict_pairs) drawn from real contractions plus fuzz.
+    """(nq, eu, ev, first, second) drawn from real contractions plus fuzz.
 
     The second fuzz keeps self-pairs (a, a) and duplicate pairs, and both
     draw loops; the `counterexample_family(1)` quotients are the ones
@@ -62,7 +62,7 @@ def flow_instances():
                     q.n,
                     [e[0] for e in q.edges],
                     [e[1] for e in q.edges],
-                    sorted(pairs),
+                    *flat(sorted(pairs)),
                 )
             )
     rng = random.Random(99)
@@ -77,7 +77,7 @@ def flow_instances():
             a, b = rng.randrange(m), rng.randrange(m)
             if a != b:
                 pairs.add((min(a, b), max(a, b)))
-        out.append((nq, eu, ev, sorted(pairs)))
+        out.append((nq, eu, ev, *flat(sorted(pairs))))
     for _ in range(60):
         nq = rng.randint(1, 4)
         m = rng.randint(1, 9)
@@ -85,7 +85,7 @@ def flow_instances():
         ev = [rng.randrange(nq) for _ in range(m)]
         pairs = [(rng.randrange(m), rng.randrange(m)) for _ in range(rng.randint(0, 2 * m))]
         pairs += pairs[: rng.randint(0, len(pairs))]
-        out.append((nq, eu, ev, pairs))
+        out.append((nq, eu, ev, *flat(pairs)))
     g = counterexample_family(1)
     out += [kernel_instance(g, f) for f in enumerate_perfect_matchings(g)]
     return out
@@ -94,10 +94,10 @@ def flow_instances():
 class TestFlowParity:
     @pytest.mark.parametrize("mode", ["first", "min"])
     def test_exact_agreement(self, mode, compiled):
-        for nq, eu, ev, pairs in flow_instances():
-            a = _kernels_py.flow_search(nq, eu, ev, pairs, mode)
-            b = compiled.flow_search(nq, eu, ev, pairs, mode)
-            assert a == b, (nq, eu, ev, pairs, mode)
+        for args in flow_instances():
+            a = _kernels_py.flow_search(*args, mode)
+            b = compiled.flow_search(*args, mode)
+            assert a == b, (args, mode)
 
     def test_deadline_raises_in_both(self, compiled):
         g = petersen()
@@ -109,7 +109,7 @@ class TestFlowParity:
         ev = [e[1] for e in q.edges]
         for impl in (_kernels_py, compiled):
             with pytest.raises(_kernels_py.SearchTimeout):
-                impl.flow_search(q.n, eu, ev, [], "min", deadline=0.0)
+                impl.flow_search(q.n, eu, ev, [], [], "min", deadline=0.0)
 
     def test_deadline_inside_the_search(self, compiled):
         # "min" on this quotient expands 2,751,154 nodes (about 25 ms in C),
@@ -128,15 +128,15 @@ class TestFlowParity:
         # 0 is both kernels' mark of an unvalued edge
         for impl in (_kernels_py, compiled):
             with pytest.raises(ValueError):
-                impl.flow_search(2, [0, 0, 1], [1, 1, 0], [(0, 1)], mode, values=values)
+                impl.flow_search(2, [0, 0, 1], [1, 1, 0], [0], [1], mode, values=values)
 
     def test_out_of_range_index_raises_in_both(self, compiled):
         # the C kernels check every index before touching memory
         for impl in (_kernels_py, compiled):
             with pytest.raises(IndexError):
-                impl.flow_search(2, [0, 0, 2], [1, 1, 0], [], "first")
+                impl.flow_search(2, [0, 0, 2], [1, 1, 0], [], [], "first")
             with pytest.raises(IndexError):
-                impl.flow_search(2, [0, 0, 1], [1, 1, 0], [(0, 3)], "min")
+                impl.flow_search(2, [0, 0, 1], [1, 1, 0], [0], [3], "min")
             with pytest.raises(IndexError):
                 impl.normal_coloring_search(2, [0, 0, 1], [1, 1, 2], 3)
 
@@ -146,9 +146,9 @@ class TestFlowParity:
         for impl in (_kernels_py, compiled):
             for mode in ("first", "min"):
                 with pytest.raises(IndexError):
-                    impl.flow_search(2, [0, 0, bad], [1, 1, 0], [], mode)
+                    impl.flow_search(2, [0, 0, bad], [1, 1, 0], [], [], mode)
                 with pytest.raises(IndexError):
-                    impl.flow_search(2, [0, 0, 1], [1, bad, 0], [], mode)
+                    impl.flow_search(2, [0, 0, 1], [1, bad, 0], [], [], mode)
             with pytest.raises(IndexError):
                 impl.normal_coloring_search(2, [bad, 0, 0], [1, 1, 1], 3)
             with pytest.raises(IndexError):
@@ -159,13 +159,15 @@ class TestFlowParity:
         for impl in (_kernels_py, compiled):
             for mode in ("first", "min"):
                 with pytest.raises(IndexError):
-                    impl.flow_search(2, [0, 0, 1], [1, 1, 0], [(0, 1), pair], mode)
+                    impl.flow_search(2, [0, 0, 1], [1, 1, 0], *flat([(0, 1), pair]), mode)
 
     def test_edge_lists_of_different_lengths_raise_in_both(self, compiled):
         # C would read past the end of the shorter array
         for impl in (_kernels_py, compiled):
             with pytest.raises(ValueError):
-                impl.flow_search(2, [0, 0, 1], [1, 1], [], "first")
+                impl.flow_search(2, [0, 0, 1], [1, 1], [], [], "first")
+            with pytest.raises(ValueError):
+                impl.flow_search(2, [0, 0, 1], [1, 1, 0], [0, 1], [2], "first")
             with pytest.raises(ValueError):
                 impl.normal_coloring_search(2, [0, 0], [1, 1, 1], 3)
 
@@ -250,8 +252,8 @@ class TestFlowOracle:
 
         results = {}
         for mode in ("first", "min"):
-            results[mode] = _kernels_py.flow_search(nq, eu, ev, pairs, mode, values=values)
-            assert compiled.flow_search(nq, eu, ev, pairs, mode, values=values) == results[mode]
+            results[mode] = _kernels_py.flow_search(nq, eu, ev, *flat(pairs), mode, values=values)
+            assert compiled.flow_search(nq, eu, ev, *flat(pairs), mode, values=values) == results[mode]
         vals, conf, _nodes = results["first"]
         assert (vals, conf) == ((clean[0], 0) if clean else (None, 0))
         vals, conf, _nodes = results["min"]
