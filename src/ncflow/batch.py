@@ -119,6 +119,7 @@ def _run_one(args: Tuple[int, str, str, float]) -> BatchRow:
             row.verdict = str(res.k) if res else ">7"
             if res:
                 row.detail["witness"] = list(res.witness.colors)
+                row.detail["settled_by"] = [[k, lemma] for k, lemma in res.settled_by]
         elif mode == "every-2-factor":
             rep = nonconflicting_for_every_two_factor(g, deadline=deadline)
             row.verdict = "yes" if rep.all_nonconflicting else "no"

@@ -10,11 +10,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .errors import InputError, NcflowError
 from .flows import FlowAssignment, _conflict_edges, _conserves, _f_edge_positions, _xor_balanced
-from .graph import Pseudograph, _contract_vertex_set, bridges, is_cubic
+from .graph import (
+    Pseudograph,
+    _balanced_two_cut,
+    _contract_vertex_sets,
+    bridges,
+    connected_components,
+    is_cubic,
+)
 from .kernels import check_deadline, flow_search, normal_coloring_search
 from .matchings import PerfectMatching, TwoFactor, covered_vertices
 
@@ -105,33 +112,144 @@ class ChiNResult:
     k: int
     witness: EdgeColoring
     multigraph: bool
-    nodes_per_k: Tuple[Tuple[int, int], ...]  # (k tried, nodes expanded)
+    # (k, nodes expanded at palette k on G and on its reductions), k = 3..k
+    nodes_per_k: Tuple[Tuple[int, int], ...]
+    # (k, "lemma-A" | "triangle" | "2-cut") for each k no search on G decided
+    settled_by: Tuple[Tuple[int, str], ...] = ()
 
 
-def _normal_search(
-    g: Pseudograph, ks: Iterable[int], deadline: Optional[float]
-) -> Tuple[Optional[EdgeColoring], Tuple[Tuple[int, int], ...]]:
-    """First normal k-coloring of g over the palettes `ks`, tried in order.
+LEMMA_A = "lemma-A"
+TRIANGLE = "triangle"
+TWO_CUT = "2-cut"
 
-    Refuses loops and non-cubic graphs, where normality is undefined, and
-    raises NcflowError if the kernel's witness is not normal.  Returns
-    (witness or None, (k, nodes expanded) for every k tried).
-    """
+
+def _check_colorable(g: Pseudograph):
+    """Refuse loops and non-cubic graphs, where normality is undefined."""
     _reject_loops(g)
     if not is_cubic(g):
         raise InputError("normal chromatic index is defined for cubic graphs")
+
+
+def _search(
+    g: Pseudograph, k: int, deadline: Optional[float], nodes: Dict[int, int]
+) -> Optional[EdgeColoring]:
+    """One kernel search for a normal k-coloring of g; adds its nodes to
+    nodes[k] and raises NcflowError if the kernel's witness is not normal."""
     eu = [e[0] for e in g.edges]
     ev = [e[1] for e in g.edges]
-    trail = []
-    for k in ks:
-        colors, nodes = normal_coloring_search(g.n, eu, ev, k, deadline=deadline)
-        trail.append((k, nodes))
-        if colors is not None:
-            witness = EdgeColoring(tuple(colors), k)
-            if not is_normal(g, witness).ok:
-                raise NcflowError(f"normal-coloring search returned an abnormal {k}-coloring")
-            return witness, tuple(trail)
-    return None, tuple(trail)
+    colors, expanded = normal_coloring_search(g.n, eu, ev, k, deadline=deadline)
+    nodes[k] = nodes.get(k, 0) + expanded
+    if colors is None:
+        return None
+    witness = EdgeColoring(tuple(colors), k)
+    if not is_normal(g, witness).ok:
+        raise NcflowError(f"normal-coloring search returned an abnormal {k}-coloring")
+    return witness
+
+
+def _disjoint_triangles(g: Pseudograph) -> List[Tuple[int, int, int]]:
+    """Triangles a < b < c whose three edges are simple, in lexicographic
+    order, each kept unless it shares a vertex with one kept before."""
+    mult: Dict[Tuple[int, int], int] = {}
+    for u, v in g.edges:
+        key = (u, v) if u < v else (v, u)
+        mult[key] = mult.get(key, 0) + 1
+    above: List[List[int]] = [[] for _ in range(g.n)]
+    for (u, v), count in sorted(mult.items()):
+        if count == 1 and u != v:
+            above[u].append(v)
+    used = [False] * g.n
+    out = []
+    for a in range(g.n):
+        for b, c in itertools.combinations(above[a], 2):
+            if not used[a] and not used[b] and not used[c] and mult.get((b, c)) == 1:
+                out.append((a, b, c))
+                used[a] = used[b] = used[c] = True
+    return out
+
+
+def _reduce(g: Pseudograph, k_max: int, deadline: Optional[float], nodes: Dict[int, int]):
+    """Apply the first reduction g admits: contract its disjoint triangles,
+    else split it at its most balanced 2-edge cut.  A generator that yields
+    each reduced graph's `_chi_n` task and is sent back its witness (see
+    `_drive`).  Returns None when neither reduction applies; else (lemma,
+    witness), where the witness is a normal coloring of g lifted from the
+    reduced graphs, with chi'_N(g) colors (3 or 5), or None when a reduced
+    graph has no normal coloring with at most min(k_max, 5) colors.  In
+    that case g is not 3-edge-colorable: G/T is 3-edge-colorable iff G is,
+    and across a 2-edge cut both sides are iff G is (parity lemma)."""
+    check_deadline(deadline)
+    cap = min(k_max, 5)
+    tris = _disjoint_triangles(g)
+    if tris:
+        gq, emap = _contract_triangles(g, tris)
+        qw = yield _chi_n(gq, cap, deadline, nodes)
+        return TRIANGLE, None if qw is None else _lift_triangles(g, tris, emap, qw)
+    cut = _balanced_two_cut(g)
+    if cut is None:
+        return None
+    split = split_two_cut(g, cut)
+    w1 = yield _chi_n(split.g1, cap, deadline, nodes)
+    if w1 is None:
+        return TWO_CUT, None
+    w2 = yield _chi_n(split.g2, cap, deadline, nodes)
+    if w2 is None:
+        return TWO_CUT, None
+    return TWO_CUT, lift_over_2_cut(g, cut, w1, w2, split)
+
+
+def _finish(
+    g: Pseudograph,
+    k_max: int,
+    reduced: Optional[Tuple[str, Optional[EdgeColoring]]],
+    deadline: Optional[float],
+    nodes: Dict[int, int],
+) -> Optional[EdgeColoring]:
+    """The normal coloring of g with chi'_N(g) <= k_max colors, or None,
+    given `_reduce`'s outcome on g.
+
+    The reduced graphs are solved with at most 5 colors, since only a value
+    of 3 or 5 lifts: a normal coloring lifts over a triangle or a 2-edge cut
+    with the same number of colors, and a graph that is not 3-edge-colorable
+    has chi'_N >= 5 (Lemma A: a normal 4-coloring has no rich edge, so it
+    is a 3-edge-coloring).  Any other outcome searches g itself from k = 5.
+    """
+    if reduced is None:
+        witness = _search(g, 3, deadline, nodes)
+        if witness is not None:
+            return witness
+    elif reduced[1] is not None:
+        return reduced[1]
+    if k_max >= 4:
+        nodes.setdefault(4, 0)
+    for k in range(5, k_max + 1):
+        witness = _search(g, k, deadline, nodes)
+        if witness is not None:
+            return witness
+    return None
+
+
+def _chi_n(g: Pseudograph, k_max: int, deadline: Optional[float], nodes: Dict[int, int]):
+    """`_drive` task: reduce g, then finish it; returns its witness."""
+    reduced = yield from _reduce(g, k_max, deadline, nodes)
+    return _finish(g, k_max, reduced, deadline, nodes)
+
+
+def _drive(task):
+    """Run a generator task that yields subtasks and is sent back their
+    return values, on an explicit stack: a chain of n reductions nests n
+    tasks without nesting Python calls."""
+    stack, value = [task], None
+    while stack:
+        try:
+            sub = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+        else:
+            stack.append(sub)
+            value = None
+    return value
 
 
 def chi_n_exact(
@@ -139,23 +257,47 @@ def chi_n_exact(
 ) -> Optional[ChiNResult]:
     """Smallest k <= k_max admitting a normal k-edge-coloring, with witness.
 
-    Exhaustive backtracking with poor/rich pruning; each failed k is a
+    Reductions come before any search, in a fixed order: contract the
+    triangles with simple edges, taken lowest first and vertex-disjoint,
+    all at once, else split a connected bridgeless graph at its most
+    balanced 2-edge cut, and solve the smaller graphs the same way.  k = 4
+    is never searched (Lemma A).  A reduced value of 3 or 5 lifts to G; any
+    other outcome searches G itself from k = 5 up.  Every other k is a
     completed negative search (node counts kept as the certificate trail).
     Multigraphs are accepted but flagged: the published index is defined
     for simple cubic graphs only.
     """
-    witness, trail = _normal_search(g, range(3, k_max + 1), deadline)
+    check_deadline(deadline)
+    _check_colorable(g)
+    if k_max < 3:
+        return None
+    nodes: Dict[int, int] = {}
+    reduced = _drive(_reduce(g, k_max, deadline, nodes))
+    witness = _finish(g, k_max, reduced, deadline, nodes)
     if witness is None:
         return None
-    return ChiNResult(witness.k, witness, not g.is_simple(), trail)
+    k = witness.k
+    settled = {4: LEMMA_A} if k > 4 else {}
+    if reduced is not None:
+        lemma, lifted = reduced
+        settled[3] = lemma
+        if lifted is not None:
+            settled[k] = lemma
+    return ChiNResult(
+        k,
+        witness,
+        not g.is_simple(),
+        tuple((j, nodes[j]) for j in sorted(nodes) if j <= k),
+        tuple(sorted(settled.items())),
+    )
 
 
 def admits_normal_k_coloring(
     g: Pseudograph, k: int, deadline: Optional[float] = None
 ) -> Optional[EdgeColoring]:
     """Decision version: some normal k-coloring, not necessarily minimal k."""
-    witness, _trail = _normal_search(g, (k,), deadline)
-    return witness
+    _check_colorable(g)
+    return _search(g, k, deadline, {})
 
 
 @dataclass(frozen=True)
@@ -347,8 +489,6 @@ def split_two_cut(g: Pseudograph, cut: Tuple[int, int]) -> TwoCutSplit:
     ends1, ends2 = set(g.endpoints(e1)), set(g.endpoints(e2))
     if ends1 & ends2:
         raise InputError("cut edges must be vertex-disjoint")
-    from .graph import connected_components
-
     comps = connected_components(g, frozenset(cut))
     if len(comps) != 2:
         raise InputError("edge pair is not a 2-edge-cut")
@@ -431,13 +571,21 @@ def contract_triangle(
     g: Pseudograph, tri: Tuple[int, int, int]
 ) -> Tuple[Pseudograph, Dict[int, int]]:
     """G/T for a triangle with simple edges; returns (quotient, qedge -> G edge)."""
-    ts = set(tri)
-    if len(ts) != 3:
-        raise InputError("need three distinct vertices")
-    for a, b in itertools.combinations(tri, 2):
-        if g.multiplicity(a, b) != 1:
-            raise InputError("triangle edges must have multiplicity one")
-    gq, _vmap, emap = _contract_vertex_set(g, ts)
+    return _contract_triangles(g, [tri])
+
+
+def _contract_triangles(
+    g: Pseudograph, tris: List[Tuple[int, int, int]]
+) -> Tuple[Pseudograph, Dict[int, int]]:
+    """G/T1/T2/... for vertex-disjoint triangles with simple edges, in one
+    pass; triangle i becomes the i-th of the new last vertices."""
+    for tri in tris:
+        if len(set(tri)) != 3:
+            raise InputError("need three distinct vertices")
+        for a, b in itertools.combinations(tri, 2):
+            if g.multiplicity(a, b) != 1:
+                raise InputError("triangle edges must have multiplicity one")
+    gq, _vmap, emap = _contract_vertex_sets(g, [set(tri) for tri in tris])
     return gq, emap
 
 
@@ -450,20 +598,33 @@ def lift_over_triangle(
     _require_proper(gq, qc)
     if not is_normal(gq, qc).ok:
         raise InputError("quotient coloring must be normal")
+    return _lift_triangles(g, [tri], emap, qc)
+
+
+def _lift_triangles(
+    g: Pseudograph, tris: List[Tuple[int, int, int]], emap: Dict[int, int], qc: EdgeColoring
+) -> EdgeColoring:
+    """`lift_over_triangle` over every triangle at once, for a normal
+    coloring qc of the quotient `_contract_triangles(g, tris)` returned
+    with the edge map emap.  Each lift is local to its triangle, so the
+    result is the same as lifting over the triangles one by one."""
     colors = [0] * g.m
     for qe, ge in emap.items():
         colors[ge] = qc.colors[qe]
-    ts = set(tri)
-    out_edge = {}
-    for v in tri:
-        outs = [e for e in g.incident(v) if not set(g.endpoints(e)) <= ts]
-        if len(outs) != 1:
-            raise InputError("triangle vertices must each have one outgoing edge")
-        out_edge[v] = outs[0]
-    for eid, (u, v) in enumerate(g.edges):
-        if u in ts and v in ts and u != v:
-            (w,) = ts - {u, v}
-            colors[eid] = colors[out_edge[w]]
+    for tri in tris:
+        ts = set(tri)
+        out_color = {}
+        for v in tri:
+            outs = [e for e in g.incident(v) if g.other_end(e, v) not in ts]
+            if len(outs) != 1:
+                raise InputError("triangle vertices must each have one outgoing edge")
+            out_color[v] = colors[outs[0]]
+        for v in tri:
+            for e in g.incident(v):
+                w = g.other_end(e, v)
+                if w in ts:
+                    (opposite,) = ts - {v, w}
+                    colors[e] = out_color[opposite]
     cand = EdgeColoring(tuple(colors), qc.k)
     verdict = is_normal(g, cand)
     if not is_proper(g, cand) or not verdict.ok:

@@ -19,7 +19,7 @@ from .errors import ContractError, InputError, NcflowError, ResourceLimitError
 from .graph import (
     ContractedGraph,
     Pseudograph,
-    _contract_vertex_set,
+    _contract_vertex_sets,
     _two_factor_index,
     contract_two_factor,
     is_isomorphic_to_petersen,
@@ -688,7 +688,7 @@ def _case2b_recursion(
     if g.n - len(inside) < 2:
         return None
 
-    h1, vmap1, emap1 = _contract_vertex_set(g, inside)
+    h1, vmap1, emap1 = _contract_vertex_sets(g, [inside])
     inv1 = {old: new for new, old in emap1.items()}
     # 2-factor of H1: the triangle survives untouched, the partner cycle is
     # rerouted through the new vertex z
@@ -717,7 +717,7 @@ def _case2b_recursion(
     x_val = sub.flow.values[h1_contracted.origin_inverse[t_h1]]
 
     outside = set(range(g.n)) - inside
-    h2, _vmap2, emap2 = _contract_vertex_set(g, outside)
+    h2, _vmap2, emap2 = _contract_vertex_sets(g, [outside])
     inv2 = {old: new for new, old in emap2.items()}
     t_h2 = inv2[t_g]
     j_match = None

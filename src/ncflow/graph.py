@@ -7,9 +7,10 @@ quotient must be able to point back at original incidences.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import ContractError, InputError
 
@@ -306,62 +307,66 @@ def contract_two_factor(g: Pseudograph, two_factor) -> ContractedGraph:
     )
 
 
-def _contract_vertex_set(
-    g: Pseudograph, keep_out: Set[int]
+def _contract_vertex_sets(
+    g: Pseudograph, groups: Sequence[Set[int]]
 ) -> Tuple[Pseudograph, Dict[int, int], Dict[int, int]]:
-    """Contract the vertex set `keep_out` to a single new vertex, dropping
-    internal edges.  Returns (graph, vertex_map old->new, edge_map new->old);
-    the new vertex is the last one."""
+    """Contract each of the disjoint vertex sets `groups` to one new vertex,
+    dropping the edges inside a set.  Returns (graph, vertex_map old->new
+    for the vertices in no set, edge_map new->old); set i becomes vertex
+    z + i, after the z vertices in no set."""
+    group_of: Dict[int, int] = {}
+    for i, members in enumerate(groups):
+        for v in members:
+            group_of[v] = i
     vmap: Dict[int, int] = {}
-    nxt = 0
     for v in range(g.n):
-        if v not in keep_out:
-            vmap[v] = nxt
-            nxt += 1
-    z = nxt
+        if v not in group_of:
+            vmap[v] = len(vmap)
+    z = len(vmap)
     edges = []
     emap: Dict[int, int] = {}
     for eid, (a, b) in enumerate(g.edges):
-        ina, inb = a in keep_out, b in keep_out
-        if ina and inb:
+        ga, gb = group_of.get(a), group_of.get(b)
+        if ga is not None and ga == gb:
             continue
         emap[len(edges)] = eid
-        edges.append((z if ina else vmap[a], z if inb else vmap[b]))
-    return Pseudograph(z + 1, edges), vmap, emap
+        edges.append((vmap[a] if ga is None else z + ga, vmap[b] if gb is None else z + gb))
+    return Pseudograph(z + len(groups), edges), vmap, emap
 
 
-def three_edge_cuts(g: Pseudograph) -> List[Tuple[int, int, int]]:
-    """All 3-edge cuts, i.e. triples of the form boundary(S), in lexicographic order.
+def _cycle_space(g: Pseudograph) -> Tuple[List[int], int, List[int], List[int]]:
+    """(edge id -> its vector in the cycle space, number of components,
+    the vertices in DFS preorder, vertex -> the tree edge to its parent or
+    -1 at a root).
 
-    An edge set is a boundary exactly when it meets every cycle in an even
-    number of edges, so each edge gets its vector in the cycle space: one
-    bit per non-tree edge of a DFS spanning tree (its fundamental cycle),
-    and on a tree edge the XOR of the bits of the fundamental cycles through
-    it.  {a, b, c} is a cut exactly when the three vectors XOR to zero,
-    which bucketing the edges by vector finds in O(m^2) lookups.  Triples
-    that disconnect but leave an edge inside one side are not cuts.  Vertex
-    stars of a cubic graph count as (trivial) cuts; callers needing
-    non-trivial ones filter by side sizes.
+    One DFS forest: each non-tree edge that is not a loop gets one bit (its
+    fundamental cycle), and a tree edge gets the XOR of the bits of the
+    fundamental cycles through it.  An edge set is a boundary (an edge cut)
+    exactly when its vectors XOR to zero, so bridges and loops get 0.  Each
+    subtree is a contiguous run of the preorder.
     """
     n, edges = g.n, g.edges
-    # DFS tree from vertex 0; order lists every parent before its children
+    # order lists every parent before its children
     parent_edge = [-1] * n
     seen = [False] * n
     order: List[int] = []
-    stack = [0] if n else []
-    while stack:
-        v = stack.pop()
-        if seen[v]:
+    components = 0
+    for root in range(n):
+        if seen[root]:
             continue
-        seen[v] = True
-        order.append(v)
-        for eid in g.incident(v):
-            w = g.other_end(eid, v)
-            if not seen[w]:
-                parent_edge[w] = eid
-                stack.append(w)
-    if len(order) != n:
-        raise InputError("three_edge_cuts requires a connected graph")
+        components += 1
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            if seen[v]:
+                continue
+            seen[v] = True
+            order.append(v)
+            for eid in g.incident(v):
+                w = g.other_end(eid, v)
+                if not seen[w]:
+                    parent_edge[w] = eid
+                    stack.append(w)
     tree = set(parent_edge)
     vec = [0] * g.m
     sub = [0] * n  # XOR of the non-tree bits at the vertices of v's subtree
@@ -378,8 +383,106 @@ def three_edge_cuts(g: Pseudograph) -> List[Tuple[int, int, int]]:
         if eid != -1:
             vec[eid] = sub[v]
             sub[g.other_end(eid, v)] ^= sub[v]
+    return vec, components, order, parent_edge
+
+
+def _cut_classes(vec: List[int]) -> List[Tuple[int, ...]]:
+    """The 2-edge cuts, in classes, from `_cycle_space`'s vectors: the edge
+    ids grouped by nonzero vector, groups of two or more only, each in
+    increasing order, ordered by their first edge.  Any two edges of a class
+    disconnect their component, and every 2-edge cut lies in one class."""
+    bucket: Dict[int, List[int]] = {}
+    for eid, x in enumerate(vec):
+        if x:
+            bucket.setdefault(x, []).append(eid)
+    return sorted(tuple(ids) for ids in bucket.values() if len(ids) > 1)
+
+
+def _balanced_two_cut(g: Pseudograph) -> Optional[Tuple[int, int]]:
+    """The 2-edge cut (e, f), e < f, of a connected, bridgeless g whose
+    larger side has the fewest vertices, the lowest such pair on a tie; None
+    when g has no 2-edge cut, is disconnected or has a bridge.
+
+    Removing the r edges of a class leaves r pieces in a ring, and a cycle
+    through one class edge passes all of them in ring order.  So the tree
+    edges of a class lie on one fundamental cycle: on at most two root
+    paths, which the preorder lists one after the other, each from the top
+    down, and the class holds at most one non-tree edge, the one closing
+    that cycle.  The pieces' sizes follow from the subtree sizes, and the
+    best cut in a ring is found with prefix sums.  Cutting at the most
+    balanced pair takes a chain of n cuts apart in O(log n) nested splits
+    (pieces hanging off one hub still come off one per split).
+    """
+    vec, components, order, parent_edge = _cycle_space(g)
+    edges = g.edges
+    if components != 1 or any(not x and u != v for x, (u, v) in zip(vec, edges)):
+        return None
+    classes = _cut_classes(vec)
+    if not classes:
+        return None
+    n = g.n
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    size = [1] * n
+    below: Dict[int, int] = {}  # tree edge -> its end in the subtree it hangs
+    for v in reversed(order):
+        eid = parent_edge[v]
+        if eid != -1:
+            below[eid] = v
+            size[g.other_end(eid, v)] += size[v]
+
+    def inside(e: int, f: int) -> bool:  # tree edge f lies in e's subtree
+        return pos[below[e]] < pos[below[f]] < pos[below[e]] + size[below[e]]
+
+    def piece(e: int, f: int) -> int:
+        """Vertices between ring neighbours e and f, the root off that side."""
+        if e not in below or f not in below:
+            return size[below[e if e in below else f]]
+        if inside(e, f) or inside(f, e):
+            return abs(size[below[e]] - size[below[f]])
+        return size[below[e]] + size[below[f]]
+
+    best = None
+    for cls in classes:
+        tree = sorted((e for e in cls if e in below), key=lambda e: pos[below[e]])
+        split = 1
+        while split < len(tree) and inside(tree[split - 1], tree[split]):
+            split += 1
+        # from the top of the first path, over the root, down the second
+        # path, across the closing edge and up the first path
+        ring = [tree[0]] + tree[split:] + [e for e in cls if e not in below] + tree[split - 1:0:-1]
+        r = len(ring)
+        pieces = [piece(ring[i], ring[(i + 1) % r]) for i in range(1, r)]
+        prefix = [0, n - sum(pieces)]
+        for p in pieces:
+            prefix.append(prefix[-1] + p)
+        for i in range(r - 1):
+            j = bisect.bisect(prefix, prefix[i] + n / 2, i + 1, r)
+            for jj in (j - 1, j):
+                if i < jj < r:
+                    side = prefix[jj] - prefix[i]
+                    e, f = sorted((ring[i], ring[jj]))
+                    key = (max(side, n - side), e, f)
+                    if best is None or key < best:
+                        best = key
+    return None if best is None else best[1:]
+
+
+def three_edge_cuts(g: Pseudograph) -> List[Tuple[int, int, int]]:
+    """All 3-edge cuts, i.e. triples of the form boundary(S), in lexicographic order.
+
+    {a, b, c} is a cut exactly when the three cycle-space vectors XOR to
+    zero (`_cycle_space`), which bucketing the edges by vector finds in
+    O(m^2) lookups.  Triples that disconnect but leave an edge inside one
+    side are not cuts.  Vertex stars of a cubic graph count as (trivial)
+    cuts; callers needing non-trivial ones filter by side sizes.
+    """
+    vec, components, _order, _parent = _cycle_space(g)
+    if components > 1:
+        raise InputError("three_edge_cuts requires a connected graph")
     # a loop is a cycle on its own, so it lies in no cut: leave loops out
-    ids = [eid for eid, (u, v) in enumerate(edges) if u != v]
+    ids = [eid for eid, (u, v) in enumerate(g.edges) if u != v]
     bucket: Dict[int, List[int]] = {}
     for eid in ids:
         bucket.setdefault(vec[eid], []).append(eid)

@@ -15,10 +15,14 @@ from hypothesis import strategies as st
 import ncflow
 from ncflow import kernels
 from ncflow.generators import (
+    counterexample_family,
+    fig3_graph,
     k4,
+    k23_with_p10v,
     k33,
     permutation_graph,
     petersen,
+    petersen_minus_vertex,
     replace_edge_with_string,
     replace_vertex_with_triangle,
     ring_of_diamonds,
@@ -114,6 +118,70 @@ def k4_with_doubled_diagonal() -> Tuple[Pseudograph, TwoFactor]:
     5 (1-3), meet twice at vertices 0 and 2: not a perfect matching."""
     g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3), (0, 2)])
     return g, TwoFactor((Cycle((0, 1, 2, 3), (0, 1, 2, 3)),), (4, 5, 6))
+
+
+def petersen_of_petersens() -> Pseudograph:
+    """Petersen with every vertex replaced by a copy of
+    `petersen_minus_vertex()`, whose three degree-2 ports (0, 3, 4) take the
+    vertex's edges in incident order.  90 vertices, no triangle and no
+    2-edge cut, so `chi_n_exact` has nothing to reduce and its k = 5 search
+    runs for a long time (over 30 s on the pure-Python kernel)."""
+    base, unit = petersen(), petersen_minus_vertex()
+    ports = (0, 3, 4)
+    port_of = {}
+    for v in range(base.n):
+        for j, eid in enumerate(base.incident(v)):
+            port_of[v, eid] = unit.n * v + ports[j]
+    edges = [(a + unit.n * v, b + unit.n * v) for v in range(base.n) for a, b in unit.edges]
+    edges += [(port_of[u, eid], port_of[v, eid]) for eid, (u, v) in enumerate(base.edges)]
+    g = build_graph(unit.n * base.n, edges)
+    assert is_cubic(g)
+    return g
+
+
+def chi_n_snarks_corpus() -> List[Tuple[str, Pseudograph]]:
+    """The 123 inputs of perfbench's `chi-n-snarks` workload, unshuffled:
+    Petersen with every vertex subset of size <= 2 and every 3-subset
+    holding vertex 0 or 1 replaced by triangles, plus `k23_with_p10v`,
+    `counterexample_family(1)` and fig3."""
+    out = []
+    for size in (0, 1, 2, 3):
+        for sub in itertools.combinations(range(10), size):
+            if size == 3 and sub[0] > 1:
+                continue
+            g = petersen()
+            for v in sub:
+                g = replace_vertex_with_triangle(g, v)
+            out.append((f"petersen-tri{sub}", g))
+    out += [
+        ("k23_with_p10v", k23_with_p10v()),
+        ("counterexample_family(1)", counterexample_family(1)),
+        ("fig3", fig3_graph()),
+    ]
+    return out
+
+
+def bridged_pair(h1: Pseudograph, e1: int, h2: Pseudograph, e2: int) -> Pseudograph:
+    """Subdivide edge e1 of h1 and edge e2 of h2, and join the two new
+    vertices by a bridge (the last edge).  fig3 has this shape, with two
+    copies of K4."""
+    x = h1.n + h2.n
+    a, b = h1.endpoints(e1)
+    c, d = h2.endpoints(e2)
+    edges = [e for i, e in enumerate(h1.edges) if i != e1] + [(a, x), (x, b)]
+    edges += [(u + h1.n, v + h1.n) for i, (u, v) in enumerate(h2.edges) if i != e2]
+    edges += [(c + h1.n, x + 1), (x + 1, d + h1.n), (x, x + 1)]
+    return build_graph(x + 2, edges)
+
+
+def ladder(rungs: int) -> Pseudograph:
+    """A ladder with its end rungs doubled: rails u_i = 2i and v_i = 2i + 1,
+    rungs u_i v_i.  Each gap {u_i u_{i+1}, v_i v_{i+1}} is a 2-edge cut of
+    its own class, the classes in a chain along the ladder."""
+    edges = [(2 * i, 2 * i + 1) for i in range(rungs)]
+    edges += [(2 * i + s, 2 * i + 2 + s) for i in range(rungs - 1) for s in (0, 1)]
+    edges += [(0, 1), (2 * rungs - 2, 2 * rungs - 1)]
+    return build_graph(2 * rungs, edges)
 
 
 def glue_two_cut(g1: Pseudograph, e1: int, g2: Pseudograph, e2: int) -> Tuple[Pseudograph, Tuple[int, int]]:

@@ -199,6 +199,7 @@ def test_05_bridge_graph_chi_n_is_seven():
     trail = dict(res.nodes_per_k)
     assert set(trail) == {3, 4, 5, 6, 7}
     assert trail[6] > 0  # k = 6 exhausted, the negative certificate
+    assert dict(res.settled_by)[4] == "lemma-A"  # k = 4 is never searched
     elapsed = time.monotonic() - start
     assert elapsed < 300
     print(f"ACCEPTANCE 5: PASS — chi_n = 7, bridge poor / rest rich, k=6 exhausted in {trail[6]} nodes ({elapsed:.2f}s)")

@@ -26,7 +26,7 @@ from ncflow.graph import build_graph
 from ncflow.kernels import SearchTimeout
 from ncflow.matchings import enumerate_perfect_matchings
 
-from conftest import small_corpus
+from conftest import petersen_of_petersens, small_corpus
 
 
 def lines_for(*graphs):
@@ -63,6 +63,14 @@ class TestRunBatch:
     def test_chi_n_verdicts(self):
         rep = run_batch(lines_for(k4(), k33(), petersen()), "chi-n")
         assert [r.verdict for r in rep.rows] == ["3", "3", "5"]
+        assert [r.detail["settled_by"] for r in rep.rows] == [[[3, "triangle"]], [], [[4, "lemma-A"]]]
+
+    def test_chi_n_parallelism_is_canonical(self, corpus16):
+        lines = lines_for(*(g for _n, g in corpus16))
+        a = run_batch(lines, "chi-n", jobs=1).to_json(canonical=True)
+        b = run_batch(lines, "chi-n", jobs=2).to_json(canonical=True)
+        assert a == b
+        assert all("settled_by" in row["detail"] for row in json.loads(a)["rows"])
 
     def test_every_2_factor_verdicts(self):
         rep = run_batch(lines_for(k4(), petersen()), "every-2-factor")
@@ -286,13 +294,28 @@ class TestCliExitCodes:
         assert main(["chi-n", "petersen"]) == 3
 
     def test_chi_n_deadline_fires_mid_search(self, monkeypatch):
-        # the full search takes seconds (over 11M nodes at k = 5), so only
-        # the kernel's periodic deadline check can stop it in time
+        # nothing to reduce (no triangle, no 2-edge cut) and the k = 5
+        # search runs for over 30 s, so only the kernel's periodic deadline
+        # check can stop it in time
         monkeypatch.setenv("NZFLOW_TIMEOUT_SECS", "0.5")
-        [literal] = lines_for(counterexample_family(2))
+        [literal] = lines_for(petersen_of_petersens())
         start = time.monotonic()
         assert main(["chi-n", literal]) == 3
         assert time.monotonic() - start < 3
+
+    def test_chi_n_deadline_checked_before_reducing(self, monkeypatch):
+        monkeypatch.setenv("NZFLOW_TIMEOUT_SECS", "0.000001")
+        [literal] = lines_for(triangle_replace_all(petersen()))
+        assert main(["chi-n", literal]) == 3
+
+    def test_chi_n_splits_the_counterexample_family(self, capsys):
+        # the 2-edge cuts split it into Petersen graphs and a K4; a plain
+        # search took over 11M nodes at k = 5
+        [literal] = lines_for(counterexample_family(2))
+        start = time.monotonic()
+        assert main(["chi-n", literal]) == 0
+        assert time.monotonic() - start < 1
+        assert "chi_n = 5" in capsys.readouterr().out
 
     def test_constructive_twocycle(self, capsys):
         assert main(["flow", "search", "k33", "--construct", "twocycle"]) == 0

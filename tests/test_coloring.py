@@ -2,8 +2,11 @@
 reductions over 2-cuts and triangles, and H-colorings."""
 
 import itertools
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncflow.coloring import (
     ABNORMAL,
@@ -46,10 +49,11 @@ from ncflow.generators import (
     ring_of_diamonds,
     triangle_replace_all,
 )
-from ncflow.graph import build_graph, contract_two_factor, is_isomorphic_to_petersen
+from ncflow.graph import bridges, build_graph, contract_two_factor, is_isomorphic_to_petersen
+from ncflow.kernels import SearchTimeout
 from ncflow.matchings import complement_two_factor, enumerate_perfect_matchings
 
-from conftest import corpus_16, glue_two_cut, small_corpus
+from conftest import bridged_pair, chi_n_snarks_corpus, corpus_16, glue_two_cut, ladder, prism, small_corpus
 
 
 def three_coloring(g):
@@ -123,10 +127,21 @@ class TestChiN:
         res = chi_n_exact(fig3_graph(), 7)
         assert res.k == 7
         assert not res.multigraph
-        # every smaller palette was exhausted
+        # every smaller palette was settled: k = 3 by the triangle lemma
+        # (its first triangle contracts to a graph with no normal coloring),
+        # k = 4 by Lemma A, and k = 5 and 6 by exhausted searches on fig3
         assert [k for k, _n in res.nodes_per_k] == [3, 4, 5, 6, 7]
-        assert all(n > 0 for _k, n in res.nodes_per_k)
+        assert res.settled_by == ((3, "triangle"), (4, "lemma-A"))
+        assert dict(res.nodes_per_k)[4] == 0
+        assert all(n > 0 for k, n in res.nodes_per_k if k != 4)
         assert admits_normal_k_coloring(fig3_graph(), 6) is None
+
+    def test_bridge_stays_poor_without_a_two_cut_reduction(self):
+        g = fig3_graph()
+        res = chi_n_exact(g, 7)
+        assert bridges(g) == [14]
+        assert all(lemma != "2-cut" for _k, lemma in res.settled_by)
+        assert classify_edge(g, res.witness, 14).kind == POOR
 
     def test_witness_is_normal_and_minimal(self):
         for name, g in small_corpus():
@@ -143,6 +158,103 @@ class TestChiN:
 
     def test_k_max_exceeded_returns_none(self):
         assert chi_n_exact(petersen(), 4) is None
+        assert chi_n_exact(triangle_replace_all(petersen()), 4) is None
+        assert chi_n_exact(counterexample_family(1), 4) is None
+        assert chi_n_exact(fig3_graph(), 6) is None
+
+    def test_disjoint_union_of_k4_and_petersen(self):
+        k, p = k4(), petersen()
+        g = build_graph(k.n + p.n, list(k.edges) + [(u + k.n, v + k.n) for u, v in p.edges])
+        res = chi_n_exact(g, 7)
+        assert res.k == 5
+        assert is_normal(g, res.witness).ok
+        assert len(set(res.witness.colors)) == 5
+        # K4's triangle contracts; the union has no 2-edge cut to split
+        assert res.settled_by == ((3, "triangle"), (4, "lemma-A"), (5, "triangle"))
+
+    def test_k4_contracts_to_a_triple_edge_and_stays_three(self):
+        gq, _emap = contract_triangle(k4(), (0, 1, 2))
+        assert gq.n == 2 and gq.multiplicity(0, 1) == 3
+        res = chi_n_exact(k4(), 7)
+        assert res.k == 3 and res.settled_by == ((3, "triangle"),)
+        assert is_normal(k4(), res.witness).ok
+
+    def test_two_cut_sides_merge(self):
+        res = chi_n_exact(counterexample_family(2), 7)
+        assert res.k == 5
+        assert res.settled_by == ((3, "2-cut"), (4, "lemma-A"), (5, "2-cut"))
+        assert is_normal(counterexample_family(2), res.witness).ok
+
+    def test_long_chains_of_two_edge_cuts_split_in_halves(self):
+        # 2,000 vertices: after the triangle round, one class of 500 2-edge
+        # cuts; splitting it off one link at a time would nest 500 levels
+        g = ring_of_diamonds(500)
+        res = chi_n_exact(g, 7)
+        assert res.k == 3 and res.settled_by == ((3, "triangle"),)
+        assert is_normal(g, res.witness).ok
+
+    def test_a_chain_of_distinct_cut_classes_splits_in_halves(self, monkeypatch):
+        # 600 rungs, 599 classes of one 2-edge cut each; cutting one rung
+        # off per level would nest 599 levels, the most balanced cut about 10
+        depth, deepest = [0], [0]
+        real = coloring._chi_n
+
+        def counted(*args):
+            depth[0] += 1
+            deepest[0] = max(deepest[0], depth[0])
+            witness = yield from real(*args)
+            depth[0] -= 1
+            return witness
+
+        monkeypatch.setattr(coloring, "_chi_n", counted)
+        g = ladder(600)
+        res = chi_n_exact(g, 7)
+        assert res.k == 3 and res.settled_by == ((3, "2-cut"),)
+        assert is_normal(g, res.witness).ok
+        assert deepest[0] <= 12
+
+    def test_nested_tasks_do_not_nest_python_calls(self):
+        def countdown(n):
+            if n == 0:
+                return 0
+            below = yield countdown(n - 1)
+            return below + 1
+
+        assert coloring._drive(countdown(5000)) == 5000
+
+    def test_each_triangle_contracted_once(self, monkeypatch):
+        calls = []
+        real = coloring._contract_triangles
+
+        def counted(g, tris):
+            calls.append(tris)
+            return real(g, tris)
+
+        monkeypatch.setattr(coloring, "_contract_triangles", counted)
+        res = chi_n_exact(triangle_replace_all(petersen()), 7)
+        assert res.k == 5
+        # the ten disjoint triangles, contracted together in one pass
+        assert len(calls) == 1 and len(calls[0]) == 10
+
+    def test_deadline_checked_on_entry_and_at_every_reduction_step(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched after the deadline")
+
+        monkeypatch.setattr(coloring, "normal_coloring_search", no_search)
+        g = triangle_replace_all(triangle_replace_all(k4()))
+        with pytest.raises(SearchTimeout):
+            chi_n_exact(g, 7, deadline=time.monotonic() - 1)
+        # three rounds of contractions (12 triangles, then 4, then 1) come
+        # before any search; the deadline passes during the second
+        real = coloring._contract_triangles
+
+        def slow(g, tris):
+            time.sleep(0.05)
+            return real(g, tris)
+
+        monkeypatch.setattr(coloring, "_contract_triangles", slow)
+        with pytest.raises(SearchTimeout):
+            chi_n_exact(g, 7, deadline=time.monotonic() + 0.07)
 
     def test_multigraph_flagged(self):
         res = chi_n_exact(k23(), 7)
@@ -161,51 +273,141 @@ class TestChiN:
             admits_normal_k_coloring(k33(), 3)
 
 
-# chi_n_exact(g, 7) on the pure-Python kernel: node counts per palette and
-# the witness, which the search order fixes exactly
+# chi_n_exact(g, 7) on the pure-Python kernel: node counts per palette, the
+# lemmas that settled the others, and the witness, which the search order
+# and the fixed order of the reductions fix exactly
 CHI_N_GOLDEN = [
     (
         "petersen",
         petersen,
-        ((3, 174), (4, 314), (5, 3805)),
+        ((3, 174), (4, 0), (5, 3805)),
+        ((4, "lemma-A"),),
         (1, 4, 3, 5, 2, 5, 1, 3, 2, 4, 3, 5, 2, 1, 4),
     ),
     (
         "k23_with_p10v",
         k23_with_p10v,
-        ((3, 285), (4, 478), (5, 7126)),
+        ((3, 285), (4, 0), (5, 7126)),
+        ((4, "lemma-A"),),
         (1, 4, 2, 2, 3, 4, 5, 1, 2, 5, 3, 1, 1, 4, 2, 2, 3, 4, 5, 1, 2, 5, 3, 1, 3, 5, 4),
     ),
     (
         "counterexample_family(1)",
         lambda: counterexample_family(1),
-        ((3, 285), (4, 478), (5, 21095)),
-        (1, 4, 2, 5, 2, 3, 4, 5, 1, 4, 2, 5, 3, 1, 5, 3, 4, 2, 4, 1, 3, 2, 5, 3, 4, 2,
-         1, 5, 4, 3, 5, 1, 5, 2, 3, 1, 4, 3, 5, 1, 2, 4, 3, 1, 1, 2, 2, 3, 2, 3, 1),
+        ((3, 528), (4, 0), (5, 9450)),
+        ((3, "2-cut"), (4, "lemma-A"), (5, "2-cut")),
+        (1, 4, 2, 5, 2, 3, 4, 5, 1, 4, 2, 5, 3, 1, 3, 4, 1, 5, 1, 2, 4, 5, 3, 4, 1, 5,
+         2, 3, 3, 4, 2, 5, 2, 1, 4, 5, 3, 4, 2, 5, 1, 3, 3, 2, 2, 1, 1, 3, 1, 3, 2),
     ),
     (
         "fig3",
         fig3_graph,
-        ((3, 60), (4, 98), (5, 358), (6, 733), (7, 1301)),
+        ((3, 12), (4, 0), (5, 377), (6, 733), (7, 1301)),
+        ((3, "triangle"), (4, "lemma-A")),
         (1, 2, 4, 6, 5, 7, 3, 1, 2, 4, 6, 5, 7, 3, 3),
     ),
     (
         "triangle_replace_all(petersen)",
         lambda: triangle_replace_all(petersen()),
-        ((3, 4242), (4, 7182), (5, 972874)),
-        (1, 5, 2, 4, 3, 4, 1, 2, 3, 5, 2, 4, 3, 1, 5, 2, 3, 1, 4, 5, 1, 3, 2, 5, 1, 4,
-         2, 5, 3, 4, 2, 5, 4, 4, 3, 2, 3, 1, 4, 1, 5, 3, 5, 2, 1),
+        ((3, 174), (4, 0), (5, 3805)),
+        ((3, "triangle"), (4, "lemma-A"), (5, "triangle")),
+        (1, 4, 3, 5, 2, 5, 1, 3, 2, 4, 3, 5, 2, 1, 4, 3, 2, 1, 5, 4, 1, 2, 3, 4, 1, 5,
+         3, 4, 2, 5, 3, 4, 5, 5, 2, 3, 2, 1, 5, 1, 4, 2, 4, 3, 1),
     ),
 ]
 
 
-@pytest.mark.parametrize("name,build,trail,witness", CHI_N_GOLDEN, ids=[c[0] for c in CHI_N_GOLDEN])
-def test_pure_python_kernel_golden(monkeypatch, name, build, trail, witness):
+@pytest.mark.parametrize("name,build,trail,settled_by,witness", CHI_N_GOLDEN, ids=[c[0] for c in CHI_N_GOLDEN])
+def test_pure_python_kernel_golden(monkeypatch, name, build, trail, settled_by, witness):
     monkeypatch.setattr(coloring, "normal_coloring_search", _kernels_py.normal_coloring_search)
     res = chi_n_exact(build(), 7)
     assert res.nodes_per_k == trail
+    assert res.settled_by == settled_by
     assert res.k == trail[-1][0]
     assert res.witness.colors == witness
+
+
+def oracle_chi_n(g, k_max=7):
+    """The smallest k <= k_max with a normal k-coloring, one plain
+    single-palette search per k (no lemma, no reduction)."""
+    for k in range(3, k_max + 1):
+        if admits_normal_k_coloring(g, k) is not None:
+            return k
+    return None
+
+
+def assert_agrees_with_oracle(g, label):
+    res = chi_n_exact(g, 7)
+    expected = oracle_chi_n(g)
+    if expected is None:
+        assert res is None, label
+        return
+    assert res is not None and res.k == expected, label
+    assert res.witness.k == res.k, label
+    assert is_normal(g, res.witness).ok, label
+    assert len(set(res.witness.colors)) == res.k, label
+    assert [k for k, _n in res.nodes_per_k] == list(range(3, res.k + 1)), label
+
+
+SPLICE_BASES = (k4, k33, lambda: prism(3), lambda: prism(4), petersen,
+                lambda: bridged_pair(prism(3), 6, prism(4), 0))
+
+
+@st.composite
+def spliced_cubic_graph(draw, max_n=20):
+    """A small cubic graph (one bridged) with up to two splices: a vertex
+    replaced by a triangle, or another small graph glued in across a new
+    2-edge cut.  A splice that would pass max_n vertices is skipped, which
+    keeps the plain searches of the oracle short."""
+    g = draw(st.sampled_from(SPLICE_BASES))()
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            if g.n + 2 <= max_n:
+                g = replace_vertex_with_triangle(g, draw(st.integers(0, g.n - 1)))
+        else:
+            h = draw(st.sampled_from(SPLICE_BASES[:5]))()
+            if g.n + h.n <= max_n:
+                g, _cut = glue_two_cut(g, draw(st.integers(0, g.m - 1)), h, draw(st.integers(0, h.m - 1)))
+    return g
+
+
+# subdivided pairs joined by a bridge where contracting the disjoint
+# triangles raises chi'_N (6 -> 7, 6 -> no normal coloring, 7 -> none), so
+# chi_n_exact must search G itself after the reduction fails
+BRIDGED_PAIRS = [
+    ("prism4:0|tri-k4:0", lambda: bridged_pair(prism(4), 0, triangle_replace_all(k4()), 0), 6),
+    ("tri-k4:0|tri-k4:0", lambda: bridged_pair(triangle_replace_all(k4()), 0, triangle_replace_all(k4()), 0), 6),
+    ("prism3:6|prism3:6", lambda: bridged_pair(prism(3), 6, prism(3), 6), 6),
+    ("k4:0|k4:0", lambda: bridged_pair(k4(), 0, k4(), 0), 7),
+]
+
+
+class TestChiNOracle:
+    def test_chi_n_snarks_corpus(self):
+        corpus = chi_n_snarks_corpus()
+        assert len(corpus) == 123
+        values = []
+        for name, g in corpus:
+            assert_agrees_with_oracle(g, name)
+            values.append(chi_n_exact(g, 7).k)
+        assert values.count(5) == 122 and values[-1] == 7
+
+    def test_counterexample_family(self):
+        assert_agrees_with_oracle(counterexample_family(1), "counterexample_family(1)")
+
+    @pytest.mark.parametrize("name,build,value", BRIDGED_PAIRS, ids=[c[0] for c in BRIDGED_PAIRS])
+    def test_reductions_that_raise_the_index_fall_back(self, name, build, value):
+        g = build()
+        gq, _emap = coloring._contract_triangles(g, coloring._disjoint_triangles(g))
+        reduced = oracle_chi_n(gq)
+        assert reduced is None or reduced > value
+        assert oracle_chi_n(g) == value
+        assert_agrees_with_oracle(g, name)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(spliced_cubic_graph())
+    def test_spliced_graphs(self, g):
+        assert_agrees_with_oracle(g, g.edges)
 
 
 class TestStructuralAbnormality:
@@ -345,7 +547,6 @@ class TestTwoCutReduction:
 class TestTriangleReduction:
     def test_contract_recovers_base(self):
         g = replace_vertex_with_triangle(k4(), 0)
-        tri = tuple(v for v in range(g.n) if v >= g.n - 3) if False else None
         # locate the new triangle: three mutually adjacent vertices
         tris = [
             t

@@ -1,6 +1,8 @@
 """Graph model: construction, bridges, girth, contraction, cuts, isomorphism."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import networkx as nx
@@ -16,6 +18,7 @@ from ncflow.generators import (
     k33,
     permutation_graph,
     petersen,
+    replace_edge_with_string,
     ring_of_diamonds,
 )
 from ncflow.graph import (
@@ -30,10 +33,13 @@ from ncflow.graph import (
     is_cubic,
     is_isomorphic_to_petersen,
     three_edge_cuts,
+    _balanced_two_cut,
+    _cut_classes,
+    _cycle_space,
 )
 from ncflow.matchings import Cycle, PerfectMatching, TwoFactor, complement_two_factor, enumerate_perfect_matchings
 
-from conftest import claw_free_corpus, k4_with_doubled_diagonal, small_corpus
+from conftest import claw_free_corpus, k4_with_doubled_diagonal, ladder, small_corpus
 
 
 def to_nx(g: Pseudograph) -> nx.MultiGraph:
@@ -283,6 +289,113 @@ class TestThreeEdgeCuts:
         g = ring_of_diamonds(2)
         assert len(connected_components(g, frozenset({10, 11, 0}))) > 1
         assert (0, 10, 11) not in three_edge_cuts(g)
+
+
+    def test_lists_unchanged_on_the_claw_free_sweep_graphs(self):
+        # the acceptance-7 graphs and every ring of 2 or 3 diamonds with one
+        # edge replaced by a 2-cycle or a diamond; the digest is of the lists
+        # three_edge_cuts returned before it shared its DFS with the 2-edge cuts
+        graphs = claw_free_corpus()
+        for k in (2, 3):
+            ring = ring_of_diamonds(k)
+            for spec in ("2", "D"):
+                graphs += [replace_edge_with_string(ring, eid, spec) for eid in range(ring.m)]
+        lists = [three_edge_cuts(g) for g in graphs]
+        assert len(graphs) == 85 and sum(map(len, lists)) == 2702
+        digest = hashlib.sha256(json.dumps(lists).encode()).hexdigest()
+        assert digest == "95d898468900899fbdf82cfa59b304a530023a20e535e24f21892535f5af8b2d"
+
+
+def brute_force_two_edge_cuts(g: Pseudograph):
+    """Reference: pairs of non-bridge edges whose removal adds a component."""
+    base = len(connected_components(g))
+    bridge_set = set(bridges(g))
+    return [
+        (a, b)
+        for a, b in itertools.combinations(range(g.m), 2)
+        if a not in bridge_set and b not in bridge_set
+        and len(connected_components(g, frozenset((a, b)))) > base
+    ]
+
+
+def two_edge_cuts(g: Pseudograph):
+    return _cut_classes(_cycle_space(g)[0])
+
+
+def cut_pairs(classes):
+    return sorted(pair for cls in classes for pair in itertools.combinations(cls, 2))
+
+
+class TestTwoEdgeCuts:
+    def test_agrees_with_brute_force_on_random_multigraphs(self):
+        rng = random.Random(2025)
+        graphs = [random_connected_cubic_multigraph(rng.choice((2, 4, 6, 8, 10, 12)), rng)
+                  for _ in range(120)]
+        graphs += [fig3_graph(), ring_of_diamonds(3), petersen()]
+        assert any(two_edge_cuts(g) for g in graphs)
+        for g in graphs:
+            classes = two_edge_cuts(g)
+            assert classes == sorted(classes) and all(len(c) > 1 and list(c) == sorted(c) for c in classes)
+            assert cut_pairs(classes) == brute_force_two_edge_cuts(g), g.edges
+
+    def test_a_ring_is_one_class(self):
+        # any two of the k links between consecutive diamonds form a 2-edge cut
+        g = ring_of_diamonds(4)
+        assert [len(c) for c in two_edge_cuts(g)] == [4]
+
+    def test_disconnected_graph_accepted(self):
+        # a ring of two diamonds beside K4: the cuts are the ring's alone
+        ring = ring_of_diamonds(2)
+        g = build_graph(ring.n + 4, list(ring.edges) + [(a + ring.n, b + ring.n) for a, b in k4().edges])
+        assert two_edge_cuts(g) == two_edge_cuts(ring)
+        assert cut_pairs(two_edge_cuts(g)) == brute_force_two_edge_cuts(g)
+        assert two_edge_cuts(ring)
+
+    def test_bridges_and_loops_lie_in_no_class(self):
+        g = fig3_graph()
+        assert all(14 not in cls for cls in two_edge_cuts(g))
+        assert two_edge_cuts(build_graph(2, [(0, 0), (0, 1), (1, 1)])) == []
+
+    def test_petersen_has_none(self):
+        assert two_edge_cuts(petersen()) == []
+
+
+def brute_force_balanced_two_cut(g: Pseudograph):
+    """Reference: over all 2-edge cuts, (larger side, e, f) at its least."""
+    keys = []
+    for a, b in brute_force_two_edge_cuts(g):
+        sides = connected_components(g, frozenset((a, b)))
+        keys.append((max(map(len, sides)), a, b))
+    return min(keys)[1:] if keys else None
+
+
+class TestBalancedTwoCut:
+    def test_agrees_with_brute_force(self):
+        rng = random.Random(2026)
+        graphs = [random_connected_cubic_multigraph(rng.choice((2, 4, 6, 8, 10, 12, 14)), rng)
+                  for _ in range(300)]
+        graphs = [g for g in graphs if not bridges(g)]
+        graphs += [ring_of_diamonds(k) for k in range(2, 6)] + [ladder(k) for k in range(2, 9)]
+        for g in (petersen(), k4()):
+            graphs += [replace_edge_with_string(g, eid, spec) for eid in range(g.m) for spec in ("2", "D", "2D")]
+        assert len(graphs) > 150 and sum(_balanced_two_cut(g) is not None for g in graphs) > 100
+        for g in graphs:
+            assert _balanced_two_cut(g) == brute_force_balanced_two_cut(g), g.edges
+
+    def test_a_chain_is_cut_in_the_middle(self):
+        # the gap between rungs 3 and 4 of 8
+        assert _balanced_two_cut(ladder(8)) == (14, 15)
+        # a ring of 6 diamonds: two links three apart
+        ring = ring_of_diamonds(6)
+        e, f = _balanced_two_cut(ring)
+        assert sorted(map(len, connected_components(ring, frozenset((e, f))))) == [12, 12]
+
+    def test_none_without_a_cut_or_with_a_bridge_or_two_components(self):
+        assert _balanced_two_cut(petersen()) is None
+        assert _balanced_two_cut(fig3_graph()) is None
+        ring = ring_of_diamonds(2)
+        both = build_graph(ring.n + 4, list(ring.edges) + [(a + ring.n, b + ring.n) for a, b in k4().edges])
+        assert _balanced_two_cut(both) is None
 
 
 class TestClawFree:
