@@ -32,11 +32,10 @@ import os
 import sys
 import time
 
-from ncflow import complement_two_factor, enumerate_perfect_matchings
+from ncflow import enumerate_perfect_matchings
 from ncflow import _kernels_py, kernels
-from ncflow.flows import _conflict_pairs
+from ncflow.flows import _kernel_input
 from ncflow.generators import counterexample_family, fig3_graph, k23_with_p10v, petersen
-from ncflow.graph import contract_two_factor
 
 BATCH_SECONDS = 0.05
 FAMILY2_BLOCK = 160
@@ -58,10 +57,7 @@ def time_it(fn, repeat=3):
 
 
 def kernel_args(g, f):
-    tf = complement_two_factor(g, f)
-    h = contract_two_factor(g, tf)
-    q = h.quotient
-    return q.n, [e[0] for e in q.edges], [e[1] for e in q.edges], *_conflict_pairs(g, tf, h)
+    return _kernel_input(g, f)[2]
 
 
 def min_cases():

@@ -131,38 +131,39 @@ def flow_search(
         raise SearchTimeout
     m = len(eu)
 
-    # vertex-grouped static order so conservation closes vertices early
-    order: List[int] = []
-    placed = [False] * m
-    incid: List[List[int]] = [[] for _ in range(nq)]
+    # vertex-grouped static order so conservation closes vertices early:
+    # each vertex in turn takes its edges not yet placed, in id order, so
+    # the edges go by their lower end, then by id
+    by_low: List[List[int]] = [[] for _ in range(nq)]
     for e in range(m):
-        incid[eu[e]].append(e)
-        if ev[e] != eu[e]:
-            incid[ev[e]].append(e)
-    for v in range(nq):
-        for e in incid[v]:
-            if not placed[e]:
-                placed[e] = True
-                order.append(e)
-
-    depth_of = [0] * m
-    last = [-1] * nq  # depth of the last non-loop edge at each vertex
-    for d, e in enumerate(order):
-        depth_of[e] = d
-        if eu[e] != ev[e]:
-            last[eu[e]] = last[ev[e]] = d
-    earlier: List[List[int]] = [[] for _ in range(m)]
-    for a, b in zip(first, second):
-        if depth_of[a] < depth_of[b]:
-            earlier[b].append(a)
-        elif depth_of[b] < depth_of[a]:
-            earlier[a].append(b)
-    steps = []
-    for d, e in enumerate(order):
         u, v = eu[e], ev[e]
-        closes = u if last[u] == d else v if last[v] == d else -1
-        both = last[u] == d and last[v] == d
-        steps.append((e, u, v, closes, both, tuple(earlier[e])))
+        by_low[u if u < v else v].append(e)
+    order: List[int] = []
+    depth_of = [0] * m
+    for group in by_low:
+        for e in group:
+            depth_of[e] = len(order)
+            order.append(e)
+    earlier: List[List[int]] = [[] for _ in range(m)]  # by depth
+    for a, b in zip(first, second):
+        da, db = depth_of[a], depth_of[b]
+        if da < db:
+            earlier[db].append(a)
+        elif db < da:
+            earlier[da].append(b)
+    # from the deepest edge up: a non-loop edge closes each end not seen yet
+    seen = [False] * nq
+    steps = []
+    for d in range(m - 1, -1, -1):
+        e = order[d]
+        u, v = eu[e], ev[e]
+        close_u = close_v = False
+        if u != v:
+            close_u, close_v = not seen[u], not seen[v]
+            seen[u] = seen[v] = True
+        closes = u if close_u else v if close_v else -1
+        steps.append((e, u, v, closes, close_u and close_v, tuple(earlier[d])))
+    steps.reverse()
 
     # x conflicts with a valued partner holding x ^ 3 (alpha+beta apart);
     # every partner read is valued, and no value is 0.  Each entry ends

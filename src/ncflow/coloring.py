@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from itertools import starmap
+from operator import eq
 from typing import Dict, List, Optional, Set, Tuple
 
 from .errors import InputError, NcflowError
@@ -49,7 +51,7 @@ class NormalVerdict:
 
 
 def _reject_loops(g: Pseudograph):
-    if any(u == v for u, v in g.edges):
+    if any(starmap(eq, g.edges)):
         raise InputError("loops make properness undefined; refusing to color")
 
 
@@ -95,16 +97,25 @@ def classify_edge(g: Pseudograph, c: EdgeColoring, eid: int) -> EdgeClass:
 
 def is_normal(g: Pseudograph, c: EdgeColoring) -> NormalVerdict:
     _require_proper(g, c)
+    bad = _abnormal_edges(g, c)
+    return NormalVerdict(not bad, bad)
+
+
+def _abnormal_edges(g: Pseudograph, c: EdgeColoring) -> Tuple[int, ...]:
+    """`is_normal`'s abnormal edges, for a proper coloring c of a loop-free g."""
+    # proper and loop-free, so a vertex has one palette bit per edge at it
+    if not {0, 3}.issuperset(g._degree):
+        raise InputError("classification needs degree-3 endpoints")
     pal = [0] * g.n
     for (u, v), col in zip(g.edges, c.colors):
-        pal[u] |= 1 << col
-        pal[v] |= 1 << col
-    # proper and loop-free, so a vertex has one palette bit per edge at it;
-    # a vertex that is an endpoint has a nonzero palette
-    if any(p.bit_count() != 3 for p in pal if p):
-        raise InputError("classification needs degree-3 endpoints")
-    bad = tuple(e for e, (u, v) in enumerate(g.edges) if (pal[u] | pal[v]).bit_count() == 4)
-    return NormalVerdict(not bad, bad)
+        bit = 1 << col
+        pal[u] |= bit
+        pal[v] |= bit
+    bad = []
+    for e, (u, v) in enumerate(g.edges):
+        if (pal[u] | pal[v]).bit_count() == 4:
+            bad.append(e)
+    return tuple(bad)
 
 
 @dataclass(frozen=True)
@@ -357,8 +368,9 @@ def verify_z2cubed_flow(g: Pseudograph, mu: Z2CubedFlow) -> bool:
 
 
 # palette order for 6-colorings built from flows: alpha+beta before alpha,
-# then the four leading-bit values in numeric order
-_SIX_PALETTE = {3: 1, 2: 2, 4: 3, 5: 4, 6: 5, 7: 6}
+# then the four leading-bit values in numeric order; beta (1) is merged
+# into alpha (2)
+_MERGED_SIX_PALETTE = {3: 1, 2: 2, 1: 2, 4: 3, 5: 4, 6: 5, 7: 6}
 
 
 @dataclass(frozen=True)
@@ -377,19 +389,20 @@ def coloring_from_flow(
     by recoloring (0, beta) as (0, alpha).
     """
     ids, at = _f_edge_positions(g, f, tf, theta)
-    f_value = [theta.values[i] for i in at]
+    vals = theta.values
+    f_value = [vals[i] for i in at]
     if not _conserves(tf, f_value):
         raise InputError("not a valid flow")
-    if _conflict_edges(g, tf, ids, at, theta.values):
+    if _conflict_edges(g, tf, ids, at, vals, f_value):
         raise InputError("flow has conflicts; the 6-color merge would go abnormal")
     mu = [0] * g.m
-    for i, eid in enumerate(ids):
-        mu[eid] = theta.values[i]
+    for eid, val in zip(ids, vals):
+        mu[eid] = val
     for cyc in tf.cycles:
         for x0 in (4, 5, 6, 7):
-            vals = _propagate_cycle(cyc, f_value, x0)
-            if vals is not None:
-                for eid, val in vals.items():
+            around = _propagate_cycle(cyc, f_value, x0)
+            if around is not None:
+                for eid, val in around.items():
                     mu[eid] = val
                 break
         else:
@@ -397,9 +410,7 @@ def coloring_from_flow(
     mu_flow = Z2CubedFlow(tuple(mu))
     if not verify_z2cubed_flow(g, mu_flow):
         raise NcflowError("propagated Z2^3 flow does not conserve")
-    merged = [2 if v == 1 else v for v in mu]
-    colors = tuple(_SIX_PALETTE[v] for v in merged)
-    coloring = EdgeColoring(colors, 6)
+    coloring = EdgeColoring(tuple(map(_MERGED_SIX_PALETTE.__getitem__, mu)), 6)
     verdict = is_normal(g, coloring)
     if not verdict.ok:
         raise NcflowError("merged coloring is abnormal; flow was not non-conflicting")
@@ -542,9 +553,10 @@ def lift_over_2_cut(
     """
     if split is None:
         split = split_two_cut(g, cut)
-    _require_proper(split.g1, c1)
-    _require_proper(split.g2, c2)
-    if not is_normal(split.g1, c1).ok or not is_normal(split.g2, c2).ok:
+    # is_normal raises InputError on an improper side coloring; both sides
+    # are checked before either verdict is read
+    normal1, normal2 = is_normal(split.g1, c1).ok, is_normal(split.g2, c2).ok
+    if not (normal1 and normal2):
         raise InputError("side colorings must be normal")
     k = max(c1.k, c2.k)
     target = c1.colors[split.h1]
@@ -562,7 +574,7 @@ def lift_over_2_cut(
             s, se = split.edge_to_side[eid]
             colors[eid] = c1.colors[se] if s == 1 else rename[c2.colors[se]]
         cand = EdgeColoring(tuple(colors), k)
-        if is_proper(g, cand) and is_normal(g, cand).ok:
+        if is_proper(g, cand) and not _abnormal_edges(g, cand):
             return cand
     raise NcflowError("no palette renaming merges normally; reduction proof violated")
 
@@ -595,8 +607,7 @@ def lift_over_triangle(
     """Extend a normal coloring of G/T by giving each triangle edge the color
     of its opposite outgoing edge."""
     gq, emap = contract_triangle(g, tri)
-    _require_proper(gq, qc)
-    if not is_normal(gq, qc).ok:
+    if not is_normal(gq, qc).ok:  # InputError first when qc is not proper
         raise InputError("quotient coloring must be normal")
     return _lift_triangles(g, [tri], emap, qc)
 
@@ -626,8 +637,7 @@ def _lift_triangles(
                     (opposite,) = ts - {v, w}
                     colors[e] = out_color[opposite]
     cand = EdgeColoring(tuple(colors), qc.k)
-    verdict = is_normal(g, cand)
-    if not is_proper(g, cand) or not verdict.ok:
+    if not is_proper(g, cand) or _abnormal_edges(g, cand):
         raise NcflowError("triangle lift failed to stay normal")
     return cand
 

@@ -12,6 +12,7 @@ XOR to 0b11).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import combinations
 from math import comb
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -19,6 +20,7 @@ from .errors import ContractError, InputError, NcflowError, ResourceLimitError
 from .graph import (
     ContractedGraph,
     Pseudograph,
+    _carried_contraction,
     _contract_vertex_sets,
     _two_factor_index,
     contract_two_factor,
@@ -165,20 +167,25 @@ def enumerate_nz_flows(h: ContractedGraph) -> Iterator[FlowAssignment]:
 
 def _f_edge_positions(
     g: Pseudograph, f: PerfectMatching, tf: TwoFactor, theta: FlowAssignment
-) -> Tuple[List[int], List[int]]:
+) -> Tuple[Sequence[int], Sequence[int]]:
     """(F's edge ids in id order, G-vertex -> position of the F-edge at it).
 
     contract_two_factor numbers the quotient edges in G's id order, so the
     F-edge at position i is quotient edge i and carries theta.values[i]:
-    a flow on G/F-bar can be read on G without building the quotient.
-    Raises ContractError as `_two_factor_index` does, and when F is not
-    the matching off F-bar with each id listed once; InputError unless
-    theta has one value per quotient edge.
+    a flow on G/F-bar can be read on G without building the quotient.  The
+    index comes from the contraction tf carries when it was made on g, and
+    is built otherwise.  Raises ContractError as `_two_factor_index` does,
+    and when F is not the matching off F-bar with each id listed once;
+    InputError unless theta has one value per quotient edge.
     """
-    _vertex_cycle, ids, at = _two_factor_index(g, tf.cycles)
+    h = _carried_contraction(g, tf)
+    if h is not None:
+        ids, at = h.edge_origin, h.matching_edge_at
+    else:
+        _vertex_cycle, ids, at = _two_factor_index(g, tf.cycles)
     if len(theta.values) != len(ids):
         raise InputError("flow does not match the contraction of this 2-factor")
-    if sorted(f.edge_ids) != ids:
+    if sorted(f.edge_ids) != list(ids):
         raise ContractError("matching is not the perfect-matching complement of this 2-factor")
     return ids, at
 
@@ -200,19 +207,24 @@ def _conserves(tf: TwoFactor, f_value: Sequence[int]) -> bool:
 
 
 def _conflict_edges(
-    g: Pseudograph, tf: TwoFactor, ids: Sequence[int], at: Sequence[int], vals: Sequence[int]
+    g: Pseudograph,
+    tf: TwoFactor,
+    ids: Sequence[int],
+    at: Sequence[int],
+    vals: Sequence[int],
+    f_value: Sequence[int],
 ) -> List[ConflictEdge]:
     """The 2-factor edges with alpha at one end and beta at the other, in
-    cycle order; `ids` and `at` are _f_edge_positions' output."""
+    cycle order; `ids` and `at` are _f_edge_positions' output, and
+    f_value[v] = vals[at[v]]."""
     edges = g.edges
     out = []
     for cyc in tf.cycles:
         for eid in cyc.edges:
             u, v = edges[eid]
-            qu, qv = at[u], at[v]
-            val_u, val_v = vals[qu], vals[qv]
-            if val_u ^ val_v == ALPHA_BETA:
-                out.append(ConflictEdge(eid, u, ids[qu], val_u, v, ids[qv], val_v))
+            if f_value[u] ^ f_value[v] == ALPHA_BETA:
+                qu, qv = at[u], at[v]
+                out.append(ConflictEdge(eid, u, ids[qu], vals[qu], v, ids[qv], vals[qv]))
     return out
 
 
@@ -222,24 +234,50 @@ def _is_nonconflicting_flow(
     """theta is a flow of G/F-bar with no conflict; G/F-bar is never built."""
     ids, at = _f_edge_positions(g, f, tf, theta)
     vals = theta.values
-    return _conserves(tf, [vals[i] for i in at]) and not _conflict_edges(g, tf, ids, at, vals)
+    f_value = [vals[i] for i in at]
+    return _conserves(tf, f_value) and not _conflict_edges(g, tf, ids, at, vals, f_value)
 
 
 def conflicts(g: Pseudograph, f: PerfectMatching, tf: TwoFactor, theta: FlowAssignment) -> ConflictReport:
     """All conflicting 2-factor edges; symmetric in alpha/beta; theta is read on G."""
     ids, at = _f_edge_positions(g, f, tf, theta)
-    out = _conflict_edges(g, tf, ids, at, theta.values)
+    vals = theta.values
+    out = _conflict_edges(g, tf, ids, at, vals, [vals[i] for i in at])
     out.sort(key=lambda c: c.fbar_edge)
     return ConflictReport(tuple(out))
 
 
-def _conflict_pairs(g: Pseudograph, tf: TwoFactor, h: ContractedGraph) -> Tuple[List[int], List[int]]:
-    """Quotient-edge pairs whose values XOR to alpha+beta iff a conflict
-    exists, one per 2-factor edge, as the kernels take them: the first
-    edge of every pair, then the second."""
-    at = h.matching_edge_at
-    ends = [g.edges[eid] for cyc in tf.cycles for eid in cyc.edges]
-    return [at[u] for u, _ in ends], [at[v] for _, v in ends]
+KernelArgs = Tuple[int, List[int], List[int], List[int], List[int]]
+
+
+def _kernel_input(g: Pseudograph, f: PerfectMatching) -> Tuple[TwoFactor, ContractedGraph, KernelArgs]:
+    """(F-bar, G/F-bar, the flow kernel's (nq, eu, ev, first, second)) for
+    the perfect matching f of g.
+
+    The arguments are flat int lists that both backends take as they are:
+    quotient edge i joins eu[i] and ev[i], and conflict pair k is
+    (first[k], second[k]), the quotient edges at the two ends of the k-th
+    2-factor edge in cycle order (their values XOR to alpha+beta exactly
+    when that edge conflicts).  They are read from the one index that
+    `contract_two_factor` builds; the quotient's incidence lists are never
+    filled.  Raises ResourceLimitError past MAX_QUOTIENT_EDGES quotient
+    edges.
+    """
+    tf = complement_two_factor(g, f)
+    h = contract_two_factor(g, tf)
+    q_edges = h.quotient.edges
+    if len(q_edges) > MAX_QUOTIENT_EDGES:
+        raise ResourceLimitError(f"quotient has {len(q_edges)} edges (> {MAX_QUOTIENT_EDGES})")
+    edges, at = g.edges, h.matching_edge_at
+    ends = [edges[eid] for cyc in tf.cycles for eid in cyc.edges]
+    args = (
+        h.quotient.n,
+        [a for a, _ in q_edges],
+        [b for _, b in q_edges],
+        [at[u] for u, _ in ends],
+        [at[v] for _, v in ends],
+    )
+    return tf, h, args
 
 
 def _kernel_flow(
@@ -248,24 +286,16 @@ def _kernel_flow(
     """Kernel flow search on G/F-bar in `mode`.
 
     Returns (verified flow or None, its conflict count, nodes expanded,
-    F-bar, G/F-bar).
+    F-bar, G/F-bar); with a flow, F-bar carries G/F-bar.
     """
-    tf = complement_two_factor(g, f)
-    h = contract_two_factor(g, tf)
-    q = h.quotient
-    if q.m > MAX_QUOTIENT_EDGES:
-        raise ResourceLimitError(f"quotient has {q.m} edges (> {MAX_QUOTIENT_EDGES})")
-    eu = [e[0] for e in q.edges]
-    ev = [e[1] for e in q.edges]
-    vals, conf, nodes = flow_search(
-        q.n, eu, ev, *_conflict_pairs(g, tf, h), mode, deadline=deadline
-    )
+    tf, h, args = _kernel_input(g, f)
+    vals, conf, nodes = flow_search(*args, mode, deadline=deadline)
     if vals is None:
         return None, conf, nodes, tf, h
     theta = FlowAssignment(tuple(vals))
     if not verify_flow(h, theta):
         raise NcflowError("flow search returned a flow that does not conserve")
-    return theta, conf, nodes, tf, h
+    return theta, conf, nodes, tf._carrying(g, h), h
 
 
 def find_nonconflicting_flow(
@@ -350,7 +380,8 @@ class TwoCycleFlowResult:
 
     `branch` records which constructive route produced it: "even", "case1",
     "case1-3ec", "case2a", "case2b-even", "case2b-rewire", "case2b-recursion"
-    or "fallback-exhaustive".
+    or "fallback-exhaustive".  `two_factor` carries the contraction G/F-bar
+    the route built, so `coloring_from_flow` reads F-bar's index from it.
     """
 
     matching: PerfectMatching
@@ -363,9 +394,13 @@ def _verified(
     g: Pseudograph,
     f: PerfectMatching,
     tf: TwoFactor,
+    h: ContractedGraph,
     theta: FlowAssignment,
     branch: str,
 ) -> Optional[TwoCycleFlowResult]:
+    """The result for theta if it is a non-conflicting flow on h = G/F-bar,
+    else None; the result's 2-factor carries h, which the check reads."""
+    tf = tf._carrying(g, h)
     if not _is_nonconflicting_flow(g, f, tf, theta):
         return None
     return TwoCycleFlowResult(f, tf, theta, branch)
@@ -378,7 +413,8 @@ def _three_colorable_route(
     for f in enumerate_perfect_matchings(g, deadline=deadline):
         tf = complement_two_factor(g, f)
         if odd_cycle_count(tf) == 0:
-            return TwoCycleFlowResult(f, tf, even_cycle_flow(g, tf), "case1-3ec")
+            h = contract_two_factor(g, tf)
+            return TwoCycleFlowResult(f, tf._carrying(g, h), _constant_flow(h), "case1-3ec")
     return None
 
 
@@ -387,7 +423,9 @@ def _exhaustive_route(
 ) -> Optional[TwoCycleFlowResult]:
     for f, theta in matching_verdicts(g, deadline=deadline):
         if theta is not None:
-            return TwoCycleFlowResult(f, complement_two_factor(g, f), theta, "fallback-exhaustive")
+            tf = complement_two_factor(g, f)
+            h = contract_two_factor(g, tf)
+            return TwoCycleFlowResult(f, tf._carrying(g, h), theta, "fallback-exhaustive")
     return None
 
 
@@ -406,7 +444,9 @@ def two_cycle_factor_flow(
     h = contract_two_factor(g, tf)
     odd = odd_cycle_count(tf)
     if odd == 0:
-        return TwoCycleFlowResult(PerfectMatching(h.edge_origin), tf, _constant_flow(h), "even")
+        return TwoCycleFlowResult(
+            PerfectMatching(h.edge_origin), tf._carrying(g, h), _constant_flow(h), "even"
+        )
     if odd != 2:  # one odd cycle: the graph has an odd order, so it is not cubic
         raise InputError("expected a 2-factor with exactly two odd cycles")
     return _two_odd_cycle_route(g, tf, h, deadline)
@@ -432,32 +472,38 @@ def _two_odd_cycle_route(
     """two_odd_cycle_flow past its input checks, on the contraction h of tf."""
     f = PerfectMatching(h.edge_origin)
     cyc_of = h.vertex_cycle
-    cross = [h.edge_origin[qe] for qe, (a, b) in enumerate(h.quotient.edges) if a != b]
+    edges = g.edges
+    # the cross edges (F-edges between the two cycles) in id order, with
+    # their ends on cycle 0 in us and on cycle 1 in vs
+    cross, us, vs = [], [], []
+    for eid in h.edge_origin:
+        a, b = edges[eid]
+        if cyc_of[a] != cyc_of[b]:
+            if cyc_of[a] != 0:
+                a, b = b, a
+            cross.append(eid)
+            us.append(a)
+            vs.append(b)
     n = len(cross)
     if n % 2 != 1:
         raise NcflowError("two odd cycles joined by an even number of edges")
-    us, vs = [], []
-    for eid in cross:
-        a, b = g.endpoints(eid)
-        if cyc_of[a] != 0:
-            a, b = b, a
-        us.append(a)
-        vs.append(b)
 
-    # adjacency via cycle edges or chords (anything but the cross matching)
-    cross_set = frozenset(cross)
+    # Two ends of cross edges are linked when an edge other than a cross
+    # edge joins them.  The only F-edge at such an end is its cross edge,
+    # so that edge is a 2-factor edge.  Each pair i < j is tested once.
     linked = set()
-    for eid, (a, b) in enumerate(g.edges):
-        if eid not in cross_set:
+    for cyc in tf.cycles:
+        for eid in cyc.edges:
+            a, b = edges[eid]
             linked.add((a, b))
             linked.add((b, a))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    n1 = sum(1 for i, j in pairs if (us[i], us[j]) in linked)
-    n2 = sum(1 for i, j in pairs if (vs[i], vs[j]) in linked)
+    link_u = list(map(linked.__contains__, combinations(us, 2)))
+    link_v = list(map(linked.__contains__, combinations(vs, 2)))
+    n1, n2 = sum(link_u), sum(link_v)
 
     if comb(n, 2) - n1 > n2:
-        for i, j in pairs:
-            if (us[i], us[j]) not in linked and (vs[i], vs[j]) not in linked:
+        for (i, j), lu, lv in zip(combinations(range(n), 2), link_u, link_v):
+            if not (lu or lv):
                 res = _case1_result(g, f, tf, h, cross, i, j)
                 if res is not None:
                     return res
@@ -488,7 +534,7 @@ def _case1_result(
     vals = [ALPHA_BETA] * h.quotient.m
     vals[h.origin_inverse[cross[i]]] = ALPHA
     vals[h.origin_inverse[cross[j]]] = BETA
-    return _verified(g, f, tf, FlowAssignment(tuple(vals)), "case1")
+    return _verified(g, f, tf, h, FlowAssignment(tuple(vals)), "case1")
 
 
 def _case2b(
@@ -528,7 +574,7 @@ def _case2b(
         return None
     h2 = contract_two_factor(g, tf2)
     if odd_cycle_count(tf2) == 0:
-        res = _verified(g, new_f, tf2, _constant_flow(h2), "case2b-even")
+        res = _verified(g, new_f, tf2, h2, _constant_flow(h2), "case2b-even")
         if res is not None:
             return res
     res = _case2b_rewire(g, new_f, tf2, h2, v2, u2, e_u2v2)
@@ -607,7 +653,7 @@ def _case2b_rewire(
         vals[q_ew] = BETA
         for eid in path:
             vals[eid] = BETA
-        res = _verified(g, f, tf, FlowAssignment(tuple(vals)), "case2b-rewire")
+        res = _verified(g, f, tf, h, FlowAssignment(tuple(vals)), "case2b-rewire")
         if res is not None:
             return res
     return None
@@ -741,7 +787,8 @@ def _case2b_recursion(
         sub.flow.values[h1_contracted.origin_inverse[inv1[ge]]] if ge in f0_g else x_val
         for ge in combined.edge_ids
     ]
-    return _verified(g, combined, tf_new, FlowAssignment(tuple(vals)), "case2b-recursion")
+    theta = FlowAssignment(tuple(vals))
+    return _verified(g, combined, tf_new, contract_two_factor(g, tf_new), theta, "case2b-recursion")
 
 
 def _restrict_cycles(

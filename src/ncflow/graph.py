@@ -25,18 +25,13 @@ _SHARED_PAIR_LIMIT = 128
 _shared_pairs: Dict[Tuple[int, int], Tuple[int, int]] = {}
 
 
-def _shared_pair(u: int, v: int) -> Tuple[int, int]:
-    pair = (u, v)
-    if u < _SHARED_PAIR_LIMIT and v < _SHARED_PAIR_LIMIT:
-        return _shared_pairs.setdefault(pair, pair)
-    return pair
-
-
 class Pseudograph:
     """Undirected multigraph allowing loops and parallel edges.
 
     A loop contributes 2 to the degree of its vertex.  Instances are
-    immutable after construction and safe to share across workers.
+    immutable after construction and safe to share across workers; a
+    quotient from `contract_two_factor` builds its incidence lists and
+    degrees on first read, to the same values.
     """
 
     __slots__ = ("n", "edges", "_incident", "_degree")
@@ -45,33 +40,47 @@ class Pseudograph:
         if n < 0:
             raise InputError("vertex count must be nonnegative")
         pairs = []
+        shared, limit = _shared_pairs, _SHARED_PAIR_LIMIT
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u},{v}) out of range for {n} vertices")
-            pairs.append(_shared_pair(u, v))
+            pair = (u, v)
+            if u < limit and v < limit:
+                pair = shared.setdefault(pair, pair)
+            pairs.append(pair)
         self._fill(n, tuple(pairs))
 
     @classmethod
-    def _trusted(cls, n: int, edges: Tuple[Tuple[int, int], ...]) -> "Pseudograph":
-        """A graph whose caller already guarantees 0 <= u, v < n for every edge."""
+    def _lazy(cls, n: int, edges: Tuple[Tuple[int, int], ...]) -> "Pseudograph":
+        """A graph whose caller already guarantees 0 <= u, v < n for every
+        edge; its incidence lists and degrees are built when first read."""
         g = cls.__new__(cls)
-        g._fill(n, edges)
+        g.n = n
+        g.edges = edges
         return g
+
+    def __getattr__(self, name: str):
+        # only reached for an unset slot: the tables a `_lazy` graph defers
+        if name in ("_incident", "_degree"):
+            self._fill(self.n, self.edges)
+            return object.__getattribute__(self, name)
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def _fill(self, n: int, edges: Tuple[Tuple[int, int], ...]) -> None:
         self.n = n
         self.edges = edges
         incident: List[List[int]] = [[] for _ in range(n)]
-        degree = [0] * n
+        loops = []
         for eid, (u, v) in enumerate(edges):
             incident[u].append(eid)
-            degree[u] += 1
-            if v == u:
-                degree[u] += 1  # loop counts twice, listed once
-            else:
+            if v != u:
                 incident[v].append(eid)
-                degree[v] += 1
-        self._incident = tuple(tuple(lst) for lst in incident)
+            else:
+                loops.append(u)
+        degree = list(map(len, incident))
+        for u in loops:
+            degree[u] += 1  # a loop counts twice, listed once
+        self._incident = tuple(map(tuple, incident))
         self._degree = tuple(degree)
 
     @property
@@ -288,18 +297,32 @@ def _two_factor_index(g: Pseudograph, cycles) -> Tuple[List[int], List[int], Lis
     return vertex_cycle, ids, at
 
 
+def _carried_contraction(g: Pseudograph, two_factor) -> Optional[ContractedGraph]:
+    """The contraction G/F-bar the 2-factor carries (`TwoFactor._contracted`)
+    when it was made on g, else None."""
+    carried = getattr(two_factor, "_contracted", None)
+    return carried[1] if carried is not None and carried[0] is g else None
+
+
 def contract_two_factor(g: Pseudograph, two_factor) -> ContractedGraph:
     """Collapse each cycle of the 2-factor; the quotient edges are the F-edges.
 
     Quotient edges are numbered in G's edge-id order.  Chords (F-edges with
-    both endpoints on one cycle) become loops.  Raises ContractError as
-    `_two_factor_index` does.
+    both endpoints on one cycle) become loops.  A 2-factor that carries its
+    contraction on g (see `TwoFactor`) gets that one back, and nothing is
+    built.  Raises ContractError as `_two_factor_index` does.
     """
+    carried = _carried_contraction(g, two_factor)
+    if carried is not None:
+        return carried
     vertex_cycle, ids, at = _two_factor_index(g, two_factor.cycles)
     edges = g.edges
-    q_edges = tuple((vertex_cycle[edges[eid][0]], vertex_cycle[edges[eid][1]]) for eid in ids)
+    q_edges = []
+    for eid in ids:
+        u, v = edges[eid]
+        q_edges.append((vertex_cycle[u], vertex_cycle[v]))
     return ContractedGraph(
-        quotient=Pseudograph._trusted(len(two_factor.cycles), q_edges),
+        quotient=Pseudograph._lazy(len(two_factor.cycles), tuple(q_edges)),
         matching_edge_at=tuple(at),
         edge_origin=tuple(ids),
         origin_inverse={eid: i for i, eid in enumerate(ids)},

@@ -21,11 +21,13 @@ same pair comes back, as it does when a caller goes through every edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import starmap
+from operator import eq
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import ContractError, InputError
-from .graph import Pseudograph, _two_factor_index, is_cubic, three_edge_cuts
+from .graph import ContractedGraph, Pseudograph, contract_two_factor, is_cubic, three_edge_cuts
 from .kernels import check_deadline
 
 
@@ -51,13 +53,30 @@ class Cycle:
 
 @dataclass(frozen=True)
 class TwoFactor:
-    """Cycle decomposition of G - F, with the F-chords of each cycle recorded."""
+    """Cycle decomposition of G - F, with the F-chords of each cycle recorded.
+
+    A 2-factor returned by a search that contracted it carries that
+    contraction as `_contracted` = (G, G/F-bar).  The steps after the
+    search on the same G, `contract_two_factor` among them, read F-bar's
+    index from it instead of building it again.  The field takes no part in
+    construction, equality, hashing or repr, so `dataclasses.replace`
+    drops it.
+    """
 
     cycles: Tuple[Cycle, ...]
     chord_ids: Tuple[int, ...]  # F-edges with both endpoints on one cycle
+    _contracted: Optional[Tuple[Pseudograph, ContractedGraph]] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def edge_ids(self) -> FrozenSet[int]:
         return frozenset(e for cyc in self.cycles for e in cyc.edges)
+
+    def _carrying(self, g: Pseudograph, h: ContractedGraph) -> "TwoFactor":
+        """This 2-factor carrying its contraction h = G/F-bar on g."""
+        out = TwoFactor(self.cycles, self.chord_ids)
+        object.__setattr__(out, "_contracted", (g, h))
+        return out
 
 
 def covered_vertices(g: Pseudograph, edge_ids: Iterable[int]) -> Optional[Set[int]]:
@@ -203,7 +222,7 @@ def complement_two_factor(g: Pseudograph, f: PerfectMatching) -> TwoFactor:
     if not is_cubic(g):
         raise InputError("complement_two_factor requires a cubic graph")
     edges = g.edges
-    if any(u == v for u, v in edges):
+    if any(starmap(eq, edges)):
         raise InputError("cubic input graphs may not contain loops")
     cover = covered_vertices(g, f.edge_ids)
     if cover is None or len(cover) != g.n:
@@ -212,7 +231,7 @@ def complement_two_factor(g: Pseudograph, f: PerfectMatching) -> TwoFactor:
     for eid in f.edge_ids:
         in_f[eid] = True
     # F is perfect and G cubic and loop-free: every vertex has two non-F edges
-    incident = g.incident
+    incident = g._incident
     cycle_of = [-1] * g.n
     cycles: List[Cycle] = []
     for start in range(g.n):
@@ -224,7 +243,7 @@ def complement_two_factor(g: Pseudograph, f: PerfectMatching) -> TwoFactor:
         cyc_edges: List[int] = []
         v, came_by = start, -1
         while True:
-            for eid in incident(v):
+            for eid in incident[v]:
                 if not in_f[eid] and eid != came_by:
                     break
             cyc_edges.append(eid)
@@ -242,13 +261,14 @@ def complement_two_factor(g: Pseudograph, f: PerfectMatching) -> TwoFactor:
 
 
 def _two_factor_from_cycles(g: Pseudograph, cycles: Sequence[Cycle]) -> TwoFactor:
-    """The 2-factor made of vertex-disjoint cycles covering G, with its chords.
+    """The 2-factor made of vertex-disjoint cycles covering G, with its
+    chords (the loops of its quotient), carrying its contraction.
 
     Raises ContractError as `_two_factor_index` does."""
-    cyc_of, ids, _at = _two_factor_index(g, cycles)
-    edges = g.edges
-    chords = tuple(eid for eid in ids if cyc_of[edges[eid][0]] == cyc_of[edges[eid][1]])
-    return TwoFactor(tuple(cycles), chords)
+    cycles = tuple(cycles)
+    h = contract_two_factor(g, TwoFactor(cycles, ()))
+    chords = tuple(eid for eid, (a, b) in zip(h.edge_origin, h.quotient.edges) if a == b)
+    return TwoFactor(cycles, chords)._carrying(g, h)
 
 
 def matchings_through_edge(

@@ -1,7 +1,9 @@
 """Edge classification, exact normal chromatic index, flow-derived colorings,
 reductions over 2-cuts and triangles, and H-colorings."""
 
+import dataclasses
 import itertools
+import math
 import time
 
 import pytest
@@ -587,6 +589,86 @@ class TestTriangleReduction:
         g = k23()
         with pytest.raises(InputError):
             contract_triangle(g, (0, 1, 1))
+
+
+class TestLiftChecks:
+    """Each lifted coloring is checked for properness once, on G, and a lift
+    that fails its check raises NcflowError, not the InputError of bad input."""
+
+    def _triangle_case(self):
+        g = replace_vertex_with_triangle(k4(), 0)
+        tri = next(
+            t
+            for t in itertools.combinations(range(g.n), 3)
+            if all(g.multiplicity(a, b) == 1 for a, b in itertools.combinations(t, 2))
+        )
+        gq, emap = contract_triangle(g, tri)
+        return g, tri, emap, admits_normal_k_coloring(gq, chi_n_exact(gq, 7).k)
+
+    def _two_cut_case(self):
+        g, cut = glue_two_cut(ring_of_diamonds(2), 2, triangle_replace_all(k4()), 0)
+        split = split_two_cut(g, cut)
+        c1 = admits_normal_k_coloring(split.g1, 5)
+        c2 = admits_normal_k_coloring(split.g2, 5)
+        return g, cut, split, c1, c2
+
+    def _proper_calls_on(self, monkeypatch, g):
+        """The colorings `is_proper` is asked about on g itself."""
+        calls = []
+        real = coloring.is_proper
+
+        def counted(graph, c):
+            if graph is g:
+                calls.append(c.colors)
+            return real(graph, c)
+
+        monkeypatch.setattr(coloring, "is_proper", counted)
+        return calls
+
+    def test_triangle_lift_checks_properness_once(self, monkeypatch):
+        g, tri, _emap, qc = self._triangle_case()
+        calls = self._proper_calls_on(monkeypatch, g)
+        lifted = lift_over_triangle(g, tri, qc)
+        assert calls == [lifted.colors]
+
+    def test_broken_triangle_lift_is_ncflow_error(self, monkeypatch):
+        g, tri, emap, qc = self._triangle_case()
+        # two quotient edges sent to one edge of G leave another uncolored
+        q0, q1 = sorted(emap)[:2]
+        broken = dict(emap)
+        broken[q0] = emap[q1]
+        real = coloring._contract_triangles
+        monkeypatch.setattr(coloring, "_contract_triangles", lambda g, tris: (real(g, tris)[0], broken))
+        calls = self._proper_calls_on(monkeypatch, g)
+        with pytest.raises(NcflowError, match="triangle lift"):
+            lift_over_triangle(g, tri, qc)
+        assert len(calls) == 1
+
+    def test_two_cut_lift_checks_each_renaming_once(self, monkeypatch):
+        g, cut, split, c1, c2 = self._two_cut_case()
+        candidates = []
+
+        def made(colors, k):  # one merged coloring per renaming tried
+            candidates.append(colors)
+            return EdgeColoring(colors, k)
+
+        monkeypatch.setattr(coloring, "EdgeColoring", made)
+        calls = self._proper_calls_on(monkeypatch, g)
+        merged = lift_over_2_cut(g, cut, c1, c2, split)
+        assert calls == candidates and calls[-1] == merged.colors
+
+    def test_broken_two_cut_lift_is_ncflow_error(self, monkeypatch):
+        g, cut, split, c1, c2 = self._two_cut_case()
+        # two edges of G at one vertex read the same side edge, so every
+        # renaming gives them one color
+        v = next(v for v in range(g.n) if not set(g.incident(v)) & set(cut))
+        e, e2 = g.incident(v)[:2]
+        broken = dict(split.edge_to_side)
+        broken[e2] = broken[e]
+        calls = self._proper_calls_on(monkeypatch, g)
+        with pytest.raises(NcflowError, match="no palette renaming"):
+            lift_over_2_cut(g, cut, c1, c2, dataclasses.replace(split, edge_to_side=broken))
+        assert len(calls) == math.factorial(max(c1.k, c2.k) - 1)
 
 
 class TestHColoring:

@@ -1,7 +1,11 @@
 """Flow engine: conservation, conflicts, search, and the constructive routes."""
 
+import collections
+import dataclasses
+import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -545,6 +549,110 @@ class TestTwoCycleTheorem:
             self._check(g, res)
             seen.add(res.branch)
         assert {"case2b-even", "case2b-rewire", "case2b-recursion"} <= seen
+
+
+def two_cycle_inputs():
+    """(g, F-bar, route) for every sigma with n <= 7 and the ten chorded
+    layouts, the route being the one each is run through."""
+    for n in range(3, 8):
+        for sigma in itertools.permutations(range(n)):
+            g = permutation_graph(sigma)
+            yield g, complement_two_factor(g, PerfectMatching(tuple(range(2 * n, 3 * n)))), two_cycle_factor_flow
+    for chords in CHORD_LAYOUTS:
+        g = triangle_and_nine_cycle(chords)
+        yield g, complement_two_factor(g, PerfectMatching((12, 13, 14, 15, 16, 17))), two_odd_cycle_flow
+
+
+# sha256 of one line per input of two_cycle_inputs(): the route's matching
+# ids, flow values and branch and its flow's 6-coloring, or None for the
+# Petersen graph; recorded before the route and coloring_from_flow shared
+# one F-bar index
+TWO_CYCLE_DIGEST = "27c8054395455f8fefd427e6d7b0eb8f683390b4f394610ee8bfb0c6adf37af5"
+
+
+def test_two_cycle_outputs_are_pinned():
+    digest = hashlib.sha256()
+    for g, tf, route in two_cycle_inputs():
+        res = route(g, tf)
+        if res is None:
+            digest.update(b"None\n")
+            continue
+        col = coloring_from_flow(g, res.matching, res.two_factor, res.flow).coloring
+        line = (res.matching.edge_ids, res.flow.values, res.branch, col.colors)
+        digest.update(repr(line).encode() + b"\n")
+    assert digest.hexdigest() == TWO_CYCLE_DIGEST
+
+
+class TestOneIndexPerTwoFactor:
+    """Each (G, F-bar) index is built once in an item and read by every
+    later step, and these paths never fill a quotient's incidence lists."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The (G, F-bar cycles) of each index built, and the number of
+        incidence tables filled, since the fixture started."""
+        from ncflow import graph
+
+        real_index, real_fill = graph._two_factor_index, graph.Pseudograph._fill
+        seen = {"index": [], "fill": 0}
+
+        def index(g, cycles):
+            seen["index"].append((g, tuple(cycles)))
+            return real_index(g, cycles)
+
+        def fill(self, n, edges):
+            seen["fill"] += 1
+            real_fill(self, n, edges)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "ncflow" or name.startswith("ncflow."):
+                for key, val in list(vars(mod).items()):
+                    if val is real_index:
+                        monkeypatch.setattr(mod, key, index)
+        monkeypatch.setattr(graph.Pseudograph, "_fill", fill)
+        return seen
+
+    def test_two_cycle_items(self, builds):
+        inputs = list(two_cycle_inputs())
+        branches = collections.Counter()
+        for g, tf, route in inputs:
+            builds["index"].clear()
+            builds["fill"] = 0
+            res = route(g, tf)
+            if res is None:
+                continue
+            coloring_from_flow(g, res.matching, res.two_factor, res.flow)
+            branches[res.branch] += 1
+            keys = collections.Counter(builds["index"])
+            assert max(keys.values()) == 1, res.branch  # no 2-factor indexed twice
+            if res.branch in ("case1", "even"):
+                assert len(keys) == 1 and builds["fill"] == 0
+            elif res.branch.startswith("case2b"):
+                # the input 2-factor and the rebuilt one (with the graph
+                # the recursion solves, more)
+                assert len(keys) >= 2
+        assert {"case1", "even", "case2b-even", "case2b-rewire", "case2b-recursion"} <= set(branches)
+
+    def test_a_replaced_two_factor_carries_nothing(self):
+        g = permutation_graph((1, 0, 2, 4, 3, 6, 5))
+        tf = complement_two_factor(g, PerfectMatching(tuple(range(14, 21))))
+        carried = two_cycle_factor_flow(g, tf).two_factor
+        assert carried._contracted[0] is g and carried == tf
+        assert dataclasses.replace(carried)._contracted is None
+
+    @pytest.mark.parametrize("search", [find_nonconflicting_flow, min_conflict_flow])
+    def test_kernel_searches(self, builds, search):
+        graphs = [k33(), ring_of_diamonds(3), petersen(), counterexample_family(1)]
+        cases = [(g, f) for g in graphs for f in itertools.islice(enumerate_perfect_matchings(g), 8)]
+        for g, f in cases:
+            builds["index"].clear()
+            builds["fill"] = 0
+            out = search(g, f)
+            assert len(builds["index"]) == 1 and builds["fill"] == 0
+            if search is min_conflict_flow and out is not None and out.conflict_count == 0:
+                # the result's 2-factor carries its index to the coloring
+                coloring_from_flow(g, f, out.two_factor, out.flow)
+                assert len(builds["index"]) == 1
 
 
 class TestDisjointMatchingExtraction:
