@@ -4,8 +4,9 @@
    (`python setup.py build_ext --inplace` does the same).
 
    Both searches return what `_kernels_py` returns, node counts included:
-   the edge orders, the alpha <-> beta symmetry rule of the flow search and
-   the deadline stride are the same.  Each entry point takes plain int
+   the edge orders, the alpha <-> beta symmetry rule of the flow search,
+   the depth at which the coloring search looks one edge ahead and the
+   deadline stride are the same.  Each entry point takes plain int
    arrays, builds its own order, incidence and partner arrays, frees them
    on every path and returns a status code.  A deadline is given as the
    seconds left (negative: none) and read from CLOCK_MONOTONIC every
@@ -265,60 +266,115 @@ int nc_flow_search(int nq, int m, const int *eu, const int *ev, int npairs, cons
 
 /* ---- normal edge-coloring search ------------------------------------ */
 
+/* A set of colors, 64 to a word: color c is bit c % 64 of word c / 64. */
+typedef unsigned long long Mask;
+
 typedef struct {
-    int m, k, forbid;
+    int m, k, forbid, words;
     const int *eu, *ev;
-    int *order, *color, *adj_off, *adj_dat, *inc_off, *inc_dat, *closed_uncolored;
+    int *order, *color, *adj_off, *adj_dat, *closed_uncolored, *last;
+    Mask *pal, *palette;
     long long nodes;
     double deadline;
 } ColorState;
 
-/* Colors on the closed star of e: those at one end, plus those at the
-   other end missing at the first (a proper coloring repeats none at a
-   vertex). */
-static int star_colors(const ColorState *s, int e)
+static int popcount(Mask x)
 {
-    int u = s->eu[e], v = s->ev[e];
-    int count = s->inc_off[u + 1] - s->inc_off[u];
-    for (int i = s->inc_off[v]; i < s->inc_off[v + 1]; i++) {
-        int c = s->color[s->inc_dat[i]], shared = 0;
-        for (int j = s->inc_off[u]; j < s->inc_off[u + 1]; j++)
-            shared |= s->color[s->inc_dat[j]] == c;
-        count += !shared;
-    }
+    int count = 0;
+    for (; x; x &= x - 1)
+        count++;
     return count;
 }
 
+/* The colors on the colored edges at v. */
+static Mask *pal_at(const ColorState *s, int v)
+{
+    return s->pal + (size_t)v * (size_t)s->words;
+}
+
+/* The number of colors on the closed star of e: the union of the colors
+   at its ends. */
+static int star_colors(const ColorState *s, int e)
+{
+    const Mask *a = pal_at(s, s->eu[e]), *b = pal_at(s, s->ev[e]);
+    int count = 0;
+    for (int w = 0; w < s->words; w++)
+        count += popcount(a[w] | b[w]);
+    return count;
+}
+
+/* The look-ahead for an edge g whose closed star has one uncolored edge
+   left, f = last[g]: 1 when some color b in 1..k free at both ends of f
+   leaves g normal.  With S the colors on g's star, b in S keeps |S|
+   colors and b outside S makes |S| + 1, and g is abnormal when that is 4,
+   so g can stay normal iff (S & free and |S| != 4) or (free & ~S and
+   |S| != 3). */
+static int star_can_be_normal(const ColorState *s, int g)
+{
+    int f = s->last[g];
+    const Mask *a = pal_at(s, s->eu[g]), *b = pal_at(s, s->ev[g]);
+    const Mask *x = pal_at(s, s->eu[f]), *y = pal_at(s, s->ev[f]);
+    Mask inside = 0, outside = 0;
+    int size = 0;
+    for (int w = 0; w < s->words; w++) {
+        Mask seen = a[w] | b[w], free = s->palette[w] & ~(x[w] | y[w]);
+        size += popcount(seen);
+        inside |= free & seen;
+        outside |= free & ~seen;
+    }
+    return (inside && size != 4) || (outside && size != 3);
+}
+
+/* 0 when the closed star of g, whose count has just dropped, is fully
+   colored and abnormal, or has one uncolored edge left and no color for
+   it keeps g normal; 1 otherwise. */
+static int star_ok(const ColorState *s, int g)
+{
+    int left = s->closed_uncolored[g];
+    return left > 1 || (left == 1 ? star_can_be_normal(s, g) : star_colors(s, g) != 4);
+}
+
 /* 1 once every edge is colored, TIMED_OUT on the deadline, 0 otherwise.
-   Colors enter in increasing order (at most maxused + 1).  With `forbid`,
-   closed_uncolored[f] counts the uncolored edges of f's closed star, and
-   an edge whose star completes must see 3 or 5 colors (poor or rich). */
+   Colors enter in increasing order (at most maxused + 1), and a color is
+   free for e when it is in neither mask at e's ends.  With `forbid`,
+   closed_uncolored[g] counts the uncolored edges of g's closed star.  An
+   edge whose star completes must see 3 or 5 colors (poor or rich).  An
+   edge whose count drops to 1 is looked at one edge ahead
+   (`star_can_be_normal`): the branch is cut when no color in 1..k that
+   the last edge could still take leaves the edge normal.  The check reads
+   all of 1..k, not only the colors up to maxused + 1 that canonical
+   introduction lets the last edge take, and every color that the last
+   edge takes later is free now, so it cuts only branches with no normal
+   completion: the first coloring found is the same as without it, with
+   fewer nodes.  It fires once per edge, on the drop to 1, at the depth
+   where `_kernels_py` fires it, so node counts stay equal. */
 static int color_rec(ColorState *s, int depth, int maxused)
 {
     if (depth == s->m)
         return 1;
     int e = s->order[depth];
+    Mask *pu = pal_at(s, s->eu[e]), *pv = pal_at(s, s->ev[e]);
     int limit = s->k < maxused + 1 ? s->k : maxused + 1;
     for (int c = 1; c <= limit; c++) {
         if (tick(&s->nodes, s->deadline))
             return TIMED_OUT;
-        int ok = 1;
-        for (int i = s->adj_off[e]; i < s->adj_off[e + 1] && ok; i++)
-            ok = s->color[s->adj_dat[i]] != c;
-        if (!ok)
+        int w = c / 64;
+        Mask bit = (Mask)1 << c % 64;
+        if ((pu[w] | pv[w]) & bit)
             continue;
-        s->color[e] = c;
+        pu[w] |= bit;
+        pv[w] |= bit;
+        int ok = 1;
         if (s->forbid) {
             s->closed_uncolored[e]--;
             for (int i = s->adj_off[e]; i < s->adj_off[e + 1]; i++)
                 s->closed_uncolored[s->adj_dat[i]]--;
-            ok = s->closed_uncolored[e] != 0 || star_colors(s, e) != 4;
-            for (int i = s->adj_off[e]; i < s->adj_off[e + 1] && ok; i++) {
-                int f = s->adj_dat[i];
-                ok = s->closed_uncolored[f] != 0 || star_colors(s, f) != 4;
-            }
+            ok = star_ok(s, e);
+            for (int i = s->adj_off[e]; i < s->adj_off[e + 1] && ok; i++)
+                ok = star_ok(s, s->adj_dat[i]);
         }
         if (ok) {
+            s->color[e] = c;
             int done = color_rec(s, depth + 1, maxused > c ? maxused : c);
             if (done)
                 return done;
@@ -328,7 +384,8 @@ static int color_rec(ColorState *s, int depth, int maxused)
             for (int i = s->adj_off[e]; i < s->adj_off[e + 1]; i++)
                 s->closed_uncolored[s->adj_dat[i]]++;
         }
-        s->color[e] = 0;
+        pu[w] &= ~bit;
+        pv[w] &= ~bit;
     }
     return 0;
 }
@@ -337,35 +394,51 @@ static int color_rec(ColorState *s, int depth, int maxused)
    edges eu[i]-ev[i], with no abnormal edge when `forbid`.  Edges are
    colored in BFS order over the line graph.  On NC_FOUND the colors
    (1..k) are in out_color; *out_nodes is set on NC_FOUND, NC_EXHAUSTED
-   and NC_TIMEOUT. */
+   and NC_TIMEOUT.  The masks hold colors 1..min(k, m + 1): no search
+   uses a color above m, so color m + 1 stands for every unused color
+   above it in the look-ahead. */
 int nc_normal_coloring_search(int n, int m, const int *eu, const int *ev, int k, int forbid,
                               double seconds, int *out_color, long long *out_nodes)
 {
     if (!in_range(n, eu, m) || !in_range(n, ev, m))
         return NC_BADINDEX;
-    int *block = calloc(4 * (size_t)m + 1 + (size_t)n + 1 + 2 * (size_t)m, sizeof(int));
-    if (block == NULL)
+    int colors = k < m + 1 ? k : m + 1;
+    int words = colors > 0 ? colors / 64 + 1 : 1;
+    int *block = calloc(5 * (size_t)m + 1 + (size_t)n + 1 + 2 * (size_t)m, sizeof(int));
+    Mask *masks = calloc(((size_t)n + 1) * (size_t)words, sizeof(Mask));
+    if (block == NULL || masks == NULL) {
+        free(block);
+        free(masks);
         return NC_NOMEM;
-    ColorState s = {.m = m, .k = k, .forbid = forbid, .eu = eu, .ev = ev, .deadline = deadline_in(seconds)};
+    }
+    ColorState s = {.m = m, .k = k, .forbid = forbid, .words = words, .eu = eu, .ev = ev,
+                    .deadline = deadline_in(seconds)};
     int *p = block;
     s.order = p, p += m;
     s.closed_uncolored = p, p += m;
+    s.last = p, p += m;
     int *mark = p;
     p += m;
     s.adj_off = p, p += m + 1;
-    s.inc_off = p, p += n + 1;
-    s.inc_dat = p;
+    int *inc_off = p;
+    p += n + 1;
+    int *inc_dat = p;
+    s.palette = masks;
+    s.pal = masks + words;
     s.color = out_color;
-    memset(out_color, 0, (size_t)m * sizeof(int));
-    incidence(n, m, eu, ev, 0, s.inc_off, s.inc_dat);
+    /* colors 1..colors, in the palette's words */
+    for (int c = 1; c <= colors; c++)
+        s.palette[c / 64] |= (Mask)1 << c % 64;
+    incidence(n, m, eu, ev, 0, inc_off, inc_dat);
 
     /* edges sharing an endpoint with e: e excluded, parallel edges once */
     size_t adj_size = 1;
     for (int e = 0; e < m; e++)
-        adj_size += (size_t)(s.inc_off[eu[e] + 1] - s.inc_off[eu[e]] + s.inc_off[ev[e] + 1] - s.inc_off[ev[e]]);
+        adj_size += (size_t)(inc_off[eu[e] + 1] - inc_off[eu[e]] + inc_off[ev[e] + 1] - inc_off[ev[e]]);
     s.adj_dat = malloc(adj_size * sizeof(int));
     if (s.adj_dat == NULL) {
         free(block);
+        free(masks);
         return NC_NOMEM;
     }
     for (int e = 0; e < m; e++)
@@ -374,8 +447,8 @@ int nc_normal_coloring_search(int n, int m, const int *eu, const int *ev, int k,
         s.adj_off[e] = len;
         int ends[2] = {eu[e], ev[e]};
         for (int a = 0; a < 2; a++)
-            for (int i = s.inc_off[ends[a]]; i < s.inc_off[ends[a] + 1]; i++) {
-                int f = s.inc_dat[i];
+            for (int i = inc_off[ends[a]]; i < inc_off[ends[a] + 1]; i++) {
+                int f = inc_dat[i];
                 if (f != e && mark[f] != e) {
                     mark[f] = e;
                     s.adj_dat[len++] = f;
@@ -403,9 +476,21 @@ int nc_normal_coloring_search(int n, int m, const int *eu, const int *ev, int k,
             }
     }
 
+    /* last[e]: the edge of e's closed star colored last (mark now holds
+       each edge's depth), the one left when the star's count is 1 */
+    for (int d = 0; d < m; d++)
+        mark[s.order[d]] = d;
+    for (int e = 0; e < m; e++) {
+        s.last[e] = e;
+        for (int i = s.adj_off[e]; i < s.adj_off[e + 1]; i++)
+            if (mark[s.adj_dat[i]] > mark[s.last[e]])
+                s.last[e] = s.adj_dat[i];
+    }
+
     int done = color_rec(&s, 0, 0);
     free(s.adj_dat);
     free(block);
+    free(masks);
     *out_nodes = s.nodes;
     return done == TIMED_OUT ? NC_TIMEOUT : done ? NC_FOUND : NC_EXHAUSTED;
 }

