@@ -32,9 +32,9 @@ import os
 import sys
 import time
 
-from ncflow import enumerate_perfect_matchings
+from ncflow import complement_two_factor, contract_two_factor, enumerate_perfect_matchings
 from ncflow import _kernels_py, kernels
-from ncflow.flows import _kernel_input
+from ncflow.flows import _kernel_args
 from ncflow.generators import counterexample_family, fig3_graph, k23_with_p10v, petersen
 
 BATCH_SECONDS = 0.05
@@ -57,7 +57,7 @@ def time_it(fn, repeat=3):
 
 
 def kernel_args(g, f):
-    return _kernel_input(g, f)[2]
+    return _kernel_args(contract_two_factor(g, complement_two_factor(g, f)))
 
 
 def min_cases():

@@ -16,7 +16,7 @@ from typing import Any, Dict
 from . import __version__
 from .errors import InputError
 from .flows import FlowAssignment, _is_nonconflicting_flow, klein_bits, klein_from_bits
-from .graph import Pseudograph
+from .graph import Pseudograph, contract_two_factor
 from .matchings import PerfectMatching, complement_two_factor, covered_vertices
 
 SCHEMA_VERSION = 1
@@ -128,7 +128,7 @@ def verify_certificate(cert: Certificate, g: Pseudograph) -> bool:
             theta = FlowAssignment(
                 tuple(klein_from_bits(b) for b in cert.payload["flow"])
             )
-            return _is_nonconflicting_flow(g, f, complement_two_factor(g, f), theta)
+            return _is_nonconflicting_flow(contract_two_factor(g, complement_two_factor(g, f)), theta)
         if cert.kind == "normal-coloring":
             from .coloring import EdgeColoring, is_normal
 

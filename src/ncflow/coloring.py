@@ -15,13 +15,14 @@ from operator import eq
 from typing import Dict, List, Optional, Set, Tuple
 
 from .errors import InputError, NcflowError
-from .flows import FlowAssignment, _conflict_edges, _conserves, _f_edge_positions, _xor_balanced
+from .flows import FlowAssignment, _conflict_edges, _conserves, _f_values, _xor_balanced
 from .graph import (
     Pseudograph,
     _balanced_two_cut,
     _contract_vertex_sets,
     bridges,
     connected_components,
+    contract_two_factor,
     is_cubic,
 )
 from .kernels import check_deadline, flow_search, normal_coloring_search
@@ -364,7 +365,7 @@ class Z2CubedFlow:
 def verify_z2cubed_flow(g: Pseudograph, mu: Z2CubedFlow) -> bool:
     if len(mu.values) != g.m:
         raise InputError("flow does not cover every edge")
-    return _xor_balanced(g, mu.values)
+    return _xor_balanced(g.n, g.edges, mu.values)
 
 
 # palette order for 6-colorings built from flows: alpha+beta before alpha,
@@ -386,19 +387,21 @@ def coloring_from_flow(
 
     Matching edges carry (0, theta); each 2-factor cycle gets a leading-bit
     seed propagated around it; the resulting 3-bit flow is then collapsed
-    by recoloring (0, beta) as (0, alpha).
+    by recoloring (0, beta) as (0, alpha).  F-bar's index comes from
+    `contract_two_factor`, so a 2-factor carrying its contraction on g is
+    not indexed again.
     """
-    ids, at = _f_edge_positions(g, f, tf, theta)
+    h = contract_two_factor(g, tf)
     vals = theta.values
-    f_value = [vals[i] for i in at]
-    if not _conserves(tf, f_value):
+    f_value = _f_values(h, theta, f)
+    if not _conserves(h, f_value):
         raise InputError("not a valid flow")
-    if _conflict_edges(g, tf, ids, at, vals, f_value):
+    if _conflict_edges(h, vals, f_value):
         raise InputError("flow has conflicts; the 6-color merge would go abnormal")
     mu = [0] * g.m
-    for eid, val in zip(ids, vals):
+    for eid, val in zip(h.edge_origin, vals):
         mu[eid] = val
-    for cyc in tf.cycles:
+    for cyc in h.cycles:
         for x0 in (4, 5, 6, 7):
             around = _propagate_cycle(cyc, f_value, x0)
             if around is not None:

@@ -20,9 +20,7 @@ from .errors import ContractError, InputError, NcflowError, ResourceLimitError
 from .graph import (
     ContractedGraph,
     Pseudograph,
-    _carried_contraction,
     _contract_vertex_sets,
-    _two_factor_index,
     contract_two_factor,
     is_isomorphic_to_petersen,
 )
@@ -101,11 +99,11 @@ class ConflictReport:
         return not self.conflicting_edges
 
 
-def _xor_balanced(g: Pseudograph, values: Sequence[int]) -> bool:
-    """The edge values, one per edge of g, XOR to zero at every vertex;
-    a loop meets its vertex twice and cancels."""
-    acc = [0] * g.n
-    for x, (u, v) in zip(values, g.edges):
+def _xor_balanced(n: int, edges: Sequence[Tuple[int, int]], values: Sequence[int]) -> bool:
+    """The edge values, one per edge of the graph on n vertices, XOR to
+    zero at every vertex; a loop meets its vertex twice and cancels."""
+    acc = [0] * n
+    for x, (u, v) in zip(values, edges):
         if u != v:
             acc[u] ^= x
             acc[v] ^= x
@@ -114,9 +112,9 @@ def _xor_balanced(g: Pseudograph, values: Sequence[int]) -> bool:
 
 def verify_flow(h: ContractedGraph, theta: FlowAssignment) -> bool:
     """Conservation at every quotient vertex; loops cancel themselves."""
-    if len(theta.values) != h.quotient.m:
+    if len(theta.values) != len(h.quotient_edges):
         raise InputError("flow assignment does not cover every quotient edge")
-    return _xor_balanced(h.quotient, theta.values)
+    return _xor_balanced(len(h.cycles), h.quotient_edges, theta.values)
 
 
 def enumerate_nz_flows(h: ContractedGraph) -> Iterator[FlowAssignment]:
@@ -165,39 +163,31 @@ def enumerate_nz_flows(h: ContractedGraph) -> Iterator[FlowAssignment]:
     yield from rec(0)
 
 
-def _f_edge_positions(
-    g: Pseudograph, f: PerfectMatching, tf: TwoFactor, theta: FlowAssignment
-) -> Tuple[Sequence[int], Sequence[int]]:
-    """(F's edge ids in id order, G-vertex -> position of the F-edge at it).
+def _f_values(h: ContractedGraph, theta: FlowAssignment, f: Optional[PerfectMatching] = None) -> List[int]:
+    """G-vertex -> theta's value on the F-edge at it, for h = G/F-bar.
 
     contract_two_factor numbers the quotient edges in G's id order, so the
-    F-edge at position i is quotient edge i and carries theta.values[i]:
-    a flow on G/F-bar can be read on G without building the quotient.  The
-    index comes from the contraction tf carries when it was made on g, and
-    is built otherwise.  Raises ContractError as `_two_factor_index` does,
-    and when F is not the matching off F-bar with each id listed once;
-    InputError unless theta has one value per quotient edge.
+    F-edge at G-vertex v is quotient edge h.matching_edge_at[v]: a flow on
+    G/F-bar is read on G without building the quotient.  Raises InputError
+    unless theta has one value per quotient edge, and ContractError when f
+    is given and is not the matching off F-bar with each id listed once.
     """
-    h = _carried_contraction(g, tf)
-    if h is not None:
-        ids, at = h.edge_origin, h.matching_edge_at
-    else:
-        _vertex_cycle, ids, at = _two_factor_index(g, tf.cycles)
-    if len(theta.values) != len(ids):
+    vals = theta.values
+    if len(vals) != len(h.edge_origin):
         raise InputError("flow does not match the contraction of this 2-factor")
-    if sorted(f.edge_ids) != list(ids):
+    if f is not None and sorted(f.edge_ids) != list(h.edge_origin):
         raise ContractError("matching is not the perfect-matching complement of this 2-factor")
-    return ids, at
+    return [vals[i] for i in h.matching_edge_at]
 
 
-def _conserves(tf: TwoFactor, f_value: Sequence[int]) -> bool:
+def _conserves(h: ContractedGraph, f_value: Sequence[int]) -> bool:
     """verify_flow on G/F-bar, read on G from the F-values at each vertex.
 
     A quotient vertex is one cycle of F-bar; it balances when the F-values
     around the cycle XOR to zero.  A chord meets its cycle twice and
     cancels, as a loop does in verify_flow.
     """
-    for cyc in tf.cycles:
+    for cyc in h.cycles:
         acc = 0
         for v in cyc.vertices:
             acc ^= f_value[v]
@@ -206,20 +196,13 @@ def _conserves(tf: TwoFactor, f_value: Sequence[int]) -> bool:
     return True
 
 
-def _conflict_edges(
-    g: Pseudograph,
-    tf: TwoFactor,
-    ids: Sequence[int],
-    at: Sequence[int],
-    vals: Sequence[int],
-    f_value: Sequence[int],
-) -> List[ConflictEdge]:
-    """The 2-factor edges with alpha at one end and beta at the other, in
-    cycle order; `ids` and `at` are _f_edge_positions' output, and
-    f_value[v] = vals[at[v]]."""
-    edges = g.edges
+def _conflict_edges(h: ContractedGraph, vals: Sequence[int], f_value: Sequence[int]) -> List[ConflictEdge]:
+    """The 2-factor edges of h = G/F-bar with alpha at one end and beta at
+    the other, in cycle order; vals are the flow's values and f_value is
+    `_f_values`' output."""
+    edges, ids, at = h.graph.edges, h.edge_origin, h.matching_edge_at
     out = []
-    for cyc in tf.cycles:
+    for cyc in h.cycles:
         for eid in cyc.edges:
             u, v = edges[eid]
             if f_value[u] ^ f_value[v] == ALPHA_BETA:
@@ -228,21 +211,16 @@ def _conflict_edges(
     return out
 
 
-def _is_nonconflicting_flow(
-    g: Pseudograph, f: PerfectMatching, tf: TwoFactor, theta: FlowAssignment
-) -> bool:
-    """theta is a flow of G/F-bar with no conflict; G/F-bar is never built."""
-    ids, at = _f_edge_positions(g, f, tf, theta)
-    vals = theta.values
-    f_value = [vals[i] for i in at]
-    return _conserves(tf, f_value) and not _conflict_edges(g, tf, ids, at, vals, f_value)
+def _is_nonconflicting_flow(h: ContractedGraph, theta: FlowAssignment) -> bool:
+    """theta is a flow of h = G/F-bar with no conflict, read on G."""
+    f_value = _f_values(h, theta)
+    return _conserves(h, f_value) and not _conflict_edges(h, theta.values, f_value)
 
 
 def conflicts(g: Pseudograph, f: PerfectMatching, tf: TwoFactor, theta: FlowAssignment) -> ConflictReport:
     """All conflicting 2-factor edges; symmetric in alpha/beta; theta is read on G."""
-    ids, at = _f_edge_positions(g, f, tf, theta)
-    vals = theta.values
-    out = _conflict_edges(g, tf, ids, at, vals, [vals[i] for i in at])
+    h = contract_two_factor(g, tf)
+    out = _conflict_edges(h, theta.values, _f_values(h, theta, f))
     out.sort(key=lambda c: c.fbar_edge)
     return ConflictReport(tuple(out))
 
@@ -250,52 +228,42 @@ def conflicts(g: Pseudograph, f: PerfectMatching, tf: TwoFactor, theta: FlowAssi
 KernelArgs = Tuple[int, List[int], List[int], List[int], List[int]]
 
 
-def _kernel_input(g: Pseudograph, f: PerfectMatching) -> Tuple[TwoFactor, ContractedGraph, KernelArgs]:
-    """(F-bar, G/F-bar, the flow kernel's (nq, eu, ev, first, second)) for
-    the perfect matching f of g.
+def _kernel_args(h: ContractedGraph) -> KernelArgs:
+    """The flow kernel's (nq, eu, ev, first, second) for h = G/F-bar.
 
-    The arguments are flat int lists that both backends take as they are:
-    quotient edge i joins eu[i] and ev[i], and conflict pair k is
-    (first[k], second[k]), the quotient edges at the two ends of the k-th
-    2-factor edge in cycle order (their values XOR to alpha+beta exactly
-    when that edge conflicts).  They are read from the one index that
-    `contract_two_factor` builds; the quotient's incidence lists are never
-    filled.  Raises ResourceLimitError past MAX_QUOTIENT_EDGES quotient
-    edges.
+    Flat int lists that both backends take as they are: quotient edge i
+    joins eu[i] and ev[i], and conflict pair k is (first[k], second[k]),
+    the quotient edges at the two ends of the k-th 2-factor edge in cycle
+    order (their values XOR to alpha+beta exactly when that edge
+    conflicts).  The quotient is never built.  Raises ResourceLimitError
+    past MAX_QUOTIENT_EDGES quotient edges.
     """
-    tf = complement_two_factor(g, f)
-    h = contract_two_factor(g, tf)
-    q_edges = h.quotient.edges
+    q_edges = h.quotient_edges
     if len(q_edges) > MAX_QUOTIENT_EDGES:
         raise ResourceLimitError(f"quotient has {len(q_edges)} edges (> {MAX_QUOTIENT_EDGES})")
-    edges, at = g.edges, h.matching_edge_at
-    ends = [edges[eid] for cyc in tf.cycles for eid in cyc.edges]
-    args = (
-        h.quotient.n,
+    edges, at = h.graph.edges, h.matching_edge_at
+    ends = [edges[eid] for cyc in h.cycles for eid in cyc.edges]
+    return (
+        len(h.cycles),
         [a for a, _ in q_edges],
         [b for _, b in q_edges],
         [at[u] for u, _ in ends],
         [at[v] for _, v in ends],
     )
-    return tf, h, args
 
 
 def _kernel_flow(
-    g: Pseudograph, f: PerfectMatching, mode: str, deadline: Optional[float]
-) -> Tuple[Optional[FlowAssignment], int, int, TwoFactor, ContractedGraph]:
-    """Kernel flow search on G/F-bar in `mode`.
-
-    Returns (verified flow or None, its conflict count, nodes expanded,
-    F-bar, G/F-bar); with a flow, F-bar carries G/F-bar.
-    """
-    tf, h, args = _kernel_input(g, f)
-    vals, conf, nodes = flow_search(*args, mode, deadline=deadline)
+    h: ContractedGraph, mode: str, deadline: Optional[float]
+) -> Tuple[Optional[FlowAssignment], int, int]:
+    """Kernel flow search on h = G/F-bar in `mode`: (verified flow or None,
+    its conflict count, nodes expanded)."""
+    vals, conf, nodes = flow_search(*_kernel_args(h), mode, deadline=deadline)
     if vals is None:
-        return None, conf, nodes, tf, h
+        return None, conf, nodes
     theta = FlowAssignment(tuple(vals))
     if not verify_flow(h, theta):
         raise NcflowError("flow search returned a flow that does not conserve")
-    return theta, conf, nodes, tf._carrying(g, h), h
+    return theta, conf, nodes
 
 
 def find_nonconflicting_flow(
@@ -304,7 +272,8 @@ def find_nonconflicting_flow(
     deadline: Optional[float] = None,
 ) -> Optional[FlowAssignment]:
     """A conflict-free nowhere-zero flow of G/F-bar, or None after exhaustion."""
-    theta, conf, _nodes, _tf, _h = _kernel_flow(g, f, "first", deadline)
+    h = contract_two_factor(g, complement_two_factor(g, f))
+    theta, conf, _nodes = _kernel_flow(h, "first", deadline)
     return theta if conf == 0 else None
 
 
@@ -328,7 +297,8 @@ def matching_verdicts(
 
 @dataclass(frozen=True)
 class MinConflictResult:
-    """Minimum-conflict flow of G/F-bar, with the F-bar and G/F-bar it lives on."""
+    """Minimum-conflict flow of G/F-bar, with the F-bar (carrying G/F-bar)
+    and G/F-bar it lives on."""
 
     flow: FlowAssignment
     conflict_count: int
@@ -343,8 +313,12 @@ def min_conflict_flow(
     deadline: Optional[float] = None,
 ) -> Optional[MinConflictResult]:
     """Flow minimizing the conflict count, or None when no NZ flow exists at all."""
-    theta, conf, nodes, tf, h = _kernel_flow(g, f, "min", deadline)
-    return None if theta is None else MinConflictResult(theta, conf, nodes, tf, h)
+    tf = complement_two_factor(g, f)
+    h = contract_two_factor(g, tf)
+    theta, conf, nodes = _kernel_flow(h, "min", deadline)
+    if theta is None:
+        return None
+    return MinConflictResult(theta, conf, nodes, TwoFactor(tf.cycles, tf.chord_ids, h), h)
 
 
 def even_cycle_flow(g: Pseudograph, tf: TwoFactor) -> FlowAssignment:
@@ -355,16 +329,21 @@ def even_cycle_flow(g: Pseudograph, tf: TwoFactor) -> FlowAssignment:
 
 
 def _constant_flow(h: ContractedGraph) -> FlowAssignment:
-    theta = FlowAssignment((ALPHA_BETA,) * h.quotient.m)
+    theta = FlowAssignment((ALPHA_BETA,) * len(h.quotient_edges))
     if not verify_flow(h, theta):
         raise NcflowError("constant alpha+beta flow does not conserve")
     return theta
 
 
 def loop_canonicalize(theta: FlowAssignment, h: ContractedGraph) -> FlowAssignment:
-    """Set every loop (chord) value to alpha+beta; conservation is unaffected."""
+    """Set every loop (chord) value to alpha+beta; conservation is unaffected.
+
+    Raises InputError unless theta has one value per quotient edge.
+    """
     vals = list(theta.values)
-    for eid, (u, v) in enumerate(h.quotient.edges):
+    if len(vals) != len(h.quotient_edges):
+        raise InputError("flow assignment does not cover every quotient edge")
+    for eid, (u, v) in enumerate(h.quotient_edges):
         if u == v:
             vals[eid] = ALPHA_BETA
     return FlowAssignment(tuple(vals))
@@ -391,19 +370,15 @@ class TwoCycleFlowResult:
 
 
 def _verified(
-    g: Pseudograph,
-    f: PerfectMatching,
-    tf: TwoFactor,
-    h: ContractedGraph,
-    theta: FlowAssignment,
-    branch: str,
+    tf: TwoFactor, h: ContractedGraph, theta: FlowAssignment, branch: str
 ) -> Optional[TwoCycleFlowResult]:
     """The result for theta if it is a non-conflicting flow on h = G/F-bar,
-    else None; the result's 2-factor carries h, which the check reads."""
-    tf = tf._carrying(g, h)
-    if not _is_nonconflicting_flow(g, f, tf, theta):
+    where F-bar is tf, else None; the result's 2-factor is tf carrying h."""
+    if not _is_nonconflicting_flow(h, theta):
         return None
-    return TwoCycleFlowResult(f, tf, theta, branch)
+    return TwoCycleFlowResult(
+        PerfectMatching(h.edge_origin), TwoFactor(tf.cycles, tf.chord_ids, h), theta, branch
+    )
 
 
 def _three_colorable_route(
@@ -414,7 +389,8 @@ def _three_colorable_route(
         tf = complement_two_factor(g, f)
         if odd_cycle_count(tf) == 0:
             h = contract_two_factor(g, tf)
-            return TwoCycleFlowResult(f, tf._carrying(g, h), _constant_flow(h), "case1-3ec")
+            tf = TwoFactor(tf.cycles, tf.chord_ids, h)
+            return TwoCycleFlowResult(f, tf, _constant_flow(h), "case1-3ec")
     return None
 
 
@@ -425,7 +401,8 @@ def _exhaustive_route(
         if theta is not None:
             tf = complement_two_factor(g, f)
             h = contract_two_factor(g, tf)
-            return TwoCycleFlowResult(f, tf._carrying(g, h), theta, "fallback-exhaustive")
+            tf = TwoFactor(tf.cycles, tf.chord_ids, h)
+            return TwoCycleFlowResult(f, tf, theta, "fallback-exhaustive")
     return None
 
 
@@ -445,11 +422,11 @@ def two_cycle_factor_flow(
     odd = odd_cycle_count(tf)
     if odd == 0:
         return TwoCycleFlowResult(
-            PerfectMatching(h.edge_origin), tf._carrying(g, h), _constant_flow(h), "even"
+            PerfectMatching(h.edge_origin), TwoFactor(tf.cycles, tf.chord_ids, h), _constant_flow(h), "even"
         )
     if odd != 2:  # one odd cycle: the graph has an odd order, so it is not cubic
         raise InputError("expected a 2-factor with exactly two odd cycles")
-    return _two_odd_cycle_route(g, tf, h, deadline)
+    return _two_odd_cycle_route(tf, h, deadline)
 
 
 def two_odd_cycle_flow(g: Pseudograph, tf: TwoFactor) -> Optional[TwoCycleFlowResult]:
@@ -463,14 +440,14 @@ def two_odd_cycle_flow(g: Pseudograph, tf: TwoFactor) -> Optional[TwoCycleFlowRe
         raise InputError("expected a 2-factor with exactly two odd cycles")
     if is_isomorphic_to_petersen(g):
         return None
-    return _two_odd_cycle_route(g, tf, contract_two_factor(g, tf), None)
+    return _two_odd_cycle_route(tf, contract_two_factor(g, tf), None)
 
 
 def _two_odd_cycle_route(
-    g: Pseudograph, tf: TwoFactor, h: ContractedGraph, deadline: Optional[float]
+    tf: TwoFactor, h: ContractedGraph, deadline: Optional[float]
 ) -> Optional[TwoCycleFlowResult]:
     """two_odd_cycle_flow past its input checks, on the contraction h of tf."""
-    f = PerfectMatching(h.edge_origin)
+    g = h.graph
     cyc_of = h.vertex_cycle
     edges = g.edges
     # the cross edges (F-edges between the two cycles) in id order, with
@@ -504,7 +481,7 @@ def _two_odd_cycle_route(
     if comb(n, 2) - n1 > n2:
         for (i, j), lu, lv in zip(combinations(range(n), 2), link_u, link_v):
             if not (lu or lv):
-                res = _case1_result(g, f, tf, h, cross, i, j)
+                res = _case1_result(tf, h, cross, i, j)
                 if res is not None:
                     return res
     # n >= 5 and case 1 gave no flow, or n == 3 with links on both sides (case 2a)
@@ -515,43 +492,36 @@ def _two_odd_cycle_route(
         return res if n >= 5 else replace(res, branch="case2a")
     if {(n1 > 0), (n2 > 0)} == {True, False}:
         side = 0 if n1 else 1
-        res = _case2b(g, tf, cross, us, vs, cyc_of, triangle_side=side, deadline=deadline)
+        res = _case2b(h, cross, us, vs, triangle_side=side, deadline=deadline)
         if res is not None:
             return res
     return _exhaustive_route(g, deadline)
 
 
 def _case1_result(
-    g: Pseudograph,
-    f: PerfectMatching,
-    tf: TwoFactor,
-    h: ContractedGraph,
-    cross: List[int],
-    i: int,
-    j: int,
+    tf: TwoFactor, h: ContractedGraph, cross: List[int], i: int, j: int
 ) -> Optional[TwoCycleFlowResult]:
     """One alpha, one beta on non-pair cross edges, alpha+beta elsewhere."""
-    vals = [ALPHA_BETA] * h.quotient.m
+    vals = [ALPHA_BETA] * len(h.quotient_edges)
     vals[h.origin_inverse[cross[i]]] = ALPHA
     vals[h.origin_inverse[cross[j]]] = BETA
-    return _verified(g, f, tf, h, FlowAssignment(tuple(vals)), "case1")
+    return _verified(tf, h, FlowAssignment(tuple(vals)), "case1")
 
 
 def _case2b(
-    g: Pseudograph,
-    tf: TwoFactor,
+    h: ContractedGraph,
     cross: List[int],
     us: List[int],
     vs: List[int],
-    cyc_of: Sequence[int],
     triangle_side: int,
     deadline: Optional[float],
 ) -> Optional[TwoCycleFlowResult]:
     """Triangle elimination: n = 3 and one side is a triangle with n_side = 3."""
+    g, cycles, cyc_of = h.graph, h.cycles, h.vertex_cycle
     if triangle_side == 1:
         us, vs = vs, us
     # the triangle vertices are exactly the three cross endpoints on that side
-    tri_cycle = tf.cycles[cyc_of[us[0]]]
+    tri_cycle = cycles[cyc_of[us[0]]]
     if len(tri_cycle) != 3:
         return None
     u1, u2, u3 = us
@@ -561,7 +531,7 @@ def _case2b(
     e_u2v2 = cross[1]
     if e_u1u3 is None:
         return None
-    other_cycle = tf.cycles[cyc_of[v1]]
+    other_cycle = cycles[cyc_of[v1]]
     # alternate edges of the cycle C2 - v2 (+ virtual edge f), avoiding f:
     # walk C2 from one neighbor of v2 around to the other, taking every other edge
     fd = _alternating_matching_avoiding(g, other_cycle, v2)
@@ -574,13 +544,13 @@ def _case2b(
         return None
     h2 = contract_two_factor(g, tf2)
     if odd_cycle_count(tf2) == 0:
-        res = _verified(g, new_f, tf2, h2, _constant_flow(h2), "case2b-even")
+        res = _verified(tf2, h2, _constant_flow(h2), "case2b-even")
         if res is not None:
             return res
-    res = _case2b_rewire(g, new_f, tf2, h2, v2, u2, e_u2v2)
+    res = _case2b_rewire(tf2, h2, v2, u2, e_u2v2)
     if res is not None:
         return res
-    return _case2b_recursion(g, tf, tf2, v2, deadline)
+    return _case2b_recursion(h, h2, v2, deadline)
 
 
 def _edge_between(
@@ -611,16 +581,10 @@ def _alternating_matching_avoiding(
 
 
 def _case2b_rewire(
-    g: Pseudograph,
-    f: PerfectMatching,
-    tf: TwoFactor,
-    h: ContractedGraph,
-    v2: int,
-    u2: int,
-    e_u2v2: int,
+    tf: TwoFactor, h: ContractedGraph, v2: int, u2: int, e_u2v2: int
 ) -> Optional[TwoCycleFlowResult]:
     """Send a beta-cycle through the quotient to balance the two odd cycles."""
-    odd = [ci for ci, cyc in enumerate(tf.cycles) if len(cyc) % 2 == 1]
+    odd = [ci for ci, cyc in enumerate(h.cycles) if len(cyc) % 2 == 1]
     if len(odd) != 2:
         return None
     q = h.quotient
@@ -629,7 +593,7 @@ def _case2b_rewire(
     if cf not in odd or cg not in odd or cf == cg:
         return None
     q_uv = h.origin_inverse[e_u2v2]
-    c_f = tf.cycles[cf]
+    c_f = h.cycles[cf]
     v2_nbrs = _cycle_neighbors(c_f, v2)
     forbidden_q = set()
     for w in v2_nbrs:
@@ -653,7 +617,7 @@ def _case2b_rewire(
         vals[q_ew] = BETA
         for eid in path:
             vals[eid] = BETA
-        res = _verified(g, f, tf, h, FlowAssignment(tuple(vals)), "case2b-rewire")
+        res = _verified(tf, h, FlowAssignment(tuple(vals)), "case2b-rewire")
         if res is not None:
             return res
     return None
@@ -704,26 +668,26 @@ def _bfs_path_edges(
 
 
 def _case2b_recursion(
-    g: Pseudograph,
-    tf_orig: TwoFactor,
-    tf: TwoFactor,
+    h_orig: ContractedGraph,
+    h: ContractedGraph,
     v2: int,
     deadline: Optional[float],
 ) -> Optional[TwoCycleFlowResult]:
     """Contract the odd cycle through v2, solve the smaller graph, splice back.
 
-    `tf` is the rebuilt 2-factor whose cycle through v2 gets contracted;
-    `tf_orig` (triangle + partner cycle) supplies the at-most-two-cycle
-    2-factor handed to the recursive call.
+    `h` is the contraction of the rebuilt 2-factor whose cycle through v2
+    gets contracted; `h_orig`'s cycles (triangle + partner cycle) give the
+    at-most-two-cycle 2-factor handed to the recursive call.
     """
+    g = h.graph
     cf_idx = None
-    for ci, cyc in enumerate(tf.cycles):
+    for ci, cyc in enumerate(h.cycles):
         if v2 in cyc.vertices:
             cf_idx = ci
             break
     if cf_idx is None:
         return None
-    inside = set(tf.cycles[cf_idx].vertices)
+    inside = set(h.cycles[cf_idx].vertices)
     boundary = [
         eid
         for eid, (a, b) in enumerate(g.edges)
@@ -739,7 +703,7 @@ def _case2b_recursion(
     # 2-factor of H1: the triangle survives untouched, the partner cycle is
     # rerouted through the new vertex z
     try:
-        h1_cycles = _restrict_cycles(tf_orig, inside, h1, vmap1, inv1)
+        h1_cycles = _restrict_cycles(h_orig.cycles, inside, h1, vmap1, inv1)
         tf1 = _two_factor_from_cycles(h1, h1_cycles)
     except (ContractError, KeyError, ValueError):
         return None
@@ -788,17 +752,17 @@ def _case2b_recursion(
         for ge in combined.edge_ids
     ]
     theta = FlowAssignment(tuple(vals))
-    return _verified(g, combined, tf_new, contract_two_factor(g, tf_new), theta, "case2b-recursion")
+    return _verified(tf_new, contract_two_factor(g, tf_new), theta, "case2b-recursion")
 
 
 def _restrict_cycles(
-    tf: TwoFactor,
+    cycles: Sequence[Cycle],
     inside: Set[int],
     h1: Pseudograph,
     vmap: Dict[int, int],
     inv1: Dict[int, int],
 ) -> List[Cycle]:
-    """Map the 2-factor cycles of G onto H1 = G with `inside` contracted to z.
+    """Map the 2-factor `cycles` of G onto H1 = G with `inside` contracted to z.
 
     `vmap` and `inv1` map G's vertices and edges outside `inside` to H1.
     The contracted cycle disappears; the cycle crossed by the two boundary
@@ -806,7 +770,7 @@ def _restrict_cycles(
     """
     z = h1.n - 1
     out: List[Cycle] = []
-    for cyc in tf.cycles:
+    for cyc in cycles:
         verts = cyc.vertices
         if set(verts) <= inside:
             continue
@@ -861,27 +825,26 @@ def extract_disjoint_matchings(
     Returns (alpha_edges, beta_edges) as H5 edge-id tuples; both verified.
     """
     h = contract_two_factor(g, tf)
-    rep = conflicts(g, PerfectMatching(h.edge_origin), tf, theta)
-    if not rep.is_empty():
+    if _conflict_edges(h, theta.values, _f_values(h, theta)):
         raise InputError("flow must be non-conflicting for the extraction")
     if not verify_flow(h, theta):
         raise InputError("not a valid flow")
     # match quotient edges to H5 edges by endpoints (multiplicity-aware)
-    q = h.quotient
-    if q.n != h5.n:
+    nq, q_edges = len(h.cycles), h.quotient_edges
+    if nq != h5.n:
         raise InputError("quotient does not line up with the 5-regular graph")
     pool: Dict[Tuple[int, int], List[int]] = {}
     for eid, (a, b) in enumerate(h5.edges):
         pool.setdefault((min(a, b), max(a, b)), []).append(eid)
     qe_to_h5: Dict[int, int] = {}
-    for qe, (a, b) in enumerate(q.edges):
+    for qe, (a, b) in enumerate(q_edges):
         key = (min(a, b), max(a, b))
         if not pool.get(key):
             raise InputError("quotient edge has no counterpart in the 5-regular graph")
         qe_to_h5[qe] = pool[key].pop(0)
-    per_cycle: Dict[int, List[int]] = {v: [] for v in range(q.n)}
+    per_cycle: Dict[int, List[int]] = {v: [] for v in range(nq)}
     alpha_edges, beta_edges = [], []
-    for qe, (a, b) in enumerate(q.edges):
+    for qe, (a, b) in enumerate(q_edges):
         val = theta.values[qe]
         per_cycle[a].append(val)
         if b != a:

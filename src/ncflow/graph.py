@@ -10,6 +10,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import ContractError, InputError
@@ -29,9 +30,7 @@ class Pseudograph:
     """Undirected multigraph allowing loops and parallel edges.
 
     A loop contributes 2 to the degree of its vertex.  Instances are
-    immutable after construction and safe to share across workers; a
-    quotient from `contract_two_factor` builds its incidence lists and
-    degrees on first read, to the same values.
+    immutable after construction and safe to share across workers.
     """
 
     __slots__ = ("n", "edges", "_incident", "_degree")
@@ -41,37 +40,15 @@ class Pseudograph:
             raise InputError("vertex count must be nonnegative")
         pairs = []
         shared, limit = _shared_pairs, _SHARED_PAIR_LIMIT
-        for u, v in edges:
+        incident: List[List[int]] = [[] for _ in range(n)]
+        loops = []
+        for eid, (u, v) in enumerate(edges):
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u},{v}) out of range for {n} vertices")
             pair = (u, v)
             if u < limit and v < limit:
                 pair = shared.setdefault(pair, pair)
             pairs.append(pair)
-        self._fill(n, tuple(pairs))
-
-    @classmethod
-    def _lazy(cls, n: int, edges: Tuple[Tuple[int, int], ...]) -> "Pseudograph":
-        """A graph whose caller already guarantees 0 <= u, v < n for every
-        edge; its incidence lists and degrees are built when first read."""
-        g = cls.__new__(cls)
-        g.n = n
-        g.edges = edges
-        return g
-
-    def __getattr__(self, name: str):
-        # only reached for an unset slot: the tables a `_lazy` graph defers
-        if name in ("_incident", "_degree"):
-            self._fill(self.n, self.edges)
-            return object.__getattribute__(self, name)
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-
-    def _fill(self, n: int, edges: Tuple[Tuple[int, int], ...]) -> None:
-        self.n = n
-        self.edges = edges
-        incident: List[List[int]] = [[] for _ in range(n)]
-        loops = []
-        for eid, (u, v) in enumerate(edges):
             incident[u].append(eid)
             if v != u:
                 incident[v].append(eid)
@@ -80,6 +57,8 @@ class Pseudograph:
         degree = list(map(len, incident))
         for u in loops:
             degree[u] += 1  # a loop counts twice, listed once
+        self.n = n
+        self.edges = tuple(pairs)
         self._incident = tuple(map(tuple, incident))
         self._degree = tuple(degree)
 
@@ -245,20 +224,31 @@ def girth(g: Pseudograph):
 
 @dataclass(frozen=True)
 class ContractedGraph:
-    """Quotient G / F-bar with the edge-identity bridge back to G.
+    """G / F-bar for one 2-factor F-bar of G, with the edge-identity bridge back to G.
 
-    quotient          -- pseudograph on one vertex per 2-factor cycle
+    graph             -- G
+    cycles            -- F-bar's cycles, the very tuple indexed; cycle i is quotient vertex i
+    quotient_edges    -- quotient edge id -> its (cycle, cycle) ends
     matching_edge_at  -- G-vertex -> quotient edge at it
     edge_origin       -- quotient edge id -> source edge id in G
     origin_inverse    -- source edge id -> quotient edge id
     vertex_cycle      -- G-vertex -> quotient vertex
+
+    Only `contract_two_factor` makes one.  `quotient`, the Pseudograph on
+    `quotient_edges`, is built the first time it is read.
     """
 
-    quotient: Pseudograph
+    graph: Pseudograph
+    cycles: tuple
+    quotient_edges: Tuple[Tuple[int, int], ...]
     matching_edge_at: Tuple[int, ...]
     edge_origin: Tuple[int, ...]
     origin_inverse: Dict[int, int]
     vertex_cycle: Tuple[int, ...]
+
+    @cached_property
+    def quotient(self) -> Pseudograph:
+        return Pseudograph(len(self.cycles), self.quotient_edges)
 
 
 def _two_factor_index(g: Pseudograph, cycles) -> Tuple[List[int], List[int], List[int]]:
@@ -297,32 +287,30 @@ def _two_factor_index(g: Pseudograph, cycles) -> Tuple[List[int], List[int], Lis
     return vertex_cycle, ids, at
 
 
-def _carried_contraction(g: Pseudograph, two_factor) -> Optional[ContractedGraph]:
-    """The contraction G/F-bar the 2-factor carries (`TwoFactor._contracted`)
-    when it was made on g, else None."""
-    carried = getattr(two_factor, "_contracted", None)
-    return carried[1] if carried is not None and carried[0] is g else None
-
-
 def contract_two_factor(g: Pseudograph, two_factor) -> ContractedGraph:
     """Collapse each cycle of the 2-factor; the quotient edges are the F-edges.
 
     Quotient edges are numbered in G's edge-id order.  Chords (F-edges with
-    both endpoints on one cycle) become loops.  A 2-factor that carries its
-    contraction on g (see `TwoFactor`) gets that one back, and nothing is
-    built.  Raises ContractError as `_two_factor_index` does.
+    both endpoints on one cycle) become loops.  The contraction the
+    2-factor carries (`TwoFactor.contraction`) comes back as it is when it
+    was made on g from these very cycles, and nothing is indexed; any other
+    graph or cycles are indexed afresh.  Raises ContractError as
+    `_two_factor_index` does.
     """
-    carried = _carried_contraction(g, two_factor)
-    if carried is not None:
-        return carried
-    vertex_cycle, ids, at = _two_factor_index(g, two_factor.cycles)
+    cycles = two_factor.cycles
+    h = two_factor.contraction
+    if h is not None and h.graph is g and h.cycles is cycles:
+        return h
+    vertex_cycle, ids, at = _two_factor_index(g, cycles)
     edges = g.edges
     q_edges = []
     for eid in ids:
         u, v = edges[eid]
         q_edges.append((vertex_cycle[u], vertex_cycle[v]))
     return ContractedGraph(
-        quotient=Pseudograph._lazy(len(two_factor.cycles), tuple(q_edges)),
+        graph=g,
+        cycles=cycles,
+        quotient_edges=tuple(q_edges),
         matching_edge_at=tuple(at),
         edge_origin=tuple(ids),
         origin_inverse={eid: i for i, eid in enumerate(ids)},

@@ -15,8 +15,10 @@ skips an edge while a cut through it already holds a matching edge, which
 cuts off only branches without a valid matching, so the stream is the
 filtered one in the same order.  Vertex stars are met once by every
 perfect matching and are not tracked.  The index from edges to the
-remaining cuts is built once per graph and cut list and kept while the
-same pair comes back, as it does when a caller goes through every edge.
+remaining cuts, with each vertex's (edge, other end) pairs that the search
+walks, is built once per graph and cut list and kept while the same pair
+comes back, as it does when a caller goes through every edge; without
+cuts, a stream builds those pairs once when it starts.
 """
 
 from __future__ import annotations
@@ -55,28 +57,20 @@ class Cycle:
 class TwoFactor:
     """Cycle decomposition of G - F, with the F-chords of each cycle recorded.
 
-    A 2-factor returned by a search that contracted it carries that
-    contraction as `_contracted` = (G, G/F-bar).  The steps after the
-    search on the same G, `contract_two_factor` among them, read F-bar's
-    index from it instead of building it again.  The field takes no part in
-    construction, equality, hashing or repr, so `dataclasses.replace`
-    drops it.
+    `contraction` is G/F-bar when the search that built it hands the
+    2-factor on, as `TwoFactor(tf.cycles, tf.chord_ids, h)`, so that the
+    steps after it, `coloring_from_flow` among them, do not index F-bar
+    again; `complement_two_factor` gives None.  `contract_two_factor` reuses
+    it only for the same G and these very cycles.  It takes no part in
+    equality, hashing or repr.
     """
 
     cycles: Tuple[Cycle, ...]
     chord_ids: Tuple[int, ...]  # F-edges with both endpoints on one cycle
-    _contracted: Optional[Tuple[Pseudograph, ContractedGraph]] = field(
-        default=None, init=False, compare=False, repr=False
-    )
+    contraction: Optional[ContractedGraph] = field(default=None, compare=False, repr=False)
 
     def edge_ids(self) -> FrozenSet[int]:
         return frozenset(e for cyc in self.cycles for e in cyc.edges)
-
-    def _carrying(self, g: Pseudograph, h: ContractedGraph) -> "TwoFactor":
-        """This 2-factor carrying its contraction h = G/F-bar on g."""
-        out = TwoFactor(self.cycles, self.chord_ids)
-        object.__setattr__(out, "_contracted", (g, h))
-        return out
 
 
 def covered_vertices(g: Pseudograph, edge_ids: Iterable[int]) -> Optional[Set[int]]:
@@ -111,27 +105,21 @@ def enumerate_perfect_matchings(
 # frames between two deadline checks in _match_dfs
 _DEADLINE_EVERY = 1024
 
-# the last graph searched and its _partners table
-_last_partners: Tuple[Optional[Pseudograph], Tuple[Tuple[Tuple[int, int], ...], ...]] = (None, ())
+Partners = Tuple[Tuple[Tuple[int, int], ...], ...]
 
 
-def _partners(g: Pseudograph) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+def _partners(g: Pseudograph) -> Partners:
     """For each vertex v, its (edge id, other end) pairs in g.incident(v) order, loops left out."""
-    global _last_partners
-    last_g, table = _last_partners
-    if last_g is not g:
-        edges = g.edges
-        rows = []
-        for v in range(g.n):
-            row = []
-            for eid in g.incident(v):
-                a, b = edges[eid]
-                if a != b:  # a loop covers its vertex twice
-                    row.append((eid, b if a == v else a))
-            rows.append(tuple(row))
-        table = tuple(rows)
-        _last_partners = (g, table)
-    return table
+    edges = g.edges
+    rows = []
+    for v in range(g.n):
+        row = []
+        for eid in g.incident(v):
+            a, b = edges[eid]
+            if a != b:  # a loop covers its vertex twice
+                row.append((eid, b if a == v else a))
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _match_dfs(
@@ -145,16 +133,16 @@ def _match_dfs(
 
     One frame [v, next position in v's partner pairs, partner] per matched
     edge, kept on an explicit stack; the partner is -1 while v is unmatched.
-    With a cut index, an edge is skipped while a cut through it already
-    holds an edge of `chosen` (blocked[eid] counts those cuts), and a
-    matching is yielded only once every indexed cut holds one.
+    The partner pairs come from the cut index, else are built once per
+    stream.  With a cut index, an edge is skipped while a cut through it
+    already holds an edge of `chosen` (blocked[eid] counts those cuts), and
+    a matching is yielded only once every indexed cut holds one.
     """
     n = g.n
-    partners = _partners(g)
     if index is None:
-        blocked = None
+        partners, blocked = _partners(g), None
     else:
-        blocked = [0] * g.m
+        partners, blocked = index.partners, [0] * g.m
         touch, width, total = index.touch, index.width, index.total
         met = 0
         for eid in chosen:  # at most one edge, so no cut is met twice
@@ -267,8 +255,8 @@ def _two_factor_from_cycles(g: Pseudograph, cycles: Sequence[Cycle]) -> TwoFacto
     Raises ContractError as `_two_factor_index` does."""
     cycles = tuple(cycles)
     h = contract_two_factor(g, TwoFactor(cycles, ()))
-    chords = tuple(eid for eid, (a, b) in zip(h.edge_origin, h.quotient.edges) if a == b)
-    return TwoFactor(cycles, chords)._carrying(g, h)
+    chords = tuple(eid for eid, (a, b) in zip(h.edge_origin, h.quotient_edges) if a == b)
+    return TwoFactor(cycles, chords, h)
 
 
 def matchings_through_edge(
@@ -294,7 +282,8 @@ def matchings_through_edge(
 
 @dataclass(frozen=True)
 class _CutIndex:
-    """The cuts that are not vertex stars, seen from each edge.
+    """The cuts that are not vertex stars, seen from each edge, and the
+    graph's `_partners` table, which the searches through each edge share.
 
     touch[e] lists the edges of every such cut through e (e itself once
     per cut), width[e] counts those cuts, total counts them all.
@@ -303,6 +292,7 @@ class _CutIndex:
     touch: Tuple[Tuple[int, ...], ...]
     width: Tuple[int, ...]
     total: int
+    partners: Partners
 
 
 # the last graph, its cut list as a tuple, and their index: callers pass
@@ -331,7 +321,7 @@ def _cut_index(g: Pseudograph, cuts: Iterable[Sequence[int]]) -> _CutIndex:
         for e in inside:
             touch[e].extend(inside)
             width[e] += 1
-    index = _CutIndex(tuple(map(tuple, touch)), tuple(width), total)
+    index = _CutIndex(tuple(map(tuple, touch)), tuple(width), total, _partners(g))
     _last_index = (g, key, index)
     return index
 

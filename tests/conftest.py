@@ -29,9 +29,15 @@ from ncflow.generators import (
     ring_of_diamonds,
     triangle_replace_all,
 )
-from ncflow.flows import _kernel_input
-from ncflow.graph import Pseudograph, bridges, build_graph, is_cubic
-from ncflow.matchings import Cycle, PerfectMatching, TwoFactor, enumerate_perfect_matchings
+from ncflow.flows import _kernel_args
+from ncflow.graph import Pseudograph, bridges, build_graph, contract_two_factor, is_cubic
+from ncflow.matchings import (
+    Cycle,
+    PerfectMatching,
+    TwoFactor,
+    complement_two_factor,
+    enumerate_perfect_matchings,
+)
 
 
 def prism(n: int) -> Pseudograph:
@@ -124,7 +130,7 @@ def cubic_multigraph_and_matching(draw):
 def kernel_instance(g: Pseudograph, f: PerfectMatching) -> Tuple[int, List[int], List[int], List[int], List[int]]:
     """The (nq, eu, ev, first, second) arguments `find_nonconflicting_flow`
     hands the flow kernel for the matching f of g."""
-    return _kernel_input(g, f)[2]
+    return _kernel_args(contract_two_factor(g, complement_two_factor(g, f)))
 
 
 def flat(pairs: List[Tuple[int, int]]) -> Tuple[List[int], List[int]]:

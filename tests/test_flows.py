@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import functools
 import hashlib
 import itertools
 import random
@@ -52,7 +53,7 @@ from ncflow.generators import (
     ring_of_diamonds,
     triangle_replace_all,
 )
-from ncflow.graph import ContractedGraph, build_graph, contract_two_factor
+from ncflow.graph import ContractedGraph, Pseudograph, build_graph, contract_two_factor
 from ncflow.kernels import SearchTimeout
 from ncflow.matchings import (
     PerfectMatching,
@@ -78,9 +79,12 @@ def contraction_of(g, f):
 
 
 def fake_contracted(q):
-    """ContractedGraph wrapper when only the quotient matters."""
+    """ContractedGraph wrapper when only the quotient matters: no G, and a
+    placeholder for each cycle (one per quotient vertex)."""
     return ContractedGraph(
-        quotient=q,
+        graph=None,
+        cycles=(None,) * q.n,
+        quotient_edges=q.edges,
         matching_edge_at=(-1,) * q.n,
         edge_origin=tuple(range(q.m)),
         origin_inverse={e: e for e in range(q.m)},
@@ -435,6 +439,18 @@ class TestLoopCanonicalize:
         theta = next(enumerate_nz_flows(h))
         assert loop_canonicalize(theta, h).values == theta.values
 
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_a_flow_of_the_wrong_length_is_refused(self, size):
+        # K4's first matching contracts to one vertex with two loops
+        g = k4()
+        _tf, h = contraction_of(g, next(enumerate_perfect_matchings(g)))
+        assert h.quotient_edges == ((0, 0), (0, 0))
+        theta = FlowAssignment((ALPHA,) * size)
+        with pytest.raises(InputError):
+            verify_flow(h, theta)
+        with pytest.raises(InputError):
+            loop_canonicalize(theta, h)
+
 
 class TestTwoCycleTheorem:
     def _check(self, g, res):
@@ -471,15 +487,16 @@ class TestTwoCycleTheorem:
         [((0, 1, 2, 3), "even"), ((1, 0, 2, 4, 3, 6, 5), "case1")],
     )
     def test_contracts_the_two_factor_once(self, monkeypatch, sigma, branch):
-        """One contraction for the route and the coloring of its flow."""
+        """One contraction for the route and the coloring of its flow: every
+        contract_two_factor call after the first returns that one."""
         import ncflow
         from ncflow import certificates, graph
 
-        calls = []
+        made = []
 
         def counted(g, tf):
-            calls.append(tf)
-            return contract_two_factor(g, tf)
+            made.append(contract_two_factor(g, tf))
+            return made[-1]
 
         for mod in (ncflow, graph, flows, coloring, certificates):
             if getattr(mod, "contract_two_factor", None) is contract_two_factor:
@@ -490,7 +507,7 @@ class TestTwoCycleTheorem:
         res = two_cycle_factor_flow(g, tf)
         assert res.branch == branch
         coloring_from_flow(g, res.matching, res.two_factor, res.flow)
-        assert len(calls) == 1
+        assert all(h is made[0] for h in made)
 
     def test_petersen_refused(self):
         g = petersen()
@@ -585,31 +602,34 @@ def test_two_cycle_outputs_are_pinned():
 
 class TestOneIndexPerTwoFactor:
     """Each (G, F-bar) index is built once in an item and read by every
-    later step, and these paths never fill a quotient's incidence lists."""
+    later step, and these paths never build a quotient Pseudograph."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
         """The (G, F-bar cycles) of each index built, and the number of
-        incidence tables filled, since the fixture started."""
+        quotients built, since the fixture started."""
         from ncflow import graph
 
-        real_index, real_fill = graph._two_factor_index, graph.Pseudograph._fill
-        seen = {"index": [], "fill": 0}
+        real_index = graph._two_factor_index
+        real_quotient = graph.ContractedGraph.quotient.func
+        seen = {"index": [], "quotient": 0}
 
         def index(g, cycles):
             seen["index"].append((g, tuple(cycles)))
             return real_index(g, cycles)
 
-        def fill(self, n, edges):
-            seen["fill"] += 1
-            real_fill(self, n, edges)
+        def quotient(h):
+            seen["quotient"] += 1
+            return real_quotient(h)
 
         for name, mod in list(sys.modules.items()):
             if name == "ncflow" or name.startswith("ncflow."):
                 for key, val in list(vars(mod).items()):
                     if val is real_index:
                         monkeypatch.setattr(mod, key, index)
-        monkeypatch.setattr(graph.Pseudograph, "_fill", fill)
+        counted = functools.cached_property(quotient)
+        counted.__set_name__(graph.ContractedGraph, "quotient")
+        monkeypatch.setattr(graph.ContractedGraph, "quotient", counted)
         return seen
 
     def test_two_cycle_items(self, builds):
@@ -617,7 +637,7 @@ class TestOneIndexPerTwoFactor:
         branches = collections.Counter()
         for g, tf, route in inputs:
             builds["index"].clear()
-            builds["fill"] = 0
+            builds["quotient"] = 0
             res = route(g, tf)
             if res is None:
                 continue
@@ -626,19 +646,60 @@ class TestOneIndexPerTwoFactor:
             keys = collections.Counter(builds["index"])
             assert max(keys.values()) == 1, res.branch  # no 2-factor indexed twice
             if res.branch in ("case1", "even"):
-                assert len(keys) == 1 and builds["fill"] == 0
+                assert len(keys) == 1 and builds["quotient"] == 0
             elif res.branch.startswith("case2b"):
                 # the input 2-factor and the rebuilt one (with the graph
                 # the recursion solves, more)
                 assert len(keys) >= 2
         assert {"case1", "even", "case2b-even", "case2b-rewire", "case2b-recursion"} <= set(branches)
 
-    def test_a_replaced_two_factor_carries_nothing(self):
+    def test_a_carried_contraction_is_dropped_with_other_cycles(self, builds):
         g = permutation_graph((1, 0, 2, 4, 3, 6, 5))
-        tf = complement_two_factor(g, PerfectMatching(tuple(range(14, 21))))
-        carried = two_cycle_factor_flow(g, tf).two_factor
-        assert carried._contracted[0] is g and carried == tf
-        assert dataclasses.replace(carried)._contracted is None
+        res = two_cycle_factor_flow(g, complement_two_factor(g, PerfectMatching(tuple(range(14, 21)))))
+        f = PerfectMatching((0, 3, 7, 10, 16, 19, 20))
+        fresh = complement_two_factor(g, f)
+        replaced = dataclasses.replace(res.two_factor, cycles=fresh.cycles)
+        theta = find_nonconflicting_flow(g, f)
+        builds["index"].clear()
+        assert contract_two_factor(g, replaced) == contract_two_factor(g, fresh)
+        assert builds["index"] == [(g, fresh.cycles)] * 2
+        assert (
+            coloring_from_flow(g, f, replaced, theta).coloring
+            == coloring_from_flow(g, f, fresh, theta).coloring
+        )
+
+    def test_a_carried_contraction_is_dropped_on_another_graph(self, builds):
+        g = permutation_graph((1, 0, 2, 4, 3, 6, 5))
+        f = PerfectMatching(tuple(range(14, 21)))
+        carried = two_cycle_factor_flow(g, complement_two_factor(g, f)).two_factor
+        # the same two 7-cycles, with other spokes between them
+        other = permutation_graph((0, 2, 4, 6, 1, 3, 5))
+        fresh = complement_two_factor(other, f)
+        assert fresh == carried
+        theta = find_nonconflicting_flow(other, f)
+        builds["index"].clear()
+        h = contract_two_factor(other, carried)
+        assert h == contract_two_factor(other, fresh) and h.graph is other
+        assert builds["index"] == [(other, carried.cycles)] * 2
+        assert (
+            coloring_from_flow(other, f, carried, theta).coloring
+            == coloring_from_flow(other, f, fresh, theta).coloring
+        )
+        assert conflicts(other, f, carried, theta) == conflicts(other, f, fresh, theta)
+
+    def test_the_quotient_is_built_once_when_first_read(self, builds):
+        for name, g in small_corpus():
+            for f in itertools.islice(enumerate_perfect_matchings(g), 3):
+                tf, h = contraction_of(g, f)
+                assert builds["quotient"] == 0
+                q = h.quotient
+                plain = Pseudograph(len(h.cycles), h.quotient_edges)
+                assert (q.n, q.edges) == (plain.n, plain.edges), name
+                for v in range(q.n):
+                    assert q.incident(v) == plain.incident(v), name
+                    assert q.degree(v) == plain.degree(v), name
+                assert h.quotient is q and builds["quotient"] == 1
+                builds["quotient"] = 0
 
     @pytest.mark.parametrize("search", [find_nonconflicting_flow, min_conflict_flow])
     def test_kernel_searches(self, builds, search):
@@ -646,13 +707,21 @@ class TestOneIndexPerTwoFactor:
         cases = [(g, f) for g in graphs for f in itertools.islice(enumerate_perfect_matchings(g), 8)]
         for g, f in cases:
             builds["index"].clear()
-            builds["fill"] = 0
+            builds["quotient"] = 0
             out = search(g, f)
-            assert len(builds["index"]) == 1 and builds["fill"] == 0
+            assert len(builds["index"]) == 1 and builds["quotient"] == 0
             if search is min_conflict_flow and out is not None and out.conflict_count == 0:
                 # the result's 2-factor carries its index to the coloring
                 coloring_from_flow(g, f, out.two_factor, out.flow)
                 assert len(builds["index"]) == 1
+
+    def test_disjoint_matching_extraction(self, builds):
+        h5 = k6()
+        g, tf = expand_vertices_to_5cycles(h5)
+        theta = find_nonconflicting_flow(g, PerfectMatching(tuple(sorted(set(range(g.m)) - tf.edge_ids()))))
+        builds["index"].clear()
+        extract_disjoint_matchings(h5, g, tf, theta)
+        assert len(builds["index"]) == 1 and builds["quotient"] == 0
 
 
 class TestDisjointMatchingExtraction:

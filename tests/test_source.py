@@ -4,6 +4,9 @@
   written as one would silently stop checking.
 * No import that the module never uses.  `__init__.py` is exempt, since
   its imports are the public re-exports.
+* No `object.__setattr__` call and no `__getattr__` method: state set on a
+  frozen value after construction, or filled in behind an attribute read,
+  is hidden from its constructor and from `dataclasses.replace`.
 """
 
 import ast
@@ -61,6 +64,26 @@ def asserts(tree: ast.Module) -> list:
     return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
 
 
+def object_setattr_calls(tree: ast.Module) -> list:
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__setattr__"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "object"
+    ]
+
+
+def getattr_methods(tree: ast.Module) -> list:
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "__getattr__"
+    ]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_assert_statements(path):
     assert asserts(ast.parse(path.read_text())) == []
@@ -71,6 +94,16 @@ def test_no_assert_statements(path):
 )
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_object_setattr(path):
+    assert object_setattr_calls(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_getattr_method(path):
+    assert getattr_methods(ast.parse(path.read_text())) == []
 
 
 class TestTheChecksThemselves:
@@ -87,3 +120,17 @@ class TestTheChecksThemselves:
             "def f() -> 'A':\n    return os.path.sep\n"
         )
         assert unused_imports(ast.parse(src)) == []
+
+    def test_flags_an_object_setattr_call(self):
+        src = (
+            "class A:\n    def f(self):\n"
+            "        object.__setattr__(self, 'x', 1)\n        setattr(self, 'y', 2)\n"
+        )
+        assert object_setattr_calls(ast.parse(src)) == [3]
+
+    def test_flags_a_getattr_method(self):
+        src = (
+            "class A:\n    def __getattribute__(self, name):\n        pass\n\n"
+            "    def __getattr__(self, name):\n        pass\n"
+        )
+        assert getattr_methods(ast.parse(src)) == [5]
