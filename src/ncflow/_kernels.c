@@ -270,7 +270,7 @@ int nc_flow_search(int nq, int m, const int *eu, const int *ev, int npairs, cons
 typedef unsigned long long Mask;
 
 typedef struct {
-    int m, k, forbid, words;
+    int m, k, words;
     const int *eu, *ev;
     int *order, *color, *adj_off, *adj_dat, *closed_uncolored, *last;
     Mask *pal, *palette;
@@ -336,7 +336,7 @@ static int star_ok(const ColorState *s, int g)
 
 /* 1 once every edge is colored, TIMED_OUT on the deadline, 0 otherwise.
    Colors enter in increasing order (at most maxused + 1), and a color is
-   free for e when it is in neither mask at e's ends.  With `forbid`,
+   free for e when it is in neither mask at e's ends.
    closed_uncolored[g] counts the uncolored edges of g's closed star.  An
    edge whose star completes must see 3 or 5 colors (poor or rich).  An
    edge whose count drops to 1 is looked at one edge ahead
@@ -364,26 +364,21 @@ static int color_rec(ColorState *s, int depth, int maxused)
             continue;
         pu[w] |= bit;
         pv[w] |= bit;
-        int ok = 1;
-        if (s->forbid) {
-            s->closed_uncolored[e]--;
-            for (int i = s->adj_off[e]; i < s->adj_off[e + 1]; i++)
-                s->closed_uncolored[s->adj_dat[i]]--;
-            ok = star_ok(s, e);
-            for (int i = s->adj_off[e]; i < s->adj_off[e + 1] && ok; i++)
-                ok = star_ok(s, s->adj_dat[i]);
-        }
+        s->closed_uncolored[e]--;
+        for (int i = s->adj_off[e]; i < s->adj_off[e + 1]; i++)
+            s->closed_uncolored[s->adj_dat[i]]--;
+        int ok = star_ok(s, e);
+        for (int i = s->adj_off[e]; i < s->adj_off[e + 1] && ok; i++)
+            ok = star_ok(s, s->adj_dat[i]);
         if (ok) {
             s->color[e] = c;
             int done = color_rec(s, depth + 1, maxused > c ? maxused : c);
             if (done)
                 return done;
         }
-        if (s->forbid) {
-            s->closed_uncolored[e]++;
-            for (int i = s->adj_off[e]; i < s->adj_off[e + 1]; i++)
-                s->closed_uncolored[s->adj_dat[i]]++;
-        }
+        s->closed_uncolored[e]++;
+        for (int i = s->adj_off[e]; i < s->adj_off[e + 1]; i++)
+            s->closed_uncolored[s->adj_dat[i]]++;
         pu[w] &= ~bit;
         pv[w] &= ~bit;
     }
@@ -391,14 +386,14 @@ static int color_rec(ColorState *s, int depth, int maxused)
 }
 
 /* First proper k-edge-coloring of the loop-free graph on n vertices with
-   edges eu[i]-ev[i], with no abnormal edge when `forbid`.  Edges are
+   edges eu[i]-ev[i] with no abnormal edge.  Edges are
    colored in BFS order over the line graph.  On NC_FOUND the colors
    (1..k) are in out_color; *out_nodes is set on NC_FOUND, NC_EXHAUSTED
    and NC_TIMEOUT.  The masks hold colors 1..min(k, m + 1): no search
    uses a color above m, so color m + 1 stands for every unused color
    above it in the look-ahead. */
-int nc_normal_coloring_search(int n, int m, const int *eu, const int *ev, int k, int forbid,
-                              double seconds, int *out_color, long long *out_nodes)
+int nc_normal_coloring_search(int n, int m, const int *eu, const int *ev, int k, double seconds,
+                              int *out_color, long long *out_nodes)
 {
     if (!in_range(n, eu, m) || !in_range(n, ev, m))
         return NC_BADINDEX;
@@ -411,7 +406,7 @@ int nc_normal_coloring_search(int n, int m, const int *eu, const int *ev, int k,
         free(masks);
         return NC_NOMEM;
     }
-    ColorState s = {.m = m, .k = k, .forbid = forbid, .words = words, .eu = eu, .ev = ev,
+    ColorState s = {.m = m, .k = k, .words = words, .eu = eu, .ev = ev,
                     .deadline = deadline_in(seconds)};
     int *p = block;
     s.order = p, p += m;

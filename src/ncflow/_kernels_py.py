@@ -272,7 +272,6 @@ def normal_coloring_search(
     eu: Sequence[int],
     ev: Sequence[int],
     k: int,
-    forbid_abnormal: bool = True,
     deadline: Optional[float] = None,
 ) -> Tuple[Optional[List[int]], int]:
     """First proper k-edge-coloring without abnormal edges, or None on exhaustion.
@@ -296,8 +295,7 @@ def normal_coloring_search(
     not only the colors up to maxused + 1 that canonical introduction
     allows f, so it cuts no branch with a normal completion: the coloring
     returned is the first in the static order, as without the look-ahead,
-    and only node counts fall.  Without `forbid_abnormal` nothing is
-    checked.
+    and only node counts fall.
 
     Endpoints of every edge must have degree 3 for the poor/rich pruning to
     apply; both callers in `ncflow.coloring` reject loops and non-cubic
@@ -340,16 +338,15 @@ def normal_coloring_search(
     # closed star has one uncolored edge f left then, with f's endpoints
     checks: List[List[Tuple[int, int]]] = [[] for _ in range(m)]
     ahead: List[List[Tuple[int, int, int, int]]] = [[] for _ in range(m)]
-    if forbid_abnormal:
-        depth_of = [0] * m
-        for d, e in enumerate(order):
-            depth_of[e] = d
-        for e in range(m):
-            star = sorted(depth_of[f] for f in adjacent[e] + [e])
-            checks[star[-1]].append((eu[e], ev[e]))
-            if len(star) > 1:
-                f = order[star[-1]]
-                ahead[star[-2]].append((eu[e], ev[e], eu[f], ev[f]))
+    depth_of = [0] * m
+    for d, e in enumerate(order):
+        depth_of[e] = d
+    for e in range(m):
+        star = sorted(depth_of[f] for f in adjacent[e] + [e])
+        checks[star[-1]].append((eu[e], ev[e]))
+        if len(star) > 1:
+            f = order[star[-1]]
+            ahead[star[-2]].append((eu[e], ev[e], eu[f], ev[f]))
     steps = [(e, eu[e], ev[e], tuple(checks[d]), tuple(ahead[d])) for d, e in enumerate(order)]
 
     # choices[top]: (color, bit) pairs open to an edge when colors 1..top

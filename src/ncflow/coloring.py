@@ -18,10 +18,9 @@ from .errors import InputError, NcflowError
 from .flows import FlowAssignment, _conflict_edges, _conserves, _f_values, _xor_balanced
 from .graph import (
     Pseudograph,
-    _balanced_two_cut,
     _contract_vertex_sets,
+    _two_cut_pieces,
     bridges,
-    connected_components,
     contract_two_factor,
     is_cubic,
 )
@@ -180,34 +179,57 @@ def _disjoint_triangles(g: Pseudograph) -> List[Tuple[int, int, int]]:
     return out
 
 
-def _reduce(g: Pseudograph, k_max: int, deadline: Optional[float], nodes: Dict[int, int]):
-    """Apply the first reduction g admits: contract its disjoint triangles,
-    else split it at its most balanced 2-edge cut.  A generator that yields
-    each reduced graph's `_chi_n` task and is sent back its witness (see
-    `_drive`).  Returns None when neither reduction applies; else (lemma,
-    witness), where the witness is a normal coloring of g lifted from the
-    reduced graphs, with chi'_N(g) colors (3 or 5), or None when a reduced
-    graph has no normal coloring with at most min(k_max, 5) colors.  In
-    that case g is not 3-edge-colorable: G/T is 3-edge-colorable iff G is,
-    and across a 2-edge cut both sides are iff G is (parity lemma)."""
-    check_deadline(deadline)
+def _solve(
+    g: Pseudograph, k_max: int, deadline: Optional[float], nodes: Dict[int, int], cut: bool
+) -> Tuple[Optional[Tuple[str, Optional[EdgeColoring]]], Optional[EdgeColoring]]:
+    """(g's reduction, the normal coloring of g with chi'_N(g) <= k_max
+    colors or None).
+
+    Contracts g's disjoint triangles round after round, then (if `cut`)
+    cuts the last graph at its 2-edge cuts, and finishes the graphs from
+    the last one up (`_finish`), each with the lift of the witness below
+    it.  The reduced graphs are solved with at most min(k_max, 5) colors.
+    The reduction is (lemma, the witness it lifts to g or None), or None
+    when g has none.
+    """
     cap = min(k_max, 5)
-    tris = _disjoint_triangles(g)
-    if tris:
+    rounds = []  # (graph, its triangles, the contraction's edge map)
+    while True:
+        check_deadline(deadline)
+        tris = _disjoint_triangles(g)
+        if not tris:
+            break
         gq, emap = _contract_triangles(g, tris)
-        qw = yield _chi_n(gq, cap, deadline, nodes)
-        return TRIANGLE, None if qw is None else _lift_triangles(g, tris, emap, qw)
-    cut = _balanced_two_cut(g)
-    if cut is None:
+        rounds.append((g, tris, emap))
+        g = gq
+    reduced = _two_cut_reduction(g, cap, deadline, nodes) if cut else None
+    witness = _finish(g, cap if rounds else k_max, reduced, deadline, nodes)
+    for i in range(len(rounds) - 1, -1, -1):
+        gi, tris, emap = rounds[i]
+        reduced = TRIANGLE, None if witness is None else _lift_triangles(gi, tris, emap, witness)
+        witness = _finish(gi, cap if i else k_max, reduced, deadline, nodes)
+    return reduced, witness
+
+
+def _two_cut_reduction(
+    g: Pseudograph, k_max: int, deadline: Optional[float], nodes: Dict[int, int]
+) -> Optional[Tuple[str, Optional[EdgeColoring]]]:
+    """(TWO_CUT, g's coloring glued from its pieces' or None), or None when
+    `_two_cut_pieces` does not cut g.  Each piece is solved with at most
+    k_max colors by its triangle rounds alone: it has no 2-edge cut, and
+    contracting a triangle makes none.  A piece with no such coloring
+    ends the reduction, as g is then not 3-edge-colorable."""
+    pieces = _two_cut_pieces(g)
+    if pieces is None:
         return None
-    split = split_two_cut(g, cut)
-    w1 = yield _chi_n(split.g1, cap, deadline, nodes)
-    if w1 is None:
-        return TWO_CUT, None
-    w2 = yield _chi_n(split.g2, cap, deadline, nodes)
-    if w2 is None:
-        return TWO_CUT, None
-    return TWO_CUT, lift_over_2_cut(g, cut, w1, w2, split)
+    graphs, _piece_of, edge_at, rings = pieces
+    colorings = []
+    for piece in graphs:
+        witness = _solve(piece, k_max, deadline, nodes, cut=False)[1]
+        if witness is None:
+            return TWO_CUT, None
+        colorings.append(witness)
+    return TWO_CUT, _glue(g, graphs, colorings, edge_at, rings)
 
 
 def _finish(
@@ -218,7 +240,7 @@ def _finish(
     nodes: Dict[int, int],
 ) -> Optional[EdgeColoring]:
     """The normal coloring of g with chi'_N(g) <= k_max colors, or None,
-    given `_reduce`'s outcome on g.
+    given the outcome of g's reduction.
 
     The reduced graphs are solved with at most 5 colors, since only a value
     of 3 or 5 lifts: a normal coloring lifts over a triangle or a 2-edge cut
@@ -241,29 +263,6 @@ def _finish(
     return None
 
 
-def _chi_n(g: Pseudograph, k_max: int, deadline: Optional[float], nodes: Dict[int, int]):
-    """`_drive` task: reduce g, then finish it; returns its witness."""
-    reduced = yield from _reduce(g, k_max, deadline, nodes)
-    return _finish(g, k_max, reduced, deadline, nodes)
-
-
-def _drive(task):
-    """Run a generator task that yields subtasks and is sent back their
-    return values, on an explicit stack: a chain of n reductions nests n
-    tasks without nesting Python calls."""
-    stack, value = [task], None
-    while stack:
-        try:
-            sub = stack[-1].send(value)
-        except StopIteration as done:
-            stack.pop()
-            value = done.value
-        else:
-            stack.append(sub)
-            value = None
-    return value
-
-
 def chi_n_exact(
     g: Pseudograph, k_max: int, deadline: Optional[float] = None
 ) -> Optional[ChiNResult]:
@@ -271,21 +270,20 @@ def chi_n_exact(
 
     Reductions come before any search, in a fixed order: contract the
     triangles with simple edges, taken lowest first and vertex-disjoint,
-    all at once, else split a connected bridgeless graph at its most
-    balanced 2-edge cut, and solve the smaller graphs the same way.  k = 4
-    is never searched (Lemma A).  A reduced value of 3 or 5 lifts to G; any
-    other outcome searches G itself from k = 5 up.  Every other k is a
-    completed negative search (node counts kept as the certificate trail).
-    Multigraphs are accepted but flagged: the published index is defined
-    for simple cubic graphs only.
+    all at once, round after round; then cut a connected bridgeless graph
+    at all its 2-edge cuts at once and solve each piece the same way.
+    k = 4 is never searched (Lemma A).  A reduced value of 3 or 5 lifts to
+    G; any other outcome searches G itself from k = 5 up.  Every other k is
+    a completed negative search (node counts kept as the certificate
+    trail).  Multigraphs are accepted but flagged: the published index is
+    defined for simple cubic graphs only.
     """
     check_deadline(deadline)
     _check_colorable(g)
     if k_max < 3:
         return None
     nodes: Dict[int, int] = {}
-    reduced = _drive(_reduce(g, k_max, deadline, nodes))
-    witness = _finish(g, k_max, reduced, deadline, nodes)
+    reduced, witness = _solve(g, k_max, deadline, nodes, cut=True)
     if witness is None:
         return None
     k = witness.k
@@ -498,46 +496,18 @@ class TwoCutSplit:
 
 
 def split_two_cut(g: Pseudograph, cut: Tuple[int, int]) -> TwoCutSplit:
-    """Cut {e1, e2} off, close each side with a replacement edge."""
+    """Cut {e1, e2} off, close each side with a replacement edge: the two
+    pieces of `_two_cut_pieces(g, cut)`, side 1 holding vertex 0."""
     e1, e2 = cut
-    ends1, ends2 = set(g.endpoints(e1)), set(g.endpoints(e2))
-    if ends1 & ends2:
+    if set(g.endpoints(e1)) & set(g.endpoints(e2)):
         raise InputError("cut edges must be vertex-disjoint")
-    comps = connected_components(g, frozenset(cut))
-    if len(comps) != 2:
+    pieces = _two_cut_pieces(g, cut)
+    if pieces is None:
         raise InputError("edge pair is not a 2-edge-cut")
-    comps.sort(key=min)
-    side = [0] * g.n
-    for v in comps[0]:
-        side[v] = 1
-    for v in comps[1]:
-        side[v] = 2
-    vmap: Dict[int, int] = {}
-    counts = [0, 0, 0]
-    for v in range(g.n):
-        vmap[v] = counts[side[v]]
-        counts[side[v]] += 1
-    sides_edges: Tuple[List, List] = ([], [])
-    edge_to_side: Dict[int, Tuple[int, int]] = {}
-    for eid, (u, v) in enumerate(g.edges):
-        if eid in cut:
-            continue
-        s = side[u]
-        edge_to_side[eid] = (s, len(sides_edges[s - 1]))
-        sides_edges[s - 1].append((vmap[u], vmap[v]))
-    h_edges = []
-    for s in (1, 2):
-        stubs = sorted(
-            vmap[v]
-            for e in cut
-            for v in g.endpoints(e)
-            if side[v] == s
-        )
-        sides_edges[s - 1].append((stubs[0], stubs[1]))
-        h_edges.append(len(sides_edges[s - 1]) - 1)
-    g1 = Pseudograph(counts[1], sides_edges[0])
-    g2 = Pseudograph(counts[2], sides_edges[1])
-    return TwoCutSplit(g1, g2, h_edges[0], h_edges[1], tuple(side), edge_to_side)
+    (g1, g2), piece_of, edge_at, (ring,) = pieces
+    h = dict(ring)
+    edge_to_side = {eid: (p + 1, e) for eid, (p, e) in enumerate(edge_at) if p >= 0}
+    return TwoCutSplit(g1, g2, h[0], h[1], tuple(p + 1 for p in piece_of), edge_to_side)
 
 
 def lift_over_2_cut(
@@ -547,13 +517,8 @@ def lift_over_2_cut(
     c2: EdgeColoring,
     split: Optional[TwoCutSplit] = None,
 ) -> EdgeColoring:
-    """Merge normal colorings of the two 2-cut reductions into one of G.
-
-    The palette of the second side is renamed so the replacement edges
-    agree and the merged coloring stays normal; the renaming is found by
-    scanning palette permutations (at most 5! once the replacement edge
-    color is pinned).
-    """
+    """Merge normal colorings of the two 2-cut reductions into one of G:
+    side 2 is renamed to fit side 1 by `_glue`'s rule."""
     if split is None:
         split = split_two_cut(g, cut)
     # is_normal raises InputError on an improper side coloring; both sides
@@ -561,25 +526,67 @@ def lift_over_2_cut(
     normal1, normal2 = is_normal(split.g1, c1).ok, is_normal(split.g2, c2).ok
     if not (normal1 and normal2):
         raise InputError("side colorings must be normal")
-    k = max(c1.k, c2.k)
-    target = c1.colors[split.h1]
-    others = [c for c in range(1, k + 1) if c != c2.colors[split.h2]]
-    slots = [c for c in range(1, k + 1) if c != target]
-    e1, e2 = cut
-    for perm in itertools.permutations(slots):
-        rename = {c2.colors[split.h2]: target}
-        rename.update(dict(zip(others, perm)))
-        colors = [0] * g.m
-        for eid in range(g.m):
-            if eid in cut:
-                colors[eid] = target
+    edge_at = [(-1, 0)] * g.m
+    for eid, (s, se) in split.edge_to_side.items():
+        edge_at[eid] = (s - 1, se)
+    return _glue(g, (split.g1, split.g2), [c1, c2], edge_at, [((0, split.h1), (1, split.h2))])
+
+
+def _stubs(g: Pseudograph, colors, e: int, rename) -> Tuple[int, List[int], List[int]]:
+    """(e's color, the other two colors at its first end, at its second
+    end), renamed, each pair in increasing order."""
+    u, v = g.edges[e]
+    pairs = (sorted(rename[colors[f]] for f in g.incident(w) if f != e) for w in (u, v))
+    return (rename[colors[e]], *pairs)
+
+
+def _glue(g: Pseudograph, graphs, colorings: List[EdgeColoring], edge_at, rings) -> EdgeColoring:
+    """A normal coloring of g from normal colorings of its pieces, with
+    `_two_cut_pieces`' edge map and rings.
+
+    The pieces and rings form a tree, walked from piece 0, which keeps its
+    colors.  On each ring, the piece it is reached from has its virtual
+    edge colored t, the pair L of other colors at its "-" stub, and R at
+    its "+" stub if the edge is rich, else R is the two lowest colors
+    besides t and L.  Each other piece on the ring is renamed so that its
+    virtual edge takes t, its "-" pair L, its "+" pair L if poor or R if
+    rich, and its other colors the lowest left.  Every ring edge then takes
+    t and sees L or R at each end, so it is poor or rich, and every other
+    edge keeps its closed star's colors up to renaming.  The result is
+    checked on g once; NcflowError if it is not normal.
+    """
+    k = max(c.k for c in colorings)
+    on_rings: List[List[Tuple[int, int]]] = [[] for _ in graphs]
+    for r, ring in enumerate(rings):
+        for p, e in ring:
+            on_rings[p].append((r, e))
+    renames = [list(range(c.k + 1)) for c in colorings]
+    ring_color = [0] * len(rings)
+    queue = [0]
+    for p in queue:
+        for r, e in on_rings[p]:
+            if ring_color[r]:
                 continue
-            s, se = split.edge_to_side[eid]
-            colors[eid] = c1.colors[se] if s == 1 else rename[c2.colors[se]]
-        cand = EdgeColoring(tuple(colors), k)
-        if is_proper(g, cand) and not _abnormal_edges(g, cand):
-            return cand
-    raise NcflowError("no palette renaming merges normally; reduction proof violated")
+            t, minus, plus = _stubs(graphs[p], colorings[p].colors, e, renames[p])
+            if plus == minus:
+                plus = [x for x in range(1, k + 1) if x != t and x not in minus][:2]
+            ring_color[r] = t
+            for q, qe in rings[r]:
+                if q == p:
+                    continue
+                c = colorings[q]
+                ct, cminus, cplus = _stubs(graphs[q], c.colors, qe, range(c.k + 1))
+                rename = [0] * (c.k + 1)
+                for a, b in zip([ct] + cminus + (cplus if cplus != cminus else []), [t] + minus + plus):
+                    rename[a] = b
+                spare = iter([x for x in range(1, k + 1) if x not in rename])
+                renames[q] = [0] + [x or next(spare) for x in rename[1:]]
+                queue.append(q)
+    colors = tuple(ring_color[i] if p < 0 else renames[p][colorings[p].colors[i]] for p, i in edge_at)
+    cand = EdgeColoring(colors, k)
+    if not is_proper(g, cand) or _abnormal_edges(g, cand):
+        raise NcflowError("2-cut gluing failed to stay normal")
+    return cand
 
 
 def contract_triangle(

@@ -7,7 +7,6 @@ quotient must be able to point back at original incidences.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -154,41 +153,11 @@ def is_connected(g: Pseudograph) -> bool:
 
 
 def bridges(g: Pseudograph) -> List[int]:
-    """Cut-edges by iterative DFS lowpoint; loops and parallel copies never qualify."""
-    disc = [-1] * g.n
-    low = [0] * g.n
-    out: List[int] = []
-    timer = 0
-    for root in range(g.n):
-        if disc[root] != -1:
-            continue
-        # stack entries: (vertex, incoming edge id, iterator over incident edges)
-        disc[root] = low[root] = timer
-        timer += 1
-        stack = [(root, -1, iter(g.incident(root)))]
-        while stack:
-            v, in_eid, it = stack[-1]
-            advanced = False
-            for eid in it:
-                if eid == in_eid or g.is_loop(eid):
-                    continue
-                w = g.other_end(eid, v)
-                if disc[w] == -1:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, eid, iter(g.incident(w))))
-                    advanced = True
-                    break
-                low[v] = min(low[v], disc[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    pv = stack[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                    if low[v] > disc[pv]:
-                        out.append(in_eid)
-    out.sort()
-    return out
+    """Cut-edges in increasing order: the non-loop edges that lie on no
+    cycle, whose `_cycle_space` vector is zero.  Loops and parallel copies
+    never qualify."""
+    vec = _cycle_space(g)[0]
+    return [eid for eid, (x, (u, v)) in enumerate(zip(vec, g.edges)) if not x and u != v]
 
 
 def girth(g: Pseudograph):
@@ -409,75 +378,72 @@ def _cut_classes(vec: List[int]) -> List[Tuple[int, ...]]:
     return sorted(tuple(ids) for ids in bucket.values() if len(ids) > 1)
 
 
-def _balanced_two_cut(g: Pseudograph) -> Optional[Tuple[int, int]]:
-    """The 2-edge cut (e, f), e < f, of a connected, bridgeless g whose
-    larger side has the fewest vertices, the lowest such pair on a tie; None
-    when g has no 2-edge cut, is disconnected or has a bridge.
+def _two_cut_pieces(g: Pseudograph, cut: Optional[Tuple[int, int]] = None):
+    """g cut at all its 2-edge cuts at once, from one `_cycle_space` pass,
+    or at the one 2-edge cut `cut` when it is given: (pieces, G-vertex ->
+    its piece, G-edge -> (piece, edge id there) or (-1, ring) on a ring,
+    ring -> its virtual edges as (piece, edge id there) in ring order).
 
-    Removing the r edges of a class leaves r pieces in a ring, and a cycle
-    through one class edge passes all of them in ring order.  So the tree
-    edges of a class lie on one fundamental cycle: on at most two root
-    paths, which the preorder lists one after the other, each from the top
-    down, and the class holds at most one non-tree edge, the one closing
-    that cycle.  The pieces' sizes follow from the subtree sizes, and the
-    best cut in a ring is found with prefix sums.  Cutting at the most
-    balanced pair takes a chain of n cuts apart in O(log n) nested splits
-    (pieces hanging off one hub still come off one per split).
+    Removing the r edges of a class (`_cut_classes`) leaves r pieces in a
+    ring.  The DFS forest has no cross edges and a non-tree edge's vector
+    is a bit of its own, so a class holds at most one non-tree edge, and
+    its tree edges lie on the fundamental cycle of any bit of their vector:
+    on one root path, in preorder from the top down.  The ring runs down
+    that path, parent to child, then up the non-tree edge if there is one,
+    or else round the rest of that cycle.  Each piece gets a virtual edge
+    on each ring it lies on, from its "-" stub, where the ring edge before
+    it arrives, to its "+" stub, where the next one leaves.  The pieces
+    are the components of G without its ring edges, with the virtual
+    edges, numbered by their lowest vertex; each keeps G's vertex and edge
+    order, then has its virtual edges in ring order.  Cut at every class,
+    a cubic g falls into cubic 3-edge-connected pieces.  None when g is
+    disconnected, or when no cut is given and g has a bridge or no 2-edge
+    cut, or when `cut` is not a 2-edge cut.
     """
     vec, components, order, parent_edge = _cycle_space(g)
-    edges = g.edges
-    if components != 1 or any(not x and u != v for x, (u, v) in zip(vec, edges)):
+    if components != 1:
         return None
-    classes = _cut_classes(vec)
+    if cut is not None:
+        e, f = sorted(cut)
+        classes = [(e, f)] if e != f and vec[e] == vec[f] != 0 else []
+    elif any(not x and u != v for x, (u, v) in zip(vec, g.edges)):
+        return None
+    else:
+        classes = _cut_classes(vec)
     if not classes:
         return None
-    n = g.n
-    pos = [0] * n
+    pos = [0] * g.n
     for i, v in enumerate(order):
         pos[v] = i
-    size = [1] * n
-    below: Dict[int, int] = {}  # tree edge -> its end in the subtree it hangs
-    for v in reversed(order):
-        eid = parent_edge[v]
-        if eid != -1:
-            below[eid] = v
-            size[g.other_end(eid, v)] += size[v]
-
-    def inside(e: int, f: int) -> bool:  # tree edge f lies in e's subtree
-        return pos[below[e]] < pos[below[f]] < pos[below[e]] + size[below[e]]
-
-    def piece(e: int, f: int) -> int:
-        """Vertices between ring neighbours e and f, the root off that side."""
-        if e not in below or f not in below:
-            return size[below[e if e in below else f]]
-        if inside(e, f) or inside(f, e):
-            return abs(size[below[e]] - size[below[f]])
-        return size[below[e]] + size[below[f]]
-
-    best = None
-    for cls in classes:
+    below = {parent_edge[v]: v for v in order if parent_edge[v] != -1}  # tree edge -> child end
+    ring_of: Dict[int, int] = {}
+    virtual = []  # (ring, "-" stub, "+" stub)
+    for r, cls in enumerate(classes):
         tree = sorted((e for e in cls if e in below), key=lambda e: pos[below[e]])
-        split = 1
-        while split < len(tree) and inside(tree[split - 1], tree[split]):
-            split += 1
-        # from the top of the first path, over the root, down the second
-        # path, across the closing edge and up the first path
-        ring = [tree[0]] + tree[split:] + [e for e in cls if e not in below] + tree[split - 1:0:-1]
-        r = len(ring)
-        pieces = [piece(ring[i], ring[(i + 1) % r]) for i in range(1, r)]
-        prefix = [0, n - sum(pieces)]
-        for p in pieces:
-            prefix.append(prefix[-1] + p)
-        for i in range(r - 1):
-            j = bisect.bisect(prefix, prefix[i] + n / 2, i + 1, r)
-            for jj in (j - 1, j):
-                if i < jj < r:
-                    side = prefix[jj] - prefix[i]
-                    e, f = sorted((ring[i], ring[jj]))
-                    key = (max(side, n - side), e, f)
-                    if best is None or key < best:
-                        best = key
-    return None if best is None else best[1:]
+        ring = [(g.other_end(e, below[e]), below[e]) for e in tree]  # (tail, head)
+        ring += [(u, v) if pos[u] > pos[v] else (v, u) for u, v in (g.edges[e] for e in cls if e not in below)]
+        virtual += [(r, ring[i - 1][1], tail) for i, (tail, _head) in enumerate(ring)]
+        ring_of.update(dict.fromkeys(cls, r))
+    kept = [eid for eid in range(g.m) if eid not in ring_of]
+    joined = [g.edges[eid] for eid in kept] + [(a, b) for _r, a, b in virtual]
+    piece_of, local = [0] * g.n, [0] * g.n
+    comps = connected_components(Pseudograph(g.n, joined))
+    for p, comp in enumerate(comps):
+        for i, v in enumerate(sorted(comp)):
+            piece_of[v], local[v] = p, i
+    edges: List[List[Tuple[int, int]]] = [[] for _ in comps]
+    at = []  # edge of `joined` -> (piece, edge id there)
+    for u, v in joined:
+        at.append((piece_of[u], len(edges[piece_of[u]])))
+        edges[piece_of[u]].append((local[u], local[v]))
+    edge_at = [(-1, ring_of.get(eid, -1)) for eid in range(g.m)]
+    for eid, spot in zip(kept, at):
+        edge_at[eid] = spot
+    rings: List[List[Tuple[int, int]]] = [[] for _ in classes]
+    for (r, _a, _b), spot in zip(virtual, at[len(kept):]):
+        rings[r].append(spot)
+    graphs = [Pseudograph(len(comp), es) for comp, es in zip(comps, edges)]
+    return graphs, piece_of, edge_at, rings
 
 
 def three_edge_cuts(g: Pseudograph) -> List[Tuple[int, int, int]]:

@@ -68,7 +68,7 @@ def bind(path: str) -> SimpleNamespace:
     c_flow.argtypes += [ints_out, ctypes.POINTER(c_int), ctypes.POINTER(c_nodes)]
     c_flow.restype = c_int
     c_color = lib.nc_normal_coloring_search
-    c_color.argtypes = [c_int, c_int, ints_in, ints_in, c_int, c_int, ctypes.c_double, ints_out]
+    c_color.argtypes = [c_int, c_int, ints_in, ints_in, c_int, ctypes.c_double, ints_out]
     c_color.argtypes += [ctypes.POINTER(c_nodes)]
     c_color.restype = c_int
 
@@ -91,15 +91,13 @@ def bind(path: str) -> SimpleNamespace:
             return out.tolist(), conf.value, nodes.value
         return None, 0, nodes.value
 
-    def normal_coloring_search(n, eu, ev, k, forbid_abnormal=True, deadline=None):
+    def normal_coloring_search(n, eu, ev, k, deadline=None):
         """See `_kernels_py.normal_coloring_search`; same contract."""
         check_edge_args(n, eu, ev)
         seconds = _seconds_left(deadline)
         m = len(eu)
         out, nodes = array("i", [0]) * m, c_nodes()
-        status = c_color(
-            n, m, pack(eu), pack(ev), k, 1 if forbid_abnormal else 0, seconds, out.buffer_info()[0], nodes
-        )
+        status = c_color(n, m, pack(eu), pack(ev), k, seconds, out.buffer_info()[0], nodes)
         _check(status)
         return (out.tolist() if status == _FOUND else None), nodes.value
 

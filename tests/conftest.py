@@ -225,6 +225,43 @@ def glue_two_cut(g1: Pseudograph, e1: int, g2: Pseudograph, e2: int) -> Tuple[Ps
     return build_graph(g1.n + g2.n, edges), (len(edges) - 2, len(edges) - 1)
 
 
+def hub_graph(rungs: int) -> Pseudograph:
+    """The prism on two `rungs`-cycles (outer i, inner rungs + i) with each
+    rung i replaced by a path i - x = y - (rungs + i) through a doubled
+    edge x = y, where x = 2 rungs + 2i and y = x + 1.  Each rung's two
+    single edges form a 2-edge cut of its own class, and all the digons
+    hang off the one prism: cut at every class, it falls into the prism and
+    `rungs` two-vertex pieces."""
+    r = rungs
+    edges = [(i, (i + 1) % r) for i in range(r)] + [(r + i, r + (i + 1) % r) for i in range(r)]
+    for i in range(r):
+        x = 2 * r + 2 * i
+        edges += [(i, x), (x, x + 1), (x, x + 1), (x + 1, r + i)]
+    return build_graph(4 * r, edges)
+
+
+SPLICE_BASES = (k4, k33, lambda: prism(3), lambda: prism(4), petersen,
+                lambda: bridged_pair(prism(3), 6, prism(4), 0))
+
+
+@st.composite
+def spliced_cubic_graph(draw, max_n=20):
+    """A small cubic graph (one bridged) with up to two splices: a vertex
+    replaced by a triangle, or another small graph glued in across a new
+    2-edge cut.  A splice that would pass max_n vertices is skipped, which
+    keeps the plain searches of the oracle short."""
+    g = draw(st.sampled_from(SPLICE_BASES))()
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            if g.n + 2 <= max_n:
+                g = replace_vertex_with_triangle(g, draw(st.integers(0, g.n - 1)))
+        else:
+            h = draw(st.sampled_from(SPLICE_BASES[:5]))()
+            if g.n + h.n <= max_n:
+                g, _cut = glue_two_cut(g, draw(st.integers(0, g.m - 1)), h, draw(st.integers(0, h.m - 1)))
+    return g
+
+
 def triangle_and_nine_cycle(chords: List[Tuple[int, int]]) -> Pseudograph:
     """Cubic graph whose canonical 2-factor is a triangle plus a chorded 9-cycle.
 

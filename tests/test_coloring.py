@@ -2,13 +2,12 @@
 reductions over 2-cuts and triangles, and H-colorings."""
 
 import dataclasses
+import inspect
 import itertools
-import math
 import time
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ncflow.coloring import (
     ABNORMAL,
@@ -33,7 +32,7 @@ from ncflow.coloring import (
     verify_z2cubed_flow,
     z2cubed_flow_coloring,
 )
-from ncflow import _kernels_py, coloring
+from ncflow import _kernels_py, coloring, graph
 from ncflow.errors import InputError, NcflowError
 from ncflow.flows import ALPHA, BETA, find_nonconflicting_flow
 from ncflow.generators import (
@@ -55,7 +54,17 @@ from ncflow.graph import bridges, build_graph, contract_two_factor, is_isomorphi
 from ncflow.kernels import SearchTimeout
 from ncflow.matchings import complement_two_factor, enumerate_perfect_matchings
 
-from conftest import bridged_pair, chi_n_snarks_corpus, corpus_16, glue_two_cut, ladder, prism, small_corpus
+from conftest import (
+    bridged_pair,
+    chi_n_snarks_corpus,
+    corpus_16,
+    glue_two_cut,
+    hub_graph,
+    ladder,
+    prism,
+    small_corpus,
+    spliced_cubic_graph,
+)
 
 
 def three_coloring(g):
@@ -195,34 +204,41 @@ class TestChiN:
         assert res.k == 3 and res.settled_by == ((3, "triangle"),)
         assert is_normal(g, res.witness).ok
 
-    def test_a_chain_of_distinct_cut_classes_splits_in_halves(self, monkeypatch):
-        # 600 rungs, 599 classes of one 2-edge cut each; cutting one rung
-        # off per level would nest 599 levels, the most balanced cut about 10
-        depth, deepest = [0], [0]
-        real = coloring._chi_n
+    def test_a_chain_of_distinct_cut_classes_is_cut_in_one_pass(self, monkeypatch):
+        # 600 rungs, 599 classes of one 2-edge cut each: one DFS finds them
+        # all and cuts the ladder into its 600 rungs at once
+        calls = []
+        real = graph._cycle_space
 
-        def counted(*args):
-            depth[0] += 1
-            deepest[0] = max(deepest[0], depth[0])
-            witness = yield from real(*args)
-            depth[0] -= 1
-            return witness
+        def counted(g):
+            calls.append(g.n)
+            return real(g)
 
-        monkeypatch.setattr(coloring, "_chi_n", counted)
+        monkeypatch.setattr(graph, "_cycle_space", counted)
         g = ladder(600)
         res = chi_n_exact(g, 7)
         assert res.k == 3 and res.settled_by == ((3, "2-cut"),)
         assert is_normal(g, res.witness).ok
-        assert deepest[0] <= 12
+        assert calls == [1200]
 
-    def test_nested_tasks_do_not_nest_python_calls(self):
-        def countdown(n):
-            if n == 0:
-                return 0
-            below = yield countdown(n - 1)
-            return below + 1
+    def test_reductions_do_not_nest_python_calls(self, monkeypatch):
+        # triangle rounds run in a loop and the 2-cut pieces one after
+        # another, so every search runs at one stack depth, for one round
+        # or three, and for two pieces or six hundred
+        depths = []
+        real = coloring.normal_coloring_search
 
-        assert coloring._drive(countdown(5000)) == 5000
+        def traced(*args, **kwargs):
+            depths.append(len(inspect.stack(0)))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(coloring, "normal_coloring_search", traced)
+        for g in (triangle_replace_all(k4()), triangle_replace_all(triangle_replace_all(k4()))):
+            assert chi_n_exact(g, 7).settled_by == ((3, "triangle"),)
+        for g in (ladder(2), ladder(600)):
+            assert chi_n_exact(g, 7).settled_by == ((3, "2-cut"),)
+        assert len(depths) == 2 + 2 + 600
+        assert depths[0] == depths[1] and depths[2] == depths[-1]
 
     def test_each_triangle_contracted_once(self, monkeypatch):
         calls = []
@@ -298,8 +314,8 @@ CHI_N_GOLDEN = [
         lambda: counterexample_family(1),
         ((3, 312), (4, 0), (5, 2877)),
         ((3, "2-cut"), (4, "lemma-A"), (5, "2-cut")),
-        (1, 4, 2, 5, 2, 3, 4, 5, 1, 4, 2, 5, 3, 1, 3, 4, 1, 5, 1, 2, 4, 5, 3, 4, 1, 5,
-         2, 3, 3, 4, 2, 5, 2, 1, 4, 5, 3, 4, 2, 5, 1, 3, 3, 2, 2, 1, 1, 3, 1, 3, 2),
+        (1, 4, 2, 5, 2, 3, 4, 5, 1, 4, 2, 5, 3, 1, 1, 4, 3, 5, 3, 2, 4, 5, 1, 4, 3, 5,
+         2, 1, 4, 2, 5, 3, 5, 1, 2, 3, 4, 2, 5, 3, 1, 4, 3, 2, 2, 1, 1, 3, 1, 3, 2),
     ),
     (
         "fig3",
@@ -349,28 +365,6 @@ def assert_agrees_with_oracle(g, label):
     assert is_normal(g, res.witness).ok, label
     assert len(set(res.witness.colors)) == res.k, label
     assert [k for k, _n in res.nodes_per_k] == list(range(3, res.k + 1)), label
-
-
-SPLICE_BASES = (k4, k33, lambda: prism(3), lambda: prism(4), petersen,
-                lambda: bridged_pair(prism(3), 6, prism(4), 0))
-
-
-@st.composite
-def spliced_cubic_graph(draw, max_n=20):
-    """A small cubic graph (one bridged) with up to two splices: a vertex
-    replaced by a triangle, or another small graph glued in across a new
-    2-edge cut.  A splice that would pass max_n vertices is skipped, which
-    keeps the plain searches of the oracle short."""
-    g = draw(st.sampled_from(SPLICE_BASES))()
-    for _ in range(draw(st.integers(0, 2))):
-        if draw(st.booleans()):
-            if g.n + 2 <= max_n:
-                g = replace_vertex_with_triangle(g, draw(st.integers(0, g.n - 1)))
-        else:
-            h = draw(st.sampled_from(SPLICE_BASES[:5]))()
-            if g.n + h.n <= max_n:
-                g, _cut = glue_two_cut(g, draw(st.integers(0, g.m - 1)), h, draw(st.integers(0, h.m - 1)))
-    return g
 
 
 # subdivided pairs joined by a bridge where contracting the disjoint
@@ -546,6 +540,53 @@ class TestTwoCutReduction:
             lift_over_2_cut(g, cut, c1, bad, split)
 
 
+    def test_the_gluing_rule_on_glued_pairs(self):
+        # every ordered pair of bases glued at two edge pairs, each side
+        # colored with 3 colors when it can be and with up to 5, and the
+        # second side's palette rotated five ways: the rule gives a normal
+        # coloring whose cut edges take the first side's replacement edge
+        # color, with as many colors as the side with more
+        bases = (k4, k33, lambda: prism(3), lambda: prism(4), lambda: prism(5), petersen,
+                 lambda: triangle_replace_all(k4()))
+        checked = 0
+        for b1, b2 in itertools.product(bases, repeat=2):
+            for e1, e2 in ((0, 0), (1, 2)):
+                g, cut = glue_two_cut(b1(), e1, b2(), e2)
+                split = split_two_cut(g, cut)
+                sides = [
+                    [c for c in (admits_normal_k_coloring(h, k) for k in (3, 5)) if c is not None]
+                    for h in (split.g1, split.g2)
+                ]
+                for c1, c2 in itertools.product(*sides):
+                    for shift in range(5):
+                        turned = EdgeColoring(tuple((x - 1 + shift) % c2.k + 1 for x in c2.colors), c2.k)
+                        merged = lift_over_2_cut(g, cut, c1, turned, split)
+                        assert is_normal(g, merged).ok
+                        assert merged.colors[cut[0]] == merged.colors[cut[1]] == c1.colors[split.h1]
+                        assert len(set(merged.colors)) == max(len(set(c1.colors)), len(set(c2.colors)))
+                        checked += 1
+        assert checked > 1000
+
+    def test_hub_graphs_agree_with_the_oracle(self):
+        for r in range(3, 9):
+            assert_agrees_with_oracle(hub_graph(r), f"hub_graph({r})")
+
+    def test_one_cycle_space_pass_per_hub_graph(self, monkeypatch):
+        # every 2-edge cut of G is found by one DFS, and the pieces have none
+        calls = []
+        real = graph._cycle_space
+
+        def counted(g):
+            calls.append(g.n)
+            return real(g)
+
+        monkeypatch.setattr(graph, "_cycle_space", counted)
+        for r in (3, 4, 10, 100):
+            calls.clear()
+            res = chi_n_exact(hub_graph(r), 7)
+            assert res.k == 3 and len(calls) == 1, r
+
+
 class TestTriangleReduction:
     def test_contract_recovers_base(self):
         g = replace_vertex_with_triangle(k4(), 0)
@@ -644,31 +685,24 @@ class TestLiftChecks:
             lift_over_triangle(g, tri, qc)
         assert len(calls) == 1
 
-    def test_two_cut_lift_checks_each_renaming_once(self, monkeypatch):
+    def test_two_cut_lift_checks_properness_once(self, monkeypatch):
         g, cut, split, c1, c2 = self._two_cut_case()
-        candidates = []
-
-        def made(colors, k):  # one merged coloring per renaming tried
-            candidates.append(colors)
-            return EdgeColoring(colors, k)
-
-        monkeypatch.setattr(coloring, "EdgeColoring", made)
         calls = self._proper_calls_on(monkeypatch, g)
         merged = lift_over_2_cut(g, cut, c1, c2, split)
-        assert calls == candidates and calls[-1] == merged.colors
+        assert calls == [merged.colors]
 
     def test_broken_two_cut_lift_is_ncflow_error(self, monkeypatch):
         g, cut, split, c1, c2 = self._two_cut_case()
-        # two edges of G at one vertex read the same side edge, so every
-        # renaming gives them one color
+        # two edges of G at one vertex read the same side edge, so the
+        # glued coloring gives them one color
         v = next(v for v in range(g.n) if not set(g.incident(v)) & set(cut))
         e, e2 = g.incident(v)[:2]
         broken = dict(split.edge_to_side)
         broken[e2] = broken[e]
         calls = self._proper_calls_on(monkeypatch, g)
-        with pytest.raises(NcflowError, match="no palette renaming"):
+        with pytest.raises(NcflowError, match="2-cut gluing"):
             lift_over_2_cut(g, cut, c1, c2, dataclasses.replace(split, edge_to_side=broken))
-        assert len(calls) == math.factorial(max(c1.k, c2.k) - 1)
+        assert len(calls) == 1
 
 
 class TestHColoring:

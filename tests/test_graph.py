@@ -7,9 +7,11 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
 
 from ncflow.errors import ContractError, InputError
 from ncflow.generators import (
+    counterexample_family,
     diamond,
     fig3_graph,
     fig4_graph,
@@ -33,13 +35,20 @@ from ncflow.graph import (
     is_cubic,
     is_isomorphic_to_petersen,
     three_edge_cuts,
-    _balanced_two_cut,
     _cut_classes,
     _cycle_space,
+    _two_cut_pieces,
 )
 from ncflow.matchings import Cycle, PerfectMatching, TwoFactor, complement_two_factor, enumerate_perfect_matchings
 
-from conftest import claw_free_corpus, k4_with_doubled_diagonal, ladder, small_corpus
+from conftest import (
+    claw_free_corpus,
+    hub_graph,
+    k4_with_doubled_diagonal,
+    ladder,
+    small_corpus,
+    spliced_cubic_graph,
+)
 
 
 def to_nx(g: Pseudograph) -> nx.MultiGraph:
@@ -110,6 +119,17 @@ class TestBridges:
             nx_bridges = set(nx.bridges(nx.Graph(to_nx(g))))
             mine = {tuple(sorted(g.endpoints(e))) for e in bridges(g)}
             assert mine == {tuple(sorted(b)) for b in nx_bridges}, name
+
+    def test_agrees_with_edge_removal_on_random_multigraphs(self):
+        # loops, parallel edges, isolated vertices and several components
+        rng = random.Random(2027)
+        for _ in range(400):
+            n = rng.randrange(1, 10)
+            g = build_graph(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(2 * n + 2))])
+            base = len(connected_components(g))
+            expect = [e for e in range(g.m)
+                      if not g.is_loop(e) and len(connected_components(g, frozenset({e}))) > base]
+            assert bridges(g) == expect, g.edges
 
     def test_bridgeless_iff_every_edge_on_cycle(self):
         # cross-check on instances <= 20 vertices: an edge is on a cycle iff
@@ -360,42 +380,118 @@ class TestTwoEdgeCuts:
         assert two_edge_cuts(petersen()) == []
 
 
-def brute_force_balanced_two_cut(g: Pseudograph):
-    """Reference: over all 2-edge cuts, (larger side, e, f) at its least."""
-    keys = []
-    for a, b in brute_force_two_edge_cuts(g):
-        sides = connected_components(g, frozenset((a, b)))
-        keys.append((max(map(len, sides)), a, b))
-    return min(keys)[1:] if keys else None
+def stub_pairs(g: Pseudograph, cls, same) -> set:
+    """The pairs of stubs (ends of the class's edges) that `same` puts together."""
+    stubs = sorted({v for e in cls for v in g.endpoints(e)})
+    return {(a, b) for a, b in itertools.combinations(stubs, 2) if same(a, b)}
 
 
-class TestBalancedTwoCut:
-    def test_agrees_with_brute_force(self):
+def brute_force_stub_pairs(g: Pseudograph, cls) -> set:
+    """Reference: the stubs of a class connected in G minus the class."""
+    comp_of = {v: i for i, comp in enumerate(connected_components(g, frozenset(cls))) for v in comp}
+    return stub_pairs(g, cls, lambda a, b: comp_of[a] == comp_of[b])
+
+
+def check_pieces(g: Pseudograph, pieces, classes):
+    """`pieces` is g cut at `classes`: they partition V in G's order, keep
+    every other edge, gain one virtual edge per class edge, one per ring a
+    piece lies on, and put two stubs together iff G minus their class does;
+    each class edge runs from a "+" stub to a "-" stub."""
+    graphs, piece_of, edge_at, rings = pieces
+    assert len(piece_of) == g.n
+    assert [piece_of.count(p) for p in range(len(graphs))] == [h.n for h in graphs]
+    assert [piece_of.index(p) for p in range(len(graphs))] == sorted({piece_of.index(p) for p in piece_of})
+    local, seen = [], [0] * len(graphs)
+    for v in range(g.n):
+        local.append(seen[piece_of[v]])
+        seen[piece_of[v]] += 1
+    ring_of = {e: r for r, cls in enumerate(classes) for e in cls}
+    for eid, (u, v) in enumerate(g.edges):
+        if eid in ring_of:
+            assert edge_at[eid] == (-1, ring_of[eid])
+        else:
+            p, e = edge_at[eid]
+            assert piece_of[u] == piece_of[v] == p and graphs[p].edges[e] == (local[u], local[v])
+    assert sum(h.m for h in graphs) == g.m
+    assert [len(ring) for ring in rings] == [len(cls) for cls in classes]
+    at = {(piece_of[v], local[v]): v for v in range(g.n)}
+    for cls, ring in zip(classes, rings):
+        assert len({p for p, _e in ring}) == len(ring)
+        ends = [tuple(at[p, x] for x in graphs[p].edges[e]) for p, e in ring]
+        minus, plus = {a for a, _b in ends}, {b for _a, b in ends}
+        assert all(len(set(g.endpoints(e)) & minus) == len(set(g.endpoints(e)) & plus) == 1 for e in cls)
+        assert stub_pairs(g, cls, lambda a, b: piece_of[a] == piece_of[b]) == brute_force_stub_pairs(g, cls)
+
+
+def check_all_pieces(g: Pseudograph):
+    classes = _cut_classes(_cycle_space(g)[0])
+    pieces = _two_cut_pieces(g)
+    assert (pieces is None) == (not classes)
+    if pieces is None:
+        return 0
+    check_pieces(g, pieces, classes)
+    for h in pieces[0]:
+        assert is_cubic(h) and not bridges(h) and not _cut_classes(_cycle_space(h)[0])
+    return len(pieces[0])
+
+
+class TestTwoCutPieces:
+    def test_hub_graphs_fall_into_the_prism_and_one_piece_per_rung(self):
+        for r in range(3, 9):
+            g = hub_graph(r)
+            assert check_all_pieces(g) == r + 1
+            prism, *digons = _two_cut_pieces(g)[0]
+            assert prism.n == 2 * r and all(h.n == 2 for h in digons)
+        assert check_all_pieces(hub_graph(40)) == 41
+
+    def test_named_graphs(self):
+        for k in range(2, 7):
+            assert check_all_pieces(ring_of_diamonds(k)) == k
+        for k in range(2, 9):
+            assert check_all_pieces(ladder(k)) == k
+        # each block is a Petersen graph less an edge, closed up again.  The
+        # hubs and path centers make K4 for one hub; for two, the edges at
+        # blocks 0 and 3 form one class, whose ring runs through the two
+        # hubs' halves and those two blocks
+        assert check_all_pieces(counterexample_family(1)) == 4
+        assert check_all_pieces(counterexample_family(2)) == 8
+        for g in (petersen(), k4()):
+            for eid in range(g.m):
+                for spec in ("2", "D", "2D"):
+                    check_all_pieces(replace_edge_with_string(g, eid, spec))
+
+    def test_random_bridgeless_multigraphs(self):
         rng = random.Random(2026)
         graphs = [random_connected_cubic_multigraph(rng.choice((2, 4, 6, 8, 10, 12, 14)), rng)
                   for _ in range(300)]
         graphs = [g for g in graphs if not bridges(g)]
-        graphs += [ring_of_diamonds(k) for k in range(2, 6)] + [ladder(k) for k in range(2, 9)]
-        for g in (petersen(), k4()):
-            graphs += [replace_edge_with_string(g, eid, spec) for eid in range(g.m) for spec in ("2", "D", "2D")]
-        assert len(graphs) > 150 and sum(_balanced_two_cut(g) is not None for g in graphs) > 100
-        for g in graphs:
-            assert _balanced_two_cut(g) == brute_force_balanced_two_cut(g), g.edges
+        counts = list(map(check_all_pieces, graphs))
+        assert len(graphs) > 100 and sum(c > 0 for c in counts) > 40
 
-    def test_a_chain_is_cut_in_the_middle(self):
-        # the gap between rungs 3 and 4 of 8
-        assert _balanced_two_cut(ladder(8)) == (14, 15)
-        # a ring of 6 diamonds: two links three apart
-        ring = ring_of_diamonds(6)
-        e, f = _balanced_two_cut(ring)
-        assert sorted(map(len, connected_components(ring, frozenset((e, f))))) == [12, 12]
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(spliced_cubic_graph())
+    def test_spliced_graphs(self, g):
+        if is_connected(g) and not bridges(g):
+            check_all_pieces(g)
+        else:
+            assert _two_cut_pieces(g) is None
+
+    def test_one_cut_of_a_larger_class(self):
+        # any two links of a ring of diamonds: the two arcs between them
+        g = ring_of_diamonds(4)
+        (links,) = _cut_classes(_cycle_space(g)[0])
+        for cut in itertools.combinations(links, 2):
+            pieces = _two_cut_pieces(g, cut)
+            check_pieces(g, pieces, [cut])
+            assert len(pieces[0]) == 2
 
     def test_none_without_a_cut_or_with_a_bridge_or_two_components(self):
-        assert _balanced_two_cut(petersen()) is None
-        assert _balanced_two_cut(fig3_graph()) is None
+        assert _two_cut_pieces(petersen()) is None
+        assert _two_cut_pieces(fig3_graph()) is None
         ring = ring_of_diamonds(2)
         both = build_graph(ring.n + 4, list(ring.edges) + [(a + ring.n, b + ring.n) for a, b in k4().edges])
-        assert _balanced_two_cut(both) is None
+        assert _two_cut_pieces(both) is None
+        assert _two_cut_pieces(petersen(), (0, 7)) is None
 
 
 class TestClawFree:

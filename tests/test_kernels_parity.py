@@ -284,15 +284,6 @@ class TestColoringParity:
             b = compiled.normal_coloring_search(n, eu, ev, k)
             assert a == b, (n, k)
 
-    def test_forbid_flag_parity(self, compiled):
-        g = petersen()
-        eu = [e[0] for e in g.edges]
-        ev = [e[1] for e in g.edges]
-        for k in (3, 4):
-            a = _kernels_py.normal_coloring_search(g.n, eu, ev, k, forbid_abnormal=False)
-            b = compiled.normal_coloring_search(g.n, eu, ev, k, forbid_abnormal=False)
-            assert a == b
-
     def test_multigraphs_with_parallel_edges(self, compiled):
         # the look-ahead fires once per edge, when the second-to-last edge of
         # its closed star is colored; parallel edges make stars of 3 or 4
@@ -300,10 +291,9 @@ class TestColoringParity:
         for g in seeded_cubic_multigraphs(seed=16, count=40, max_n=12):
             eu, ev = edge_lists(g)
             for k in range(3, 8):
-                for forbid in (True, False):
-                    a = _kernels_py.normal_coloring_search(g.n, eu, ev, k, forbid)
-                    b = compiled.normal_coloring_search(g.n, eu, ev, k, forbid)
-                    assert a == b, (g.edges, k, forbid)
+                a = _kernels_py.normal_coloring_search(g.n, eu, ev, k)
+                b = compiled.normal_coloring_search(g.n, eu, ev, k)
+                assert a == b, (g.edges, k)
 
     def test_palettes_wider_than_a_word(self, compiled):
         # both backends keep colors 1..min(k, m + 1), as no edge takes a
@@ -311,12 +301,11 @@ class TestColoringParity:
         g = prism(22)
         eu, ev = edge_lists(g)
         for k in (63, 64, 65, 200, 10**9):
-            for forbid in (True, False):
-                a = _kernels_py.normal_coloring_search(g.n, eu, ev, k, forbid)
-                assert compiled.normal_coloring_search(g.n, eu, ev, k, forbid) == a, (k, forbid)
+            a = _kernels_py.normal_coloring_search(g.n, eu, ev, k)
+            assert compiled.normal_coloring_search(g.n, eu, ev, k) == a, k
 
 
-def reference_coloring_search(n, eu, ev, k, forbid_abnormal=True, look_ahead=False):
+def reference_coloring_search(n, eu, ev, k, look_ahead=False):
     """The normal-coloring search as it was before the look-ahead: the same
     BFS edge order over the line graph, canonical color introduction, and
     one abnormality check per edge once its closed star is fully colored.
@@ -353,13 +342,12 @@ def reference_coloring_search(n, eu, ev, k, forbid_abnormal=True, look_ahead=Fal
                     order.append(f)
             head += 1
     checks = [[] for _ in range(m)]
-    if forbid_abnormal:
-        depth_of = [0] * m
-        for d, e in enumerate(order):
-            depth_of[e] = d
-        for e in range(m):
-            done = max(depth_of[f] for f in adjacent[e] + [e])
-            checks[done].append((eu[e], ev[e]))
+    depth_of = [0] * m
+    for d, e in enumerate(order):
+        depth_of[e] = d
+    for e in range(m):
+        done = max(depth_of[f] for f in adjacent[e] + [e])
+        checks[done].append((eu[e], ev[e]))
     steps = [(e, eu[e], ev[e], tuple(checks[d])) for d, e in enumerate(order)]
     choices = [
         tuple((c, 1 << c) for c in range(1, min(k, top + 1) + 1))
@@ -391,7 +379,7 @@ def reference_coloring_search(n, eu, ev, k, forbid_abnormal=True, look_ahead=Fal
             pal[v] |= bit
             color[e] = c
             alive = all((pal[a] | pal[b]).bit_count() != 4 for a, b in star_checks)
-            if alive and forbid_abnormal and look_ahead:
+            if alive and look_ahead:
                 for g in adjacent[e] + [e]:
                     left = [h for h in adjacent[g] + [g] if color[h] == 0]
                     if len(left) == 1 and not some_color_keeps_normal(g):
@@ -425,23 +413,21 @@ class TestColoringOracle:
     The look-ahead may cut only branches with no normal completion, so the
     coloring found (or None) must be the reference's and the node count
     no larger; the count must be the one the color-by-color look-ahead of
-    `reference_coloring_search` reaches.  Without `forbid_abnormal` nothing
-    looks ahead and the results are the reference's, nodes included.
+    `reference_coloring_search` reaches.
     """
 
     @staticmethod
     def check(g, compiled):
         eu, ev = edge_lists(g)
         for k in range(3, 8):
-            for forbid in (True, False):
-                plain = reference_coloring_search(g.n, eu, ev, k, forbid)
-                ahead = reference_coloring_search(g.n, eu, ev, k, forbid, look_ahead=True)
-                for impl in (_kernels_py, compiled):
-                    colors, nodes = impl.normal_coloring_search(g.n, eu, ev, k, forbid)
-                    label = (impl.BACKEND, g.edges, k, forbid)
-                    assert colors == plain[0], label
-                    assert nodes <= plain[1], label
-                    assert (colors, nodes) == (ahead if forbid else plain), label
+            plain = reference_coloring_search(g.n, eu, ev, k)
+            ahead = reference_coloring_search(g.n, eu, ev, k, look_ahead=True)
+            for impl in (_kernels_py, compiled):
+                colors, nodes = impl.normal_coloring_search(g.n, eu, ev, k)
+                label = (impl.BACKEND, g.edges, k)
+                assert colors == plain[0], label
+                assert nodes <= plain[1], label
+                assert (colors, nodes) == ahead, label
 
     def test_fixed_corpus(self, compiled):
         for g in coloring_oracle_cases():
