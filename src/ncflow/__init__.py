@@ -14,7 +14,6 @@ from .flows import (
     ConflictReport,
     FlowAssignment,
     conflicts,
-    enumerate_nz_flows,
     even_cycle_flow,
     extract_disjoint_matchings,
     find_nonconflicting_flow,

@@ -40,6 +40,8 @@ from __future__ import annotations
 import time
 from typing import List, Optional, Sequence, Tuple
 
+from .errors import ResourceLimitError
+
 BACKEND = "python"
 
 _DEADLINE_STRIDE = 4096
@@ -105,7 +107,10 @@ def flow_search(
       "min"   -- flow minimizing the number of conflicts (branch & bound)
 
     Returns (values or None, conflict_count_of_result, nodes_expanded).
-    Raises as `check_search_args` does on bad arguments.
+    Raises as `check_search_args` does on bad arguments, and
+    ResourceLimitError when the search, one call per edge, nests deeper
+    than the interpreter allows (about 1,000 edges; the C kernel has no
+    such limit).
 
     Edges are valued in a fixed vertex-grouped order, and `steps[depth]`
     holds what the search needs at each depth: the edge, its endpoints,
@@ -221,9 +226,11 @@ def flow_search(
                     acc[v] ^= x
             return False
 
-        if first(0, sym):
-            return val, 0, nodes
-        return None, 0, nodes
+        try:
+            found = first(0, sym)
+        except RecursionError:
+            raise ResourceLimitError(f"flow search over {m} edges recurses deeper than Python allows") from None
+        return (val if found else None), 0, nodes
 
     best_val: Optional[List[int]] = None
     best_conf = len(first) + 1
@@ -261,7 +268,10 @@ def flow_search(
             acc[u] ^= x
             acc[v] ^= x
 
-    rec(0, 0, sym)
+    try:
+        rec(0, 0, sym)
+    except RecursionError:
+        raise ResourceLimitError(f"flow search over {m} edges recurses deeper than Python allows") from None
     if best_val is None:
         return None, 0, nodes
     return best_val, best_conf, nodes
@@ -300,7 +310,7 @@ def normal_coloring_search(
     Endpoints of every edge must have degree 3 for the poor/rich pruning to
     apply; both callers in `ncflow.coloring` reject loops and non-cubic
     graphs.  Returns (colors, nodes).  Raises as `check_edge_args` does
-    on a bad edge list.
+    on a bad edge list, and ResourceLimitError as `flow_search` does.
     """
     check_edge_args(n, eu, ev)
     if deadline is not None and time.monotonic() > deadline:
@@ -394,6 +404,8 @@ def normal_coloring_search(
             pal[v] ^= bit
         return False
 
-    if rec(0, 0):
-        return color, nodes
-    return None, nodes
+    try:
+        found = rec(0, 0)
+    except RecursionError:
+        raise ResourceLimitError(f"coloring search over {m} edges recurses deeper than Python allows") from None
+    return (color if found else None), nodes

@@ -161,7 +161,7 @@ def _clawfree_route(g: Pseudograph, deadline: float):
     for f in matchings_meeting_all_3cuts_once(g, 0, cuts, deadline) if g.m else ():
         mc = min_conflict_flow(g, f, deadline=deadline)
         if mc and mc.conflict_count == 0:
-            return f, loop_canonicalize(mc.flow, mc.contracted), {"nodes": mc.nodes_expanded}
+            return f, loop_canonicalize(mc.flow, mc.two_factor.contraction), {"nodes": mc.nodes_expanded}
     return None
 
 

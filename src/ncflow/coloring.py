@@ -14,7 +14,7 @@ from itertools import starmap
 from operator import eq
 from typing import Dict, List, Optional, Set, Tuple
 
-from .errors import InputError, NcflowError
+from .errors import InputError, NcflowError, ResourceLimitError
 from .flows import FlowAssignment, _conflict_edges, _conserves, _f_values, _xor_balanced
 from .graph import (
     Pseudograph,
@@ -659,7 +659,12 @@ def _lift_triangles(
 def h_coloring(
     g: Pseudograph, h: Pseudograph, deadline: Optional[float] = None
 ) -> Optional[Dict[int, int]]:
-    """Edge map G -> H carrying every G-star onto some H-star, or None."""
+    """Edge map G -> H carrying every G-star onto some H-star, or None.
+
+    The search makes one nested call per vertex of G, so it raises
+    ResourceLimitError past about 1,000 vertices, where the interpreter
+    would raise RecursionError.
+    """
     if not is_cubic(g) or not is_cubic(h):
         raise InputError("H-colorings are defined between cubic graphs")
     _reject_loops(g)
@@ -707,9 +712,11 @@ def h_coloring(
                     del img[e]
         return False
 
-    if rec(0):
-        return dict(img)
-    return None
+    try:
+        found = rec(0)
+    except RecursionError:
+        raise ResourceLimitError(f"H-coloring search over {g.n} vertices recurses deeper than Python allows") from None
+    return dict(img) if found else None
 
 
 def verify_h_coloring(g: Pseudograph, h: Pseudograph, phi: Dict[int, int]) -> bool:

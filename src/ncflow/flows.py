@@ -72,7 +72,7 @@ class FlowAssignment:
 
     def __post_init__(self):
         for v in self.values:
-            if v not in (ALPHA, BETA, ALPHA_BETA):
+            if v not in KLEIN_VALUES:
                 raise InputError(f"flow value {v} is not a nonzero Klein element")
 
 
@@ -115,52 +115,6 @@ def verify_flow(h: ContractedGraph, theta: FlowAssignment) -> bool:
     if len(theta.values) != len(h.quotient_edges):
         raise InputError("flow assignment does not cover every quotient edge")
     return _xor_balanced(len(h.cycles), h.quotient_edges, theta.values)
-
-
-def enumerate_nz_flows(h: ContractedGraph) -> Iterator[FlowAssignment]:
-    """All nowhere-zero flows, lexicographic in edge-id order on values.
-
-    Backtracking with partial vertex-sum pruning; desk scale only.
-    """
-    q = h.quotient
-    if q.m > MAX_QUOTIENT_EDGES:
-        raise ResourceLimitError(f"quotient has {q.m} edges (> {MAX_QUOTIENT_EDGES})")
-    rem = [0] * q.n
-    for u, v in q.edges:
-        if u != v:
-            rem[u] += 1
-            rem[v] += 1
-    acc = [0] * q.n
-    vals = [0] * q.m
-
-    def rec(eid: int) -> Iterator[FlowAssignment]:
-        if eid == q.m:
-            yield FlowAssignment(tuple(vals))
-            return
-        u, v = q.edges[eid]
-        if u == v:
-            for x in KLEIN_VALUES:
-                vals[eid] = x
-                yield from rec(eid + 1)
-            return
-        for x in KLEIN_VALUES:
-            # a vertex with all edges assigned must balance
-            bad = False
-            acc[u] ^= x
-            acc[v] ^= x
-            rem[u] -= 1
-            rem[v] -= 1
-            if (rem[u] == 0 and acc[u] != 0) or (rem[v] == 0 and acc[v] != 0):
-                bad = True
-            if not bad:
-                vals[eid] = x
-                yield from rec(eid + 1)
-            acc[u] ^= x
-            acc[v] ^= x
-            rem[u] += 1
-            rem[v] += 1
-
-    yield from rec(0)
 
 
 def _f_values(h: ContractedGraph, theta: FlowAssignment, f: Optional[PerfectMatching] = None) -> List[int]:
@@ -256,13 +210,18 @@ def _kernel_flow(
     h: ContractedGraph, mode: str, deadline: Optional[float]
 ) -> Tuple[Optional[FlowAssignment], int, int]:
     """Kernel flow search on h = G/F-bar in `mode`: (verified flow or None,
-    its conflict count, nodes expanded)."""
-    vals, conf, nodes = flow_search(*_kernel_args(h), mode, deadline=deadline)
+    its conflict count, nodes expanded).  The flow's conservation and the
+    conflict count are both checked, over the pairs the kernel was given."""
+    args = _kernel_args(h)
+    vals, conf, nodes = flow_search(*args, mode, deadline=deadline)
     if vals is None:
         return None, conf, nodes
     theta = FlowAssignment(tuple(vals))
     if not verify_flow(h, theta):
         raise NcflowError("flow search returned a flow that does not conserve")
+    _nq, _eu, _ev, first, second = args
+    if sum(vals[a] ^ vals[b] == ALPHA_BETA for a, b in zip(first, second)) != conf:
+        raise NcflowError(f"flow search reported {conf} conflicts for a flow with another count")
     return theta, conf, nodes
 
 
@@ -297,14 +256,13 @@ def matching_verdicts(
 
 @dataclass(frozen=True)
 class MinConflictResult:
-    """Minimum-conflict flow of G/F-bar, with the F-bar (carrying G/F-bar)
-    and G/F-bar it lives on."""
+    """Minimum-conflict flow of G/F-bar, with the F-bar it lives on; the
+    2-factor carries G/F-bar as its `contraction`."""
 
     flow: FlowAssignment
     conflict_count: int
     nodes_expanded: int
     two_factor: TwoFactor
-    contracted: ContractedGraph
 
 
 def min_conflict_flow(
@@ -318,7 +276,7 @@ def min_conflict_flow(
     theta, conf, nodes = _kernel_flow(h, "min", deadline)
     if theta is None:
         return None
-    return MinConflictResult(theta, conf, nodes, TwoFactor(tf.cycles, tf.chord_ids, h), h)
+    return MinConflictResult(theta, conf, nodes, TwoFactor(tf.cycles, contraction=h))
 
 
 def even_cycle_flow(g: Pseudograph, tf: TwoFactor) -> FlowAssignment:
@@ -376,9 +334,7 @@ def _verified(
     where F-bar is tf, else None; the result's 2-factor is tf carrying h."""
     if not _is_nonconflicting_flow(h, theta):
         return None
-    return TwoCycleFlowResult(
-        PerfectMatching(h.edge_origin), TwoFactor(tf.cycles, tf.chord_ids, h), theta, branch
-    )
+    return TwoCycleFlowResult(PerfectMatching(h.edge_origin), TwoFactor(tf.cycles, contraction=h), theta, branch)
 
 
 def _three_colorable_route(
@@ -389,8 +345,7 @@ def _three_colorable_route(
         tf = complement_two_factor(g, f)
         if odd_cycle_count(tf) == 0:
             h = contract_two_factor(g, tf)
-            tf = TwoFactor(tf.cycles, tf.chord_ids, h)
-            return TwoCycleFlowResult(f, tf, _constant_flow(h), "case1-3ec")
+            return TwoCycleFlowResult(f, TwoFactor(tf.cycles, contraction=h), _constant_flow(h), "case1-3ec")
     return None
 
 
@@ -400,9 +355,10 @@ def _exhaustive_route(
     for f, theta in matching_verdicts(g, deadline=deadline):
         if theta is not None:
             tf = complement_two_factor(g, f)
-            h = contract_two_factor(g, tf)
-            tf = TwoFactor(tf.cycles, tf.chord_ids, h)
-            return TwoCycleFlowResult(f, tf, theta, "fallback-exhaustive")
+            res = _verified(tf, contract_two_factor(g, tf), theta, "fallback-exhaustive")
+            if res is None:
+                raise NcflowError("exhaustive search returned a flow that conflicts")
+            return res
     return None
 
 
@@ -422,7 +378,7 @@ def two_cycle_factor_flow(
     odd = odd_cycle_count(tf)
     if odd == 0:
         return TwoCycleFlowResult(
-            PerfectMatching(h.edge_origin), TwoFactor(tf.cycles, tf.chord_ids, h), _constant_flow(h), "even"
+            PerfectMatching(h.edge_origin), TwoFactor(tf.cycles, contraction=h), _constant_flow(h), "even"
         )
     if odd != 2:  # one odd cycle: the graph has an odd order, so it is not cubic
         raise InputError("expected a 2-factor with exactly two odd cycles")
@@ -503,8 +459,9 @@ def _case1_result(
 ) -> Optional[TwoCycleFlowResult]:
     """One alpha, one beta on non-pair cross edges, alpha+beta elsewhere."""
     vals = [ALPHA_BETA] * len(h.quotient_edges)
-    vals[h.origin_inverse[cross[i]]] = ALPHA
-    vals[h.origin_inverse[cross[j]]] = BETA
+    edges, at = h.graph.edges, h.matching_edge_at
+    vals[at[edges[cross[i]][0]]] = ALPHA
+    vals[at[edges[cross[j]][0]]] = BETA
     return _verified(tf, h, FlowAssignment(tuple(vals)), "case1")
 
 
@@ -547,7 +504,7 @@ def _case2b(
         res = _verified(tf2, h2, _constant_flow(h2), "case2b-even")
         if res is not None:
             return res
-    res = _case2b_rewire(tf2, h2, v2, u2, e_u2v2)
+    res = _case2b_rewire(tf2, h2, v2, u2)
     if res is not None:
         return res
     return _case2b_recursion(h, h2, v2, deadline)
@@ -581,9 +538,10 @@ def _alternating_matching_avoiding(
 
 
 def _case2b_rewire(
-    tf: TwoFactor, h: ContractedGraph, v2: int, u2: int, e_u2v2: int
+    tf: TwoFactor, h: ContractedGraph, v2: int, u2: int
 ) -> Optional[TwoCycleFlowResult]:
-    """Send a beta-cycle through the quotient to balance the two odd cycles."""
+    """Send a beta-cycle through the quotient to balance the two odd cycles;
+    the F-edge u2v2 of h is the one that carries alpha."""
     odd = [ci for ci, cyc in enumerate(h.cycles) if len(cyc) % 2 == 1]
     if len(odd) != 2:
         return None
@@ -592,7 +550,7 @@ def _case2b_rewire(
     cg = h.vertex_cycle[u2]
     if cf not in odd or cg not in odd or cf == cg:
         return None
-    q_uv = h.origin_inverse[e_u2v2]
+    q_uv = h.matching_edge_at[u2]
     c_f = h.cycles[cf]
     v2_nbrs = _cycle_neighbors(c_f, v2)
     forbidden_q = set()
@@ -714,17 +672,10 @@ def _case2b_recursion(
         return None
     f0 = sub.matching
     h1_contracted = contract_two_factor(h1, sub.two_factor)
-    z = h1.n - 1
-    t_h1 = None
-    for eid in f0.edge_ids:
-        a, b = h1.endpoints(eid)
-        if z in (a, b):
-            t_h1 = eid
-            break
-    if t_h1 is None:
-        return None
-    t_g = emap1[t_h1]
-    x_val = sub.flow.values[h1_contracted.origin_inverse[t_h1]]
+    at1 = h1_contracted.matching_edge_at
+    q_t = at1[h1.n - 1]  # the F-edge at the new vertex z
+    t_g = emap1[h1_contracted.edge_origin[q_t]]
+    x_val = sub.flow.values[q_t]
 
     outside = set(range(g.n)) - inside
     h2, _vmap2, emap2 = _contract_vertex_sets(g, [outside])
@@ -747,10 +698,7 @@ def _case2b_recursion(
     except ContractError:
         return None
     # quotient edge i of G/tf_new is the i-th edge of `combined`
-    vals = [
-        sub.flow.values[h1_contracted.origin_inverse[inv1[ge]]] if ge in f0_g else x_val
-        for ge in combined.edge_ids
-    ]
+    vals = [sub.flow.values[at1[h1.edges[inv1[ge]][0]]] if ge in f0_g else x_val for ge in combined.edge_ids]
     theta = FlowAssignment(tuple(vals))
     return _verified(tf_new, contract_two_factor(g, tf_new), theta, "case2b-recursion")
 

@@ -216,17 +216,14 @@ def expand_vertices_to_5cycles(h5: Pseudograph) -> Tuple[Pseudograph, TwoFactor]
         edges += [(base + j, base + (j + 1) % 5) for j in range(5)]
         cycles.append(Cycle(verts, eids))
     port = [0] * h5.n
-    chords = []
     for u, v in h5.edges:
         a = 5 * u + port[u]
         port[u] += 1
         b = 5 * v + port[v]
         port[v] += 1
-        if u == v:
-            chords.append(len(edges))
         edges.append((a, b))
     g = build_graph(5 * h5.n, edges)
-    return g, TwoFactor(tuple(cycles), tuple(chords))
+    return g, TwoFactor(tuple(cycles))
 
 
 def k6() -> Pseudograph:

@@ -200,11 +200,13 @@ class ContractedGraph:
     quotient_edges    -- quotient edge id -> its (cycle, cycle) ends
     matching_edge_at  -- G-vertex -> quotient edge at it
     edge_origin       -- quotient edge id -> source edge id in G
-    origin_inverse    -- source edge id -> quotient edge id
     vertex_cycle      -- G-vertex -> quotient vertex
 
-    Only `contract_two_factor` makes one.  `quotient`, the Pseudograph on
-    `quotient_edges`, is built the first time it is read.
+    The quotient edge of an F-edge e is matching_edge_at at either end of
+    e, and the chords of F-bar (F-edges with both ends on one cycle) are
+    the loops of `quotient_edges`.  Only `contract_two_factor` makes one.
+    `quotient`, the Pseudograph on `quotient_edges`, is built the first
+    time it is read.
     """
 
     graph: Pseudograph
@@ -212,7 +214,6 @@ class ContractedGraph:
     quotient_edges: Tuple[Tuple[int, int], ...]
     matching_edge_at: Tuple[int, ...]
     edge_origin: Tuple[int, ...]
-    origin_inverse: Dict[int, int]
     vertex_cycle: Tuple[int, ...]
 
     @cached_property
@@ -282,7 +283,6 @@ def contract_two_factor(g: Pseudograph, two_factor) -> ContractedGraph:
         quotient_edges=tuple(q_edges),
         matching_edge_at=tuple(at),
         edge_origin=tuple(ids),
-        origin_inverse={eid: i for i, eid in enumerate(ids)},
         vertex_cycle=tuple(vertex_cycle),
     )
 

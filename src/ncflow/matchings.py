@@ -55,19 +55,19 @@ class Cycle:
 
 @dataclass(frozen=True)
 class TwoFactor:
-    """Cycle decomposition of G - F, with the F-chords of each cycle recorded.
+    """Cycle decomposition of G - F.
 
     `contraction` is G/F-bar when the search that built it hands the
-    2-factor on, as `TwoFactor(tf.cycles, tf.chord_ids, h)`, so that the
+    2-factor on, as `TwoFactor(tf.cycles, contraction=h)`, so that the
     steps after it, `coloring_from_flow` among them, do not index F-bar
     again; `complement_two_factor` gives None.  `contract_two_factor` reuses
-    it only for the same G and these very cycles.  It takes no part in
-    equality, hashing or repr.
+    it only for the same G and these very cycles.  It is keyword-only and
+    takes no part in equality, hashing or repr.  F's chords are the loops
+    of the contraction.
     """
 
     cycles: Tuple[Cycle, ...]
-    chord_ids: Tuple[int, ...]  # F-edges with both endpoints on one cycle
-    contraction: Optional[ContractedGraph] = field(default=None, compare=False, repr=False)
+    contraction: Optional[ContractedGraph] = field(default=None, compare=False, repr=False, kw_only=True)
 
     def edge_ids(self) -> FrozenSet[int]:
         return frozenset(e for cyc in self.cycles for e in cyc.edges)
@@ -220,13 +220,12 @@ def complement_two_factor(g: Pseudograph, f: PerfectMatching) -> TwoFactor:
         in_f[eid] = True
     # F is perfect and G cubic and loop-free: every vertex has two non-F edges
     incident = g._incident
-    cycle_of = [-1] * g.n
+    on_cycle = [False] * g.n
     cycles: List[Cycle] = []
     for start in range(g.n):
-        if cycle_of[start] != -1:
+        if on_cycle[start]:
             continue
-        ci = len(cycles)
-        cycle_of[start] = ci
+        on_cycle[start] = True
         verts = [start]
         cyc_edges: List[int] = []
         v, came_by = start, -1
@@ -239,24 +238,19 @@ def complement_two_factor(g: Pseudograph, f: PerfectMatching) -> TwoFactor:
             v, came_by = (b if a == v else a), eid
             if v == start:
                 break
-            cycle_of[v] = ci
+            on_cycle[v] = True
             verts.append(v)
         cycles.append(Cycle(tuple(verts), tuple(cyc_edges)))
-    chords = tuple(
-        eid for eid in sorted(f.edge_ids) if cycle_of[edges[eid][0]] == cycle_of[edges[eid][1]]
-    )
-    return TwoFactor(tuple(cycles), chords)
+    return TwoFactor(tuple(cycles))
 
 
 def _two_factor_from_cycles(g: Pseudograph, cycles: Sequence[Cycle]) -> TwoFactor:
-    """The 2-factor made of vertex-disjoint cycles covering G, with its
-    chords (the loops of its quotient), carrying its contraction.
+    """The 2-factor made of vertex-disjoint cycles covering G, carrying
+    its contraction.
 
     Raises ContractError as `_two_factor_index` does."""
     cycles = tuple(cycles)
-    h = contract_two_factor(g, TwoFactor(cycles, ()))
-    chords = tuple(eid for eid, (a, b) in zip(h.edge_origin, h.quotient_edges) if a == b)
-    return TwoFactor(cycles, chords, h)
+    return TwoFactor(cycles, contraction=contract_two_factor(g, TwoFactor(cycles)))
 
 
 def matchings_through_edge(

@@ -7,7 +7,7 @@ import random
 import shutil
 import subprocess
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import pytest
 from hypothesis import assume
@@ -29,8 +29,8 @@ from ncflow.generators import (
     ring_of_diamonds,
     triangle_replace_all,
 )
-from ncflow.flows import _kernel_args
-from ncflow.graph import Pseudograph, bridges, build_graph, contract_two_factor, is_cubic
+from ncflow.flows import KLEIN_VALUES, FlowAssignment, _kernel_args
+from ncflow.graph import ContractedGraph, Pseudograph, bridges, build_graph, contract_two_factor, is_cubic
 from ncflow.matchings import (
     Cycle,
     PerfectMatching,
@@ -133,6 +133,43 @@ def kernel_instance(g: Pseudograph, f: PerfectMatching) -> Tuple[int, List[int],
     return _kernel_args(contract_two_factor(g, complement_two_factor(g, f)))
 
 
+def _vertex_sums(n: int, edges, values) -> Tuple[int, ...]:
+    """The XOR of the values at each of n vertices; a loop cancels itself."""
+    acc = [0] * n
+    for x, (u, v) in zip(values, edges):
+        if u != v:
+            acc[u] ^= x
+            acc[v] ^= x
+    return tuple(acc)
+
+
+def nz_flows(h: ContractedGraph) -> Iterator[FlowAssignment]:
+    """Every nowhere-zero flow of h = G/F-bar, lazily, in lexicographic
+    order of the values (KLEIN_VALUES is increasing): the tests' exhaustive
+    oracle, which shares no code with the flow kernel.
+
+    Brute force met in the middle: each assignment of the last half of the
+    edges is filed under the vertex sums it leaves, and each assignment of
+    the first half, in product order, is completed by those that leave the
+    same sums, so 2 * 3 ** (m / 2) assignments are tried, not 3 ** m.
+    """
+    nq, edges = len(h.cycles), h.quotient_edges
+    half = len(edges) // 2
+    tails: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
+    for tail in itertools.product(KLEIN_VALUES, repeat=len(edges) - half):
+        tails.setdefault(_vertex_sums(nq, edges[half:], tail), []).append(tail)
+    for head in itertools.product(KLEIN_VALUES, repeat=half):
+        for tail in tails.get(_vertex_sums(nq, edges[:half], head), ()):
+            yield FlowAssignment(head + tail)
+
+
+def chords(g: Pseudograph, tf: TwoFactor) -> Tuple[int, ...]:
+    """The F-edges with both ends on one cycle of tf, in id order: the
+    loops of G/F-bar."""
+    h = contract_two_factor(g, tf)
+    return tuple(eid for eid, (a, b) in zip(h.edge_origin, h.quotient_edges) if a == b)
+
+
 def flat(pairs: List[Tuple[int, int]]) -> Tuple[List[int], List[int]]:
     """Conflict pairs in the kernels' layout: every first edge, then every second."""
     return [a for a, _ in pairs], [b for _, b in pairs]
@@ -143,7 +180,7 @@ def k4_with_doubled_diagonal() -> Tuple[Pseudograph, TwoFactor]:
     0..3) as a 2-factor.  The edges off the cycle, 4 and 6 (both 0-2) and
     5 (1-3), meet twice at vertices 0 and 2: not a perfect matching."""
     g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3), (0, 2)])
-    return g, TwoFactor((Cycle((0, 1, 2, 3), (0, 1, 2, 3)),), (4, 5, 6))
+    return g, TwoFactor((Cycle((0, 1, 2, 3), (0, 1, 2, 3)),))
 
 
 def petersen_of_petersens() -> Pseudograph:

@@ -32,7 +32,6 @@ from ncflow.flows import (
     ALPHA,
     BETA,
     conflicts,
-    enumerate_nz_flows,
     even_cycle_flow,
     extract_disjoint_matchings,
     find_nonconflicting_flow,
@@ -79,6 +78,7 @@ from conftest import (
     CHORD_LAYOUTS,
     claw_free_corpus,
     glue_two_cut,
+    nz_flows,
     prism,
     small_corpus,
     triangle_and_nine_cycle,
@@ -126,7 +126,7 @@ def test_01_petersen_negative():
     for f in matchings:
         tf, h = _contracted(g, f)
         assert h.quotient.n == 2 and h.quotient.m == 5
-        flows = list(enumerate_nz_flows(h))
+        flows = list(nz_flows(h))
         assert 0 < len(flows) <= 3 ** 5
         for theta in flows:
             assert conflicts(g, f, tf, theta).count >= 1
@@ -228,7 +228,7 @@ def test_07_claw_free_every_edge():
             for f in matchings_meeting_all_3cuts_once(g, eid, cuts):
                 mc = min_conflict_flow(g, f)
                 if mc is not None and mc.conflict_count == 0:
-                    h = mc.contracted
+                    h = mc.two_factor.contraction
                     theta = loop_canonicalize(mc.flow, h)
                     assert verify_flow(h, theta)
                     assert conflicts(g, f, mc.two_factor, theta).is_empty()
@@ -292,7 +292,7 @@ def test_09_disjoint_matchings_of_k6():
         for v in cyc.vertices:
             for eid in g.incident(v):
                 if eid in fset:
-                    vals.append(theta.values[h.origin_inverse[eid]])
+                    vals.append(theta.values[h.matching_edge_at[v]])
         assert vals.count(ALPHA) == 1 and vals.count(BETA) == 1
     a, b = extract_disjoint_matchings(h5, g, tf, theta)
     assert not set(a) & set(b)

@@ -26,7 +26,7 @@ from ncflow.graph import build_graph
 from ncflow.kernels import SearchTimeout
 from ncflow.matchings import enumerate_perfect_matchings
 
-from conftest import petersen_of_petersens, small_corpus
+from conftest import hub_graph, petersen_of_petersens, prism, small_corpus
 
 
 def lines_for(*graphs):
@@ -367,6 +367,45 @@ class TestCliExitCodes:
 
     def test_version(self, capsys):
         assert main(["--version"]) == 0
+
+
+class TestCliResourceLimits:
+    """Searches too large to run exit 3 with a one-line error."""
+
+    @pytest.fixture
+    def pure_python_coloring(self, monkeypatch):
+        from ncflow import _kernels_py, coloring
+
+        monkeypatch.setattr(coloring, "normal_coloring_search", _kernels_py.normal_coloring_search)
+
+    @staticmethod
+    def one_line_error(capsys, text):
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and text in err and "Traceback" not in err
+
+    def test_a_quotient_past_64_edges(self, capsys):
+        [literal] = lines_for(permutation_graph(tuple(range(65))))
+        assert main(["flow", "search", literal, "--matching", "0"]) == 3
+        self.one_line_error(capsys, "quotient has 65 edges (> 64)")
+
+    def test_hcolor_deeper_than_python_allows(self, capsys):
+        [literal] = lines_for(prism(700))
+        assert main(["hcolor", literal, "k4"]) == 3
+        self.one_line_error(capsys, "recurses deeper than Python allows")
+
+    def test_chi_n_deeper_than_python_allows(self, pure_python_coloring, capsys):
+        [literal] = lines_for(hub_graph(600))
+        assert main(["chi-n", literal]) == 3
+        self.one_line_error(capsys, "recurses deeper than Python allows")
+
+    def test_batch_keeps_a_row_per_graph(self, pure_python_coloring, tmp_path, capsys):
+        corpus, report = tmp_path / "corpus.txt", tmp_path / "report.json"
+        corpus.write_text("\n".join(lines_for(hub_graph(600), k4())) + "\n")
+        assert main(["batch", str(corpus), "--mode", "chi-n", "--report", str(report)]) == 1
+        rows = json.loads(report.read_text())["rows"]
+        assert [row["index"] for row in rows] == [0, 1]
+        assert rows[0]["error"].startswith("resource-limit: coloring search over 1800 edges")
+        assert rows[1]["verdict"] == "3"
 
 
 class TestCliFiles:

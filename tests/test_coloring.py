@@ -33,7 +33,7 @@ from ncflow.coloring import (
     z2cubed_flow_coloring,
 )
 from ncflow import _kernels_py, coloring, graph
-from ncflow.errors import InputError, NcflowError
+from ncflow.errors import InputError, NcflowError, ResourceLimitError
 from ncflow.flows import ALPHA, BETA, find_nonconflicting_flow
 from ncflow.generators import (
     counterexample_family,
@@ -61,6 +61,7 @@ from conftest import (
     glue_two_cut,
     hub_graph,
     ladder,
+    nz_flows,
     prism,
     small_corpus,
     spliced_cubic_graph,
@@ -458,13 +459,13 @@ class TestColoringFromFlow:
         assert checked >= 8
 
     def test_conflicting_flow_rejected(self):
-        from ncflow.flows import FlowAssignment, conflicts, enumerate_nz_flows
+        from ncflow.flows import FlowAssignment, conflicts
 
         g = petersen()
         f = next(enumerate_perfect_matchings(g))
         tf = complement_two_factor(g, f)
         h = contract_two_factor(g, tf)
-        theta = next(enumerate_nz_flows(h))
+        theta = next(nz_flows(h))
         assert not conflicts(g, f, tf, theta).is_empty()
         with pytest.raises(InputError):
             coloring_from_flow(g, f, tf, theta)
@@ -739,3 +740,25 @@ class TestHColoring:
     def test_non_cubic_rejected(self):
         with pytest.raises(InputError):
             h_coloring(diamond(), k4())
+
+    def test_a_search_deeper_than_python_allows_is_a_resource_limit(self):
+        # one nested call per vertex: 1,400 of them
+        with pytest.raises(ResourceLimitError, match="H-coloring search over 1400 vertices"):
+            h_coloring(prism(700), k4())
+
+
+class TestDeepPurePythonColoringSearch:
+    """The pure-Python coloring kernel recurses once per edge; past the
+    interpreter's limit it raises ResourceLimitError, not RecursionError."""
+
+    def test_the_kernel(self):
+        g = prism(700)
+        eu, ev = [a for a, _ in g.edges], [b for _, b in g.edges]
+        with pytest.raises(ResourceLimitError, match="coloring search over 2100 edges"):
+            _kernels_py.normal_coloring_search(g.n, eu, ev, 5)
+
+    def test_chi_n_exact(self, monkeypatch):
+        # the C kernel solves this graph's 1,800-edge prism piece in 0.035 s
+        monkeypatch.setattr(coloring, "normal_coloring_search", _kernels_py.normal_coloring_search)
+        with pytest.raises(ResourceLimitError, match="coloring search over 1800 edges"):
+            chi_n_exact(hub_graph(600), 7)

@@ -25,7 +25,6 @@ from ncflow.flows import (
     ConflictReport,
     FlowAssignment,
     conflicts,
-    enumerate_nz_flows,
     even_cycle_flow,
     extract_disjoint_matchings,
     find_nonconflicting_flow,
@@ -68,6 +67,7 @@ from conftest import (
     cubic_multigraph_and_matching,
     k4_with_doubled_diagonal,
     kernel_instance,
+    nz_flows,
     small_corpus,
     triangle_and_nine_cycle,
 )
@@ -87,7 +87,6 @@ def fake_contracted(q):
         quotient_edges=q.edges,
         matching_edge_at=(-1,) * q.n,
         edge_origin=tuple(range(q.m)),
-        origin_inverse={e: e for e in range(q.m)},
         vertex_cycle=tuple(range(q.n)),
     )
 
@@ -129,14 +128,16 @@ class TestVerifyFlow:
 
 
 class TestEnumerateFlows:
+    """The tests' exhaustive oracle, `conftest.nz_flows`."""
+
     def test_triple_edge_has_six_flows(self):
         h = fake_contracted(k23())
-        assert len(list(enumerate_nz_flows(h))) == 6
+        assert len(list(nz_flows(h))) == 6
 
     def test_loops_multiply_by_three(self):
         for k in (1, 2, 3):
             h = fake_contracted(build_graph(1, [(0, 0)] * k))
-            assert len(list(enumerate_nz_flows(h))) == 3 ** k
+            assert len(list(nz_flows(h))) == 3 ** k
 
     def test_matches_brute_force_on_small_quotients(self):
         for name, g in small_corpus():
@@ -144,26 +145,21 @@ class TestEnumerateFlows:
                 tf, h = contraction_of(g, f)
                 if h.quotient.m > 9:
                     continue
-                fast = {fl.values for fl in enumerate_nz_flows(h)}
-                slow = {
+                fast = [fl.values for fl in nz_flows(h)]
+                slow = [
                     vals
                     for vals in itertools.product(
                         (BETA, ALPHA, ALPHA_BETA), repeat=h.quotient.m
                     )
                     if verify_flow(h, FlowAssignment(vals))
-                }
-                assert fast == slow, name
-
-    def test_size_guard(self):
-        big = fake_contracted(build_graph(1, [(0, 0)] * 65))
-        with pytest.raises(ResourceLimitError):
-            next(enumerate_nz_flows(big))
+                ]
+                assert fast == slow, name  # in the same order
 
     def test_bridge_quotient_has_no_flow(self):
         g = fig3_graph()
         f = next(enumerate_perfect_matchings(g))
         tf, h = contraction_of(g, f)
-        assert list(enumerate_nz_flows(h)) == []
+        assert list(nz_flows(h)) == []
 
 
 class TestConflicts:
@@ -185,12 +181,12 @@ class TestConflicts:
             if not tri:
                 continue
             h = contract_two_factor(g, tf)
-            for theta in enumerate_nz_flows(h):
+            for theta in nz_flows(h):
                 owner_vals = set()
                 for v in tri[0].vertices:
                     for eid in g.incident(v):
                         if eid in f.as_set():
-                            owner_vals.add(theta.values[h.origin_inverse[eid]])
+                            owner_vals.add(theta.values[h.matching_edge_at[v]])
                 if owner_vals == {ALPHA, BETA, ALPHA_BETA}:
                     rep = conflicts(g, f, tf, theta)
                     on_tri = [c for c in rep.conflicting_edges if c.fbar_edge in tri[0].edges]
@@ -202,7 +198,7 @@ class TestConflicts:
         g = petersen()
         for f in enumerate_perfect_matchings(g):
             tf, h = contraction_of(g, f)
-            for theta in enumerate_nz_flows(h):
+            for theta in nz_flows(h):
                 assert not conflicts(g, f, tf, theta).is_empty()
 
     def test_alpha_beta_swap_invariance(self):
@@ -210,7 +206,7 @@ class TestConflicts:
         g = petersen()
         f = next(enumerate_perfect_matchings(g))
         tf, h = contraction_of(g, f)
-        for theta in itertools.islice(enumerate_nz_flows(h), 10):
+        for theta in itertools.islice(nz_flows(h), 10):
             swapped = FlowAssignment(tuple(swap[v] for v in theta.values))
             a = [c.fbar_edge for c in conflicts(g, f, tf, theta).conflicting_edges]
             b = [c.fbar_edge for c in conflicts(g, f, tf, swapped).conflicting_edges]
@@ -228,7 +224,7 @@ class TestConflicts:
         g = petersen()
         f = next(enumerate_perfect_matchings(g))
         tf, h = contraction_of(g, f)
-        theta = next(enumerate_nz_flows(h))
+        theta = next(nz_flows(h))
         backwards = PerfectMatching(tuple(reversed(f.edge_ids)))
         assert conflicts(g, backwards, tf, theta) == conflicts(g, f, tf, theta)
 
@@ -236,7 +232,7 @@ class TestConflicts:
         g = petersen()
         f = next(enumerate_perfect_matchings(g))
         tf, h = contraction_of(g, f)
-        theta = next(enumerate_nz_flows(h))
+        theta = next(nz_flows(h))
         for c in conflicts(g, f, tf, theta).conflicting_edges:
             assert {c.value_u, c.value_v} == {ALPHA, BETA}
             assert c.u in g.endpoints(c.fbar_edge) and c.v in g.endpoints(c.fbar_edge)
@@ -280,7 +276,7 @@ def check_read_on_g(g, f, theta):
 
 def flows_to_check(h, rng):
     """Valid flows, random (mostly non-conserving) values, and alpha/beta swaps."""
-    out = list(itertools.islice(enumerate_nz_flows(h), 6))
+    out = list(itertools.islice(nz_flows(h), 6))
     out += [FlowAssignment(tuple(rng.choice(KLEIN_VALUES) for _ in range(h.quotient.m))) for _ in range(4)]
     swap = {ALPHA: BETA, BETA: ALPHA, ALPHA_BETA: ALPHA_BETA}
     out += [FlowAssignment(tuple(swap[v] for v in th.values)) for th in out[:2]]
@@ -392,7 +388,7 @@ class TestMinConflict:
         f = next(enumerate_perfect_matchings(g))
         tf, h = contraction_of(g, f)
         oracle = min(
-            conflicts(g, f, tf, th).count for th in enumerate_nz_flows(h)
+            conflicts(g, f, tf, th).count for th in nz_flows(h)
         )
         assert min_conflict_flow(g, f).conflict_count == oracle
 
@@ -422,7 +418,7 @@ class TestLoopCanonicalize:
         g = ring_of_diamonds(2)
         f = PerfectMatching((0, 4, 5, 9))
         tf, h = contraction_of(g, f)
-        for theta in enumerate_nz_flows(h):
+        for theta in nz_flows(h):
             canon = loop_canonicalize(theta, h)
             for eid, (u, v) in enumerate(h.quotient.edges):
                 if u == v:
@@ -436,7 +432,7 @@ class TestLoopCanonicalize:
         g = petersen()
         f = next(enumerate_perfect_matchings(g))
         tf, h = contraction_of(g, f)
-        theta = next(enumerate_nz_flows(h))
+        theta = next(nz_flows(h))
         assert loop_canonicalize(theta, h).values == theta.values
 
     @pytest.mark.parametrize("size", [1, 3])
@@ -745,7 +741,7 @@ class TestDisjointMatchingExtraction:
         g, tf = expand_vertices_to_5cycles(h5)
         h = contract_two_factor(g, tf)
         f = PerfectMatching(tuple(sorted(set(range(g.m)) - tf.edge_ids())))
-        for theta in enumerate_nz_flows(h):
+        for theta in nz_flows(h):
             if not conflicts(g, f, tf, theta).is_empty():
                 with pytest.raises(InputError):
                     extract_disjoint_matchings(h5, g, tf, theta)
@@ -785,6 +781,48 @@ class TestResultChecks:
         )
         with pytest.raises(NcflowError):
             coloring.chi_n_exact(g, 4)
+
+    @pytest.mark.parametrize("off_by", [-1, 1])
+    def test_a_misreported_conflict_count_is_refused(self, monkeypatch, off_by):
+        # the kernel's real minimum-conflict flow on Petersen (one conflict),
+        # reported with one conflict fewer or more
+        real = flows.flow_search
+
+        def miscounting(*args, deadline=None):
+            vals, conf, nodes = real(*args[:-1], "min", deadline=deadline)
+            return vals, conf + off_by, nodes
+
+        monkeypatch.setattr(flows, "flow_search", miscounting)
+        g = petersen()
+        f = next(enumerate_perfect_matchings(g))
+        with pytest.raises(NcflowError, match="conflicts"):
+            min_conflict_flow(g, f)
+        with pytest.raises(NcflowError, match="conflicts"):
+            find_nonconflicting_flow(g, f)
+
+
+class TestQuotientSizeGuard:
+    """The kernel path refuses quotients past MAX_QUOTIENT_EDGES."""
+
+    def test_find_nonconflicting_flow_refuses_65_quotient_edges(self):
+        # the rungs of the 65-prism: F-bar is two 65-cycles, F has 65 edges
+        g = permutation_graph(tuple(range(65)))
+        rungs = PerfectMatching(tuple(range(130, 195)))
+        with pytest.raises(ResourceLimitError, match=r"quotient has 65 edges \(> 64\)"):
+            find_nonconflicting_flow(g, rungs)
+        with pytest.raises(ResourceLimitError):
+            min_conflict_flow(g, rungs)
+
+
+class TestDeepPurePythonSearches:
+    """The pure-Python kernels recurse once per edge; past the interpreter's
+    limit they raise ResourceLimitError, not RecursionError."""
+
+    @pytest.mark.parametrize("mode", ["first", "min"])
+    def test_flow_search(self, mode):
+        m = 3 * sys.getrecursionlimit()
+        with pytest.raises(ResourceLimitError, match=f"flow search over {m} edges"):
+            _kernels_py.flow_search(1, [0] * m, [0] * m, [], [], mode)
 
 
 # _kernels_py.flow_search on fixed quotients: the values, conflict count

@@ -42,6 +42,7 @@ from ncflow.graph import (
 from ncflow.matchings import Cycle, PerfectMatching, TwoFactor, complement_two_factor, enumerate_perfect_matchings
 
 from conftest import (
+    chords,
     claw_free_corpus,
     hub_graph,
     k4_with_doubled_diagonal,
@@ -177,7 +178,7 @@ class TestContraction:
             h = contract_two_factor(g, tf)
             assert sorted(h.edge_origin) == sorted(f.edge_ids), name
             for qe, ge in enumerate(h.edge_origin):
-                assert h.origin_inverse[ge] == qe
+                assert [h.matching_edge_at[v] for v in g.edges[ge]] == [qe, qe]
 
     def test_degree_sum_invariant(self):
         # sum of quotient degrees (loops twice) = |F| * 2 = |E| - |E(2-factor)| doubled
@@ -192,7 +193,7 @@ class TestContraction:
         g = ring_of_diamonds(2)
         f = PerfectMatching((0, 4, 5, 9))  # complement is one 8-cycle, 4 chords
         tf = complement_two_factor(g, f)
-        assert tf.chord_ids == (0, 4, 5, 9)
+        assert chords(g, tf) == (0, 4, 5, 9)
         h = contract_two_factor(g, tf)
         assert h.quotient.n == 1
         assert all(u == v for u, v in h.quotient.edges)
@@ -205,7 +206,7 @@ class TestContraction:
             contract_two_factor(g, tf)
         # as many edges off the 2-cycles 0=1 and 2=3 as a perfect matching
         # has, but two of them share vertex 0, or one is a loop
-        two_cycles = TwoFactor((Cycle((0, 1), (0, 1)), Cycle((2, 3), (2, 3))), ())
+        two_cycles = TwoFactor((Cycle((0, 1), (0, 1)), Cycle((2, 3), (2, 3))))
         for off in ([(0, 2), (0, 3)], [(0, 0), (1, 2)]):
             g = build_graph(4, [(0, 1), (0, 1), (2, 3), (2, 3)] + off)
             with pytest.raises(ContractError):

@@ -55,7 +55,7 @@ def flow_instances():
                 ev_ = [e for e in g.incident(v) if e in f.as_set()]
                 if eu_ and ev_ and eu_[0] != ev_[0]:
                     pairs.add(
-                        tuple(sorted((h.origin_inverse[eu_[0]], h.origin_inverse[ev_[0]])))
+                        tuple(sorted((h.matching_edge_at[u], h.matching_edge_at[v])))
                     )
             out.append(
                 (

@@ -23,6 +23,7 @@ from ncflow.graph import build_graph, connected_components, three_edge_cuts
 from ncflow.kernels import SearchTimeout
 from ncflow.matchings import (
     PerfectMatching,
+    TwoFactor,
     complement_two_factor,
     covered_vertices,
     enumerate_perfect_matchings,
@@ -31,7 +32,7 @@ from ncflow.matchings import (
     odd_cycle_count,
 )
 
-from conftest import claw_free_corpus, cubic_multigraph_and_matching, small_corpus
+from conftest import chords, claw_free_corpus, cubic_multigraph_and_matching, small_corpus
 
 
 def reference_matchings(g, covered, chosen):
@@ -135,20 +136,27 @@ class TestComplement:
         for f in enumerate_perfect_matchings(g):
             tf = complement_two_factor(g, f)
             assert sorted(len(c) for c in tf.cycles) == [5, 5]
-            assert tf.chord_ids == ()
+            assert chords(g, tf) == ()
 
     def test_k4_one_four_cycle(self):
         g = k4()
         for f in enumerate_perfect_matchings(g):
             tf = complement_two_factor(g, f)
             assert [len(c) for c in tf.cycles] == [4]
-            assert tf.chord_ids == f.edge_ids  # both matching edges chord the cycle
+            assert chords(g, tf) == f.edge_ids  # both matching edges chord the cycle
 
     def test_k33_always_even_cycles(self):
         g = k33()
         for f in enumerate_perfect_matchings(g):
             tf = complement_two_factor(g, f)
             assert odd_cycle_count(tf) == 0
+
+    def test_the_contraction_is_taken_by_keyword_only(self):
+        # a positional second field, as the removed chord list was, is refused
+        tf = complement_two_factor(k4(), next(enumerate_perfect_matchings(k4())))
+        with pytest.raises(TypeError):
+            TwoFactor(tf.cycles, ())
+        assert TwoFactor(tf.cycles, contraction=None) == tf
 
     def test_k23_two_factor_is_a_2_cycle(self):
         g = k23()
@@ -163,7 +171,7 @@ class TestComplement:
                 fac = tf.edge_ids()
                 assert fac.isdisjoint(f.as_set()), name
                 assert fac | f.as_set() == set(range(g.m)), name
-                assert set(tf.chord_ids) <= f.as_set(), name
+                assert set(chords(g, tf)) <= f.as_set(), name
 
     def test_cycle_edges_join_consecutive_vertices(self):
         for name, g in small_corpus():
