@@ -4,7 +4,8 @@
    (`python setup.py build_ext --inplace` does the same).
 
    Both searches return what `_kernels_py` returns, node counts included:
-   the edge orders, the alpha <-> beta symmetry rule of the flow search,
+   the edge orders, the two phases of the "first" flow search and their
+   summed node count, the alpha <-> beta symmetry rule of the flow search,
    the depth at which the coloring search looks one edge ahead and the
    deadline stride are the same.  Each entry point takes plain int
    arrays, builds its own order, incidence and partner arrays, frees them
@@ -97,11 +98,16 @@ typedef struct {
     int u, v, closes, both;
 } Step;
 
+/* The search state, and what `flow_setup` reads to fill it: the edges,
+   the conflict pairs (first edges, then second edges), incidence lists in
+   id order with a loop once, and its scratch arrays depth_of (m ints) and
+   last (nq ints). */
 typedef struct {
-    int m, mode, nvals, best_conf;
-    const int *vals;
-    const Step *steps;
+    int nq, m, npairs, mode, nvals, best_conf;
+    const int *eu, *ev, *pairs, *vals;
+    Step *steps;
     int *order, *acc, *val, *best_val, *partner_off, *partner_dat, *sym_skip;
+    int *inc_off, *inc_dat, *depth_of, *last;
     long long nodes;
     double deadline;
 } FlowState;
@@ -112,14 +118,75 @@ static int swap_alpha_beta(int x)
     return ((x ^ (x >> 1)) & 1) ? x ^ 3 : x;
 }
 
+/* The first index of x in vals[0..n), or n. */
+static int index_of(const int *vals, int n, int x)
+{
+    int i = 0;
+    while (i < n && vals[i] != x)
+        i++;
+    return i;
+}
+
+/* The static order, steps and partner lists of the search that takes the
+   vertices in the sequence `seq`: each vertex in turn takes its edges not
+   yet placed, in id order.  `_kernels_py._step_table` builds the same. */
+static void flow_setup(FlowState *s, const int *seq)
+{
+    int m = s->m, nq = s->nq, npairs = s->npairs;
+    const int *eu = s->eu, *ev = s->ev, *pairs = s->pairs;
+    int *depth_of = s->depth_of, *last = s->last;
+
+    /* depth_of marks placed edges with depth + 1 */
+    memset(depth_of, 0, (size_t)m * sizeof(int));
+    for (int k = 0, placed = 0; k < nq; k++)
+        for (int i = s->inc_off[seq[k]]; i < s->inc_off[seq[k] + 1]; i++) {
+            int e = s->inc_dat[i];
+            if (!depth_of[e]) {
+                s->order[placed] = e;
+                depth_of[e] = ++placed;
+            }
+        }
+    /* last: the depth of the last non-loop edge at each vertex */
+    for (int w = 0; w < nq; w++)
+        last[w] = -1;
+    for (int d = 0; d < m; d++) {
+        int e = s->order[d];
+        depth_of[e] = d;
+        if (eu[e] != ev[e])
+            last[eu[e]] = last[ev[e]] = d;
+    }
+    for (int d = 0; d < m; d++) {
+        int u = eu[s->order[d]], v = ev[s->order[d]];
+        s->steps[d] = (Step){u, v, last[u] == d ? u : last[v] == d ? v : -1, last[u] == d && last[v] == d};
+    }
+
+    /* the later depth of a pair lists the earlier one, which is valued
+       whenever the later one is tried; a self-pair never conflicts */
+    memset(s->partner_off, 0, ((size_t)m + 1) * sizeof(int));
+    for (int i = 0; i < npairs; i++) {
+        int a = depth_of[pairs[i]], b = depth_of[pairs[npairs + i]];
+        if (a != b)
+            s->partner_off[(a > b ? a : b) + 1]++;
+    }
+    offsets(s->partner_off, m);
+    for (int i = 0; i < npairs; i++) {
+        int a = depth_of[pairs[i]], b = depth_of[pairs[npairs + i]];
+        if (a != b)
+            s->partner_dat[s->partner_off[a > b ? a : b]++] = a > b ? b : a;
+    }
+    rewind_offsets(s->partner_off, m);
+}
+
 /* 1 once "first" has its flow, TIMED_OUT on the deadline, 0 otherwise.
    val[d] is the value at depth d and acc[w] the XOR of the values at w,
    so an edge that closes a vertex can only take acc there (a loop XORs
-   its value in twice, which changes nothing).  `sym` holds while every
-   value so far is swap-fixed; a free edge then skips each value whose
-   swap comes earlier in `vals`, and a skipped value is not a node.  A
-   value conflicts with a partner (an earlier depth) alpha + beta apart,
-   and a branch is cut once its conflicts reach best_conf. */
+   its value in twice, which changes nothing); every value is XORed out
+   again on the way back, so acc is all zeros after a search that did not
+   time out.  `sym` holds while every value so far is swap-fixed; a free
+   edge then skips each value whose swap comes earlier in `vals`, and a
+   skipped value is not a node.  A value conflicts with a partner (an
+   earlier depth) alpha + beta apart, and a branch is cut once its
+   conflicts reach best_conf. */
 static int flow_rec(FlowState *s, int depth, int conf, int sym)
 {
     if (depth == s->m) {
@@ -171,14 +238,24 @@ static int flow_rec(FlowState *s, int depth, int conf, int sym)
    conflict pairs, then their second edges.  mode 0 ("first") looks for a
    flow without conflicts, mode 1 ("min") for the first flow with the
    fewest.  On NC_FOUND the flow is in out_val and its conflict count in
-   *out_conf; *out_nodes is set on NC_FOUND, NC_EXHAUSTED and NC_TIMEOUT. */
+   *out_conf; *out_nodes is set on NC_FOUND, NC_EXHAUSTED and NC_TIMEOUT.
+
+   The canonical order takes the vertices by id.  "first" runs in two
+   phases, as `_kernels_py.flow_search` does: phase 1 takes the vertices by
+   their number of edges (a loop once), then by id, so the vertices with
+   fewest edges close first; if it exhausts there is no flow, and only if it finds one
+   does phase 2 search again in the canonical order, whose first flow is
+   returned.  Phase 1 runs only when vals with 0 is closed under XOR (then
+   every order searches the same flows) and its sequence differs from the
+   canonical one; otherwise one canonical search runs.  The node count and
+   the deadline stride run over both phases. */
 int nc_flow_search(int nq, int m, const int *eu, const int *ev, int npairs, const int *pairs,
                    int mode, int nvals, const int *vals, double seconds,
                    int *out_val, int *out_conf, long long *out_nodes)
 {
     if (!in_range(nq, eu, m) || !in_range(nq, ev, m) || !in_range(m, pairs, 2 * npairs))
         return NC_BADINDEX;
-    size_t total = 6 * (size_t)m + 1 + (size_t)npairs + (size_t)nvals + 3 * (size_t)nq + 1;
+    size_t total = 7 * (size_t)m + 5 * (size_t)nq + (size_t)npairs + (size_t)nvals + 4;
     int *block = calloc(total, sizeof(int));
     Step *steps = malloc(((size_t)m + 1) * sizeof(Step));
     if (block == NULL || steps == NULL) {
@@ -188,8 +265,9 @@ int nc_flow_search(int nq, int m, const int *eu, const int *ev, int npairs, cons
     }
     /* "first" is "min" that admits no conflict and stops at its first flow */
     int bound = mode == MODE_FIRST ? 1 : npairs + 1;
-    FlowState s = {.m = m, .mode = mode, .nvals = nvals, .best_conf = bound, .vals = vals,
-                   .steps = steps, .best_val = out_val, .deadline = deadline_in(seconds)};
+    FlowState s = {.nq = nq, .m = m, .npairs = npairs, .mode = mode, .nvals = nvals, .eu = eu,
+                   .ev = ev, .pairs = pairs, .vals = vals, .steps = steps, .best_val = out_val,
+                   .deadline = deadline_in(seconds)};
     int *p = block;
     s.order = p, p += m;
     s.val = p, p += m;
@@ -197,64 +275,48 @@ int nc_flow_search(int nq, int m, const int *eu, const int *ev, int npairs, cons
     s.partner_dat = p, p += npairs;
     s.sym_skip = p, p += nvals;
     s.acc = p, p += nq;
-    int *depth_of = p;
-    p += m;
-    int *last = p; /* depth of the last non-loop edge at each vertex */
+    s.depth_of = p, p += m;
+    s.last = p, p += nq;
+    s.inc_off = p, p += nq + 1;
+    s.inc_dat = p, p += 2 * m;
+    int *canonical = p;
     p += nq;
-    int *inc_off = p;
-    p += nq + 1;
-    int *inc_dat = p;
+    int *fail_first = p; /* the vertices by (edges, id), counted out */
+    p += nq;
+    int *by_edges = p; /* m + 2 ints */
+    incidence(nq, m, eu, ev, 1, s.inc_off, s.inc_dat);
 
-    /* vertex-grouped static order: vertex by vertex, each vertex's edges
-       in id order, every edge at its first appearance (depth_of marks
-       placed edges with depth + 1) */
-    incidence(nq, m, eu, ev, 1, inc_off, inc_dat);
-    for (int i = 0, placed = 0; i < inc_off[nq]; i++) {
-        int e = inc_dat[i];
-        if (!depth_of[e]) {
-            s.order[placed] = e;
-            depth_of[e] = ++placed;
-        }
+    for (int w = 0; w < nq; w++) {
+        canonical[w] = w;
+        by_edges[s.inc_off[w + 1] - s.inc_off[w] + 1]++;
     }
+    offsets(by_edges, m + 1);
     for (int w = 0; w < nq; w++)
-        last[w] = -1;
-    for (int d = 0; d < m; d++) {
-        int e = s.order[d];
-        depth_of[e] = d;
-        if (eu[e] != ev[e])
-            last[eu[e]] = last[ev[e]] = d;
-    }
-    for (int d = 0; d < m; d++) {
-        int u = eu[s.order[d]], v = ev[s.order[d]];
-        steps[d] = (Step){u, v, last[u] == d ? u : last[v] == d ? v : -1, last[u] == d && last[v] == d};
-    }
+        fail_first[by_edges[s.inc_off[w + 1] - s.inc_off[w]]++] = w;
+    int same = 1;
+    for (int w = 0; w < nq; w++)
+        same &= fail_first[w] == w;
 
-    /* the later depth of a pair lists the earlier one, which is valued
-       whenever the later one is tried; a self-pair never conflicts */
-    for (int i = 0; i < npairs; i++) {
-        int a = depth_of[pairs[i]], b = depth_of[pairs[npairs + i]];
-        if (a != b)
-            s.partner_off[(a > b ? a : b) + 1]++;
-    }
-    offsets(s.partner_off, m);
-    for (int i = 0; i < npairs; i++) {
-        int a = depth_of[pairs[i]], b = depth_of[pairs[npairs + i]];
-        if (a != b)
-            s.partner_dat[s.partner_off[a > b ? a : b]++] = a > b ? b : a;
-    }
-    rewind_offsets(s.partner_off, m);
-
-    /* the symmetry is broken only when vals is closed under the swap */
-    int sym = 1;
+    /* the symmetry is broken only when vals is closed under the swap, and
+       phase 1 runs only when vals and 0 are closed under XOR */
+    int sym = 1, group = 1;
     for (int i = 0; i < nvals; i++) {
-        int j = 0;
-        while (j < nvals && vals[j] != swap_alpha_beta(vals[i]))
-            j++;
+        int j = index_of(vals, nvals, swap_alpha_beta(vals[i]));
         sym &= j < nvals;
         s.sym_skip[i] = j < i;
+        for (int k = 0; k < nvals; k++)
+            group &= vals[i] == vals[k] || index_of(vals, nvals, vals[i] ^ vals[k]) < nvals;
     }
 
-    int done = flow_rec(&s, 0, 0, sym);
+    const int *phases[2] = {fail_first, canonical};
+    int done = 0;
+    for (int phase = mode == MODE_FIRST && group && !same ? 0 : 1; phase < 2; phase++) {
+        flow_setup(&s, phases[phase]);
+        s.best_conf = bound;
+        done = flow_rec(&s, 0, 0, sym);
+        if (done != 1) /* only a flow "first" found goes on to phase 2 */
+            break;
+    }
     free(block);
     free(steps);
     *out_nodes = s.nodes;

@@ -6,16 +6,21 @@ identical semantics, node counts included:
 
 * `flow_search` -- backtracking over edge values of a group Z_2^b with
   vertex-saturation (conservation) pruning and conflict-pair pruning
-  ("first") or branch-and-bound ("min").  The edge order is fixed, so a
-  step table built once per call records at each depth which vertex the
-  edge closes (its value is then forced) and which conflict partners are
-  already valued; the search keeps no per-vertex edge counts.  "first"
-  mode, which prunes every conflict, runs its own recursion without a
-  conflict count.  Both modes break the alpha <-> beta symmetry: swapping
-  bits 0 and 1 of every value maps flows to flows with the same
+  ("first") or branch-and-bound ("min").  The edges are valued in a
+  vertex-grouped static order, so a step table built once per order
+  records at each depth which vertex the edge closes (its value is then
+  forced) and which conflict partners are already valued; the search
+  keeps no per-vertex edge counts.  "first" mode, which prunes every
+  conflict, runs its own recursion without a conflict count, in two
+  phases: phase 1 takes the vertices with fewest edges first (fail first),
+  and only when it finds a flow does phase 2 search again in the canonical
+  order, by vertex id, whose first flow is returned.  An exhaustive
+  negative thus costs one fail-first search, and the node count is the
+  sum of both phases.  Both modes break the alpha <-> beta symmetry:
+  swapping bits 0 and 1 of every value maps flows to flows with the same
   conflicts, so until some edge holds a value the swap moves, a free edge
   skips a value whose image comes earlier in `values`.  The flow returned
-  is unchanged; exhaustive negatives expand about half the nodes.
+  is unchanged by either rule: it is the first of the canonical order.
 * `normal_coloring_search` -- proper k-edge-coloring search with poor/rich
   pruning and canonical color introduction (colors first appear in
   increasing order, which is sound because normality is invariant under
@@ -87,6 +92,108 @@ def check_search_args(
     check_edge_args(len(eu), first, second)
 
 
+# (edge, u, v, vertex it closes or -1, closes both ends, earlier partners)
+Step = Tuple[int, int, int, int, bool, Tuple[int, ...]]
+
+
+def _step_table(
+    eu: Sequence[int],
+    ev: Sequence[int],
+    first: Sequence[int],
+    second: Sequence[int],
+    rank: Sequence[int],
+) -> List[Step]:
+    """The steps of the search that takes vertex w as the rank[w]-th: each
+    vertex in turn takes its edges not yet placed, in id order, so the
+    edges go by their end ranked first, then by id.  `steps[depth]` holds
+    the edge valued at that depth, its endpoints, the vertex it closes (the
+    first endpoint at which it is the last non-loop edge, or -1), whether
+    it closes both, and its conflict partners valued at earlier depths."""
+    m = len(eu)
+    by_rank: List[List[int]] = [[] for _ in rank]
+    for e in range(m):
+        ru, rv = rank[eu[e]], rank[ev[e]]
+        by_rank[ru if ru < rv else rv].append(e)
+    order: List[int] = []
+    depth_of = [0] * m
+    for group in by_rank:
+        for e in group:
+            depth_of[e] = len(order)
+            order.append(e)
+    earlier: List[List[int]] = [[] for _ in range(m)]  # by depth
+    for a, b in zip(first, second):
+        da, db = depth_of[a], depth_of[b]
+        if da < db:
+            earlier[db].append(a)
+        elif db < da:
+            earlier[da].append(b)
+    # from the deepest edge up: a non-loop edge closes each end not seen yet
+    seen = [False] * len(rank)
+    steps = []
+    for d in range(m - 1, -1, -1):
+        e = order[d]
+        u, v = eu[e], ev[e]
+        close_u = close_v = False
+        if u != v:
+            close_u, close_v = not seen[u], not seen[v]
+            seen[u] = seen[v] = True
+        closes = u if close_u else v if close_v else -1
+        steps.append((e, u, v, closes, close_u and close_v, tuple(earlier[d])))
+    steps.reverse()
+    return steps
+
+
+def _too_deep(m: int) -> ResourceLimitError:
+    return ResourceLimitError(f"flow search over {m} edges recurses deeper than Python allows")
+
+
+def _first_flow(
+    steps: List[Step], nq: int, start: list, deadline: Optional[float], nodes: int
+) -> Tuple[Optional[List[int]], int]:
+    """(the first conflict-free flow in the order of `steps`, or None;
+    `nodes` plus the nodes this search expanded).  It prunes every
+    conflict, so it keeps no conflict count."""
+    m = len(steps)
+    acc = [0] * nq
+    val = [0] * m  # not cleared on backtracking: only earlier partners are read
+
+    def first(depth: int, free: list) -> bool:
+        nonlocal nodes
+        if depth == m:
+            return True
+        e, u, v, closes, both, partners = steps[depth]
+        if closes < 0:
+            cands = free
+        else:
+            x = acc[closes]
+            if x == 0 or (both and acc[v] != x):
+                return False
+            cands = ((x, x ^ 3, free),)
+        for x, clash, nxt in cands:
+            nodes += 1
+            if deadline is not None and nodes % _DEADLINE_STRIDE == 0:
+                if time.monotonic() > deadline:
+                    raise SearchTimeout
+            for p in partners:
+                if val[p] == clash:
+                    break
+            else:
+                val[e] = x
+                acc[u] ^= x
+                acc[v] ^= x
+                if first(depth + 1, nxt):
+                    return True
+                acc[u] ^= x
+                acc[v] ^= x
+        return False
+
+    try:
+        found = first(0, start)
+    except RecursionError:
+        raise _too_deep(m) from None
+    return (val if found else None), nodes
+
+
 def flow_search(
     nq: int,
     eu: Sequence[int],
@@ -112,18 +219,32 @@ def flow_search(
     than the interpreter allows (about 1,000 edges; the C kernel has no
     such limit).
 
-    Edges are valued in a fixed vertex-grouped order, and `steps[depth]`
-    holds what the search needs at each depth: the edge, its endpoints,
-    the vertex it closes (the first endpoint at which it is the last
-    non-loop edge, or -1) and whether it closes both, and its conflict
-    partners valued at earlier depths.  A closing edge can only take the
-    XOR already at the vertex it closes.  A later partner is still unvalued
-    when the edge is tried and a self-pair never counts, so only earlier
-    partners are kept; a duplicate pair counts twice.  A loop closes
-    nothing and XORs its value into its vertex twice, which changes
-    nothing.  Each value tried is one node, pruned or not.  "first" prunes
-    every conflict, so the conflict count is 0 on every path and it has its
-    own recursion without one.
+    Edges are valued in a vertex-grouped static order (`_step_table`).  The
+    canonical order takes the vertices by id, so the edges go by their
+    lower end, then by id.  A closing edge can only take the XOR already at
+    the vertex it closes.  A later partner is still unvalued when the edge
+    is tried and a self-pair never counts, so only earlier partners are
+    kept; a duplicate pair counts twice.  A loop closes nothing and XORs
+    its value into its vertex twice, which changes nothing.  Each value
+    tried is one node, pruned or not.
+
+    "first" runs in two phases.  Phase 1 takes the vertices by their
+    number of edges (a loop once), then by id: the vertices with fewest
+    edges close first, so their constraints cut early (fail first, Haralick
+    and Elliott, Artificial Intelligence 14, 1980).  If it exhausts, there
+    is no flow.
+    Only if it finds one does phase 2 repeat the search in the canonical
+    order and return that order's first flow, so the flow returned does not
+    depend on phase 1.  Phase 1 proves a negative only when every order
+    searches the same flows.  A closing edge takes whatever XOR
+    conservation leaves there, so that holds when `values` with 0 is closed
+    under XOR, as (1, 2, 3) and 1..7 are: then every order searches the
+    nowhere-zero flows over that group.  For other `values`, which flows
+    are searched depends on which edges close vertices, so only the
+    canonical search runs; it also runs alone when both phases would take
+    the vertices in the same sequence.  The node count is the sum of both
+    phases, and the deadline is read every `_DEADLINE_STRIDE` nodes of that
+    sum.  "min" runs once, in the canonical order.
 
     Symmetry breaking (when `values` is closed under sigma =
     `_swap_alpha_beta`): sigma is an automorphism of the group that fixes
@@ -131,51 +252,19 @@ def flow_search(
     conflicts.  Until some edge holds a value sigma moves, a free edge
     skips each x whose sigma(x) comes earlier in `values` (a skipped value
     is not a node); a closing edge then takes an XOR of sigma-fixed values,
-    which is sigma-fixed itself.  The flow returned is the first in the
-    static order (for "min", the first with the fewest conflicts), and its
-    first sigma-moved value is the earlier one of its pair, so values and
-    conflict counts are those of the unpruned search; nodes are not.  Each
-    candidate carries the candidate list of the next free edge: `full` once
-    the symmetry is broken, `sym` before.
+    which is sigma-fixed itself.  This holds in any order, so both phases
+    apply it.  The flow returned is the first in the canonical order (for
+    "min", the first with the fewest conflicts), and its first sigma-moved
+    value is the earlier one of its pair, so values and conflict counts
+    are those of the unpruned search; nodes are not.  Each candidate
+    carries the candidate list of the next free edge: `full` once the
+    symmetry is broken, `sym` before.
     """
     check_search_args(nq, eu, ev, first, second, mode, values)
     if deadline is not None and time.monotonic() > deadline:
         raise SearchTimeout
     m = len(eu)
-
-    # vertex-grouped static order so conservation closes vertices early:
-    # each vertex in turn takes its edges not yet placed, in id order, so
-    # the edges go by their lower end, then by id
-    by_low: List[List[int]] = [[] for _ in range(nq)]
-    for e in range(m):
-        u, v = eu[e], ev[e]
-        by_low[u if u < v else v].append(e)
-    order: List[int] = []
-    depth_of = [0] * m
-    for group in by_low:
-        for e in group:
-            depth_of[e] = len(order)
-            order.append(e)
-    earlier: List[List[int]] = [[] for _ in range(m)]  # by depth
-    for a, b in zip(first, second):
-        da, db = depth_of[a], depth_of[b]
-        if da < db:
-            earlier[db].append(a)
-        elif db < da:
-            earlier[da].append(b)
-    # from the deepest edge up: a non-loop edge closes each end not seen yet
-    seen = [False] * nq
-    steps = []
-    for d in range(m - 1, -1, -1):
-        e = order[d]
-        u, v = eu[e], ev[e]
-        close_u = close_v = False
-        if u != v:
-            close_u, close_v = not seen[u], not seen[v]
-            seen[u] = seen[v] = True
-        closes = u if close_u else v if close_v else -1
-        steps.append((e, u, v, closes, close_u and close_v, tuple(earlier[d])))
-    steps.reverse()
+    canonical = list(range(nq))
 
     # x conflicts with a valued partner holding x ^ 3 (alpha+beta apart);
     # every partner read is valued, and no value is 0.  Each entry ends
@@ -190,48 +279,35 @@ def flow_search(
             sx = _swap_alpha_beta(x)
             if sx not in values[:i]:
                 sym.append((x, x ^ 3, sym if sx == x else full))
-    acc = [0] * nq
-    val = [0] * m  # not cleared on backtracking: only earlier partners are read
-    nodes = 0
 
     if mode == "first":
+        phases = [canonical]
+        edges_at = [0] * nq  # a loop once
+        for u, v in zip(eu, ev):
+            edges_at[u] += 1
+            if v != u:
+                edges_at[v] += 1
+        fail_first = sorted(canonical, key=edges_at.__getitem__)  # stable: ties by id
+        if fail_first != canonical and all(x ^ y in values for x in values for y in values if x != y):
+            rank = [0] * nq
+            for i, w in enumerate(fail_first):
+                rank[w] = i
+            phases.insert(0, rank)
+        found: Optional[List[int]] = None
+        nodes = 0
+        # a phase that exhausts settles the answer; a flow found in phase 1
+        # is replaced by the canonical search's
+        for rank in phases:
+            steps = _step_table(eu, ev, first, second, rank)
+            found, nodes = _first_flow(steps, nq, sym, deadline, nodes)
+            if found is None:
+                break
+        return found, 0, nodes
 
-        def first(depth: int, free: list) -> bool:
-            nonlocal nodes
-            if depth == m:
-                return True
-            e, u, v, closes, both, partners = steps[depth]
-            if closes < 0:
-                cands = free
-            else:
-                x = acc[closes]
-                if x == 0 or (both and acc[v] != x):
-                    return False
-                cands = ((x, x ^ 3, free),)
-            for x, clash, nxt in cands:
-                nodes += 1
-                if deadline is not None and nodes % _DEADLINE_STRIDE == 0:
-                    if time.monotonic() > deadline:
-                        raise SearchTimeout
-                for p in partners:
-                    if val[p] == clash:
-                        break
-                else:
-                    val[e] = x
-                    acc[u] ^= x
-                    acc[v] ^= x
-                    if first(depth + 1, nxt):
-                        return True
-                    acc[u] ^= x
-                    acc[v] ^= x
-            return False
-
-        try:
-            found = first(0, sym)
-        except RecursionError:
-            raise ResourceLimitError(f"flow search over {m} edges recurses deeper than Python allows") from None
-        return (val if found else None), 0, nodes
-
+    steps = _step_table(eu, ev, first, second, canonical)
+    acc = [0] * nq
+    val = [0] * m
+    nodes = 0
     best_val: Optional[List[int]] = None
     best_conf = len(first) + 1
 
@@ -271,7 +347,7 @@ def flow_search(
     try:
         rec(0, 0, sym)
     except RecursionError:
-        raise ResourceLimitError(f"flow search over {m} edges recurses deeper than Python allows") from None
+        raise _too_deep(m) from None
     if best_val is None:
         return None, 0, nodes
     return best_val, best_conf, nodes

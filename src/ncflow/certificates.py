@@ -1,9 +1,10 @@
 """Self-validating JSON certificates for search results.
 
 Positive certificates (flows, colorings, witnesses) re-verify against the
-graph in polynomial time on load.  Negative certificates carry exhaustion
-statistics; re-verifying a negative means re-running the bounded search,
-which is the documented trust model.
+graph in polynomial time on load.  A `no-flow-for-any-matching`
+certificate is re-verified by re-running its search: every matching its
+selector names must be refuted again, and their number must be the count
+it records.
 """
 
 from __future__ import annotations
@@ -11,13 +12,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from . import __version__
 from .errors import InputError
-from .flows import FlowAssignment, _is_nonconflicting_flow, klein_bits, klein_from_bits
+from .flows import FlowAssignment, _is_nonconflicting_flow, klein_bits, klein_from_bits, matching_verdicts
 from .graph import Pseudograph, contract_two_factor
-from .matchings import PerfectMatching, complement_two_factor, covered_vertices
+from .matchings import PerfectMatching, complement_two_factor, covered_vertices, select_matchings
 
 SCHEMA_VERSION = 1
 
@@ -113,12 +114,17 @@ def flow_certificate(
     )
 
 
-def verify_certificate(cert: Certificate, g: Pseudograph) -> bool:
-    """Re-verify a certificate against a graph without searching.
+def verify_certificate(cert: Certificate, g: Pseudograph, deadline: Optional[float] = None) -> bool:
+    """Re-verify a certificate against a graph.
 
-    Positive kinds re-run the polynomial checks; negative kinds verify the
-    fingerprint and schema only (their content is exhaustion statistics).
-    A payload of the wrong shape or type is refuted (False), never raised.
+    Positive kinds re-run the polynomial checks.  `no-flow-for-any-matching`
+    replays its search: the matchings of its payload's `selector` ("all"
+    when absent, "INDEX" or "edge=ID", as `flow search --matching` takes
+    it) go through `matching_verdicts` again, and it verifies only when none
+    has a flow and their number is its `stats.matchings_checked`.  A payload
+    of the wrong shape or type is refuted (False), never raised; the replay
+    raises SearchTimeout once `deadline` has passed, and ResourceLimitError
+    as the search does.
     """
     if cert.graph_fingerprint != fingerprint(g):
         return False
@@ -160,7 +166,16 @@ def verify_certificate(cert: Certificate, g: Pseudograph) -> bool:
                     return False
             return True
         if cert.kind == "no-flow-for-any-matching":
-            return "matchings_checked" in cert.stats
+            claimed = cert.stats["matchings_checked"]
+            selector = cert.payload.get("selector", "all") if isinstance(cert.payload, dict) else None
+            if not isinstance(selector, str):
+                return False
+            checked = 0
+            for _f, theta in matching_verdicts(g, select_matchings(g, selector, deadline), deadline):
+                if theta is not None:
+                    return False
+                checked += 1
+            return checked == claimed
     except (InputError, KeyError, IndexError, TypeError, ValueError):
         return False
     return False

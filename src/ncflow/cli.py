@@ -8,7 +8,6 @@ tripped (timeout or size limit).
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -56,7 +55,7 @@ from .matchings import (
     complement_two_factor,
     enumerate_perfect_matchings,
     matchings_meeting_all_3cuts_once,
-    matchings_through_edge,
+    select_matchings,
 )
 
 EXIT_FOUND = 0
@@ -199,22 +198,8 @@ def _cmd_flow(args) -> int:
         # a route that finds nothing has not refuted every matching
         print(f"route {args.construct} found no flow; searching every matching", file=sys.stderr)
         sel = "all"
-    stream = None  # "all": every perfect matching
-    if sel.startswith("edge="):
-        eid = int(sel[5:])
-        if not 0 <= eid < g.m or g.is_loop(eid):
-            raise InputError(f"--matching {sel}: no non-loop edge {eid}")
-        stream = matchings_through_edge(g, eid, deadline=deadline)
-    elif sel != "all":
-        idx = int(sel)
-        picked = []
-        if idx >= 0:
-            picked = list(itertools.islice(enumerate_perfect_matchings(g, deadline=deadline), idx, idx + 1))
-        if not picked:
-            raise InputError(f"--matching {sel}: no perfect matching with index {idx}")
-        stream = picked
     checked = 0
-    for f, theta in matching_verdicts(g, stream, deadline):
+    for f, theta in matching_verdicts(g, select_matchings(g, sel, deadline), deadline):
         checked += 1
         if theta is not None:
             return _report_flow(g, f, theta, {}, args.certificate)
@@ -309,7 +294,12 @@ def _cmd_batch(args) -> int:
         f"findings={summary['findings']}",
         file=sys.stderr,
     )
-    return EXIT_FOUND if summary["errors"] == 0 else EXIT_NEGATIVE
+    # a row stopped by the resource guard outranks any other error; a
+    # batch never answers a definite negative, so it never exits 1
+    errors = [row.error for row in report.rows if row.error]
+    if any(e == "timeout" or e.startswith("resource-limit: ") for e in errors):
+        return EXIT_RESOURCE
+    return EXIT_INPUT if errors else EXIT_FOUND
 
 
 def build_parser() -> argparse.ArgumentParser:

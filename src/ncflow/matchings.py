@@ -24,7 +24,7 @@ cuts, a stream builds those pairs once when it starts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import starmap
+from itertools import islice, starmap
 from operator import eq
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -272,6 +272,29 @@ def matchings_through_edge(
     covered = [False] * g.n
     covered[u] = covered[v] = True
     yield from _match_dfs(g, covered, [eid], index, deadline)
+
+
+def select_matchings(g: Pseudograph, selector: str, deadline: Optional[float] = None) -> Iterable[PerfectMatching]:
+    """The perfect matchings `flow search --matching SELECTOR` searches, in
+    stream order: "all" (every one), "INDEX" (the INDEX-th, from 0) or
+    "edge=ID" (those through edge ID).  Raises InputError on an index past
+    the last matching or an edge id that is out of range or a loop, and
+    ValueError when INDEX or ID is not an integer; an INDEX is looked up at
+    once, under the deadline."""
+    if selector == "all":
+        return enumerate_perfect_matchings(g, deadline=deadline)
+    if selector.startswith("edge="):
+        eid = int(selector[5:])
+        if not 0 <= eid < g.m or g.is_loop(eid):
+            raise InputError(f"--matching {selector}: no non-loop edge {eid}")
+        return matchings_through_edge(g, eid, deadline=deadline)
+    idx = int(selector)
+    picked = []
+    if idx >= 0:
+        picked = list(islice(enumerate_perfect_matchings(g, deadline=deadline), idx, idx + 1))
+    if not picked:
+        raise InputError(f"--matching {selector}: no perfect matching with index {idx}")
+    return picked
 
 
 @dataclass(frozen=True)

@@ -202,15 +202,16 @@ class TestCliExitCodes:
         assert "matchings checked" not in capsys.readouterr().out
 
     def test_matching_index_stops_the_stream_at_the_chosen_matching(self, monkeypatch, capsys):
-        import ncflow.cli as cli
+        import ncflow.matchings as matchings
 
-        real = cli.enumerate_perfect_matchings
+        real = matchings.enumerate_perfect_matchings
 
         def stream_that_must_stop(g, deadline=None):
             yield from itertools.islice(real(g, deadline=deadline), 3)
             raise AssertionError("matchings after the chosen one were enumerated")
 
-        monkeypatch.setattr(cli, "enumerate_perfect_matchings", stream_that_must_stop)
+        # the stream `select_matchings` reads for --matching INDEX
+        monkeypatch.setattr(matchings, "enumerate_perfect_matchings", stream_that_must_stop)
         # no matching of the Petersen graph has a flow, so only the stream can stop the search
         assert main(["flow", "search", "petersen", "--matching", "2"]) == 1
         assert "matchings checked: 1" in capsys.readouterr().out
@@ -401,11 +402,26 @@ class TestCliResourceLimits:
     def test_batch_keeps_a_row_per_graph(self, pure_python_coloring, tmp_path, capsys):
         corpus, report = tmp_path / "corpus.txt", tmp_path / "report.json"
         corpus.write_text("\n".join(lines_for(hub_graph(600), k4())) + "\n")
-        assert main(["batch", str(corpus), "--mode", "chi-n", "--report", str(report)]) == 1
+        assert main(["batch", str(corpus), "--mode", "chi-n", "--report", str(report)]) == 3
         rows = json.loads(report.read_text())["rows"]
         assert [row["index"] for row in rows] == [0, 1]
         assert rows[0]["error"].startswith("resource-limit: coloring search over 1800 edges")
         assert rows[1]["verdict"] == "3"
+
+    @pytest.mark.parametrize(
+        "lines, timeout, code",
+        [
+            ([k4(), k33(), petersen()], "300", 0),  # a "no" row is a verdict, not an error
+            ([k4(), "not a graph", k33()], "300", 2),
+            (["not a graph", k33()], "0", 3),  # the timeout outranks the input error
+        ],
+    )
+    def test_batch_exit_codes(self, lines, timeout, code, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("NZFLOW_TIMEOUT_SECS", timeout)
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("\n".join(x if isinstance(x, str) else lines_for(x)[0] for x in lines) + "\n")
+        assert main(["batch", str(corpus), "--mode", "nonconflicting"]) == code
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestCliFiles:

@@ -133,6 +133,65 @@ class TestOtherKinds:
         cert.stats = {}
         assert not verify_certificate(cert, g)
 
+    @pytest.mark.parametrize("checked, ok", [(6, True), (5, False), (7, False), (0, False)])
+    def test_negative_certificate_replays_the_search(self, checked, ok):
+        g = petersen()
+        cert = Certificate(
+            kind="no-flow-for-any-matching",
+            graph_fingerprint=fingerprint(g),
+            payload={"selector": "all"},
+            stats={"matchings_checked": checked},
+        )
+        assert verify_certificate(cert, g) is ok
+
+    def test_forged_negative_is_refuted(self):
+        # K33 has a flow, so no count makes its negative true
+        g = k33()
+        for stats in ({"matchings_checked": 0}, {"matchings_checked": 6}):
+            cert = Certificate(
+                kind="no-flow-for-any-matching", graph_fingerprint=fingerprint(g), payload={}, stats=stats
+            )
+            assert verify_certificate(cert, g) is False
+
+    @pytest.mark.parametrize("selector", ["edge=0", "edge=14", "3"])
+    def test_negative_certificate_round_trips_from_the_cli(self, selector, tmp_path, capsys):
+        from ncflow.cli import main
+
+        path = tmp_path / "cert.json"
+        assert main(["flow", "search", "petersen", "--matching", selector, "--certificate", str(path)]) == 1
+        cert = Certificate.from_json(path.read_text())
+        assert cert.payload == {"selector": selector}
+        assert verify_certificate(cert, petersen())
+        cert.stats["matchings_checked"] += 1
+        assert not verify_certificate(cert, petersen())
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"selector": s} for s in ("edge=99", "6", "x", 3, None)] + [["selector", "all"]],
+    )
+    def test_negative_certificate_with_a_bad_selector_is_refuted(self, payload):
+        g = petersen()
+        cert = Certificate(
+            kind="no-flow-for-any-matching",
+            graph_fingerprint=fingerprint(g),
+            payload=payload,
+            stats={"matchings_checked": 1},
+        )
+        assert verify_certificate(cert, g) is False
+
+    def test_negative_replay_honours_the_deadline(self):
+        from ncflow.kernels import SearchTimeout
+
+        g = petersen()
+        cert = Certificate(
+            kind="no-flow-for-any-matching",
+            graph_fingerprint=fingerprint(g),
+            payload={},
+            stats={"matchings_checked": 6},
+        )
+        with pytest.raises(SearchTimeout):
+            verify_certificate(cert, g, deadline=0.0)
+
     def test_unknown_kind_rejected_on_load(self):
         with pytest.raises(InputError):
             Certificate.from_json('{"kind": "bogus", "graph_fingerprint": "x"}')

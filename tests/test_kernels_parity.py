@@ -29,6 +29,7 @@ from ncflow.generators import (
     k33,
     petersen,
     replace_vertex_with_triangle,
+    triangle_replace_all,
 )
 from ncflow.graph import contract_two_factor
 from ncflow.matchings import complement_two_factor, enumerate_perfect_matchings
@@ -121,7 +122,7 @@ class TestFlowParity:
         for impl in (_kernels_py, compiled):
             with pytest.raises(_kernels_py.SearchTimeout):
                 impl.flow_search(*instance, "min", deadline=time.monotonic() + 0.002)
-            assert impl.flow_search(*instance, "first") == (None, 0, 2948)
+            assert impl.flow_search(*instance, "first") == (None, 0, 356)
 
     @pytest.mark.parametrize("mode,values", [("first", (0, 1, 2, 3)), ("min", (1, 2, 3, 0)), ("count", (1, 2, 3))])
     def test_zero_value_and_unknown_mode_raise_in_both(self, mode, values, compiled):
@@ -258,6 +259,58 @@ class TestFlowOracle:
         assert (vals, conf) == ((clean[0], 0) if clean else (None, 0))
         vals, conf, _nodes = results["min"]
         assert (vals, conf) == (fewest if fewest else (None, 0))
+
+
+# The first conflict-free flow of every matching, in enumeration order,
+# as the canonical search returned it before "first" gained its fail-first
+# phase; None where there is none.  On k23_with_p10v the two phases take
+# the vertices in different sequences on 12 of the 16 matchings.  The
+# positive matchings of triangle_replace_all(k33) contract triangles only,
+# so all their quotient degrees are equal and one search runs.
+FIRST_FLOW_GOLDEN = {
+    "k23_with_p10v": (
+        ["133313332"] * 3 + ["133333132", "331313332", "331333132"] + ["133313332"] * 2
+        + ["313331332", "313313332", "133133132", "133133132", "133331332", "133313332"]
+        + ["133133132"] * 2
+    ),
+    "triangle_replace_all(k33)": [None if c == "-" else "1" * 9 for c in "-----11--1-11-1-"],
+}
+
+
+class TestFailFirst:
+    """ "first" refutes in fail-first order and returns the canonical flow."""
+
+    @pytest.mark.parametrize("name", sorted(FIRST_FLOW_GOLDEN))
+    def test_flows_are_those_of_the_canonical_order(self, name, compiled):
+        g = {"k23_with_p10v": k23_with_p10v, "triangle_replace_all(k33)": lambda: triangle_replace_all(k33())}[name]()
+        for f, want in zip(enumerate_perfect_matchings(g), FIRST_FLOW_GOLDEN[name], strict=True):
+            for impl in (_kernels_py, compiled):
+                vals, conf, _nodes = impl.flow_search(*kernel_instance(g, f), "first")
+                assert (vals and "".join(map(str, vals)), conf) == (want, 0)
+
+    def test_nodes_of_the_exhaustive_negative(self, compiled):
+        # all 5,120 matchings of counterexample_family(2) (ROADMAP's W2):
+        # 11,650,048 nodes in the canonical order alone
+        g = counterexample_family(2)
+        instances = [kernel_instance(g, f) for f in enumerate_perfect_matchings(g)]
+        for impl in (_kernels_py, compiled):
+            results = [impl.flow_search(*args, "first") for args in instances]
+            assert {r[:2] for r in results} == {(None, 0)}
+            assert sum(r[2] for r in results) == 1063936
+
+    def test_deadline_inside_phase_1(self, compiled):
+        # Petersen has no nowhere-zero Z2^2 flow, and each loop, which
+        # conservation ignores, triples the search: "first" exhausts its
+        # fail-first phase after 10,742,419 nodes (about 0.15 s in C).
+        # Vertex 9 has no loop, so it goes first there and the two phases
+        # differ; a deadline 2 ms ahead passes inside phase 1
+        g = petersen()
+        loops = list(range(9)) * 2
+        eu = [u for u, _ in g.edges] + loops
+        ev = [v for _, v in g.edges] + loops
+        for impl in (_kernels_py, compiled):
+            with pytest.raises(_kernels_py.SearchTimeout):
+                impl.flow_search(g.n, eu, ev, [], [], "first", deadline=time.monotonic() + 0.002)
 
 
 def petersen_with_triangles(vertices):
