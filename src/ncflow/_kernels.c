@@ -127,25 +127,32 @@ static int index_of(const int *vals, int n, int x)
     return i;
 }
 
-/* The static order, steps and partner lists of the search that takes the
-   vertices in the sequence `seq`: each vertex in turn takes its edges not
-   yet placed, in id order.  `_kernels_py._step_table` builds the same. */
-static void flow_setup(FlowState *s, const int *seq)
+/* The edges in the order of the search that takes the vertices in the
+   sequence `seq`: each vertex in turn takes its edges not yet placed, in
+   id order.  `_kernels_py._edge_order` returns the same. */
+static void edge_order(FlowState *s, const int *seq, int *order)
+{
+    int *placed_at = s->depth_of; /* depth + 1 once placed */
+    memset(placed_at, 0, (size_t)s->m * sizeof(int));
+    for (int k = 0, placed = 0; k < s->nq; k++)
+        for (int i = s->inc_off[seq[k]]; i < s->inc_off[seq[k] + 1]; i++) {
+            int e = s->inc_dat[i];
+            if (!placed_at[e]) {
+                order[placed] = e;
+                placed_at[e] = ++placed;
+            }
+        }
+}
+
+/* The steps and partner lists of the search that values the edges in
+   `order`, which it keeps.  `_kernels_py._step_table` builds the same. */
+static void flow_setup(FlowState *s, int *order)
 {
     int m = s->m, nq = s->nq, npairs = s->npairs;
     const int *eu = s->eu, *ev = s->ev, *pairs = s->pairs;
     int *depth_of = s->depth_of, *last = s->last;
 
-    /* depth_of marks placed edges with depth + 1 */
-    memset(depth_of, 0, (size_t)m * sizeof(int));
-    for (int k = 0, placed = 0; k < nq; k++)
-        for (int i = s->inc_off[seq[k]]; i < s->inc_off[seq[k] + 1]; i++) {
-            int e = s->inc_dat[i];
-            if (!depth_of[e]) {
-                s->order[placed] = e;
-                depth_of[e] = ++placed;
-            }
-        }
+    s->order = order;
     /* last: the depth of the last non-loop edge at each vertex */
     for (int w = 0; w < nq; w++)
         last[w] = -1;
@@ -246,16 +253,16 @@ static int flow_rec(FlowState *s, int depth, int conf, int sym)
    fewest edges close first; if it exhausts there is no flow, and only if it finds one
    does phase 2 search again in the canonical order, whose first flow is
    returned.  Phase 1 runs only when vals with 0 is closed under XOR (then
-   every order searches the same flows) and its sequence differs from the
-   canonical one; otherwise one canonical search runs.  The node count and
-   the deadline stride run over both phases. */
+   every order searches the same flows) and it values the edges in another
+   sequence than the canonical order; otherwise one canonical search runs.
+   The node count and the deadline stride run over both phases. */
 int nc_flow_search(int nq, int m, const int *eu, const int *ev, int npairs, const int *pairs,
                    int mode, int nvals, const int *vals, double seconds,
                    int *out_val, int *out_conf, long long *out_nodes)
 {
     if (!in_range(nq, eu, m) || !in_range(nq, ev, m) || !in_range(m, pairs, 2 * npairs))
         return NC_BADINDEX;
-    size_t total = 7 * (size_t)m + 5 * (size_t)nq + (size_t)npairs + (size_t)nvals + 4;
+    size_t total = 8 * (size_t)m + 5 * (size_t)nq + (size_t)npairs + (size_t)nvals + 4;
     int *block = calloc(total, sizeof(int));
     Step *steps = malloc(((size_t)m + 1) * sizeof(Step));
     if (block == NULL || steps == NULL) {
@@ -269,7 +276,9 @@ int nc_flow_search(int nq, int m, const int *eu, const int *ev, int npairs, cons
                    .ev = ev, .pairs = pairs, .vals = vals, .steps = steps, .best_val = out_val,
                    .deadline = deadline_in(seconds)};
     int *p = block;
-    s.order = p, p += m;
+    int *orders[2]; /* the edges in fail-first, then canonical order */
+    orders[0] = p, p += m;
+    orders[1] = p, p += m;
     s.val = p, p += m;
     s.partner_off = p, p += m + 1;
     s.partner_dat = p, p += npairs;
@@ -293,9 +302,6 @@ int nc_flow_search(int nq, int m, const int *eu, const int *ev, int npairs, cons
     offsets(by_edges, m + 1);
     for (int w = 0; w < nq; w++)
         fail_first[by_edges[s.inc_off[w + 1] - s.inc_off[w]]++] = w;
-    int same = 1;
-    for (int w = 0; w < nq; w++)
-        same &= fail_first[w] == w;
 
     /* the symmetry is broken only when vals is closed under the swap, and
        phase 1 runs only when vals and 0 are closed under XOR */
@@ -308,10 +314,15 @@ int nc_flow_search(int nq, int m, const int *eu, const int *ev, int npairs, cons
             group &= vals[i] == vals[k] || index_of(vals, nvals, vals[i] ^ vals[k]) < nvals;
     }
 
-    const int *phases[2] = {fail_first, canonical};
+    int phase = 1;
+    edge_order(&s, canonical, orders[1]);
+    if (mode == MODE_FIRST && group) {
+        edge_order(&s, fail_first, orders[0]);
+        phase = memcmp(orders[0], orders[1], (size_t)m * sizeof(int)) == 0;
+    }
     int done = 0;
-    for (int phase = mode == MODE_FIRST && group && !same ? 0 : 1; phase < 2; phase++) {
-        flow_setup(&s, phases[phase]);
+    for (; phase < 2; phase++) {
+        flow_setup(&s, orders[phase]);
         s.best_conf = bound;
         done = flow_rec(&s, 0, 0, sym);
         if (done != 1) /* only a flow "first" found goes on to phase 2 */

@@ -15,12 +15,13 @@ identical semantics, node counts included:
   phases: phase 1 takes the vertices with fewest edges first (fail first),
   and only when it finds a flow does phase 2 search again in the canonical
   order, by vertex id, whose first flow is returned.  An exhaustive
-  negative thus costs one fail-first search, and the node count is the
-  sum of both phases.  Both modes break the alpha <-> beta symmetry:
-  swapping bits 0 and 1 of every value maps flows to flows with the same
-  conflicts, so until some edge holds a value the swap moves, a free edge
-  skips a value whose image comes earlier in `values`.  The flow returned
-  is unchanged by either rule: it is the first of the canonical order.
+  negative thus costs one fail-first search, a positive whose two orders
+  differ costs both, and the node count is the sum of both phases.  Both
+  modes break the alpha <-> beta symmetry: swapping bits 0 and 1 of every
+  value maps flows to flows with the same conflicts, so until some edge
+  holds a value the swap moves, a free edge skips a value whose image
+  comes earlier in `values`.  The flow returned is unchanged by either
+  rule: it is the first of the canonical order.
 * `normal_coloring_search` -- proper k-edge-coloring search with poor/rich
   pruning and canonical color introduction (colors first appear in
   increasing order, which is sound because normality is invariant under
@@ -96,30 +97,39 @@ def check_search_args(
 Step = Tuple[int, int, int, int, bool, Tuple[int, ...]]
 
 
+def _edge_order(eu: Sequence[int], ev: Sequence[int], rank: Sequence[int]) -> List[int]:
+    """The edges in the order of the search that takes vertex w as the
+    rank[w]-th: each vertex in turn takes its edges not yet placed, in id
+    order, so the edges go by their end ranked first, then by id."""
+    by_rank: List[List[int]] = [[] for _ in rank]
+    e = 0
+    for u, v in zip(eu, ev):
+        u, v = rank[u], rank[v]
+        by_rank[u if u < v else v].append(e)
+        e += 1
+    order: List[int] = []
+    for group in by_rank:
+        order += group
+    return order
+
+
 def _step_table(
+    nq: int,
     eu: Sequence[int],
     ev: Sequence[int],
     first: Sequence[int],
     second: Sequence[int],
-    rank: Sequence[int],
+    order: Sequence[int],
 ) -> List[Step]:
-    """The steps of the search that takes vertex w as the rank[w]-th: each
-    vertex in turn takes its edges not yet placed, in id order, so the
-    edges go by their end ranked first, then by id.  `steps[depth]` holds
-    the edge valued at that depth, its endpoints, the vertex it closes (the
-    first endpoint at which it is the last non-loop edge, or -1), whether
-    it closes both, and its conflict partners valued at earlier depths."""
+    """The steps of the search that values the edges in `order`:
+    `steps[depth]` holds the edge valued at that depth, its endpoints, the
+    vertex it closes (the first endpoint at which it is the last non-loop
+    edge, or -1), whether it closes both, and its conflict partners valued
+    at earlier depths."""
     m = len(eu)
-    by_rank: List[List[int]] = [[] for _ in rank]
-    for e in range(m):
-        ru, rv = rank[eu[e]], rank[ev[e]]
-        by_rank[ru if ru < rv else rv].append(e)
-    order: List[int] = []
     depth_of = [0] * m
-    for group in by_rank:
-        for e in group:
-            depth_of[e] = len(order)
-            order.append(e)
+    for d, e in enumerate(order):
+        depth_of[e] = d
     earlier: List[List[int]] = [[] for _ in range(m)]  # by depth
     for a, b in zip(first, second):
         da, db = depth_of[a], depth_of[b]
@@ -128,7 +138,7 @@ def _step_table(
         elif db < da:
             earlier[da].append(b)
     # from the deepest edge up: a non-loop edge closes each end not seen yet
-    seen = [False] * len(rank)
+    seen = [False] * nq
     steps = []
     for d in range(m - 1, -1, -1):
         e = order[d]
@@ -219,14 +229,14 @@ def flow_search(
     than the interpreter allows (about 1,000 edges; the C kernel has no
     such limit).
 
-    Edges are valued in a vertex-grouped static order (`_step_table`).  The
-    canonical order takes the vertices by id, so the edges go by their
-    lower end, then by id.  A closing edge can only take the XOR already at
-    the vertex it closes.  A later partner is still unvalued when the edge
-    is tried and a self-pair never counts, so only earlier partners are
-    kept; a duplicate pair counts twice.  A loop closes nothing and XORs
-    its value into its vertex twice, which changes nothing.  Each value
-    tried is one node, pruned or not.
+    Edges are valued in a vertex-grouped static order (`_edge_order`,
+    `_step_table`).  The canonical order takes the vertices by id, so the
+    edges go by their lower end, then by id.  A closing edge can only take
+    the XOR already at the vertex it closes.  A later partner is still
+    unvalued when the edge is tried and a self-pair never counts, so only
+    earlier partners are kept; a duplicate pair counts twice.  A loop
+    closes nothing and XORs its value into its vertex twice, which changes
+    nothing.  Each value tried is one node, pruned or not.
 
     "first" runs in two phases.  Phase 1 takes the vertices by their
     number of edges (a loop once), then by id: the vertices with fewest
@@ -241,10 +251,18 @@ def flow_search(
     under XOR, as (1, 2, 3) and 1..7 are: then every order searches the
     nowhere-zero flows over that group.  For other `values`, which flows
     are searched depends on which edges close vertices, so only the
-    canonical search runs; it also runs alone when both phases would take
-    the vertices in the same sequence.  The node count is the sum of both
-    phases, and the deadline is read every `_DEADLINE_STRIDE` nodes of that
-    sum.  "min" runs once, in the canonical order.
+    canonical search runs; it also runs alone when both orders value the
+    edges in the same sequence, as when every vertex has as many edges:
+    phase 2 would then repeat phase 1 node for node.  The node count is the
+    sum of both phases, and the deadline is read every `_DEADLINE_STRIDE`
+    nodes of that sum.  "min" runs once, in the canonical order.
+
+    The cost moves both ways.  A negative costs one fail-first search
+    instead of one canonical one, often a small fraction of it.  A positive
+    whose two edge orders differ costs a fail-first search that stops at
+    its first flow on top of the canonical one; on small quotients, where
+    either finds a flow within a few nodes per edge, that about doubles
+    the nodes of the call.
 
     Symmetry breaking (when `values` is closed under sigma =
     `_swap_alpha_beta`): sigma is an automorphism of the group that fixes
@@ -264,7 +282,6 @@ def flow_search(
     if deadline is not None and time.monotonic() > deadline:
         raise SearchTimeout
     m = len(eu)
-    canonical = list(range(nq))
 
     # x conflicts with a valued partner holding x ^ 3 (alpha+beta apart);
     # every partner read is valued, and no value is 0.  Each entry ends
@@ -280,6 +297,7 @@ def flow_search(
             if sx not in values[:i]:
                 sym.append((x, x ^ 3, sym if sx == x else full))
 
+    canonical = _edge_order(eu, ev, list(range(nq)))
     if mode == "first":
         phases = [canonical]
         edges_at = [0] * nq  # a loop once
@@ -287,24 +305,29 @@ def flow_search(
             edges_at[u] += 1
             if v != u:
                 edges_at[v] += 1
-        fail_first = sorted(canonical, key=edges_at.__getitem__)  # stable: ties by id
-        if fail_first != canonical and all(x ^ y in values for x in values for y in values if x != y):
+        # the vertex sequences differ only where some vertex has more edges
+        # than the next one
+        if edges_at != sorted(edges_at) and all(
+            x ^ y in values for x in values for y in values if x != y
+        ):
             rank = [0] * nq
-            for i, w in enumerate(fail_first):
+            for i, w in enumerate(sorted(range(nq), key=edges_at.__getitem__)):  # stable: ties by id
                 rank[w] = i
-            phases.insert(0, rank)
+            fail_first = _edge_order(eu, ev, rank)
+            if fail_first != canonical:
+                phases.insert(0, fail_first)
         found: Optional[List[int]] = None
         nodes = 0
         # a phase that exhausts settles the answer; a flow found in phase 1
         # is replaced by the canonical search's
-        for rank in phases:
-            steps = _step_table(eu, ev, first, second, rank)
+        for order in phases:
+            steps = _step_table(nq, eu, ev, first, second, order)
             found, nodes = _first_flow(steps, nq, sym, deadline, nodes)
             if found is None:
                 break
         return found, 0, nodes
 
-    steps = _step_table(eu, ev, first, second, canonical)
+    steps = _step_table(nq, eu, ev, first, second, canonical)
     acc = [0] * nq
     val = [0] * m
     nodes = 0

@@ -45,6 +45,9 @@ class BatchRow:
     detail: Dict[str, Any] = field(default_factory=dict)
     finding: bool = False
     seconds: float = 0.0
+    # stopped at the resource guard (a timeout or a resource limit); the
+    # CLI's exit code reads it, the report does not
+    resource_guard: bool = False
 
 
 @dataclass
@@ -128,8 +131,10 @@ def _run_one(args: Tuple[int, str, str, float]) -> BatchRow:
             row.error = f"unknown mode {mode!r}"
     except SearchTimeout:
         row.error = "timeout"
+        row.resource_guard = True
     except ResourceLimitError as exc:
         row.error = f"resource-limit: {exc}"
+        row.resource_guard = True
     except NcflowError as exc:
         row.error = str(exc)
     finally:

@@ -296,10 +296,9 @@ def _cmd_batch(args) -> int:
     )
     # a row stopped by the resource guard outranks any other error; a
     # batch never answers a definite negative, so it never exits 1
-    errors = [row.error for row in report.rows if row.error]
-    if any(e == "timeout" or e.startswith("resource-limit: ") for e in errors):
+    if any(row.resource_guard for row in report.rows):
         return EXIT_RESOURCE
-    return EXIT_INPUT if errors else EXIT_FOUND
+    return EXIT_INPUT if summary["errors"] else EXIT_FOUND
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -423,6 +423,20 @@ class TestCliResourceLimits:
         assert main(["batch", str(corpus), "--mode", "nonconflicting"]) == code
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_batch_exit_code_follows_the_exception_not_the_text(self, monkeypatch, tmp_path, capsys):
+        # an input error that happens to read "timeout" is still an input error
+        import ncflow.batch
+        from ncflow.errors import InputError
+
+        def parse_fails(line):
+            raise InputError("timeout")
+
+        monkeypatch.setattr(ncflow.batch, "parse_any", parse_fails)
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(lines_for(k4())[0] + "\n")
+        assert main(["batch", str(corpus), "--mode", "nonconflicting"]) == 2
+        assert json.loads(capsys.readouterr().out)["rows"][0]["error"] == "timeout"
+
 
 class TestCliFiles:
     def test_certificate_written_and_verifies(self, tmp_path, capsys):

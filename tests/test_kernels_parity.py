@@ -298,19 +298,32 @@ class TestFailFirst:
             assert {r[:2] for r in results} == {(None, 0)}
             assert sum(r[2] for r in results) == 1063936
 
-    def test_deadline_inside_phase_1(self, compiled):
-        # Petersen has no nowhere-zero Z2^2 flow, and each loop, which
-        # conservation ignores, triples the search: "first" exhausts its
-        # fail-first phase after 10,742,419 nodes (about 0.15 s in C).
-        # Vertex 9 has no loop, so it goes first there and the two phases
-        # differ; a deadline 2 ms ahead passes inside phase 1
-        g = petersen()
-        loops = list(range(9)) * 2
-        eu = [u for u, _ in g.edges] + loops
-        ev = [v for _, v in g.edges] + loops
+    def test_one_search_when_the_edge_orders_coincide(self, compiled):
+        # a theta with a loop at vertex 0: vertex 1 has fewer edges, so the
+        # fail-first sequence is (1, 0), yet it values the edges in id order
+        # as the canonical one does.  Its node count is that of one search,
+        # the count of the same graph with the two vertices swapped
         for impl in (_kernels_py, compiled):
+            a = impl.flow_search(2, [0, 0, 0, 0], [1, 1, 1, 0], [], [], "first")
+            b = impl.flow_search(2, [1, 1, 1, 1], [0, 0, 0, 1], [], [], "first")
+            assert a == b == ([1, 2, 3, 1], 0, 5)
+
+    def test_deadline_inside_phase_1(self, compiled):
+        # Vertex 0 has one edge, to Petersen's vertex 0 (here 1), and six
+        # loops, so no flow exists.  The canonical search takes vertex 0
+        # first and refutes at depth 0 without a node ("min" runs only that
+        # search), so alone it never reaches a deadline check.  The
+        # fail-first search takes vertex 0 last, after the Petersen vertices,
+        # each with two loops that conservation ignores and that triple the
+        # search; a SearchTimeout can only come from there
+        g = petersen()
+        loops = [w for w in range(1, 11) for _ in (0, 1)] + [0] * 6
+        eu = [0] + [u + 1 for u, _ in g.edges] + loops
+        ev = [1] + [v + 1 for _, v in g.edges] + loops
+        for impl in (_kernels_py, compiled):
+            assert impl.flow_search(11, eu, ev, [], [], "min") == (None, 0, 0)
             with pytest.raises(_kernels_py.SearchTimeout):
-                impl.flow_search(g.n, eu, ev, [], [], "first", deadline=time.monotonic() + 0.002)
+                impl.flow_search(11, eu, ev, [], [], "first", deadline=time.monotonic() + 0.002)
 
 
 def petersen_with_triangles(vertices):
