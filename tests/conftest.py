@@ -91,6 +91,27 @@ def claw_free_corpus() -> List[Pseudograph]:
     return graphs
 
 
+def cubic_without_a_perfect_matching(k: int) -> Pseudograph:
+    """Three k-prisms, each with one rung subdivided, and a hub joined by a
+    bridge to each subdivision vertex: 6k + 4 vertices, all of degree 3.
+    Removing the hub leaves three odd blocks, so there is no perfect
+    matching, and the enumeration backtracks through the blocks' partial
+    matchings before it ends.  It records the ones it refuted, which ends
+    the search in under 0.05 s at k = 16; at k = 24 there are more of them
+    than it records, and the search runs on for far longer."""
+    hub = 3 * (2 * k + 1)
+    edges = []
+    for block in range(3):
+        o = block * (2 * k + 1)
+        mid = o + 2 * k  # subdivides the rung o - (o + k)
+        for i in range(k):
+            edges += [(o + i, o + (i + 1) % k), (o + k + i, o + k + (i + 1) % k)]
+            if i:
+                edges.append((o + i, o + k + i))
+        edges += [(o, mid), (mid, o + k), (mid, hub)]
+    return build_graph(hub + 1, edges)
+
+
 @st.composite
 def loop_free_cubic_multigraph(draw, max_n: int = 8):
     """A loop-free cubic multigraph (parallel edges allowed) on an even

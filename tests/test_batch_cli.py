@@ -26,30 +26,11 @@ from ncflow.graph import build_graph
 from ncflow.kernels import SearchTimeout
 from ncflow.matchings import enumerate_perfect_matchings
 
-from conftest import hub_graph, petersen_of_petersens, prism, small_corpus
+from conftest import cubic_without_a_perfect_matching, hub_graph, petersen_of_petersens, prism, small_corpus
 
 
 def lines_for(*graphs):
     return [encode_graph6(g) if g.is_simple() else encode_sparse6(g) for g in graphs]
-
-
-def cubic_without_a_perfect_matching(k):
-    """Three k-prisms, each with one rung subdivided, and a hub joined by a
-    bridge to each subdivision vertex: 6k + 4 vertices, all of degree 3.
-    Removing the hub leaves three odd blocks, so there is no perfect
-    matching, and the enumeration backtracks through the blocks' partial
-    matchings for a long time before it ends."""
-    hub = 3 * (2 * k + 1)
-    edges = []
-    for block in range(3):
-        o = block * (2 * k + 1)
-        mid = o + 2 * k  # subdivides the rung o - (o + k)
-        for i in range(k):
-            edges += [(o + i, o + (i + 1) % k), (o + k + i, o + k + (i + 1) % k)]
-            if i:
-                edges.append((o + i, o + k + i))
-        edges += [(o, mid), (mid, o + k), (mid, hub)]
-    return build_graph(hub + 1, edges)
 
 
 class TestRunBatch:
@@ -252,12 +233,23 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("route", ["even", "twocycle"])
     def test_route_honours_the_deadline_without_a_perfect_matching(self, monkeypatch, route):
         # the route's matching stream yields nothing here, so only the
-        # enumeration itself can see the deadline
+        # enumeration itself can see the deadline; at 148 vertices it
+        # refutes more partial matchings than it records
         monkeypatch.setenv("NZFLOW_TIMEOUT_SECS", "0.5")
-        [literal] = lines_for(cubic_without_a_perfect_matching(16))
+        [literal] = lines_for(cubic_without_a_perfect_matching(24))
         start = time.monotonic()
         assert main(["flow", "search", literal, "--construct", route]) == 3
         assert time.monotonic() - start < 3
+
+    @pytest.mark.parametrize("args", [[], ["--construct", "twocycle"], ["--construct", "even"], ["--construct", "clawfree"]])
+    def test_no_perfect_matching_is_a_quick_negative(self, args, capsys):
+        # the enumeration remembers the partial matchings it refuted, so
+        # it proves at 100 vertices that there is no perfect matching
+        [literal] = lines_for(cubic_without_a_perfect_matching(16))
+        start = time.monotonic()
+        assert main(["flow", "search", literal, *args]) == 1
+        assert time.monotonic() - start < 1
+        assert "matchings checked: 0" in capsys.readouterr().out
 
     def test_even_route_without_a_flow_searches_every_matching(self, capsys):
         # no perfect matching of this graph leaves only even cycles, yet one has a flow

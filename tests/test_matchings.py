@@ -1,13 +1,17 @@
 """Perfect matchings, complementary 2-factors, and 3-cut-respecting streams."""
 
+import hashlib
 import itertools
 import random
+import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ncflow import matchings
 from ncflow.errors import ContractError, InputError
 from ncflow.generators import (
     counterexample_family,
@@ -32,7 +36,13 @@ from ncflow.matchings import (
     odd_cycle_count,
 )
 
-from conftest import chords, claw_free_corpus, cubic_multigraph_and_matching, small_corpus
+from conftest import (
+    chords,
+    claw_free_corpus,
+    cubic_multigraph_and_matching,
+    cubic_without_a_perfect_matching,
+    small_corpus,
+)
 
 
 def reference_matchings(g, covered, chosen):
@@ -291,8 +301,12 @@ def filtered_reference(g, eid, cuts):
     return [f for f in matchings_through_edge(g, eid) if all(len(f.as_set() & c) == 1 for c in sets)]
 
 
-def assert_pruned_stream_is_filtered(g, cuts, name=""):
-    for eid in range(g.m):
+def assert_pruned_stream_is_filtered(g, cuts, name="", rng=None):
+    """Every edge's stream, all through one cut index, against the filter.
+    With `rng` the edges come shuffled, and twice, so that a stream meets
+    states that the streams before it refuted."""
+    order = range(g.m) if rng is None else rng.sample(range(g.m), g.m) * 2
+    for eid in order:
         got = list(matchings_meeting_all_3cuts_once(g, eid, cuts))
         assert got == filtered_reference(g, eid, cuts), (name, eid)
 
@@ -310,11 +324,11 @@ class TestPrunedCutStream:
             assert_pruned_stream_is_filtered(g, three_edge_cuts(g), name)
 
     @settings(max_examples=150, deadline=None)
-    @given(cubic_multigraph_and_matching())
-    def test_random_connected_cubic_multigraphs(self, gf):
+    @given(cubic_multigraph_and_matching(), st.randoms(use_true_random=False))
+    def test_random_connected_cubic_multigraphs(self, gf, rng):
         g, _f = gf
         assume(len(connected_components(g)) == 1)
-        assert_pruned_stream_is_filtered(g, three_edge_cuts(g))
+        assert_pruned_stream_is_filtered(g, three_edge_cuts(g), rng=rng)
 
     @settings(max_examples=100, deadline=None)
     @given(cubic_multigraph_and_matching(), st.randoms(use_true_random=False))
@@ -323,7 +337,7 @@ class TestPrunedCutStream:
         # listed twice or out of range included, must still be filtered
         g, _f = gf
         triples = [tuple(rng.randrange(-1, g.m + 1) for _ in range(3)) for _ in range(rng.randrange(1, 5))]
-        assert_pruned_stream_is_filtered(g, triples)
+        assert_pruned_stream_is_filtered(g, triples, rng=rng)
 
     def test_vertex_stars_only_prune_nothing(self):
         for name, g in small_corpus() + [("tri-k4", triangle_replace_all(k4()))]:
@@ -345,6 +359,64 @@ class TestPrunedCutStream:
             eid = rng.randrange(g.m)
             assert list(matchings_meeting_all_3cuts_once(g, eid, cuts)) == filtered_reference(g, eid, cuts)
             assert list(matchings_meeting_all_3cuts_once(g, eid)) == filtered_reference(g, eid, three_edge_cuts(g))
+
+
+@st.composite
+def small_pseudograph(draw):
+    """Any graph on up to 10 vertices, loops and parallel edges allowed."""
+    n = draw(st.integers(1, 10))
+    vertex = st.integers(0, n - 1)
+    return build_graph(n, draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n)))
+
+
+class TestRefutedStates:
+    """The search skips states it has refuted, and that changes no stream."""
+
+    def test_family_stream_is_unchanged(self):
+        # the digest of the stream as the search without refuted states gave it
+        digest = hashlib.sha256()
+        count = 0
+        for f in enumerate_perfect_matchings(counterexample_family(2)):
+            digest.update((" ".join(map(str, f.edge_ids)) + "\n").encode())
+            count += 1
+        assert count == 5120
+        assert digest.hexdigest() == "eef9a314010b34792b7c1890c38fc9bed8bde94a89815b43f29c0509e4af9412"
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_pseudograph())
+    def test_plain_streams_are_the_reference(self, g):
+        got = [f.edge_ids for f in enumerate_perfect_matchings(g)]
+        assert got == list(reference_matchings(g, [False] * g.n, []))
+        for eid in range(g.m):
+            expected = []
+            if not g.is_loop(eid):
+                covered = [False] * g.n
+                u, v = g.endpoints(eid)
+                covered[u] = covered[v] = True
+                expected = list(reference_matchings(g, covered, [eid]))
+            assert [f.edge_ids for f in matchings_through_edge(g, eid)] == expected
+
+    def test_first_matching_of_the_family_at_l4(self):
+        g = counterexample_family(4)
+        f = next(enumerate_perfect_matchings(g, deadline=time.monotonic() + 5))
+        assert len(covered_vertices(g, f.edge_ids)) == g.n
+
+    def test_memory_stays_under_the_cap(self, monkeypatch):
+        # 244 vertices and no perfect matching: the search refutes states
+        # until its deadline.  tracemalloc slows it about tenfold, so the
+        # cap is lowered to one it passes well before then.
+        monkeypatch.setattr(matchings, "_DEAD_CAP", 1 << 12)
+        g = cubic_without_a_perfect_matching(40)
+        # a state's int, and at most four 16-byte slots of the set's table
+        per_state = sys.getsizeof((1 << g.n) - 1) + 64
+        tracemalloc.start()
+        try:
+            with pytest.raises(SearchTimeout):
+                next(enumerate_perfect_matchings(g, deadline=time.monotonic() + 0.5), None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < matchings._DEAD_CAP * per_state + (64 << 10)
 
 
 class TestDeadline:

@@ -25,7 +25,8 @@ SOURCES = sorted(Path(ncflow.__file__).parent.glob("*.py"))
 GLOBAL_ALLOWED = {
     ("matchings.py", "_cut_index"): (
         "keeps the index of the last graph's 3-edge cuts, since callers pass "
-        "the same cuts for every edge of one graph"
+        "the same cuts for every edge of one graph, and with it the partial "
+        "matchings that the searches through those edges have refuted"
     ),
 }
 
