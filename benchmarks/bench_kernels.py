@@ -13,10 +13,10 @@ Cases:
   counterexample_family(2), one from each block of 160 in enumeration
   order: the exhaustive negatives whose speed decides whether a compiled
   flow kernel is worth keeping (ROADMAP item 7's gate).  Refuted in
-  fail-first order they expand 6,721 nodes, against 74,671 in the
-  canonical order alone, and Python took 5.9-6.3x as long as C on them
-  (5.3-5.9 ms against 0.90-0.93 ms a pass, two runs on a shared 2-CPU
-  x86-64 host), against 22.1x in the canonical order;
+  fail-first order they expand 6,721 nodes, against 74,671 with the
+  vertices by id, and Python took 5.9-6.3x as long as C on them (5.3-5.9
+  ms against 0.90-0.93 ms a pass, two runs on a shared 2-CPU x86-64
+  host), against 22.1x with the vertices by id;
 - normal_coloring_search on fig3 (k = 6) and k23_with_p10v (k = 4).
 
 Each time is seconds per call, the best of three batches; a batch repeats

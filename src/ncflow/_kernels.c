@@ -4,14 +4,14 @@
    (`python setup.py build_ext --inplace` does the same).
 
    Both searches return what `_kernels_py` returns, node counts included:
-   the edge orders, the two phases of the "first" flow search and their
-   summed node count, the alpha <-> beta symmetry rule of the flow search,
+   the edge orders, the alpha <-> beta symmetry rule of the flow search,
    the depth at which the coloring search looks one edge ahead and the
    deadline stride are the same.  Each entry point takes plain int
    arrays, builds its own order, incidence and partner arrays, frees them
-   on every path and returns a status code.  A deadline is given as the
-   seconds left (negative: none) and read from CLOCK_MONOTONIC every
-   DEADLINE_STRIDE nodes. */
+   on every path and returns a status code.  Neither recurses: each keeps
+   its candidates in per-depth arrays, so deep inputs need no stack.  A
+   deadline is given as the seconds left (negative: none) and read from
+   CLOCK_MONOTONIC every DEADLINE_STRIDE nodes. */
 
 #define _POSIX_C_SOURCE 199309L
 
@@ -100,14 +100,15 @@ typedef struct {
 
 /* The search state, and what `flow_setup` reads to fill it: the edges,
    the conflict pairs (first edges, then second edges), incidence lists in
-   id order with a loop once, and its scratch arrays depth_of (m ints) and
-   last (nq ints). */
+   id order with a loop once, its scratch arrays depth_of (m ints) and
+   last (nq ints), and the per-depth arrays of `flow_walk` (m + 1 ints
+   each). */
 typedef struct {
     int nq, m, npairs, mode, nvals, best_conf;
     const int *eu, *ev, *pairs, *vals;
     Step *steps;
     int *order, *acc, *val, *best_val, *partner_off, *partner_dat, *sym_skip;
-    int *inc_off, *inc_dat, *depth_of, *last;
+    int *inc_off, *inc_dat, *depth_of, *last, *next, *conf, *sym;
     long long nodes;
     double deadline;
 } FlowState;
@@ -185,44 +186,59 @@ static void flow_setup(FlowState *s, int *order)
 }
 
 /* 1 once "first" has its flow, TIMED_OUT on the deadline, 0 otherwise.
-   val[d] is the value at depth d and acc[w] the XOR of the values at w,
-   so an edge that closes a vertex can only take acc there (a loop XORs
-   its value in twice, which changes nothing); every value is XORed out
-   again on the way back, so acc is all zeros after a search that did not
-   time out.  `sym` holds while every value so far is swap-fixed; a free
-   edge then skips each value whose swap comes earlier in `vals`, and a
+   The search walks the depths in a loop and keeps, per depth, the index
+   of the next candidate (next), the conflicts of the values above it
+   (conf) and whether they are all swap-fixed (sym), so its depth is
+   bounded by memory, not by the stack.  val[d] is the value at depth d
+   and acc[w] the XOR of the values at w, so an edge that closes a vertex
+   can only take acc there (a loop XORs its value in twice, which changes
+   nothing); every value is XORed out again on the way back, so acc is
+   all zeros after a search that did not time out.  While sym holds, a
+   free edge skips each value whose swap comes earlier in `vals`, and a
    skipped value is not a node.  A value conflicts with a partner (an
    earlier depth) alpha + beta apart, and a branch is cut once its
-   conflicts reach best_conf. */
-static int flow_rec(FlowState *s, int depth, int conf, int sym)
+   conflicts reach best_conf.  No value is 0, so x = 0 marks a depth
+   with no candidate left. */
+static int flow_walk(FlowState *s, int sym_start)
 {
-    if (depth == s->m) {
-        if (conf < s->best_conf) {
-            s->best_conf = conf;
-            for (int d = 0; d < s->m; d++)
-                s->best_val[s->order[d]] = s->val[d];
-            if (s->mode == MODE_FIRST)
-                return 1;
+    int m = s->m, depth = 0;
+    int *next = s->next, *conf = s->conf, *sym = s->sym;
+    next[0] = conf[0] = 0;
+    sym[0] = sym_start;
+    for (;;) {
+        const Step *st = &s->steps[depth];
+        int x = 0;
+        if (depth == m) {
+            if (conf[m] < s->best_conf) {
+                s->best_conf = conf[m];
+                for (int d = 0; d < m; d++)
+                    s->best_val[s->order[d]] = s->val[d];
+                if (s->mode == MODE_FIRST)
+                    return 1;
+            }
+        } else if (st->closes >= 0) {
+            if (next[depth]++ == 0) {
+                x = s->acc[st->closes];
+                if (st->both && s->acc[st->v] != x)
+                    x = 0;
+            }
+        } else {
+            while (next[depth] < s->nvals && sym[depth] && s->sym_skip[next[depth]])
+                next[depth]++;
+            if (next[depth] < s->nvals)
+                x = s->vals[next[depth]++];
         }
-        return 0;
-    }
-    const Step *st = &s->steps[depth];
-    const int *cand = s->vals;
-    int ncand = s->nvals, forced;
-    if (st->closes >= 0) {
-        forced = s->acc[st->closes];
-        if (forced == 0 || (st->both && s->acc[st->v] != forced))
-            return 0;
-        cand = &forced;
-        ncand = 1;
-    }
-    for (int i = 0; i < ncand; i++) {
-        if (sym && st->closes < 0 && s->sym_skip[i])
+        if (x == 0) { /* back to the depth above, taking its value out */
+            if (depth == 0)
+                return 0;
+            depth--;
+            s->acc[s->steps[depth].u] ^= s->val[depth];
+            s->acc[s->steps[depth].v] ^= s->val[depth];
             continue;
-        int x = cand[i];
+        }
         if (tick(&s->nodes, s->deadline))
             return TIMED_OUT;
-        int c = conf;
+        int c = conf[depth];
         for (int p = s->partner_off[depth]; p < s->partner_off[depth + 1] && c < s->best_conf; p++)
             c += (s->val[s->partner_dat[p]] ^ x) == 3;
         if (c >= s->best_conf)
@@ -230,39 +246,33 @@ static int flow_rec(FlowState *s, int depth, int conf, int sym)
         s->val[depth] = x;
         s->acc[st->u] ^= x;
         s->acc[st->v] ^= x;
-        int done = flow_rec(s, depth + 1, c, sym && swap_alpha_beta(x) == x);
-        s->acc[st->u] ^= x;
-        s->acc[st->v] ^= x;
-        if (done)
-            return done;
+        depth++;
+        next[depth] = 0;
+        conf[depth] = c;
+        sym[depth] = sym[depth - 1] && swap_alpha_beta(x) == x;
     }
-    return 0;
 }
 
 /* Nowhere-zero flows of the multigraph on nq vertices with edges
    eu[i]-ev[i], XOR conservation at every vertex, free edges valued from
-   vals in the order given.  pairs holds the first edges of npairs
-   conflict pairs, then their second edges.  mode 0 ("first") looks for a
-   flow without conflicts, mode 1 ("min") for the first flow with the
-   fewest.  On NC_FOUND the flow is in out_val and its conflict count in
-   *out_conf; *out_nodes is set on NC_FOUND, NC_EXHAUSTED and NC_TIMEOUT.
+   vals in the order given; vals with 0 must be closed under XOR, as
+   `_kernels_py.check_search_args` requires.  pairs holds the first edges
+   of npairs conflict pairs, then their second edges.  mode 0 ("first")
+   looks for a flow without conflicts, mode 1 ("min") for the first flow
+   with the fewest.  On NC_FOUND the flow is in out_val and its conflict
+   count in *out_conf; *out_nodes is set on NC_FOUND, NC_EXHAUSTED and
+   NC_TIMEOUT.
 
-   The canonical order takes the vertices by id.  "first" runs in two
-   phases, as `_kernels_py.flow_search` does: phase 1 takes the vertices by
-   their number of edges (a loop once), then by id, so the vertices with
-   fewest edges close first; if it exhausts there is no flow, and only if it finds one
-   does phase 2 search again in the canonical order, whose first flow is
-   returned.  Phase 1 runs only when vals with 0 is closed under XOR (then
-   every order searches the same flows) and it values the edges in another
-   sequence than the canonical order; otherwise one canonical search runs.
-   The node count and the deadline stride run over both phases. */
+   Both modes search once, in the order of `_kernels_py.flow_search`: the
+   vertices by their number of edges (a loop once), then by id, so the
+   vertices with fewest edges close first (fail first). */
 int nc_flow_search(int nq, int m, const int *eu, const int *ev, int npairs, const int *pairs,
                    int mode, int nvals, const int *vals, double seconds,
                    int *out_val, int *out_conf, long long *out_nodes)
 {
     if (!in_range(nq, eu, m) || !in_range(nq, ev, m) || !in_range(m, pairs, 2 * npairs))
         return NC_BADINDEX;
-    size_t total = 8 * (size_t)m + 5 * (size_t)nq + (size_t)npairs + (size_t)nvals + 4;
+    size_t total = 10 * (size_t)m + 4 * (size_t)nq + (size_t)npairs + (size_t)nvals + 7;
     int *block = calloc(total, sizeof(int));
     Step *steps = malloc(((size_t)m + 1) * sizeof(Step));
     if (block == NULL || steps == NULL) {
@@ -274,11 +284,10 @@ int nc_flow_search(int nq, int m, const int *eu, const int *ev, int npairs, cons
     int bound = mode == MODE_FIRST ? 1 : npairs + 1;
     FlowState s = {.nq = nq, .m = m, .npairs = npairs, .mode = mode, .nvals = nvals, .eu = eu,
                    .ev = ev, .pairs = pairs, .vals = vals, .steps = steps, .best_val = out_val,
-                   .deadline = deadline_in(seconds)};
+                   .best_conf = bound, .deadline = deadline_in(seconds)};
     int *p = block;
-    int *orders[2]; /* the edges in fail-first, then canonical order */
-    orders[0] = p, p += m;
-    orders[1] = p, p += m;
+    int *order = p;
+    p += m;
     s.val = p, p += m;
     s.partner_off = p, p += m + 1;
     s.partner_dat = p, p += npairs;
@@ -288,46 +297,31 @@ int nc_flow_search(int nq, int m, const int *eu, const int *ev, int npairs, cons
     s.last = p, p += nq;
     s.inc_off = p, p += nq + 1;
     s.inc_dat = p, p += 2 * m;
-    int *canonical = p;
-    p += nq;
+    s.next = p, p += m + 1;
+    s.conf = p, p += m + 1;
+    s.sym = p, p += m + 1;
     int *fail_first = p; /* the vertices by (edges, id), counted out */
     p += nq;
     int *by_edges = p; /* m + 2 ints */
     incidence(nq, m, eu, ev, 1, s.inc_off, s.inc_dat);
 
-    for (int w = 0; w < nq; w++) {
-        canonical[w] = w;
+    for (int w = 0; w < nq; w++)
         by_edges[s.inc_off[w + 1] - s.inc_off[w] + 1]++;
-    }
     offsets(by_edges, m + 1);
     for (int w = 0; w < nq; w++)
         fail_first[by_edges[s.inc_off[w + 1] - s.inc_off[w]]++] = w;
 
-    /* the symmetry is broken only when vals is closed under the swap, and
-       phase 1 runs only when vals and 0 are closed under XOR */
-    int sym = 1, group = 1;
+    /* the symmetry is broken only when vals is closed under the swap */
+    int sym = 1;
     for (int i = 0; i < nvals; i++) {
         int j = index_of(vals, nvals, swap_alpha_beta(vals[i]));
         sym &= j < nvals;
         s.sym_skip[i] = j < i;
-        for (int k = 0; k < nvals; k++)
-            group &= vals[i] == vals[k] || index_of(vals, nvals, vals[i] ^ vals[k]) < nvals;
     }
 
-    int phase = 1;
-    edge_order(&s, canonical, orders[1]);
-    if (mode == MODE_FIRST && group) {
-        edge_order(&s, fail_first, orders[0]);
-        phase = memcmp(orders[0], orders[1], (size_t)m * sizeof(int)) == 0;
-    }
-    int done = 0;
-    for (; phase < 2; phase++) {
-        flow_setup(&s, orders[phase]);
-        s.best_conf = bound;
-        done = flow_rec(&s, 0, 0, sym);
-        if (done != 1) /* only a flow "first" found goes on to phase 2 */
-            break;
-    }
+    edge_order(&s, fail_first, order);
+    flow_setup(&s, order);
+    int done = flow_walk(&s, sym);
     free(block);
     free(steps);
     *out_nodes = s.nodes;
@@ -345,7 +339,7 @@ typedef unsigned long long Mask;
 typedef struct {
     int m, k, words;
     const int *eu, *ev;
-    int *order, *color, *adj_off, *adj_dat, *closed_uncolored, *last;
+    int *order, *color, *adj_off, *adj_dat, *closed_uncolored, *last, *next, *maxused;
     Mask *pal, *palette;
     long long nodes;
     double deadline;
@@ -407,55 +401,72 @@ static int star_ok(const ColorState *s, int g)
     return left > 1 || (left == 1 ? star_can_be_normal(s, g) : star_colors(s, g) != 4);
 }
 
-/* 1 once every edge is colored, TIMED_OUT on the deadline, 0 otherwise.
-   Colors enter in increasing order (at most maxused + 1), and a color is
-   free for e when it is in neither mask at e's ends.
-   closed_uncolored[g] counts the uncolored edges of g's closed star.  An
-   edge whose star completes must see 3 or 5 colors (poor or rich).  An
-   edge whose count drops to 1 is looked at one edge ahead
-   (`star_can_be_normal`): the branch is cut when no color in 1..k that
-   the last edge could still take leaves the edge normal.  The check reads
-   all of 1..k, not only the colors up to maxused + 1 that canonical
-   introduction lets the last edge take, and every color that the last
-   edge takes later is free now, so it cuts only branches with no normal
-   completion: the first coloring found is the same as without it, with
-   fewer nodes.  It fires once per edge, on the drop to 1, at the depth
-   where `_kernels_py` fires it, so node counts stay equal. */
-static int color_rec(ColorState *s, int depth, int maxused)
+/* Puts color c on e (put = 1) or takes it off again (put = 0): its bit
+   at both ends, and the uncolored counts of e's closed star and of the
+   closed stars e is on. */
+static void paint(ColorState *s, int e, int c, int put)
 {
-    if (depth == s->m)
-        return 1;
-    int e = s->order[depth];
-    Mask *pu = pal_at(s, s->eu[e]), *pv = pal_at(s, s->ev[e]);
-    int limit = s->k < maxused + 1 ? s->k : maxused + 1;
-    for (int c = 1; c <= limit; c++) {
+    Mask bit = (Mask)1 << c % 64;
+    Mask *pu = &pal_at(s, s->eu[e])[c / 64], *pv = &pal_at(s, s->ev[e])[c / 64];
+    int step = put ? -1 : 1;
+    *pu = put ? *pu | bit : *pu & ~bit;
+    *pv = put ? *pv | bit : *pv & ~bit;
+    s->closed_uncolored[e] += step;
+    for (int i = s->adj_off[e]; i < s->adj_off[e + 1]; i++)
+        s->closed_uncolored[s->adj_dat[i]] += step;
+}
+
+/* 1 once every edge is colored, TIMED_OUT on the deadline, 0 otherwise.
+   The search walks the depths in a loop and keeps, per depth, the next
+   color to try (next) and the highest color used above it (maxused), so
+   its depth is bounded by memory, not by the stack.  Colors enter in
+   increasing order (at most maxused + 1), and a color is free for e when
+   it is in neither mask at e's ends.  closed_uncolored[g] counts the
+   uncolored edges of g's closed star.  An edge whose star completes must
+   see 3 or 5 colors (poor or rich).  An edge whose count drops to 1 is
+   looked at one edge ahead (`star_can_be_normal`): the branch is cut
+   when no color in 1..k that the last edge could still take leaves the
+   edge normal.  The check reads all of 1..k, not only the colors up to
+   maxused + 1 that canonical introduction lets the last edge take, and
+   every color that the last edge takes later is free now, so it cuts
+   only branches with no normal completion: the first coloring found is
+   the same as without it, with fewer nodes.  It fires once per edge, on
+   the drop to 1, at the depth where `_kernels_py` fires it, so node
+   counts stay equal. */
+static int color_walk(ColorState *s)
+{
+    int m = s->m, depth = 0;
+    int *next = s->next, *maxused = s->maxused;
+    next[0] = 1;
+    maxused[0] = 0;
+    while (depth < m) {
+        int e = s->order[depth], c = next[depth]++;
+        if (c > s->k || c > maxused[depth] + 1) { /* back to the depth above */
+            if (depth == 0)
+                return 0;
+            depth--;
+            paint(s, s->order[depth], s->color[s->order[depth]], 0);
+            continue;
+        }
         if (tick(&s->nodes, s->deadline))
             return TIMED_OUT;
-        int w = c / 64;
-        Mask bit = (Mask)1 << c % 64;
-        if ((pu[w] | pv[w]) & bit)
+        Mask used = pal_at(s, s->eu[e])[c / 64] | pal_at(s, s->ev[e])[c / 64];
+        if (used & (Mask)1 << c % 64)
             continue;
-        pu[w] |= bit;
-        pv[w] |= bit;
-        s->closed_uncolored[e]--;
-        for (int i = s->adj_off[e]; i < s->adj_off[e + 1]; i++)
-            s->closed_uncolored[s->adj_dat[i]]--;
+        paint(s, e, c, 1);
         int ok = star_ok(s, e);
         for (int i = s->adj_off[e]; i < s->adj_off[e + 1] && ok; i++)
             ok = star_ok(s, s->adj_dat[i]);
-        if (ok) {
-            s->color[e] = c;
-            int done = color_rec(s, depth + 1, maxused > c ? maxused : c);
-            if (done)
-                return done;
+        if (!ok) {
+            paint(s, e, c, 0);
+            continue;
         }
-        s->closed_uncolored[e]++;
-        for (int i = s->adj_off[e]; i < s->adj_off[e + 1]; i++)
-            s->closed_uncolored[s->adj_dat[i]]++;
-        pu[w] &= ~bit;
-        pv[w] &= ~bit;
+        s->color[e] = c;
+        depth++;
+        next[depth] = 1;
+        maxused[depth] = maxused[depth - 1] > c ? maxused[depth - 1] : c;
     }
-    return 0;
+    return 1;
 }
 
 /* First proper k-edge-coloring of the loop-free graph on n vertices with
@@ -472,7 +483,7 @@ int nc_normal_coloring_search(int n, int m, const int *eu, const int *ev, int k,
         return NC_BADINDEX;
     int colors = k < m + 1 ? k : m + 1;
     int words = colors > 0 ? colors / 64 + 1 : 1;
-    int *block = calloc(5 * (size_t)m + 1 + (size_t)n + 1 + 2 * (size_t)m, sizeof(int));
+    int *block = calloc(9 * (size_t)m + 3 + (size_t)n + 1, sizeof(int));
     Mask *masks = calloc(((size_t)n + 1) * (size_t)words, sizeof(Mask));
     if (block == NULL || masks == NULL) {
         free(block);
@@ -485,6 +496,8 @@ int nc_normal_coloring_search(int n, int m, const int *eu, const int *ev, int k,
     s.order = p, p += m;
     s.closed_uncolored = p, p += m;
     s.last = p, p += m;
+    s.next = p, p += m + 1;
+    s.maxused = p, p += m + 1;
     int *mark = p;
     p += m;
     s.adj_off = p, p += m + 1;
@@ -555,7 +568,7 @@ int nc_normal_coloring_search(int n, int m, const int *eu, const int *ev, int k,
                 s.last[e] = s.adj_dat[i];
     }
 
-    int done = color_rec(&s, 0, 0);
+    int done = color_walk(&s);
     free(s.adj_dat);
     free(block);
     free(masks);

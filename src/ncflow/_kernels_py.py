@@ -6,22 +6,17 @@ identical semantics, node counts included:
 
 * `flow_search` -- backtracking over edge values of a group Z_2^b with
   vertex-saturation (conservation) pruning and conflict-pair pruning
-  ("first") or branch-and-bound ("min").  The edges are valued in a
-  vertex-grouped static order, so a step table built once per order
+  ("first") or branch-and-bound ("min").  Both modes search once, valuing
+  the edges in one vertex-grouped static order that takes the vertices
+  with fewest edges first (fail first), so a step table built once
   records at each depth which vertex the edge closes (its value is then
   forced) and which conflict partners are already valued; the search
-  keeps no per-vertex edge counts.  "first" mode, which prunes every
-  conflict, runs its own recursion without a conflict count, in two
-  phases: phase 1 takes the vertices with fewest edges first (fail first),
-  and only when it finds a flow does phase 2 search again in the canonical
-  order, by vertex id, whose first flow is returned.  An exhaustive
-  negative thus costs one fail-first search, a positive whose two orders
-  differ costs both, and the node count is the sum of both phases.  Both
-  modes break the alpha <-> beta symmetry: swapping bits 0 and 1 of every
-  value maps flows to flows with the same conflicts, so until some edge
-  holds a value the swap moves, a free edge skips a value whose image
-  comes earlier in `values`.  The flow returned is unchanged by either
-  rule: it is the first of the canonical order.
+  keeps no per-vertex edge counts.  "first", which prunes every conflict,
+  runs its own recursion without a conflict count.  Both modes break the
+  alpha <-> beta symmetry: swapping bits 0 and 1 of every value maps
+  flows to flows with the same conflicts, so until some edge holds a
+  value the swap moves, a free edge skips a value whose image comes
+  earlier in `values`.
 * `normal_coloring_search` -- proper k-edge-coloring search with poor/rich
   pruning and canonical color introduction (colors first appear in
   increasing order, which is sound because normality is invariant under
@@ -83,12 +78,19 @@ def check_search_args(
 ) -> None:
     """Reject what neither backend's `flow_search` handles: a mode other
     than "first" or "min", the value 0, which both use as the mark of an
-    unvalued edge (ValueError), and a bad edge list or conflict pair list
-    (`check_edge_args`: the pairs are an edge list over the m edges)."""
+    unvalued edge, values that with 0 are not closed under XOR, as a
+    closing edge takes whatever XOR conservation leaves (ValueError), and
+    a bad edge list or conflict pair list (`check_edge_args`: the pairs
+    are an edge list over the m edges)."""
     if mode not in ("first", "min"):
         raise ValueError(f"unknown flow search mode {mode!r}")
     if 0 in values:
         raise ValueError("flow values must be non-zero")
+    group = {0, *values}
+    for x in values:
+        for y in values:
+            if x ^ y not in group:
+                raise ValueError("flow values with 0 must be closed under XOR")
     check_edge_args(nq, eu, ev)
     check_edge_args(len(eu), first, second)
 
@@ -158,14 +160,15 @@ def _too_deep(m: int) -> ResourceLimitError:
 
 
 def _first_flow(
-    steps: List[Step], nq: int, start: list, deadline: Optional[float], nodes: int
+    steps: List[Step], nq: int, start: list, deadline: Optional[float]
 ) -> Tuple[Optional[List[int]], int]:
-    """(the first conflict-free flow in the order of `steps`, or None;
-    `nodes` plus the nodes this search expanded).  It prunes every
-    conflict, so it keeps no conflict count."""
+    """(the first conflict-free flow in the order of `steps`, or None; the
+    nodes expanded).  It prunes every conflict, so it keeps no conflict
+    count."""
     m = len(steps)
     acc = [0] * nq
     val = [0] * m  # not cleared on backtracking: only earlier partners are read
+    nodes = 0
 
     def first(depth: int, free: list) -> bool:
         nonlocal nodes
@@ -230,39 +233,19 @@ def flow_search(
     such limit).
 
     Edges are valued in a vertex-grouped static order (`_edge_order`,
-    `_step_table`).  The canonical order takes the vertices by id, so the
-    edges go by their lower end, then by id.  A closing edge can only take
-    the XOR already at the vertex it closes.  A later partner is still
-    unvalued when the edge is tried and a self-pair never counts, so only
-    earlier partners are kept; a duplicate pair counts twice.  A loop
-    closes nothing and XORs its value into its vertex twice, which changes
-    nothing.  Each value tried is one node, pruned or not.
-
-    "first" runs in two phases.  Phase 1 takes the vertices by their
-    number of edges (a loop once), then by id: the vertices with fewest
-    edges close first, so their constraints cut early (fail first, Haralick
-    and Elliott, Artificial Intelligence 14, 1980).  If it exhausts, there
-    is no flow.
-    Only if it finds one does phase 2 repeat the search in the canonical
-    order and return that order's first flow, so the flow returned does not
-    depend on phase 1.  Phase 1 proves a negative only when every order
-    searches the same flows.  A closing edge takes whatever XOR
-    conservation leaves there, so that holds when `values` with 0 is closed
-    under XOR, as (1, 2, 3) and 1..7 are: then every order searches the
-    nowhere-zero flows over that group.  For other `values`, which flows
-    are searched depends on which edges close vertices, so only the
-    canonical search runs; it also runs alone when both orders value the
-    edges in the same sequence, as when every vertex has as many edges:
-    phase 2 would then repeat phase 1 node for node.  The node count is the
-    sum of both phases, and the deadline is read every `_DEADLINE_STRIDE`
-    nodes of that sum.  "min" runs once, in the canonical order.
-
-    The cost moves both ways.  A negative costs one fail-first search
-    instead of one canonical one, often a small fraction of it.  A positive
-    whose two edge orders differ costs a fail-first search that stops at
-    its first flow on top of the canonical one; on small quotients, where
-    either finds a flow within a few nodes per edge, that about doubles
-    the nodes of the call.
+    `_step_table`) that takes the vertices by their number of edges (a loop
+    once), then by id, so the edges go by their end taken first, then by
+    id.  The vertices with fewest edges close first, so their constraints
+    cut early (fail first, Haralick and Elliott, Artificial Intelligence
+    14, 1980).  A closing edge can only take the XOR already at the vertex
+    it closes; as `values` with 0 is closed under XOR, that is a value of
+    the group, so every order searches the same flows and only which one
+    comes first depends on the order.  A later partner is still unvalued
+    when the edge is tried and a self-pair never counts, so only earlier
+    partners are kept; a duplicate pair counts twice.  A loop closes
+    nothing and XORs its value into its vertex twice, which changes
+    nothing.  Each value tried is one node, pruned or not, and the deadline
+    is read every `_DEADLINE_STRIDE` nodes.
 
     Symmetry breaking (when `values` is closed under sigma =
     `_swap_alpha_beta`): sigma is an automorphism of the group that fixes
@@ -270,13 +253,12 @@ def flow_search(
     conflicts.  Until some edge holds a value sigma moves, a free edge
     skips each x whose sigma(x) comes earlier in `values` (a skipped value
     is not a node); a closing edge then takes an XOR of sigma-fixed values,
-    which is sigma-fixed itself.  This holds in any order, so both phases
-    apply it.  The flow returned is the first in the canonical order (for
-    "min", the first with the fewest conflicts), and its first sigma-moved
-    value is the earlier one of its pair, so values and conflict counts
-    are those of the unpruned search; nodes are not.  Each candidate
-    carries the candidate list of the next free edge: `full` once the
-    symmetry is broken, `sym` before.
+    which is sigma-fixed itself.  The flow returned is the first in the
+    search order (for "min", the first with the fewest conflicts), and its
+    first sigma-moved value is the earlier one of its pair, so values and
+    conflict counts are those of the unpruned search; nodes are not.  Each
+    candidate carries the candidate list of the next free edge: `full` once
+    the symmetry is broken, `sym` before.
     """
     check_search_args(nq, eu, ev, first, second, mode, values)
     if deadline is not None and time.monotonic() > deadline:
@@ -297,37 +279,18 @@ def flow_search(
             if sx not in values[:i]:
                 sym.append((x, x ^ 3, sym if sx == x else full))
 
-    canonical = _edge_order(eu, ev, list(range(nq)))
+    edges_at = [0] * nq  # a loop once
+    for u, v in zip(eu, ev):
+        edges_at[u] += 1
+        edges_at[v] += u != v
+    rank = [0] * nq
+    for i, w in enumerate(sorted(range(nq), key=edges_at.__getitem__)):  # stable: ties by id
+        rank[w] = i
+    steps = _step_table(nq, eu, ev, first, second, _edge_order(eu, ev, rank))
     if mode == "first":
-        phases = [canonical]
-        edges_at = [0] * nq  # a loop once
-        for u, v in zip(eu, ev):
-            edges_at[u] += 1
-            if v != u:
-                edges_at[v] += 1
-        # the vertex sequences differ only where some vertex has more edges
-        # than the next one
-        if edges_at != sorted(edges_at) and all(
-            x ^ y in values for x in values for y in values if x != y
-        ):
-            rank = [0] * nq
-            for i, w in enumerate(sorted(range(nq), key=edges_at.__getitem__)):  # stable: ties by id
-                rank[w] = i
-            fail_first = _edge_order(eu, ev, rank)
-            if fail_first != canonical:
-                phases.insert(0, fail_first)
-        found: Optional[List[int]] = None
-        nodes = 0
-        # a phase that exhausts settles the answer; a flow found in phase 1
-        # is replaced by the canonical search's
-        for order in phases:
-            steps = _step_table(nq, eu, ev, first, second, order)
-            found, nodes = _first_flow(steps, nq, sym, deadline, nodes)
-            if found is None:
-                break
+        found, nodes = _first_flow(steps, nq, sym, deadline)
         return found, 0, nodes
 
-    steps = _step_table(nq, eu, ev, first, second, canonical)
     acc = [0] * nq
     val = [0] * m
     nodes = 0

@@ -204,6 +204,8 @@ def _cmd_flow(args) -> int:
         if theta is not None:
             return _report_flow(g, f, theta, {}, args.certificate)
     print(f"no non-conflicting flow; matchings checked: {checked}")
+    if checked == 0 and sel == "all":
+        print("the graph has no perfect matching", file=sys.stderr)
     _write_cert(
         Certificate(
             kind="no-flow-for-any-matching",

@@ -16,7 +16,7 @@ from itertools import combinations
 from math import comb
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .errors import ContractError, InputError, NcflowError, ResourceLimitError
+from .errors import ContractError, InputError, NcflowError
 from .graph import (
     ContractedGraph,
     Pseudograph,
@@ -44,8 +44,6 @@ KLEIN_VALUES = (BETA, ALPHA, ALPHA_BETA)
 
 _KLEIN_BITS = {ALPHA: "10", BETA: "01", ALPHA_BETA: "11"}
 _KLEIN_NAMES = {ALPHA: "a", BETA: "b", ALPHA_BETA: "a+b"}
-
-MAX_QUOTIENT_EDGES = 64
 
 
 def klein_bits(v: int) -> str:
@@ -189,12 +187,9 @@ def _kernel_args(h: ContractedGraph) -> KernelArgs:
     joins eu[i] and ev[i], and conflict pair k is (first[k], second[k]),
     the quotient edges at the two ends of the k-th 2-factor edge in cycle
     order (their values XOR to alpha+beta exactly when that edge
-    conflicts).  The quotient is never built.  Raises ResourceLimitError
-    past MAX_QUOTIENT_EDGES quotient edges.
+    conflicts).  The quotient is never built.
     """
     q_edges = h.quotient_edges
-    if len(q_edges) > MAX_QUOTIENT_EDGES:
-        raise ResourceLimitError(f"quotient has {len(q_edges)} edges (> {MAX_QUOTIENT_EDGES})")
     edges, at = h.graph.edges, h.matching_edge_at
     ends = [edges[eid] for cyc in h.cycles for eid in cyc.edges]
     return (

@@ -34,7 +34,16 @@ from ncflow.generators import (
 from ncflow.graph import contract_two_factor
 from ncflow.matchings import complement_two_factor, enumerate_perfect_matchings
 
-from conftest import flat, kernel_instance, loop_free_cubic_multigraph, prism, seeded_cubic_multigraphs, small_corpus
+from conftest import (
+    claw_free_corpus,
+    corpus_16,
+    flat,
+    kernel_instance,
+    loop_free_cubic_multigraph,
+    prism,
+    seeded_cubic_multigraphs,
+    small_corpus,
+)
 
 
 def flow_instances():
@@ -113,7 +122,7 @@ class TestFlowParity:
                 impl.flow_search(q.n, eu, ev, [], [], "min", deadline=0.0)
 
     def test_deadline_inside_the_search(self, compiled):
-        # "min" on this quotient expands 2,751,154 nodes (about 25 ms in C),
+        # "min" on this quotient expands 501,907 nodes (about 8 ms in C),
         # so a deadline 2 ms ahead passes inside the search, at a strided
         # check; the backend then answers the next call as usual
         g = counterexample_family(2)
@@ -130,6 +139,15 @@ class TestFlowParity:
         for impl in (_kernels_py, compiled):
             with pytest.raises(ValueError):
                 impl.flow_search(2, [0, 0, 1], [1, 1, 0], [0], [1], mode, values=values)
+
+    @pytest.mark.parametrize("values", [(3, 1), (1, 2), (5, 6, 1)])
+    def test_values_not_a_group_with_0_raise_in_both(self, values, compiled):
+        # a closing edge takes whatever XOR conservation leaves, so over
+        # such a list the flows searched would depend on the edge order
+        for impl in (_kernels_py, compiled):
+            for mode in ("first", "min"):
+                with pytest.raises(ValueError, match="closed under XOR"):
+                    impl.flow_search(2, [0, 0, 1], [1, 1, 0], [0], [1], mode, values=values)
 
     def test_out_of_range_index_raises_in_both(self, compiled):
         # the C kernels check every index before touching memory
@@ -174,10 +192,12 @@ class TestFlowParity:
 
 
 def static_order(nq, eu, ev):
-    """The kernels' edge order: vertex by vertex, each vertex's incident
-    edges in id order, every edge at its first appearance."""
+    """The kernels' edge order: the vertices by their number of edges (a
+    loop once), then by id, each taking its incident edges in id order,
+    every edge at its first appearance."""
+    edges_at = [sum(v in (eu[e], ev[e]) for e in range(len(eu))) for v in range(nq)]
     order = []
-    for v in range(nq):
+    for v in sorted(range(nq), key=lambda v: (edges_at[v], v)):
         for e in range(len(eu)):
             if v in (eu[e], ev[e]) and e not in order:
                 order.append(e)
@@ -221,9 +241,9 @@ def conflict_count(val, pairs):
 def small_flow_instances(draw):
     """Multigraphs with loops, and conflict pairs with self-pairs and
     duplicates, small enough to enumerate every assignment.  The value
-    lists cover Z2^2 and Z2^3, a list the swap does not close, and
+    lists cover Z2^2 and Z2^3, a group the swap does not close, and
     repeated values."""
-    values = draw(st.sampled_from([(1, 2, 3), tuple(range(1, 8)), (3, 1), (2, 3, 2, 1, 3)]))
+    values = draw(st.sampled_from([(1, 2, 3), tuple(range(1, 8)), (5, 1, 4), (2, 3, 2, 1, 3)]))
     nq = draw(st.integers(1, 3))
     m = draw(st.integers(0, 4 if len(values) > 4 else 6))
     eu = draw(st.lists(st.integers(0, nq - 1), min_size=m, max_size=m))
@@ -261,12 +281,12 @@ class TestFlowOracle:
         assert (vals, conf) == (fewest if fewest else (None, 0))
 
 
-# The first conflict-free flow of every matching, in enumeration order,
-# as the canonical search returned it before "first" gained its fail-first
-# phase; None where there is none.  On k23_with_p10v the two phases take
-# the vertices in different sequences on 12 of the 16 matchings.  The
-# positive matchings of triangle_replace_all(k33) contract triangles only,
-# so all their quotient degrees are equal and one search runs.
+# The first conflict-free flow of every matching, in enumeration order;
+# None where there is none.  These are also the flows the search in
+# vertex-id order returned: on k23_with_p10v the fail-first order takes
+# the vertices in another sequence on 12 of the 16 matchings, yet finds
+# the same first flow.  The positive matchings of triangle_replace_all(k33)
+# contract triangles only, so all their quotient degrees are equal.
 FIRST_FLOW_GOLDEN = {
     "k23_with_p10v": (
         ["133313332"] * 3 + ["133333132", "331313332", "331333132"] + ["133313332"] * 2
@@ -278,7 +298,7 @@ FIRST_FLOW_GOLDEN = {
 
 
 class TestFailFirst:
-    """ "first" refutes in fail-first order and returns the canonical flow."""
+    """Both modes take the quotient vertices by number of edges, then by id."""
 
     @pytest.mark.parametrize("name", sorted(FIRST_FLOW_GOLDEN))
     def test_flows_are_those_of_the_canonical_order(self, name, compiled):
@@ -290,7 +310,7 @@ class TestFailFirst:
 
     def test_nodes_of_the_exhaustive_negative(self, compiled):
         # all 5,120 matchings of counterexample_family(2) (ROADMAP's W2):
-        # 11,650,048 nodes in the canonical order alone
+        # 11,650,048 nodes in vertex-id order
         g = counterexample_family(2)
         instances = [kernel_instance(g, f) for f in enumerate_perfect_matchings(g)]
         for impl in (_kernels_py, compiled):
@@ -298,32 +318,78 @@ class TestFailFirst:
             assert {r[:2] for r in results} == {(None, 0)}
             assert sum(r[2] for r in results) == 1063936
 
-    def test_one_search_when_the_edge_orders_coincide(self, compiled):
-        # a theta with a loop at vertex 0: vertex 1 has fewer edges, so the
-        # fail-first sequence is (1, 0), yet it values the edges in id order
-        # as the canonical one does.  Its node count is that of one search,
-        # the count of the same graph with the two vertices swapped
+    @pytest.mark.parametrize(
+        "name, mode, total",
+        [
+            ("corpus16", "first", 2165),  # 2,454 when "first" also searched in vertex-id order
+            ("corpus16", "min", 4869),
+            ("k23_with_p10v", "first", 756),  # 3,906 then
+            ("k23_with_p10v", "min", 1812),  # 4,776 in vertex-id order
+            ("claw-free corpus", "first", 10819),  # 11,056 then
+            ("claw-free corpus, 40 per graph", "min", 45895),  # 56,842,915 in vertex-id order
+        ],
+    )
+    def test_node_totals(self, name, mode, total, compiled):
+        # node counts are deterministic and equal on both backends: a
+        # regression signal with no timing in it
+        graphs = {
+            "corpus16": [g for _name, g in corpus_16()],
+            "k23_with_p10v": [k23_with_p10v()],
+            "claw-free corpus": claw_free_corpus(),
+            "claw-free corpus, 40 per graph": claw_free_corpus(),
+        }[name]
+        limit = 40 if name.endswith("per graph") else None
+        instances = [kernel_instance(g, f) for g in graphs for f in itertools.islice(enumerate_perfect_matchings(g), limit)]
         for impl in (_kernels_py, compiled):
-            a = impl.flow_search(2, [0, 0, 0, 0], [1, 1, 1, 0], [], [], "first")
-            b = impl.flow_search(2, [1, 1, 1, 1], [0, 0, 0, 1], [], [], "first")
-            assert a == b == ([1, 2, 3, 1], 0, 5)
+            assert sum(impl.flow_search(*args, mode)[2] for args in instances) == total, impl.BACKEND
 
-    def test_deadline_inside_phase_1(self, compiled):
+    @pytest.mark.parametrize("mode", ["first", "min"])
+    def test_deadline_inside_both_modes(self, mode, compiled):
         # Vertex 0 has one edge, to Petersen's vertex 0 (here 1), and six
-        # loops, so no flow exists.  The canonical search takes vertex 0
-        # first and refutes at depth 0 without a node ("min" runs only that
-        # search), so alone it never reaches a deadline check.  The
-        # fail-first search takes vertex 0 last, after the Petersen vertices,
-        # each with two loops that conservation ignores and that triple the
-        # search; a SearchTimeout can only come from there
+        # loops, so no flow exists.  In vertex-id order a search would
+        # refute at depth 0 without a node; fail first, both modes take
+        # vertex 0 last, after the Petersen vertices, each with two loops
+        # that conservation ignores and that triple the search (86,007,763
+        # nodes, over a second in C), so a deadline 2 ms ahead passes inside
         g = petersen()
         loops = [w for w in range(1, 11) for _ in (0, 1)] + [0] * 6
         eu = [0] + [u + 1 for u, _ in g.edges] + loops
         ev = [1] + [v + 1 for _, v in g.edges] + loops
         for impl in (_kernels_py, compiled):
-            assert impl.flow_search(11, eu, ev, [], [], "min") == (None, 0, 0)
             with pytest.raises(_kernels_py.SearchTimeout):
-                impl.flow_search(11, eu, ev, [], [], "first", deadline=time.monotonic() + 0.002)
+                impl.flow_search(11, eu, ev, [], [], mode, deadline=time.monotonic() + 0.002)
+
+
+DEEP_SEARCH = """
+import resource, sys
+from ncflow import kernels
+from conftest import prism
+
+resource.setrlimit(resource.RLIMIT_STACK, (1 << 20, resource.RLIM_INFINITY))
+impl = kernels.bind(sys.argv[1])
+m = 20000  # parallel edges between two vertices
+for mode in ("first", "min"):
+    vals, conf, _nodes = impl.flow_search(2, [0] * m, [1] * m, [], [], mode)
+    assert (vals, conf) == ([1] * m, 0), mode
+g = prism(4000)  # 12,000 edges
+colors, _nodes = impl.normal_coloring_search(g.n, [u for u, _ in g.edges], [v for _, v in g.edges], 3)
+assert all(len({colors[e] for e in g.incident(v)}) == 3 for v in range(g.n))
+print("ok")
+"""
+
+
+class TestDeepCompiledSearches:
+    def test_a_search_deeper_than_the_stack_answers(self, kernel_library):
+        # each C search keeps its candidates in per-depth arrays, so its
+        # depth is bounded by memory, not by the stack: a child process
+        # whose stack is held to 1 MB searches 20,000 and 12,000 edges
+        # deep (a search recursing once per edge crashed here at 10,000)
+        tests = Path(__file__).parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+        out = subprocess.run(
+            [sys.executable, "-c", DEEP_SEARCH, str(kernel_library)], env=env, capture_output=True, text=True
+        )
+        assert (out.returncode, out.stdout) == (0, "ok\n"), out.stderr
 
 
 def petersen_with_triangles(vertices):
