@@ -17,7 +17,9 @@ Cases:
   vertices by id, and Python took 5.9-6.3x as long as C on them (5.3-5.9
   ms against 0.90-0.93 ms a pass, two runs on a shared 2-CPU x86-64
   host), against 22.1x with the vertices by id;
-- normal_coloring_search on fig3 (k = 6) and k23_with_p10v (k = 4).
+- normal_coloring_search at the palettes chi_n_exact searches: Petersen
+  at k = 3 and k = 5, and k23_with_p10v, triangle_replace_all(petersen())
+  and counterexample_family(2) at k = 5.
 
 Each time is seconds per call, the best of three batches; a batch repeats
 the call until it lasts 50 ms, so sub-millisecond calls are not read off a
@@ -39,7 +41,7 @@ import time
 from ncflow import complement_two_factor, contract_two_factor, enumerate_perfect_matchings
 from ncflow import _kernels_py, kernels
 from ncflow.flows import _kernel_args
-from ncflow.generators import counterexample_family, fig3_graph, k23_with_p10v, petersen
+from ncflow.generators import counterexample_family, k23_with_p10v, petersen, triangle_replace_all
 
 BATCH_SECONDS = 0.05
 FAMILY2_BLOCK = 160
@@ -76,6 +78,17 @@ def family2_quotients(step=FAMILY2_BLOCK):
     g = counterexample_family(2)
     picks = itertools.islice(enumerate_perfect_matchings(g), 0, None, step)
     return [kernel_args(g, f) for f in picks]
+
+
+def coloring_cases():
+    petersen_graph = petersen()
+    return [
+        ("petersen/k3", petersen_graph, 3),
+        ("petersen/k5", petersen_graph, 5),
+        ("k23p10v/k5", k23_with_p10v(), 5),
+        ("tri-petersen/k5", triangle_replace_all(petersen_graph), 5),
+        ("family-l2/k5", counterexample_family(2), 5),
+    ]
 
 
 def backends():
@@ -130,11 +143,11 @@ def main():
         t0 = time.perf_counter()
         nodes = sum(impl.flow_search(*args, "first")[2] for args in every)
         show(f"family-l2/first all {len(every)}", "c", time.perf_counter() - t0, nodes, "none")
-    for label, g, k in [("fig3/k6", fig3_graph(), 6), ("k23p10v/k4", k23_with_p10v(), 4)]:
+    for label, g, k in coloring_cases():
         eu = [e[0] for e in g.edges]
         ev = [e[1] for e in g.edges]
         rows = compare(label, lambda impl: impl.normal_coloring_search(g.n, eu, ev, k))
-        for bname, secs, (colors, nodes) in rows:
+        for bname, secs, (colors, nodes, _trail) in rows:
             show(label, bname, secs, nodes, "hit" if colors else "miss")
 
 

@@ -8,7 +8,8 @@
    the depth at which the coloring search looks one edge ahead and the
    deadline stride are the same.  Each entry point takes plain int
    arrays, builds its own order, incidence and partner arrays, frees them
-   on every path and returns a status code.  Neither recurses: each keeps
+   on every path and returns a status code; the coloring search builds
+   them once for all the palettes it is given.  Neither recurses: each keeps
    its candidates in per-depth arrays, so deep inputs need no stack.  A
    deadline is given as the seconds left (negative: none) and read from
    CLOCK_MONOTONIC every DEADLINE_STRIDE nodes. */
@@ -469,29 +470,138 @@ static int color_walk(ColorState *s)
     return 1;
 }
 
-/* First proper k-edge-coloring of the loop-free graph on n vertices with
-   edges eu[i]-ev[i] with no abnormal edge.  Edges are
-   colored in BFS order over the line graph.  On NC_FOUND the colors
-   (1..k) are in out_color; *out_nodes is set on NC_FOUND, NC_EXHAUSTED
-   and NC_TIMEOUT.  The masks hold colors 1..min(k, m + 1): no search
-   uses a color above m, so color m + 1 stands for every unused color
-   above it in the look-ahead. */
-int nc_normal_coloring_search(int n, int m, const int *eu, const int *ev, int k, double seconds,
-                              int *out_color, long long *out_nodes)
+/* The closed-star order's heap: left[g] counts the uncolored edges of
+   g's closed star, done[e] the stars e would complete (those whose only
+   uncolored edge it is) and seen[e] e's colored adjacent edges;
+   heap[0..len) holds the uncolored edges and pos[e] is e's index in it
+   (-1 once colored). */
+typedef struct {
+    int *left, *done, *seen, *heap, *pos;
+    int len;
+} StarOrder;
+
+/* Edge e comes before edge f: it completes more closed stars, or as many
+   with more colored adjacent edges, or as many of both with a lower id. */
+static int before(const StarOrder *h, int e, int f)
+{
+    if (h->done[e] != h->done[f])
+        return h->done[e] > h->done[f];
+    if (h->seen[e] != h->seen[f])
+        return h->seen[e] > h->seen[f];
+    return e < f;
+}
+
+static void heap_put(StarOrder *h, int i, int e)
+{
+    h->heap[i] = e;
+    h->pos[e] = i;
+}
+
+/* Moves the entry at i up past every parent it comes before. */
+static void heap_up(StarOrder *h, int i)
+{
+    int e = h->heap[i];
+    for (; i > 0 && before(h, e, h->heap[(i - 1) / 2]); i = (i - 1) / 2)
+        heap_put(h, i, h->heap[(i - 1) / 2]);
+    heap_put(h, i, e);
+}
+
+/* Moves the entry at i down below every child that comes before it. */
+static void heap_down(StarOrder *h, int i)
+{
+    int e = h->heap[i];
+    for (;;) {
+        int c = 2 * i + 1;
+        if (c + 1 < h->len && before(h, h->heap[c + 1], h->heap[c]))
+            c++;
+        if (c >= h->len || !before(h, h->heap[c], e))
+            break;
+        heap_put(h, i, h->heap[c]);
+        i = c;
+    }
+    heap_put(h, i, e);
+}
+
+/* One more star that edge f, still uncolored, would complete, or one more
+   colored edge next to it: its keys only grow, so it only moves up. */
+static void heap_raise(StarOrder *h, int *key, int f)
+{
+    key[f]++;
+    heap_up(h, h->pos[f]);
+}
+
+/* Fills s->order with the edges in the order of `_kernels_py.
+   _coloring_steps`: next the uncolored edge completing the most closed
+   stars, then the one with the most colored adjacent edges, then the
+   lowest id.  An indexed heap whose keys only grow gives the sequence of
+   the Python twin's lazy heap in O(m log m).  work holds 5m ints. */
+static void closed_star_order(const ColorState *s, int *work)
+{
+    int m = s->m;
+    StarOrder h = {work, work + m, work + 2 * (size_t)m, work + 3 * (size_t)m, work + 4 * (size_t)m, m};
+    for (int e = 0; e < m; e++) {
+        h.left[e] = s->adj_off[e + 1] - s->adj_off[e] + 1;
+        h.done[e] = h.left[e] == 1;
+        h.seen[e] = 0;
+        heap_put(&h, e, e);
+    }
+    for (int i = m / 2 - 1; i >= 0; i--)
+        heap_down(&h, i);
+    for (int d = 0; d < m; d++) {
+        int e = h.heap[0];
+        s->order[d] = e;
+        h.pos[e] = -1;
+        if (--h.len > 0) {
+            heap_put(&h, 0, h.heap[h.len]);
+            heap_down(&h, 0);
+        }
+        for (int i = s->adj_off[e]; i < s->adj_off[e + 1]; i++)
+            if (h.pos[s->adj_dat[i]] >= 0)
+                heap_raise(&h, h.seen, s->adj_dat[i]);
+        /* the closed stars holding e: e's own and its neighbours' */
+        for (int i = s->adj_off[e] - 1; i < s->adj_off[e + 1]; i++) {
+            int g = i < s->adj_off[e] ? e : s->adj_dat[i];
+            if (--h.left[g] != 1)
+                continue;
+            int f = g; /* the star's last uncolored edge */
+            for (int j = s->adj_off[g]; h.pos[f] < 0; j++)
+                f = s->adj_dat[j];
+            heap_raise(&h, h.done, f);
+        }
+    }
+}
+
+/* Normal edge-colorings of the loop-free graph on n vertices with edges
+   eu[i]-ev[i], at the npal palettes (numbers of colors) in turn, up to
+   the first that admits one.  The incidence, adjacency, order and
+   look-ahead tables are built once, as none depends on the palette; only
+   the masks are reset between palettes.  Edges are colored in
+   `closed_star_order`.  On NC_FOUND the colors (1..that palette) are in
+   out_color.  *out_searched counts the palettes searched and out_nodes[i]
+   holds palette i's nodes, on NC_FOUND and NC_EXHAUSTED; the deadline is
+   read before each palette as well as every DEADLINE_STRIDE nodes.  The
+   masks hold colors 1..min(k, m + 1): no search uses a color above m, so
+   color m + 1 stands for every unused color above it in the
+   look-ahead. */
+int nc_normal_coloring_search(int n, int m, const int *eu, const int *ev, int npal, const int *palettes,
+                              double seconds, int *out_color, long long *out_nodes, int *out_searched)
 {
     if (!in_range(n, eu, m) || !in_range(n, ev, m))
         return NC_BADINDEX;
-    int colors = k < m + 1 ? k : m + 1;
-    int words = colors > 0 ? colors / 64 + 1 : 1;
-    int *block = calloc(9 * (size_t)m + 3 + (size_t)n + 1, sizeof(int));
-    Mask *masks = calloc(((size_t)n + 1) * (size_t)words, sizeof(Mask));
+    int widest = 1; /* words of the widest palette */
+    for (int i = 0; i < npal; i++) {
+        int colors = palettes[i] < m + 1 ? palettes[i] : m + 1;
+        if (colors > 0 && colors / 64 + 1 > widest)
+            widest = colors / 64 + 1;
+    }
+    int *block = calloc(14 * (size_t)m + 3 + (size_t)n + 1, sizeof(int));
+    Mask *masks = calloc(((size_t)n + 1) * (size_t)widest, sizeof(Mask));
     if (block == NULL || masks == NULL) {
         free(block);
         free(masks);
         return NC_NOMEM;
     }
-    ColorState s = {.m = m, .k = k, .words = words, .eu = eu, .ev = ev,
-                    .deadline = deadline_in(seconds)};
+    ColorState s = {.m = m, .eu = eu, .ev = ev, .deadline = deadline_in(seconds)};
     int *p = block;
     s.order = p, p += m;
     s.closed_uncolored = p, p += m;
@@ -504,12 +614,9 @@ int nc_normal_coloring_search(int n, int m, const int *eu, const int *ev, int k,
     int *inc_off = p;
     p += n + 1;
     int *inc_dat = p;
-    s.palette = masks;
-    s.pal = masks + words;
+    p += 2 * (size_t)m;
+    int *work = p;
     s.color = out_color;
-    /* colors 1..colors, in the palette's words */
-    for (int c = 1; c <= colors; c++)
-        s.palette[c / 64] |= (Mask)1 << c % 64;
     incidence(n, m, eu, ev, 0, inc_off, inc_dat);
 
     /* edges sharing an endpoint with e: e excluded, parallel edges once */
@@ -538,24 +645,7 @@ int nc_normal_coloring_search(int n, int m, const int *eu, const int *ev, int k,
         s.adj_off[e + 1] = len;
         s.closed_uncolored[e] = len - s.adj_off[e] + 1;
     }
-
-    /* BFS order over the line graph, so closed stars complete early
-       (mark, cleared to 0, flags placed edges) */
-    memset(mark, 0, (size_t)m * sizeof(int));
-    for (int start = 0, len = 0, head = 0; start < m; start++) {
-        if (mark[start])
-            continue;
-        mark[start] = 1;
-        s.order[len++] = start;
-        for (; head < len; head++)
-            for (int i = s.adj_off[s.order[head]]; i < s.adj_off[s.order[head] + 1]; i++) {
-                int f = s.adj_dat[i];
-                if (!mark[f]) {
-                    mark[f] = 1;
-                    s.order[len++] = f;
-                }
-            }
-    }
+    closed_star_order(&s, work);
 
     /* last[e]: the edge of e's closed star colored last (mark now holds
        each edge's depth), the one left when the star's count is 1 */
@@ -568,10 +658,30 @@ int nc_normal_coloring_search(int n, int m, const int *eu, const int *ev, int k,
                 s.last[e] = s.adj_dat[i];
     }
 
-    int done = color_walk(&s);
+    int done = 0;
+    *out_searched = 0;
+    for (int i = 0; i < npal && !done; i++) {
+        if (s.deadline >= 0 && now() > s.deadline) {
+            done = TIMED_OUT;
+            break;
+        }
+        int colors = palettes[i] < m + 1 ? palettes[i] : m + 1;
+        s.k = palettes[i];
+        s.words = colors > 0 ? colors / 64 + 1 : 1;
+        s.palette = masks;
+        s.pal = masks + s.words;
+        s.nodes = 0;
+        /* an exhausted search leaves no color on, but the masks' layout
+           follows the palette's words */
+        memset(masks, 0, ((size_t)n + 1) * (size_t)widest * sizeof(Mask));
+        for (int c = 1; c <= colors; c++) /* colors 1..colors, in the palette's words */
+            s.palette[c / 64] |= (Mask)1 << c % 64;
+        done = color_walk(&s);
+        out_nodes[i] = s.nodes;
+        *out_searched = i + 1;
+    }
     free(s.adj_dat);
     free(block);
     free(masks);
-    *out_nodes = s.nodes;
     return done == TIMED_OUT ? NC_TIMEOUT : done ? NC_FOUND : NC_EXHAUSTED;
 }

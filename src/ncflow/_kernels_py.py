@@ -22,24 +22,30 @@ identical semantics, node counts included:
   increasing order, which is sound because normality is invariant under
   palette permutation).  Each vertex keeps a bitmask of the colors at it:
   properness is one AND, abnormality a 4-bit union of two masks.  The edge
-  order is fixed, so the depth at which each edge's closed star becomes
-  fully colored is computed before the search, and every edge is checked
-  once, at that depth.  Each edge is also looked at one edge ahead, once,
-  when all but one edge f of its closed star are colored: the branch is
-  cut when no color of 1..k free at both ends of f would leave the edge
-  normal (forward checking, Haralick and Elliott, Artificial Intelligence
-  14, 1980).  The colors f may take later are among those, so only
-  branches without a normal completion are cut: the coloring returned is
-  the one the search without the look-ahead returns, and node counts fell
-  (Petersen at k = 5: 3,805 to 1,139).  Its input must be cubic and
-  loop-free; both callers (`chi_n_exact` and `admits_normal_k_coloring`)
-  refuse anything else.
+  order is fixed before the search: next comes the edge that completes the
+  most closed stars, then the one with the most colored neighbours, then
+  the lowest id (`_coloring_steps`), so each edge is checked once, at the
+  depth where its closed star becomes fully colored.  Each edge is also
+  looked at one edge ahead, once, when all but one edge f of its closed
+  star are colored: the branch is cut when no color of 1..k free at both
+  ends of f would leave the edge normal (forward checking, Haralick and
+  Elliott, Artificial Intelligence 14, 1980).  The colors f may take later
+  are among those, so only branches without a normal completion are cut:
+  the coloring returned is the one the search without the look-ahead
+  returns, in the same order.  Coloring first the edges that complete
+  stars makes the checks and the look-ahead fire early (Petersen at k = 5:
+  1,139 nodes in breadth-first order over the line graph, 513 in this
+  one).  One call searches a sequence of palettes on tables built once,
+  as none of them depends on k.  Its input must be cubic and loop-free;
+  both callers (`chi_n_exact` and `admits_normal_k_coloring`) refuse
+  anything else.
 """
 
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence, Tuple
+from heapq import heapify, heappop, heappush
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import ResourceLimitError
 
@@ -339,17 +345,94 @@ def flow_search(
     return best_val, best_conf, nodes
 
 
+# (edge, u, v, ends of the edges whose closed star it completes, and
+# (ends, ends of the star's last uncolored edge) of those whose closed star
+# it leaves with one uncolored edge)
+ColorStep = Tuple[int, int, int, Tuple[Tuple[int, int], ...], Tuple[Tuple[int, int, int, int], ...]]
+
+
+def _coloring_steps(eu: Sequence[int], ev: Sequence[int], adjacent: Sequence[Sequence[int]]) -> List[ColorStep]:
+    """The steps of the coloring search, one per depth, in the closed-star
+    order: next comes the uncolored edge that completes the most closed
+    stars (the stars whose only uncolored edge it is), then the one with
+    the most colored adjacent edges, then the lowest id.
+
+    A heap of keys (-completed, -colored neighbours, edge), packed into one
+    int, with lazy deletion gives the order in O(m log m): an edge is
+    pushed again whenever its key changes, and an entry that is no longer
+    its edge's key is skipped when it comes out.  Keys only grow in
+    priority, since a star whose only uncolored edge is f keeps it until f
+    is colored, so the sequence depends on the keys alone.  The step of
+    each depth lists the stars that its edge completes, to be checked
+    there, and those it leaves with one uncolored edge, to be looked at
+    ahead.
+    """
+    m = len(adjacent)
+    # key[e] is e less m per colored neighbour (at most m - 1 of them) and
+    # (m + 1) * m per completed star, so key[e] % m is e; a placed edge's
+    # key is m, above every entry
+    completed = (m + 1) * m
+    left = [len(a) + 1 for a in adjacent]  # uncolored edges of each closed star
+    key = [e - completed if x == 1 else e for e, x in enumerate(left)]
+    heap = key[:]
+    heapify(heap)
+    placed = [False] * m
+    steps: List[ColorStep] = []
+    for _ in range(m):
+        x = heappop(heap)
+        while x != key[x % m]:
+            x = heappop(heap)
+        e = x % m
+        key[e] = m
+        placed[e] = True
+        adj = adjacent[e]
+        for f in adj:
+            if not placed[f]:
+                key[f] -= m
+                heappush(heap, key[f])
+        checks = []
+        ahead = []
+        for g in (e, *adj):
+            left[g] -= 1
+            if left[g] == 0:
+                checks.append((eu[g], ev[g]))
+            elif left[g] == 1:  # f, the last uncolored edge, would complete g's star
+                f = g
+                if placed[g]:
+                    for f in adjacent[g]:
+                        if not placed[f]:
+                            break
+                key[f] -= completed
+                heappush(heap, key[f])
+                ahead.append((eu[g], ev[g], eu[f], ev[f]))
+        steps.append((e, eu[e], ev[e], tuple(checks), tuple(ahead)))
+    return steps
+
+
 def normal_coloring_search(
     n: int,
     eu: Sequence[int],
     ev: Sequence[int],
-    k: int,
+    k: Union[int, Sequence[int]],
     deadline: Optional[float] = None,
-) -> Tuple[Optional[List[int]], int]:
-    """First proper k-edge-coloring without abnormal edges, or None on exhaustion.
+) -> Tuple[Optional[List[int]], int, Tuple[int, ...]]:
+    """First proper edge-coloring without abnormal edges at the first
+    palette of `k` that has one.
 
-    Edges are colored in a fixed BFS order over the line graph.  `pal[v]`
-    is the bitmask of colors on the colored edges at v, so color c is free
+    `k` is one palette (a number of colors) or a sequence of palettes,
+    searched in turn on tables built once: the incidence lists, the
+    adjacency, the edge order, the checks and the look-ahead steps depend
+    on the graph alone.  The search stops at the first palette that admits
+    a coloring.  Returns (colors in 1..that palette, or None when every
+    palette is exhausted; the nodes expanded in all; the nodes expanded at
+    each palette searched, in order).  A palette's count is the one a call
+    with that palette alone returns.
+
+    Edges are colored in the static order of `_coloring_steps`, which
+    takes next the edge that completes the most closed stars, so their
+    checks and look-ahead fire early (in the spirit of maximum cardinality
+    search, Tarjan and Yannakakis, SIAM J. Comput. 13, 1984).  `pal[v]` is
+    the bitmask of colors on the colored edges at v, so color c is free
     for edge uv when bit c of `pal[u] | pal[v]` is clear, and a fully
     colored closed star of uv is abnormal when that union has 4 bits.  The
     order is static, so the depth at which each closed star becomes fully
@@ -367,71 +450,38 @@ def normal_coloring_search(
     not only the colors up to maxused + 1 that canonical introduction
     allows f, so it cuts no branch with a normal completion: the coloring
     returned is the first in the static order, as without the look-ahead,
-    and only node counts fall.
+    and only node counts fall.  Canonical introduction and the look-ahead
+    are sound in any static order, so which palettes admit a coloring does
+    not depend on the order; the coloring found and the node counts do.
 
     Endpoints of every edge must have degree 3 for the poor/rich pruning to
     apply; both callers in `ncflow.coloring` reject loops and non-cubic
-    graphs.  Returns (colors, nodes).  Raises as `check_edge_args` does
-    on a bad edge list, and ResourceLimitError as `flow_search` does.
+    graphs.  Raises as `check_edge_args` does on a bad edge list,
+    SearchTimeout once `deadline` has passed (read before each palette and
+    every `_DEADLINE_STRIDE` nodes), and ResourceLimitError as
+    `flow_search` does.
     """
     check_edge_args(n, eu, ev)
-    if deadline is not None and time.monotonic() > deadline:
-        raise SearchTimeout
+    palettes = (k,) if isinstance(k, int) else tuple(k)
     m = len(eu)
 
     incid: List[List[int]] = [[] for _ in range(n)]
-    for e in range(m):
-        incid[eu[e]].append(e)
-        incid[ev[e]].append(e)
+    for e, (u, v) in enumerate(zip(eu, ev)):
+        incid[u].append(e)
+        incid[v].append(e)
     # edges sharing an endpoint with e (e excluded, parallel edges once)
-    adjacent = [
-        list(dict.fromkeys(f for v in (eu[e], ev[e]) for f in incid[v] if f != e))
-        for e in range(m)
-    ]
+    adjacent = []
+    for e, (u, v) in enumerate(zip(eu, ev)):
+        star = dict.fromkeys(incid[u] + incid[v])
+        del star[e]
+        adjacent.append(list(star))
+    steps = _coloring_steps(eu, ev, adjacent)
 
-    # BFS order over the line graph so closed stars complete early
-    order: List[int] = []
-    placed = [False] * m
-    head = 0
-    for s in range(m):
-        if placed[s]:
-            continue
-        placed[s] = True
-        order.append(s)
-        while head < len(order):
-            for f in adjacent[order[head]]:
-                if not placed[f]:
-                    placed[f] = True
-                    order.append(f)
-            head += 1
-
-    # checks[d]: endpoints of the edges whose closed star is fully colored
-    # once the edge at depth d is; ahead[d]: endpoints of each edge e whose
-    # closed star has one uncolored edge f left then, with f's endpoints
-    checks: List[List[Tuple[int, int]]] = [[] for _ in range(m)]
-    ahead: List[List[Tuple[int, int, int, int]]] = [[] for _ in range(m)]
-    depth_of = [0] * m
-    for d, e in enumerate(order):
-        depth_of[e] = d
-    for e in range(m):
-        star = sorted(depth_of[f] for f in adjacent[e] + [e])
-        checks[star[-1]].append((eu[e], ev[e]))
-        if len(star) > 1:
-            f = order[star[-1]]
-            ahead[star[-2]].append((eu[e], ev[e], eu[f], ev[f]))
-    steps = [(e, eu[e], ev[e], tuple(checks[d]), tuple(ahead[d])) for d, e in enumerate(order)]
-
-    # choices[top]: (color, bit) pairs open to an edge when colors 1..top
-    # are in use; a new color enters only as top + 1 (canonical order), so
-    # no edge takes a color above m.  The look-ahead's palette 1..k is cut
-    # to 1..m + 1 likewise: color m + 1 is never used and stands for every
-    # color above it.
-    colors = max(min(k, m + 1), 0)
-    choices = [tuple((c, 1 << c) for c in range(1, min(colors, top + 1) + 1)) for top in range(colors + 1)]
-    palette = (1 << colors + 1) - 2
     pal = [0] * n
     color = [0] * m
     nodes = 0
+    choices: List[Tuple[Tuple[int, int], ...]] = []
+    palette = 0
 
     def rec(depth: int, maxused: int) -> bool:
         nonlocal nodes
@@ -466,8 +516,24 @@ def normal_coloring_search(
             pal[v] ^= bit
         return False
 
-    try:
-        found = rec(0, 0)
-    except RecursionError:
-        raise ResourceLimitError(f"coloring search over {m} edges recurses deeper than Python allows") from None
-    return (color if found else None), nodes
+    trail: List[int] = []
+    for k in palettes:
+        if deadline is not None and time.monotonic() > deadline:
+            raise SearchTimeout
+        # choices[top]: (color, bit) pairs open to an edge when colors
+        # 1..top are in use; a new color enters only as top + 1 (canonical
+        # order), so no edge takes a color above m.  The look-ahead's
+        # palette 1..k is cut to 1..m + 1 likewise: color m + 1 is never
+        # used and stands for every color above it.
+        colors = max(min(k, m + 1), 0)
+        choices = [tuple((c, 1 << c) for c in range(1, min(colors, top + 1) + 1)) for top in range(colors + 1)]
+        palette = (1 << colors + 1) - 2
+        nodes = 0
+        try:
+            found = rec(0, 0)
+        except RecursionError:
+            raise ResourceLimitError(f"coloring search over {m} edges recurses deeper than Python allows") from None
+        trail.append(nodes)
+        if found:
+            return color, sum(trail), tuple(trail)
+    return None, sum(trail), tuple(trail)

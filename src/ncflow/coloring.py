@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from itertools import starmap
 from operator import eq
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import InputError, NcflowError, ResourceLimitError
 from .flows import FlowAssignment, _conflict_edges, _conserves, _f_values, _xor_balanced
@@ -142,16 +142,22 @@ def _check_colorable(g: Pseudograph):
 
 
 def _search(
-    g: Pseudograph, k: int, deadline: Optional[float], nodes: Dict[int, int]
+    g: Pseudograph, palettes: Sequence[int], deadline: Optional[float], nodes: Dict[int, int]
 ) -> Optional[EdgeColoring]:
-    """One kernel search for a normal k-coloring of g; adds its nodes to
-    nodes[k] and raises NcflowError if the kernel's witness is not normal."""
+    """One kernel call that searches g for a normal coloring at each
+    palette in turn, on tables built once, up to the first that admits
+    one; adds each palette's nodes to nodes[k] and raises NcflowError if
+    the kernel's witness is not normal."""
+    if not palettes:
+        return None
     eu = [e[0] for e in g.edges]
     ev = [e[1] for e in g.edges]
-    colors, expanded = normal_coloring_search(g.n, eu, ev, k, deadline=deadline)
-    nodes[k] = nodes.get(k, 0) + expanded
+    colors, _total, trail = normal_coloring_search(g.n, eu, ev, palettes, deadline=deadline)
+    for k, expanded in zip(palettes, trail):
+        nodes[k] = nodes.get(k, 0) + expanded
     if colors is None:
         return None
+    k = palettes[len(trail) - 1]
     witness = EdgeColoring(tuple(colors), k)
     if not is_normal(g, witness).ok:
         raise NcflowError(f"normal-coloring search returned an abnormal {k}-coloring")
@@ -246,21 +252,17 @@ def _finish(
     of 3 or 5 lifts: a normal coloring lifts over a triangle or a 2-edge cut
     with the same number of colors, and a graph that is not 3-edge-colorable
     has chi'_N >= 5 (Lemma A: a normal 4-coloring has no rich edge, so it
-    is a 3-edge-coloring).  Any other outcome searches g itself from k = 5.
+    is a 3-edge-coloring).  Any other outcome searches g itself from k = 5,
+    and a g without a reduction at k = 3 first, all in one kernel call.
+    The palettes stop at m + 1: canonical color introduction uses at most
+    m colors, so every larger palette searches the same colorings.
     """
-    if reduced is None:
-        witness = _search(g, 3, deadline, nodes)
-        if witness is not None:
-            return witness
-    elif reduced[1] is not None:
+    if reduced is not None and reduced[1] is not None:
         return reduced[1]
     if k_max >= 4:
         nodes.setdefault(4, 0)
-    for k in range(5, k_max + 1):
-        witness = _search(g, k, deadline, nodes)
-        if witness is not None:
-            return witness
-    return None
+    top = min(k_max, g.m + 1)
+    return _search(g, ([3] if reduced is None else []) + list(range(5, top + 1)), deadline, nodes)
 
 
 def chi_n_exact(
@@ -307,7 +309,7 @@ def admits_normal_k_coloring(
 ) -> Optional[EdgeColoring]:
     """Decision version: some normal k-coloring, not necessarily minimal k."""
     _check_colorable(g)
-    return _search(g, k, deadline, {})
+    return _search(g, (k,), deadline, {})
 
 
 @dataclass(frozen=True)

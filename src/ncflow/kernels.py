@@ -68,8 +68,8 @@ def bind(path: str) -> SimpleNamespace:
     c_flow.argtypes += [ints_out, ctypes.POINTER(c_int), ctypes.POINTER(c_nodes)]
     c_flow.restype = c_int
     c_color = lib.nc_normal_coloring_search
-    c_color.argtypes = [c_int, c_int, ints_in, ints_in, c_int, ctypes.c_double, ints_out]
-    c_color.argtypes += [ctypes.POINTER(c_nodes)]
+    c_color.argtypes = [c_int, c_int, ints_in, ints_in, c_int, ints_in, ctypes.c_double, ints_out]
+    c_color.argtypes += [ints_out, ctypes.POINTER(c_int)]
     c_color.restype = c_int
 
     def pack(seq) -> bytes:
@@ -96,10 +96,17 @@ def bind(path: str) -> SimpleNamespace:
         check_edge_args(n, eu, ev)
         seconds = _seconds_left(deadline)
         m = len(eu)
-        out, nodes = array("i", [0]) * m, c_nodes()
-        status = c_color(n, m, pack(eu), pack(ev), k, seconds, out.buffer_info()[0], nodes)
+        # as in `_kernels_py`, colors above m + 1 search as m + 1 and a
+        # palette below 1 as 0; the clamp keeps every palette a C int
+        palettes = [min(max(p, 0), m + 1) for p in ((k,) if isinstance(k, int) else k)]
+        out, trail, searched = array("i", [0]) * m, array("q", [0]) * len(palettes), c_int()
+        status = c_color(
+            n, m, pack(eu), pack(ev), len(palettes), pack(palettes), seconds,
+            out.buffer_info()[0], trail.buffer_info()[0], searched,
+        )
         _check(status)
-        return (out.tolist() if status == _FOUND else None), nodes.value
+        trail = tuple(trail[: searched.value])
+        return (out.tolist() if status == _FOUND else None), sum(trail), trail
 
     return SimpleNamespace(BACKEND="c", flow_search=flow_search, normal_coloring_search=normal_coloring_search)
 

@@ -17,7 +17,8 @@ of the search without it.  That search walks every dead end: on a
 100-vertex cubic graph with no perfect matching it takes about 19 s,
 against 0.05 s with the recorded states (CPython 3.11, one core of an
 Intel Xeon).  A plain stream keeps its own states; the cut streams of
-one graph and cut list share theirs, with the index below.  At most
+one graph and cut list share theirs, with the index below, and a cut
+stream that ends by its deadline clears them.  At most
 _DEAD_CAP states are kept, about 25 MB at 244 vertices; past that the
 search records nothing more and its deadline still ends it.
 
@@ -46,7 +47,7 @@ from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set,
 
 from .errors import ContractError, InputError
 from .graph import ContractedGraph, Pseudograph, contract_two_factor, is_cubic, three_edge_cuts
-from .kernels import check_deadline
+from .kernels import SearchTimeout, check_deadline
 
 
 @dataclass(frozen=True)
@@ -264,7 +265,14 @@ def matchings_through_edge(
         return
     index = _build_index(g, ()) if cuts is None else _cut_index(g, cuts)
     delta = dict(index.partners[g.endpoints(eid)[0]])[eid]
-    yield from _match_dfs(index, [eid], delta, deadline)
+    try:
+        yield from _match_dfs(index, [eid], delta, deadline)
+    except SearchTimeout:
+        # the states refuted before a timeout can fill the cap, and a cut
+        # index outlives the stream: keep them only for streams that end
+        # normally
+        index.dead.clear()
+        raise
 
 
 def select_matchings(g: Pseudograph, selector: str, deadline: Optional[float] = None) -> Iterable[PerfectMatching]:

@@ -4,6 +4,7 @@ reductions over 2-cuts and triangles, and H-colorings."""
 import dataclasses
 import inspect
 import itertools
+import random
 import time
 
 import pytest
@@ -45,6 +46,7 @@ from ncflow.generators import (
     k23,
     k23_with_p10v,
     k33,
+    permutation_graph,
     petersen,
     replace_vertex_with_triangle,
     ring_of_diamonds,
@@ -163,6 +165,13 @@ class TestChiN:
             assert res.witness.k == res.k
             if res.k > 3:
                 assert admits_normal_k_coloring(g, res.k - 1) is None, name
+
+    def test_palettes_stop_at_one_more_than_the_edges(self):
+        # canonical introduction uses at most m colors, so a k_max far above
+        # m searches no more palettes than k_max = m + 1 does
+        res = chi_n_exact(petersen(), 10**12, deadline=time.monotonic() + 5)
+        assert (res.k, res.nodes_per_k) == (5, ((3, 90), (4, 0), (5, 513)))
+        assert chi_n_exact(fig4_graph(), 10**12, deadline=time.monotonic() + 5) is None
 
     def test_three_colorable_corpus_members_have_index_three(self):
         for name, g in (("k33", k33()), ("k4", k4()), ("ring2", ring_of_diamonds(2))):
@@ -299,39 +308,39 @@ CHI_N_GOLDEN = [
     (
         "petersen",
         petersen,
-        ((3, 102), (4, 0), (5, 1139)),
+        ((3, 90), (4, 0), (5, 513)),
         ((4, "lemma-A"),),
-        (1, 4, 3, 5, 2, 5, 1, 3, 2, 4, 3, 5, 2, 1, 4),
+        (1, 2, 4, 3, 5, 3, 1, 4, 5, 2, 4, 3, 5, 1, 2),
     ),
     (
         "k23_with_p10v",
         k23_with_p10v,
-        ((3, 225), (4, 0), (5, 5521)),
+        ((3, 90), (4, 0), (5, 558)),
         ((4, "lemma-A"),),
-        (1, 4, 2, 2, 3, 4, 5, 1, 2, 5, 3, 1, 1, 4, 2, 2, 3, 4, 5, 1, 2, 5, 3, 1, 3, 5, 4),
+        (1, 2, 4, 4, 5, 2, 3, 1, 4, 3, 5, 1, 1, 2, 4, 4, 5, 2, 3, 1, 4, 3, 5, 1, 5, 3, 2),
     ),
     (
         "counterexample_family(1)",
         lambda: counterexample_family(1),
-        ((3, 312), (4, 0), (5, 2877)),
+        ((3, 276), (4, 0), (5, 1524)),
         ((3, "2-cut"), (4, "lemma-A"), (5, "2-cut")),
-        (1, 4, 2, 5, 2, 3, 4, 5, 1, 4, 2, 5, 3, 1, 1, 4, 3, 5, 3, 2, 4, 5, 1, 4, 3, 5,
-         2, 1, 4, 2, 5, 3, 5, 1, 2, 3, 4, 2, 5, 3, 1, 4, 3, 2, 2, 1, 1, 3, 1, 3, 2),
+        (1, 2, 4, 3, 4, 5, 2, 3, 1, 2, 4, 3, 5, 1, 1, 2, 5, 3, 5, 4, 2, 3, 1, 2, 5, 3,
+         4, 1, 2, 4, 3, 5, 3, 1, 4, 5, 2, 4, 3, 5, 1, 2, 5, 4, 4, 1, 1, 5, 1, 5, 4),
     ),
     (
         "fig3",
         fig3_graph,
-        ((3, 9), (4, 0), (5, 115), (6, 153), (7, 309)),
+        ((3, 6), (4, 0), (5, 71), (6, 75), (7, 219)),
         ((3, "triangle"), (4, "lemma-A")),
         (1, 2, 4, 6, 5, 7, 3, 1, 2, 4, 6, 5, 7, 3, 3),
     ),
     (
         "triangle_replace_all(petersen)",
         lambda: triangle_replace_all(petersen()),
-        ((3, 102), (4, 0), (5, 1139)),
+        ((3, 90), (4, 0), (5, 513)),
         ((3, "triangle"), (4, "lemma-A"), (5, "triangle")),
-        (1, 4, 3, 5, 2, 5, 1, 3, 2, 4, 3, 5, 2, 1, 4, 3, 2, 1, 5, 4, 1, 2, 3, 4, 1, 5,
-         3, 4, 2, 5, 3, 4, 5, 5, 2, 3, 2, 1, 5, 1, 4, 2, 4, 3, 1),
+        (1, 2, 4, 3, 5, 3, 1, 4, 5, 2, 4, 3, 5, 1, 2, 4, 5, 1, 3, 2, 1, 5, 4, 2, 1, 3,
+         4, 2, 5, 3, 4, 2, 3, 3, 5, 4, 5, 1, 3, 1, 2, 5, 2, 4, 1),
     ),
 ]
 
@@ -344,6 +353,37 @@ def test_pure_python_kernel_golden(monkeypatch, name, build, trail, settled_by, 
     assert res.settled_by == settled_by
     assert res.k == trail[-1][0]
     assert res.witness.colors == witness
+
+
+class TestWhatTheClosedStarOrderOpens:
+    """Searches that the closed-star edge order answers at once, on both
+    backends.  In breadth-first order over the line graph the search on
+    each permutation graph below ran past 20 s, and the one at k = 5 on
+    `counterexample_family(2)` took 557,887 nodes."""
+
+    @pytest.fixture(params=["python", "c"])
+    def kernel(self, request, monkeypatch):
+        impl = _kernels_py if request.param == "python" else request.getfixturevalue("compiled")
+        monkeypatch.setattr(coloring, "normal_coloring_search", impl.normal_coloring_search)
+        return impl
+
+    @pytest.mark.parametrize("seed,nodes", [(0, 13023), (1, 1175), (2, 13871)])
+    def test_seeded_100_vertex_permutation_graphs_at_k5(self, kernel, seed, nodes):
+        sigma = list(range(50))
+        random.Random(seed).shuffle(sigma)
+        g = permutation_graph(sigma)
+        assert admits_normal_k_coloring(g, 5, deadline=time.monotonic() + 1) is not None
+        eu, ev = [a for a, _ in g.edges], [b for _, b in g.edges]
+        assert kernel.normal_coloring_search(g.n, eu, ev, 5)[1:] == (nodes, (nodes,))
+
+    def test_chi_n_of_counterexample_family_2(self, kernel):
+        res = chi_n_exact(counterexample_family(2), 7, deadline=time.monotonic() + 1)
+        assert res.k == 5 and not res.multigraph
+        assert res.nodes_per_k == ((3, 552), (4, 0), (5, 3048))
+        assert res.settled_by == ((3, "2-cut"), (4, "lemma-A"), (5, "2-cut"))
+        g = counterexample_family(2)
+        eu, ev = [a for a, _ in g.edges], [b for _, b in g.edges]
+        assert kernel.normal_coloring_search(g.n, eu, ev, 5)[1] == 2778
 
 
 def oracle_chi_n(g, k_max=7):

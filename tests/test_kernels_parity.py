@@ -27,6 +27,7 @@ from ncflow.generators import (
     k4,
     k23_with_p10v,
     k33,
+    permutation_graph,
     petersen,
     replace_vertex_with_triangle,
     triangle_replace_all,
@@ -122,10 +123,11 @@ class TestFlowParity:
                 impl.flow_search(q.n, eu, ev, [], [], "min", deadline=0.0)
 
     def test_deadline_inside_the_search(self, compiled):
-        # "min" on this quotient expands 501,907 nodes (about 8 ms in C),
-        # so a deadline 2 ms ahead passes inside the search, at a strided
-        # check; the backend then answers the next call as usual
-        g = counterexample_family(2)
+        # "min" on this quotient expands 36,242,033 nodes (about 0.5 s in
+        # C), so a deadline 2 ms ahead passes inside the search, at a
+        # strided check, on hosts far faster than this one; the backend
+        # then answers the next call as usual
+        g = counterexample_family(3)
         matching = next(enumerate_perfect_matchings(g))
         instance = kernel_instance(g, matching)
         for impl in (_kernels_py, compiled):
@@ -372,7 +374,7 @@ for mode in ("first", "min"):
     vals, conf, _nodes = impl.flow_search(2, [0] * m, [1] * m, [], [], mode)
     assert (vals, conf) == ([1] * m, 0), mode
 g = prism(4000)  # 12,000 edges
-colors, _nodes = impl.normal_coloring_search(g.n, [u for u, _ in g.edges], [v for _, v in g.edges], 3)
+colors = impl.normal_coloring_search(g.n, [u for u, _ in g.edges], [v for _, v in g.edges], 3)[0]
 assert all(len({colors[e] for e in g.incident(v)}) == 3 for v in range(g.n))
 print("ok")
 """
@@ -437,9 +439,78 @@ class TestColoringParity:
             assert compiled.normal_coloring_search(g.n, eu, ev, k) == a, k
 
 
+class TestPaletteSequences:
+    """One call searches several palettes on tables built once."""
+
+    def test_each_palette_counts_as_if_alone(self, compiled):
+        # a palette's nodes are those of a call with that palette alone,
+        # and the call stops at the first palette that admits a coloring
+        palettes = (3, 5, 6, 7)
+        for g in (k4(), petersen(), fig3_graph(), k23_with_p10v(), counterexample_family(1)):
+            eu, ev = edge_lists(g)
+            for impl in (_kernels_py, compiled):
+                colors, total, trail = impl.normal_coloring_search(g.n, eu, ev, palettes)
+                alone = [impl.normal_coloring_search(g.n, eu, ev, k) for k in palettes[: len(trail)]]
+                assert trail == tuple(nodes for _c, nodes, _t in alone), impl.BACKEND
+                assert total == sum(trail)
+                assert [c is None for c, _n, _t in alone] == [True] * (len(trail) - 1) + [False]
+                assert colors == alone[-1][0]
+
+    def test_no_palette_every_palette_exhausted_and_a_passed_deadline(self, compiled):
+        eu, ev = edge_lists(petersen())
+        for impl in (_kernels_py, compiled):
+            assert impl.normal_coloring_search(10, eu, ev, ()) == (None, 0, ())
+            # Petersen has no normal 3- or 4-coloring: both palettes exhausted
+            assert impl.normal_coloring_search(10, eu, ev, (3, 4)) == (None, 208, (90, 118))
+            with pytest.raises(_kernels_py.SearchTimeout):
+                impl.normal_coloring_search(10, eu, ev, (3, 5), deadline=time.monotonic() - 1)
+
+    def test_palettes_outside_a_c_int(self, compiled):
+        # a palette searches as min(max(k, 0), m + 1) colors on both backends
+        eu, ev = edge_lists(petersen())
+        a = _kernels_py.normal_coloring_search(10, eu, ev, (-(2**40), 3, 2**40))
+        assert a[1:] == (139, (0, 90, 49))
+        assert compiled.normal_coloring_search(10, eu, ev, (-(2**40), 3, 2**40)) == a
+
+
+def line_graph(n, eu, ev):
+    """(each vertex's edges, each edge's adjacent edges: those sharing an
+    endpoint with it, itself excluded, parallel edges once)."""
+    incid = [[] for _ in range(n)]
+    for e in range(len(eu)):
+        incid[eu[e]].append(e)
+        incid[ev[e]].append(e)
+    adjacent = [
+        list(dict.fromkeys(f for v in (eu[e], ev[e]) for f in incid[v] if f != e))
+        for e in range(len(eu))
+    ]
+    return incid, adjacent
+
+
+def closed_star_order(m, adjacent):
+    """The kernels' coloring order, every key recomputed at every step:
+    next the uncolored edge that completes the most closed stars (the
+    stars whose only uncolored edge it is), then the one with the most
+    colored adjacent edges, then the lowest id.  O(m^2) scans, against
+    the kernels' heap."""
+    stars = [set(adjacent[e]) | {e} for e in range(m)]
+    colored = set()
+    order = []
+
+    def key(f):
+        completes = sum(stars[g] - colored == {f} for g in stars[f])
+        return -completes, -len(colored.intersection(adjacent[f])), f
+
+    while len(order) < m:
+        e = min((f for f in range(m) if f not in colored), key=key)
+        order.append(e)
+        colored.add(e)
+    return order
+
+
 def reference_coloring_search(n, eu, ev, k, look_ahead=False):
     """The normal-coloring search as it was before the look-ahead: the same
-    BFS edge order over the line graph, canonical color introduction, and
+    edge order (`closed_star_order`), canonical color introduction, and
     one abnormality check per edge once its closed star is fully colored.
     Returns (colors or None, nodes).
 
@@ -451,28 +522,8 @@ def reference_coloring_search(n, eu, ev, k, look_ahead=False):
     and gives the node count the kernels must reach.
     """
     m = len(eu)
-    incid = [[] for _ in range(n)]
-    for e in range(m):
-        incid[eu[e]].append(e)
-        incid[ev[e]].append(e)
-    adjacent = [
-        list(dict.fromkeys(f for v in (eu[e], ev[e]) for f in incid[v] if f != e))
-        for e in range(m)
-    ]
-    order = []
-    placed = [False] * m
-    head = 0
-    for s in range(m):
-        if placed[s]:
-            continue
-        placed[s] = True
-        order.append(s)
-        while head < len(order):
-            for f in adjacent[order[head]]:
-                if not placed[f]:
-                    placed[f] = True
-                    order.append(f)
-            head += 1
+    incid, adjacent = line_graph(n, eu, ev)
+    order = closed_star_order(m, adjacent)
     checks = [[] for _ in range(m)]
     depth_of = [0] * m
     for d, e in enumerate(order):
@@ -555,7 +606,7 @@ class TestColoringOracle:
             plain = reference_coloring_search(g.n, eu, ev, k)
             ahead = reference_coloring_search(g.n, eu, ev, k, look_ahead=True)
             for impl in (_kernels_py, compiled):
-                colors, nodes = impl.normal_coloring_search(g.n, eu, ev, k)
+                colors, nodes, _trail = impl.normal_coloring_search(g.n, eu, ev, k)
                 label = (impl.BACKEND, g.edges, k)
                 assert colors == plain[0], label
                 assert nodes <= plain[1], label
@@ -564,6 +615,19 @@ class TestColoringOracle:
     def test_fixed_corpus(self, compiled):
         for g in coloring_oracle_cases():
             self.check(g, compiled)
+
+    def test_the_heap_takes_the_edges_in_the_scan_order(self):
+        # graphs too large for the reference search; the C order is held
+        # to this one by the node counts of the parity tests
+        sigma = list(range(50))
+        random.Random(0).shuffle(sigma)
+        graphs = [counterexample_family(1), triangle_replace_all(petersen()), permutation_graph(sigma)]
+        graphs += seeded_cubic_multigraphs(seed=23, count=10, max_n=40)
+        for g in graphs:
+            eu, ev = edge_lists(g)
+            _incid, adjacent = line_graph(g.n, eu, ev)
+            steps = _kernels_py._coloring_steps(eu, ev, adjacent)
+            assert [e for e, *_rest in steps] == closed_star_order(g.m, adjacent), g.edges
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(loop_free_cubic_multigraph(14))

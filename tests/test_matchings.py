@@ -419,6 +419,26 @@ class TestRefutedStates:
         assert peak < matchings._DEAD_CAP * per_state + (64 << 10)
 
 
+    def test_a_timed_out_cut_stream_releases_its_states(self):
+        # 244 vertices, 256 three-edge cuts and no perfect matching: the cut
+        # stream refutes states until its deadline.  The index kept for the
+        # graph and its cuts outlives the stream, but the states in it go
+        # with the timeout; a stream that ends normally leaves them to the
+        # graph's next edge.
+        g = cubic_without_a_perfect_matching(40)
+        cuts = three_edge_cuts(g)
+        with pytest.raises(SearchTimeout):
+            next(matchings_meeting_all_3cuts_once(g, 0, cuts, deadline=time.monotonic() + 0.3), None)
+        assert matchings._last_index[0] is g and not matchings._last_index[2].dead
+        h = triangle_replace_all(k4())
+        h_cuts = three_edge_cuts(h)
+        assert list(matchings_meeting_all_3cuts_once(h, 0, h_cuts))
+        index = matchings._last_index[2]
+        assert index is not None and index.dead
+        assert list(matchings_meeting_all_3cuts_once(h, 1, h_cuts))
+        assert matchings._last_index[2] is index
+
+
 class TestDeadline:
     """A search through counterexample_family(3)'s 294,912 matchings stops at its deadline."""
 
