@@ -6,9 +6,11 @@ LIBRARY is a build of `src/ncflow/_kernels.c` (`cc -O2 -shared -fPIC
 _kernels.c -o _kernels.so`); without it the script uses the library that
 `ncflow.kernels` loads, if there is one, and times Python alone otherwise.
 
-Cases:
-- flow_search in "min" mode on three matchings each of Petersen and
-  counterexample_family(1);
+Cases (the kernel arguments `_kernel_args` builds, chords of F-bar
+settled and left out):
+- flow_search in "min" mode on three matchings each of Petersen (72
+  nodes each; no chords) and counterexample_family(1) (5,842, 5,848 and
+  7,789 nodes, against 5,860, 5,866 and 7,813 with the chords searched);
 - flow_search in "first" mode on the quotients of 32 matchings of
   counterexample_family(2), one from each block of 160 in enumeration
   order: the exhaustive negatives whose speed decides whether a compiled
@@ -63,7 +65,8 @@ def time_it(fn, repeat=3):
 
 
 def kernel_args(g, f):
-    return _kernel_args(contract_two_factor(g, complement_two_factor(g, f)))
+    """The kernel's arguments for the matching f of g, chords settled."""
+    return _kernel_args(contract_two_factor(g, complement_two_factor(g, f)))[1]
 
 
 def min_cases():

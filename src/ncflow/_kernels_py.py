@@ -44,6 +44,7 @@ identical semantics, node counts included:
 from __future__ import annotations
 
 import time
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -52,6 +53,8 @@ from .errors import ResourceLimitError
 BACKEND = "python"
 
 _DEADLINE_STRIDE = 4096
+# the largest flow value: the C kernels hold values in a C int
+_MAX_VALUE = (1 << 31) - 1
 
 
 class SearchTimeout(Exception):
@@ -84,21 +87,54 @@ def check_search_args(
 ) -> None:
     """Reject what neither backend's `flow_search` handles: a mode other
     than "first" or "min", the value 0, which both use as the mark of an
-    unvalued edge, values that with 0 are not closed under XOR, as a
+    unvalued edge, a value outside 1..2^31 - 1, which the C kernels do
+    not hold in an int, values that with 0 are not closed under XOR, as a
     closing edge takes whatever XOR conservation leaves (ValueError), and
     a bad edge list or conflict pair list (`check_edge_args`: the pairs
-    are an edge list over the m edges)."""
+    are an edge list over the m edges).  The verdict on `values` is
+    `_candidates`', kept per value tuple."""
     if mode not in ("first", "min"):
         raise ValueError(f"unknown flow search mode {mode!r}")
+    _candidates(tuple(values))
+    check_edge_args(nq, eu, ev)
+    check_edge_args(len(eu), first, second)
+
+
+Candidates = List[Tuple[int, int, list]]
+
+
+@lru_cache(maxsize=8)
+def _candidates(values: Tuple[int, ...]) -> Candidates:
+    """The candidates of `flow_search`'s first free edge over `values`,
+    built once per value tuple, after the checks on `values` that
+    `check_search_args` describes (ValueError, which is not cached).
+
+    An entry (x, x ^ 3, next list) is a value, the partner value it
+    conflicts with (alpha+beta apart) and the candidate list of the next
+    free edge: `full`, every value, once the alpha <-> beta symmetry is
+    broken, and `sym` before, which is returned; `sym` is `full` unless
+    `values` is closed under the swap.  The lists are shared by every
+    call and never changed.
+    """
     if 0 in values:
         raise ValueError("flow values must be non-zero")
+    if not all(0 < x <= _MAX_VALUE for x in values):
+        raise ValueError("flow values must lie in 1..2**31 - 1")
     group = {0, *values}
     for x in values:
         for y in values:
             if x ^ y not in group:
                 raise ValueError("flow values with 0 must be closed under XOR")
-    check_edge_args(nq, eu, ev)
-    check_edge_args(len(eu), first, second)
+    full: Candidates = []
+    full += [(x, x ^ 3, full) for x in values]
+    sym = full
+    if all(_swap_alpha_beta(x) in values for x in values):
+        sym = []
+        for i, x in enumerate(values):
+            sx = _swap_alpha_beta(x)
+            if sx not in values[:i]:
+                sym.append((x, x ^ 3, sym if sx == x else full))
+    return sym
 
 
 # (edge, u, v, vertex it closes or -1, closes both ends, earlier partners)
@@ -263,28 +299,15 @@ def flow_search(
     search order (for "min", the first with the fewest conflicts), and its
     first sigma-moved value is the earlier one of its pair, so values and
     conflict counts are those of the unpruned search; nodes are not.  Each
-    candidate carries the candidate list of the next free edge: `full` once
-    the symmetry is broken, `sym` before.
+    candidate carries the candidate list of the next free edge
+    (`_candidates`, built once per value tuple).
     """
     check_search_args(nq, eu, ev, first, second, mode, values)
     if deadline is not None and time.monotonic() > deadline:
         raise SearchTimeout
     m = len(eu)
 
-    # x conflicts with a valued partner holding x ^ 3 (alpha+beta apart);
-    # every partner read is valued, and no value is 0.  Each entry ends
-    # with the candidate list for the next free edge.
-    values = list(values)
-    full: List[Tuple[int, int, list]] = []
-    full += [(x, x ^ 3, full) for x in values]
-    sym = full
-    if all(_swap_alpha_beta(x) in values for x in values):
-        sym = []
-        for i, x in enumerate(values):
-            sx = _swap_alpha_beta(x)
-            if sx not in values[:i]:
-                sym.append((x, x ^ 3, sym if sx == x else full))
-
+    sym = _candidates(tuple(values))
     edges_at = [0] * nq  # a loop once
     for u, v in zip(eu, ev):
         edges_at[u] += 1

@@ -24,7 +24,6 @@ from .flows import (
     extract_disjoint_matchings,
     find_nonconflicting_flow,
     klein_bits,
-    loop_canonicalize,
     matching_verdicts,
     min_conflict_flow,
     two_cycle_factor_flow,
@@ -160,7 +159,7 @@ def _clawfree_route(g: Pseudograph, deadline: float):
     for f in matchings_meeting_all_3cuts_once(g, 0, cuts, deadline) if g.m else ():
         mc = min_conflict_flow(g, f, deadline=deadline)
         if mc and mc.conflict_count == 0:
-            return f, loop_canonicalize(mc.flow, mc.two_factor.contraction), {"nodes": mc.nodes_expanded}
+            return f, mc.flow, {"nodes": mc.nodes_expanded}
     return None
 
 

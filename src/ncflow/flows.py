@@ -7,13 +7,19 @@ Values of Z2 x Z2 minus zero are encoded as 2-bit integers:
 Group addition is XOR.  A conflict is an edge uv of the 2-factor whose
 endpoint matching edges carry {ALPHA, BETA} (equivalently, their values
 XOR to 0b11).
+
+F-bar's chords (F-edges with both ends on one cycle, the loops of
+G/F-bar) are settled before any search: each holds alpha+beta, which
+cancels out of conservation and conflicts with nothing, and the flow
+kernel searches only the other edges (`_kernel_args`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, starmap
 from math import comb
+from operator import eq
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import ContractError, InputError, NcflowError
@@ -180,19 +186,37 @@ def conflicts(g: Pseudograph, f: PerfectMatching, tf: TwoFactor, theta: FlowAssi
 KernelArgs = Tuple[int, List[int], List[int], List[int], List[int]]
 
 
-def _kernel_args(h: ContractedGraph) -> KernelArgs:
-    """The flow kernel's (nq, eu, ev, first, second) for h = G/F-bar.
+def _kernel_args(h: ContractedGraph) -> Tuple[Sequence[int], KernelArgs]:
+    """(kept, args): the flow kernel's args = (nq, eu, ev, first, second)
+    for h = G/F-bar with F-bar's chords settled, and kept[i], the quotient
+    edge that kernel edge i is.
 
-    Flat int lists that both backends take as they are: quotient edge i
+    A chord (an F-edge with both ends on one cycle, a loop of h) cancels
+    out of conservation, and at alpha+beta it conflicts with nothing, as
+    its partner would need the value 0; so every chord holds alpha+beta
+    and the kernel gets only the other quotient edges, in id order, and
+    the conflict pairs between them.  Settling the chords changes neither
+    whether a flow exists nor the fewest conflicts a flow has.
+
+    Flat int lists that both backends take as they are: kernel edge i
     joins eu[i] and ev[i], and conflict pair k is (first[k], second[k]),
-    the quotient edges at the two ends of the k-th 2-factor edge in cycle
-    order (their values XOR to alpha+beta exactly when that edge
-    conflicts).  The quotient is never built.
+    the kernel edges at the two ends of a 2-factor edge, in cycle order,
+    with no chord at either end (their values XOR to alpha+beta exactly
+    when that edge conflicts).  The quotient is never built.
     """
     q_edges = h.quotient_edges
     edges, at = h.graph.edges, h.matching_edge_at
     ends = [edges[eid] for cyc in h.cycles for eid in cyc.edges]
-    return (
+    kept: Sequence[int] = range(len(q_edges))
+    if any(starmap(eq, q_edges)):  # F-bar has a chord
+        kept = [i for i, (a, b) in enumerate(q_edges) if a != b]
+        new_id = [-1] * len(q_edges)
+        for j, i in enumerate(kept):
+            new_id[i] = j
+        q_edges = [q_edges[i] for i in kept]
+        at = [new_id[i] for i in at]
+        ends = [(u, v) for u, v in ends if at[u] >= 0 and at[v] >= 0]
+    return kept, (
         len(h.cycles),
         [a for a, _ in q_edges],
         [b for _, b in q_edges],
@@ -205,17 +229,23 @@ def _kernel_flow(
     h: ContractedGraph, mode: str, deadline: Optional[float]
 ) -> Tuple[Optional[FlowAssignment], int, int]:
     """Kernel flow search on h = G/F-bar in `mode`: (verified flow or None,
-    its conflict count, nodes expanded).  The flow's conservation and the
-    conflict count are both checked, over the pairs the kernel was given."""
-    args = _kernel_args(h)
+    its conflict count, nodes expanded).  The kernel searches the edges
+    that are not chords (`_kernel_args`) and every chord gets alpha+beta;
+    the flow's conservation and its conflict count are checked on all of
+    G/F-bar."""
+    kept, args = _kernel_args(h)
     vals, conf, nodes = flow_search(*args, mode, deadline=deadline)
     if vals is None:
         return None, conf, nodes
+    if len(vals) < len(h.quotient_edges):
+        settled = [ALPHA_BETA] * len(h.quotient_edges)
+        for i, x in zip(kept, vals):
+            settled[i] = x
+        vals = settled
     theta = FlowAssignment(tuple(vals))
     if not verify_flow(h, theta):
         raise NcflowError("flow search returned a flow that does not conserve")
-    _nq, _eu, _ev, first, second = args
-    if sum(vals[a] ^ vals[b] == ALPHA_BETA for a, b in zip(first, second)) != conf:
+    if len(_conflict_edges(h, theta.values, _f_values(h, theta))) != conf:
         raise NcflowError(f"flow search reported {conf} conflicts for a flow with another count")
     return theta, conf, nodes
 
@@ -225,7 +255,8 @@ def find_nonconflicting_flow(
     f: PerfectMatching,
     deadline: Optional[float] = None,
 ) -> Optional[FlowAssignment]:
-    """A conflict-free nowhere-zero flow of G/F-bar, or None after exhaustion."""
+    """A conflict-free nowhere-zero flow of G/F-bar, every chord of F-bar
+    at alpha+beta, or None after exhaustion."""
     h = contract_two_factor(g, complement_two_factor(g, f))
     theta, conf, _nodes = _kernel_flow(h, "first", deadline)
     return theta if conf == 0 else None
@@ -265,7 +296,8 @@ def min_conflict_flow(
     f: PerfectMatching,
     deadline: Optional[float] = None,
 ) -> Optional[MinConflictResult]:
-    """Flow minimizing the conflict count, or None when no NZ flow exists at all."""
+    """Flow minimizing the conflict count, every chord of F-bar at
+    alpha+beta, or None when no NZ flow exists at all."""
     tf = complement_two_factor(g, f)
     h = contract_two_factor(g, tf)
     theta, conf, nodes = _kernel_flow(h, "min", deadline)
@@ -291,7 +323,9 @@ def _constant_flow(h: ContractedGraph) -> FlowAssignment:
 def loop_canonicalize(theta: FlowAssignment, h: ContractedGraph) -> FlowAssignment:
     """Set every loop (chord) value to alpha+beta; conservation is unaffected.
 
-    Raises InputError unless theta has one value per quotient edge.
+    The flows of `find_nonconflicting_flow` and `min_conflict_flow` have
+    their chords there already.  Raises InputError unless theta has one
+    value per quotient edge.
     """
     vals = list(theta.values)
     if len(vals) != len(h.quotient_edges):

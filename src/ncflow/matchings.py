@@ -36,6 +36,17 @@ search walks and the states it refuted, is built once per graph and cut
 list and kept while the same pair comes back, as it does when a caller
 goes through every edge; without cuts, a stream builds its own when it
 starts.
+
+A cut stream also looks ahead (forward checking, Haralick and Elliott,
+Artificial Intelligence 14, 1980): after taking an edge, it skips the
+branch when an uncovered neighbour of the edge's ends has no edge left
+that misses the covered vertices and the cuts already met.  Such a
+vertex can never be covered, so only branches that yield nothing go and
+every stream is unchanged; a pass of the claw-free benchmark walks
+19,324 search frames instead of 101,442 (triangle_replace_all(petersen())
+about 34 instead of 618 per edge).  Plain streams do not look ahead:
+there the same check made the enumeration of the 5,120 matchings of
+counterexample_family(2) about 45% slower.
 """
 
 from __future__ import annotations
@@ -126,6 +137,8 @@ _DEADLINE_EVERY = 1024
 _DEAD_CAP = 1 << 18
 
 Partners = Tuple[Tuple[Tuple[int, int], ...], ...]
+# (bit of a vertex, the deltas of its edges), for each vertex watched
+Watched = Tuple[Tuple[int, Tuple[int, ...]], ...]
 
 
 def _match_dfs(
@@ -152,8 +165,14 @@ def _match_dfs(
     ends with nothing yielded records its state in `index.dead`, up to
     _DEAD_CAP states, and no frame is pushed for a recorded state.  That
     removes only branches that yield nothing, so the stream is unchanged.
+
+    A cut index also looks ahead (`_CutIndex.ahead`): an edge is skipped
+    when taking it leaves an uncovered neighbour of its ends without an
+    edge whose delta misses the state.  States only gain bits deeper in
+    the search, so that vertex could never be covered and the branch
+    yields nothing; the stream is again unchanged.
     """
-    partners, full, dead = index.partners, index.full, index.dead
+    partners, full, dead, ahead = index.partners, index.full, index.dead, index.ahead
     n = len(partners)
     # the lowest uncovered vertex is the lowest clear bit of the state
     v = (~state & (state + 1)).bit_length() - 1
@@ -179,7 +198,8 @@ def _match_dfs(
             eid, delta = pv[pos]
             pos += 1
             if not state & delta and (state ^ delta) not in dead:
-                break
+                if ahead is None or not _strands(state ^ delta, ahead[eid]):
+                    break
         else:
             frames.pop()
             if mark == found and len(dead) < _DEAD_CAP:
@@ -194,6 +214,19 @@ def _match_dfs(
         elif state == full:
             found += 1
             yield PerfectMatching(tuple(sorted(chosen)))
+
+
+def _strands(state: int, watched: Watched) -> bool:
+    """Whether a watched vertex is uncovered in `state` and each of its
+    edges' deltas meets the state, so that no edge can cover it."""
+    for bit, deltas in watched:
+        if not state & bit:
+            for delta in deltas:
+                if not state & delta:
+                    break
+            else:
+                return True
+    return False
 
 
 def complement_two_factor(g: Pseudograph, f: PerfectMatching) -> TwoFactor:
@@ -307,12 +340,16 @@ class _CutIndex:
     loops left out; an edge's delta sets the bits of its two ends and, for
     the i-th listed cut through it that is not a vertex star, bit n + i.
     full is the state with every vertex covered and every such cut met.
-    dead holds states from which the search yields nothing; the searches
-    through each edge of a graph share it along with the index.
+    ahead is None without cuts; with them, ahead[e] lists what taking
+    edge e leaves to watch: each neighbour of e's ends other than the ends,
+    with the deltas of its edges.  dead holds states from which the search
+    yields nothing; the searches through each edge of a graph share it
+    along with the index.
     """
 
     partners: Partners
     full: int
+    ahead: Optional[Tuple[Watched, ...]] = None
     dead: Set[int] = field(default_factory=set, compare=False, repr=False)
 
 
@@ -339,7 +376,12 @@ def _build_index(g: Pseudograph, cuts: Sequence[Sequence[int]]) -> _CutIndex:
             if a != b:  # a loop covers its vertex twice
                 row.append((eid, 1 << a | 1 << b | cut_bits[eid]))
         rows.append(tuple(row))
-    return _CutIndex(tuple(rows), bit - 1)
+    if not cuts:
+        return _CutIndex(tuple(rows), bit - 1)
+    nbrs = [{g.other_end(eid, v) for eid, _delta in row} for v, row in enumerate(rows)]
+    deltas = [tuple(delta for _eid, delta in row) for row in rows]
+    ahead = [tuple((1 << x, deltas[x]) for x in (nbrs[a] | nbrs[b]) - {a, b}) for a, b in edges]
+    return _CutIndex(tuple(rows), bit - 1, tuple(ahead))
 
 
 # the last graph, its cut list as a tuple, and their index: callers pass

@@ -7,7 +7,7 @@ import random
 import shutil
 import subprocess
 from pathlib import Path
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import pytest
 from hypothesis import assume
@@ -150,8 +150,23 @@ def cubic_multigraph_and_matching(draw):
 
 def kernel_instance(g: Pseudograph, f: PerfectMatching) -> Tuple[int, List[int], List[int], List[int], List[int]]:
     """The (nq, eu, ev, first, second) arguments `find_nonconflicting_flow`
-    hands the flow kernel for the matching f of g."""
-    return _kernel_args(contract_two_factor(g, complement_two_factor(g, f)))
+    hands the flow kernel for the matching f of g: F-bar's chords are
+    settled, so they are left out."""
+    return _kernel_args(contract_two_factor(g, complement_two_factor(g, f)))[1]
+
+
+def settled_search(impl, g: Pseudograph, f: PerfectMatching, mode: str) -> Tuple[Optional[List[int]], int, int]:
+    """`impl.flow_search` on `kernel_instance(g, f)` in `mode`, its values
+    spread over every quotient edge of G/F-bar, chords at alpha+beta, as
+    `find_nonconflicting_flow` and `min_conflict_flow` read them."""
+    kept, args = _kernel_args(contract_two_factor(g, complement_two_factor(g, f)))
+    vals, conf, nodes = impl.flow_search(*args, mode)
+    if vals is None:
+        return None, conf, nodes
+    settled = [3] * (g.n // 2)
+    for i, x in zip(kept, vals):
+        settled[i] = x
+    return settled, conf, nodes
 
 
 def _vertex_sums(n: int, edges, values) -> Tuple[int, ...]:

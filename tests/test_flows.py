@@ -68,6 +68,7 @@ from conftest import (
     k4_with_doubled_diagonal,
     kernel_instance,
     nz_flows,
+    settled_search,
     small_corpus,
     triangle_and_nine_cycle,
 )
@@ -391,6 +392,26 @@ class TestMinConflict:
             conflicts(g, f, tf, th).count for th in nz_flows(h)
         )
         assert min_conflict_flow(g, f).conflict_count == oracle
+
+
+class TestSettledChords:
+    """The kernel searches no chord of F-bar: each holds alpha+beta, and
+    brute force over every flow of the whole G/F-bar agrees."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(cubic_multigraph_and_matching())
+    def test_verdicts_and_minima_match_brute_force(self, gf):
+        g, f = gf
+        tf, h = contraction_of(g, f)
+        counts = [conflicts(g, f, tf, theta).count for theta in nz_flows(h)]
+        first = find_nonconflicting_flow(g, f)
+        assert (first is None) == (0 not in counts)
+        res = min_conflict_flow(g, f)
+        assert (res is None) == (not counts)
+        assert res is None or res.conflict_count == min(counts)
+        loops = [i for i, (a, b) in enumerate(h.quotient_edges) if a == b]
+        for theta in (first, res and res.flow):
+            assert theta is None or all(theta.values[i] == ALPHA_BETA for i in loops)
 
 
 class TestEvenCycleFlow:
@@ -835,7 +856,13 @@ class TestDeepPurePythonSearches:
 # exhaustive negatives ran in fail-first order (22,144 nodes before).
 # Since "min" also runs fail first, the third matching of
 # triangle_replace_all(k33) gets another flow with the same 2 conflicts
-# (([1, 2, 3, 1, 2, 1, 2, 3, 3], 2, 978) in vertex-id order)
+# (([1, 2, 3, 1, 2, 1, 2, 3, 3], 2, 978) in vertex-id order).  "min" is
+# read with F-bar's chords at alpha+beta (`settled_search`); while the
+# kernel still searched them, triangle_replace_all(k4) gave
+# ([1, 2, 3, 1, 3, 1], 1, 25) and ([1] * 6, 0, 17) on its second and
+# third matchings, and triangle_replace_all(k33) ([1, 2, 3, 2, 3, 2, 1, 3,
+# 3], 2, 51) and ([2, 3, 1, 2, 3, 2, 1, 3, 3], 2, 51) on its second and
+# third: the same conflict counts, fewer nodes.
 FAMILY1_FIRST_NODES = (
     ((356, 356, 342, 342, 342, 342, 356, 356) + (152,) * 8)
     + ((349, 349, 335, 335, 335, 335, 349, 349) + (145,) * 8) * 2
@@ -847,13 +874,13 @@ MIN_GOLDEN = {
     "petersen": [([1, 2, 3, 3, 3], 1, 72)] * 3,
     "triangle_replace_all(k4)": [
         ([1, 2, 3, 3, 2, 1], 4, 27),
-        ([1, 2, 3, 1, 3, 1], 1, 25),
-        ([1, 1, 1, 1, 1, 1], 0, 17),
+        ([1, 2, 3, 3, 3, 3], 1, 10),
+        ([3, 3, 3, 3, 3, 3], 0, 0),
     ],
     "triangle_replace_all(k33)": [
         ([1, 2, 3, 2, 3, 1, 3, 1, 2], 6, 89),
-        ([1, 2, 3, 2, 3, 2, 1, 3, 3], 2, 51),
-        ([2, 3, 1, 2, 3, 2, 1, 3, 3], 2, 51),
+        ([1, 2, 3, 2, 3, 3, 3, 3, 3], 2, 24),
+        ([2, 3, 1, 2, 3, 3, 3, 3, 3], 2, 24),
     ],
 }
 
@@ -877,7 +904,7 @@ class TestPurePythonFlowKernelGolden:
             "triangle_replace_all(k33)": lambda: triangle_replace_all(k33()),
         }[name]()
         matchings = itertools.islice(enumerate_perfect_matchings(g), 3)
-        got = [_kernels_py.flow_search(*kernel_instance(g, f), "min") for f in matchings]
+        got = [settled_search(_kernels_py, g, f, "min") for f in matchings]
         assert got == MIN_GOLDEN[name]
 
     @pytest.mark.parametrize(

@@ -43,6 +43,7 @@ from conftest import (
     loop_free_cubic_multigraph,
     prism,
     seeded_cubic_multigraphs,
+    settled_search,
     small_corpus,
 )
 
@@ -141,6 +142,19 @@ class TestFlowParity:
         for impl in (_kernels_py, compiled):
             with pytest.raises(ValueError):
                 impl.flow_search(2, [0, 0, 1], [1, 1, 0], [0], [1], mode, values=values)
+
+    @pytest.mark.parametrize("values", [(1 << 40, 1 << 41, 3 << 40), (1 << 31, 1, (1 << 31) + 1), (-1, -2, 1)])
+    def test_values_outside_a_c_int_raise_in_both(self, values, compiled):
+        # each list is a group with 0, and the C kernels hold values in an
+        # int; the first once raised struct.error in C while Python searched
+        # it in 4 nodes
+        for impl in (_kernels_py, compiled):
+            for mode in ("first", "min"):
+                with pytest.raises(ValueError, match="1..2"):
+                    impl.flow_search(2, [0, 0, 1], [1, 1, 0], [0], [1], mode, values=values)
+        top = (1 << 31) - 1  # the largest value both take
+        found = [impl.flow_search(2, [0, 0], [1, 1], [], [], "first", values=(top,)) for impl in (_kernels_py, compiled)]
+        assert found[0] == found[1] and found[0][0] == [top, top]
 
     @pytest.mark.parametrize("values", [(3, 1), (1, 2), (5, 6, 1)])
     def test_values_not_a_group_with_0_raise_in_both(self, values, compiled):
@@ -283,19 +297,23 @@ class TestFlowOracle:
         assert (vals, conf) == (fewest if fewest else (None, 0))
 
 
-# The first conflict-free flow of every matching, in enumeration order;
-# None where there is none.  These are also the flows the search in
-# vertex-id order returned: on k23_with_p10v the fail-first order takes
-# the vertices in another sequence on 12 of the 16 matchings, yet finds
-# the same first flow.  The positive matchings of triangle_replace_all(k33)
-# contract triangles only, so all their quotient degrees are equal.
+# The first conflict-free flow of every matching, in enumeration order,
+# with F-bar's chords at alpha+beta (`settled_search`); None where there
+# is none.  Before the chords were settled, the search valued them too and
+# returned the flows it found first in fail-first order, which were also
+# those of the search in vertex-id order: on k23_with_p10v matchings 10,
+# 11, 14 and 15, whose first six F-edges are chords, gave "133133132",
+# and the three edges left now come first and take "123"; the positive
+# matchings of
+# triangle_replace_all(k33), which contract triangles only, so that every
+# F-edge is a chord, gave "1" * 9.
 FIRST_FLOW_GOLDEN = {
     "k23_with_p10v": (
         ["133313332"] * 3 + ["133333132", "331313332", "331333132"] + ["133313332"] * 2
-        + ["313331332", "313313332", "133133132", "133133132", "133331332", "133313332"]
-        + ["133133132"] * 2
+        + ["313331332", "313313332", "333333123", "333333123", "133331332", "133313332"]
+        + ["333333123"] * 2
     ),
-    "triangle_replace_all(k33)": [None if c == "-" else "1" * 9 for c in "-----11--1-11-1-"],
+    "triangle_replace_all(k33)": [None if c == "-" else "3" * 9 for c in "-----11--1-11-1-"],
 }
 
 
@@ -307,7 +325,7 @@ class TestFailFirst:
         g = {"k23_with_p10v": k23_with_p10v, "triangle_replace_all(k33)": lambda: triangle_replace_all(k33())}[name]()
         for f, want in zip(enumerate_perfect_matchings(g), FIRST_FLOW_GOLDEN[name], strict=True):
             for impl in (_kernels_py, compiled):
-                vals, conf, _nodes = impl.flow_search(*kernel_instance(g, f), "first")
+                vals, conf, _nodes = settled_search(impl, g, f, "first")
                 assert (vals and "".join(map(str, vals)), conf) == (want, 0)
 
     def test_nodes_of_the_exhaustive_negative(self, compiled):
@@ -323,12 +341,15 @@ class TestFailFirst:
     @pytest.mark.parametrize(
         "name, mode, total",
         [
-            ("corpus16", "first", 2165),  # 2,454 when "first" also searched in vertex-id order
-            ("corpus16", "min", 4869),
-            ("k23_with_p10v", "first", 756),  # 3,906 then
-            ("k23_with_p10v", "min", 1812),  # 4,776 in vertex-id order
-            ("claw-free corpus", "first", 10819),  # 11,056 then
-            ("claw-free corpus, 40 per graph", "min", 45895),  # 56,842,915 in vertex-id order
+            # with the chords searched as loops: 2,165, 4,869, 756, 1,812,
+            # 10,819 and 45,895; before the fail-first order: 2,454, 4,869,
+            # 3,906, 4,776, 11,056 and 56,842,915
+            ("corpus16", "first", 1353),
+            ("corpus16", "min", 2460),
+            ("k23_with_p10v", "first", 552),
+            ("k23_with_p10v", "min", 1488),
+            ("claw-free corpus", "first", 4435),
+            ("claw-free corpus, 40 per graph", "min", 23236),
         ],
     )
     def test_node_totals(self, name, mode, total, compiled):

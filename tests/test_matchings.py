@@ -1,5 +1,6 @@
 """Perfect matchings, complementary 2-factors, and 3-cut-respecting streams."""
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -318,6 +319,33 @@ class TestPrunedCutStream:
         for g in claw_free_corpus():
             assert_pruned_stream_is_filtered(g, three_edge_cuts(g), repr(g))
 
+    def test_claw_free_streams_are_unchanged(self):
+        # the digest of every edge's cut stream over the claw-free corpus,
+        # as the search without the look-ahead gave it
+        digest = hashlib.sha256()
+        count = 0
+        for g in claw_free_corpus():
+            cuts = three_edge_cuts(g)
+            for eid in range(g.m):
+                for f in matchings_meeting_all_3cuts_once(g, eid, cuts):
+                    digest.update(f"{eid}: {' '.join(map(str, f.edge_ids))}\n".encode())
+                    count += 1
+        assert count == 6618
+        assert digest.hexdigest() == "9d84ec8342a2a31afe2de02f2bb1828a93079d6308a956800467ad8f19572246"
+
+    def test_the_look_ahead_cuts_dead_ends(self):
+        # through edge 0 of triangle_replace_all(k4()) every branch the
+        # look-ahead lets through yields a matching, so no state is
+        # refuted; without it the search walks into dead ends
+        g = triangle_replace_all(k4())
+        index = matchings._build_index(g, three_edge_cuts(g))
+        blind = dataclasses.replace(index, ahead=None, dead=set())
+        start = dict(index.partners[g.endpoints(0)[0]])[0]
+        stream = list(matchings._match_dfs(index, [0], start, None))
+        assert stream and stream == list(matchings._match_dfs(blind, [0], start, None))
+        assert not index.dead and blind.dead
+        assert matchings._build_index(g, ()).ahead is None  # plain streams do not look ahead
+
     def test_small_corpus_family_and_fig3(self):
         graphs = small_corpus() + [("cef1", counterexample_family(1)), ("fig3", fig3_graph())]
         for name, g in graphs:
@@ -430,7 +458,9 @@ class TestRefutedStates:
         with pytest.raises(SearchTimeout):
             next(matchings_meeting_all_3cuts_once(g, 0, cuts, deadline=time.monotonic() + 0.3), None)
         assert matchings._last_index[0] is g and not matchings._last_index[2].dead
-        h = triangle_replace_all(k4())
+        # triangle_replace_all(k4()) would do, but its cut streams look
+        # ahead past every dead end and refute no state
+        h = triangle_replace_all(petersen())
         h_cuts = three_edge_cuts(h)
         assert list(matchings_meeting_all_3cuts_once(h, 0, h_cuts))
         index = matchings._last_index[2]
