@@ -86,16 +86,25 @@ def check_search_args(
     values: Sequence[int],
 ) -> None:
     """Reject what neither backend's `flow_search` handles: a mode other
-    than "first" or "min", the value 0, which both use as the mark of an
-    unvalued edge, a value outside 1..2^31 - 1, which the C kernels do
-    not hold in an int, values that with 0 are not closed under XOR, as a
-    closing edge takes whatever XOR conservation leaves (ValueError), and
-    a bad edge list or conflict pair list (`check_edge_args`: the pairs
-    are an edge list over the m edges).  The verdict on `values` is
-    `_candidates`', kept per value tuple."""
+    than "first" or "min", a value that is not an int (TypeError; a bool
+    is not taken), the value 0, which both use as the mark of an unvalued
+    edge, a value outside 1..2^31 - 1, which the C kernels do not hold in
+    an int, values that with 0 are not closed under XOR, as a closing edge
+    takes whatever XOR conservation leaves (ValueError), and a bad edge list or conflict pair list (`check_edge_args`: the pairs
+    are an edge list over the m edges).  Only the XOR verdict is kept per
+    value tuple (`_candidates`): the other checks run on every call, so
+    the cache never sees a tuple that only equals an int tuple."""
     if mode not in ("first", "min"):
         raise ValueError(f"unknown flow search mode {mode!r}")
-    _candidates(tuple(values))
+    values = tuple(values)
+    for x in values:
+        if type(x) is not int:
+            raise TypeError("flow values must be ints")
+    if 0 in values:
+        raise ValueError("flow values must be non-zero")
+    if not all(0 < x <= _MAX_VALUE for x in values):
+        raise ValueError("flow values must lie in 1..2**31 - 1")
+    _candidates(values)
     check_edge_args(nq, eu, ev)
     check_edge_args(len(eu), first, second)
 
@@ -106,8 +115,9 @@ Candidates = List[Tuple[int, int, list]]
 @lru_cache(maxsize=8)
 def _candidates(values: Tuple[int, ...]) -> Candidates:
     """The candidates of `flow_search`'s first free edge over `values`,
-    built once per value tuple, after the checks on `values` that
-    `check_search_args` describes (ValueError, which is not cached).
+    ints in 1..2^31 - 1 (`check_search_args`), built once per value tuple
+    after checking that `values` with 0 is closed under XOR (ValueError,
+    which is not cached).
 
     An entry (x, x ^ 3, next list) is a value, the partner value it
     conflicts with (alpha+beta apart) and the candidate list of the next
@@ -116,10 +126,6 @@ def _candidates(values: Tuple[int, ...]) -> Candidates:
     `values` is closed under the swap.  The lists are shared by every
     call and never changed.
     """
-    if 0 in values:
-        raise ValueError("flow values must be non-zero")
-    if not all(0 < x <= _MAX_VALUE for x in values):
-        raise ValueError("flow values must lie in 1..2**31 - 1")
     group = {0, *values}
     for x in values:
         for y in values:

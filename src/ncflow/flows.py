@@ -17,9 +17,8 @@ kernel searches only the other edges (`_kernel_args`).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations, starmap
+from itertools import combinations
 from math import comb
-from operator import eq
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import ContractError, InputError, NcflowError
@@ -186,7 +185,7 @@ def conflicts(g: Pseudograph, f: PerfectMatching, tf: TwoFactor, theta: FlowAssi
 KernelArgs = Tuple[int, List[int], List[int], List[int], List[int]]
 
 
-def _kernel_args(h: ContractedGraph) -> Tuple[Sequence[int], KernelArgs]:
+def _kernel_args(h: ContractedGraph) -> Tuple[List[int], KernelArgs]:
     """(kept, args): the flow kernel's args = (nq, eu, ev, first, second)
     for h = G/F-bar with F-bar's chords settled, and kept[i], the quotient
     edge that kernel edge i is.
@@ -194,9 +193,10 @@ def _kernel_args(h: ContractedGraph) -> Tuple[Sequence[int], KernelArgs]:
     A chord (an F-edge with both ends on one cycle, a loop of h) cancels
     out of conservation, and at alpha+beta it conflicts with nothing, as
     its partner would need the value 0; so every chord holds alpha+beta
-    and the kernel gets only the other quotient edges, in id order, and
-    the conflict pairs between them.  Settling the chords changes neither
-    whether a flow exists nor the fewest conflicts a flow has.
+    (`_settle`) and the kernel gets only the other quotient edges, in id
+    order, and the conflict pairs between them.  Settling the chords
+    changes neither whether a flow exists nor the fewest conflicts a flow
+    has.
 
     Flat int lists that both backends take as they are: kernel edge i
     joins eu[i] and ev[i], and conflict pair k is (first[k], second[k]),
@@ -204,25 +204,40 @@ def _kernel_args(h: ContractedGraph) -> Tuple[Sequence[int], KernelArgs]:
     with no chord at either end (their values XOR to alpha+beta exactly
     when that edge conflicts).  The quotient is never built.
     """
-    q_edges = h.quotient_edges
-    edges, at = h.graph.edges, h.matching_edge_at
-    ends = [edges[eid] for cyc in h.cycles for eid in cyc.edges]
-    kept: Sequence[int] = range(len(q_edges))
-    if any(starmap(eq, q_edges)):  # F-bar has a chord
-        kept = [i for i, (a, b) in enumerate(q_edges) if a != b]
-        new_id = [-1] * len(q_edges)
-        for j, i in enumerate(kept):
-            new_id[i] = j
-        q_edges = [q_edges[i] for i in kept]
-        at = [new_id[i] for i in at]
-        ends = [(u, v) for u, v in ends if at[u] >= 0 and at[v] >= 0]
-    return kept, (
-        len(h.cycles),
-        [a for a, _ in q_edges],
-        [b for _, b in q_edges],
-        [at[u] for u, _ in ends],
-        [at[v] for _, v in ends],
-    )
+    kept: List[int] = []
+    eu: List[int] = []
+    ev: List[int] = []
+    new_id = []  # quotient edge -> kernel edge, -1 for a chord
+    for i, (a, b) in enumerate(h.quotient_edges):
+        if a == b:
+            new_id.append(-1)
+        else:
+            new_id.append(len(kept))
+            kept.append(i)
+            eu.append(a)
+            ev.append(b)
+    edges = h.graph.edges
+    at = [new_id[i] for i in h.matching_edge_at]
+    first: List[int] = []
+    second: List[int] = []
+    for cyc in h.cycles:
+        for eid in cyc.edges:
+            u, v = edges[eid]
+            x, y = at[u], at[v]
+            if x >= 0 and y >= 0:
+                first.append(x)
+                second.append(y)
+    return kept, (len(h.cycles), eu, ev, first, second)
+
+
+def _settle(h: ContractedGraph, kept: Sequence[int], vals: Sequence[int]) -> List[int]:
+    """The values of every quotient edge of h = G/F-bar for the kernel's
+    values `vals` on `_kernel_args(h)`: quotient edge kept[i] holds
+    vals[i], and every chord alpha+beta."""
+    settled = [ALPHA_BETA] * len(h.quotient_edges)
+    for i, x in zip(kept, vals):
+        settled[i] = x
+    return settled
 
 
 def _kernel_flow(
@@ -230,19 +245,14 @@ def _kernel_flow(
 ) -> Tuple[Optional[FlowAssignment], int, int]:
     """Kernel flow search on h = G/F-bar in `mode`: (verified flow or None,
     its conflict count, nodes expanded).  The kernel searches the edges
-    that are not chords (`_kernel_args`) and every chord gets alpha+beta;
-    the flow's conservation and its conflict count are checked on all of
-    G/F-bar."""
+    that are not chords (`_kernel_args`) and every chord gets alpha+beta
+    (`_settle`); the flow's conservation and its conflict count are
+    checked on all of G/F-bar."""
     kept, args = _kernel_args(h)
     vals, conf, nodes = flow_search(*args, mode, deadline=deadline)
     if vals is None:
         return None, conf, nodes
-    if len(vals) < len(h.quotient_edges):
-        settled = [ALPHA_BETA] * len(h.quotient_edges)
-        for i, x in zip(kept, vals):
-            settled[i] = x
-        vals = settled
-    theta = FlowAssignment(tuple(vals))
+    theta = FlowAssignment(tuple(_settle(h, kept, vals)))
     if not verify_flow(h, theta):
         raise NcflowError("flow search returned a flow that does not conserve")
     if len(_conflict_edges(h, theta.values, _f_values(h, theta))) != conf:

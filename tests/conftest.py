@@ -29,7 +29,7 @@ from ncflow.generators import (
     ring_of_diamonds,
     triangle_replace_all,
 )
-from ncflow.flows import KLEIN_VALUES, FlowAssignment, _kernel_args
+from ncflow.flows import KLEIN_VALUES, FlowAssignment, _kernel_args, _settle
 from ncflow.graph import ContractedGraph, Pseudograph, bridges, build_graph, contract_two_factor, is_cubic
 from ncflow.matchings import (
     Cycle,
@@ -159,14 +159,10 @@ def settled_search(impl, g: Pseudograph, f: PerfectMatching, mode: str) -> Tuple
     """`impl.flow_search` on `kernel_instance(g, f)` in `mode`, its values
     spread over every quotient edge of G/F-bar, chords at alpha+beta, as
     `find_nonconflicting_flow` and `min_conflict_flow` read them."""
-    kept, args = _kernel_args(contract_two_factor(g, complement_two_factor(g, f)))
+    h = contract_two_factor(g, complement_two_factor(g, f))
+    kept, args = _kernel_args(h)
     vals, conf, nodes = impl.flow_search(*args, mode)
-    if vals is None:
-        return None, conf, nodes
-    settled = [3] * (g.n // 2)
-    for i, x in zip(kept, vals):
-        settled[i] = x
-    return settled, conf, nodes
+    return None if vals is None else _settle(h, kept, vals), conf, nodes
 
 
 def _vertex_sums(n: int, edges, values) -> Tuple[int, ...]:

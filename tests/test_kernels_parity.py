@@ -165,6 +165,16 @@ class TestFlowParity:
                 with pytest.raises(ValueError, match="closed under XOR"):
                     impl.flow_search(2, [0, 0, 1], [1, 1, 0], [0], [1], mode, values=values)
 
+    @pytest.mark.parametrize("values", [(1.0, 2.0, 3.0), (True, 2, 3), (1, 2, 3.0)])
+    def test_values_that_are_not_ints_raise_in_both(self, values, compiled):
+        # each tuple equals (1, 2, 3), whose candidates are kept once
+        # searched, so the check must not depend on what came before
+        for impl in (_kernels_py, compiled):
+            impl.flow_search(2, [0, 0, 1], [1, 1, 0], [0], [1], "first", values=(1, 2, 3))
+            for mode in ("first", "min"):
+                with pytest.raises(TypeError, match="ints"):
+                    impl.flow_search(2, [0, 0, 1], [1, 1, 0], [0], [1], mode, values=values)
+
     def test_out_of_range_index_raises_in_both(self, compiled):
         # the C kernels check every index before touching memory
         for impl in (_kernels_py, compiled):
