@@ -7,9 +7,11 @@
    the edge orders, the alpha <-> beta symmetry rule of the flow search,
    the depth at which the coloring search looks one edge ahead and the
    deadline stride are the same.  Each entry point takes plain int
-   arrays, builds its own order, incidence and partner arrays, frees them
-   on every path and returns a status code; the coloring search builds
-   them once for all the palettes it is given.  Neither recurses: each keeps
+   arrays of a loop-free multigraph, refuses a loop (and, in the flow
+   search, a self-pair or a group other than Z_2^2 and Z_2^3), builds its
+   own order, incidence and partner arrays, frees them on every path and
+   returns a status code; the coloring search builds them once for all
+   the palettes it is given.  Neither recurses: each keeps
    its candidates in per-depth arrays, so deep inputs need no stack.  A
    deadline is given as the seconds left (negative: none) and read from
    CLOCK_MONOTONIC every DEADLINE_STRIDE nodes. */
@@ -20,7 +22,7 @@
 #include <string.h>
 #include <time.h>
 
-enum { NC_EXHAUSTED, NC_FOUND, NC_TIMEOUT, NC_NOMEM, NC_BADINDEX };
+enum { NC_EXHAUSTED, NC_FOUND, NC_TIMEOUT, NC_NOMEM, NC_BADINDEX, NC_BADARG };
 
 #define DEADLINE_STRIDE 4096
 #define TIMED_OUT (-1)
@@ -53,6 +55,15 @@ static int in_range(int n, const int *idx, int count)
     return 1;
 }
 
+/* 1 when some entry a[i]-b[i] of count has equal ends. */
+static int has_loop(const int *a, const int *b, int count)
+{
+    for (int i = 0; i < count; i++)
+        if (a[i] == b[i])
+            return 1;
+    return 0;
+}
+
 /* Compressed lists off[0..n] / dat: count list k's items in off[k + 1],
    call `offsets`, store each item at dat[off[k]++], then call
    `rewind_offsets`.  Items keep their insertion order within a list. */
@@ -69,21 +80,18 @@ static void rewind_offsets(int *off, int n)
     off[0] = 0;
 }
 
-/* Incidence lists of n vertices in edge id order; a loop is listed once
-   at its vertex when `loops_once`, twice otherwise.  off has n + 1 ints,
+/* Incidence lists of n vertices in edge id order.  off has n + 1 ints,
    dat 2m. */
-static void incidence(int n, int m, const int *eu, const int *ev, int loops_once, int *off, int *dat)
+static void incidence(int n, int m, const int *eu, const int *ev, int *off, int *dat)
 {
     for (int e = 0; e < m; e++) {
         off[eu[e] + 1]++;
-        if (!(loops_once && eu[e] == ev[e]))
-            off[ev[e] + 1]++;
+        off[ev[e] + 1]++;
     }
     offsets(off, n);
     for (int e = 0; e < m; e++) {
         dat[off[eu[e]]++] = e;
-        if (!(loops_once && eu[e] == ev[e]))
-            dat[off[ev[e]]++] = e;
+        dat[off[ev[e]]++] = e;
     }
     rewind_offsets(off, n);
 }
@@ -93,41 +101,26 @@ static void incidence(int n, int m, const int *eu, const int *ev, int loops_once
 enum { MODE_FIRST, MODE_MIN };
 
 /* The edge valued at one depth of the static order: its endpoints, the
-   endpoint it closes (the first at which it is the last non-loop edge in
-   the order, or -1) and whether it closes both. */
+   endpoint it closes (the first at which it is the last edge in the
+   order, or -1) and whether it closes both. */
 typedef struct {
     int u, v, closes, both;
 } Step;
 
 /* The search state, and what `flow_setup` reads to fill it: the edges,
-   the conflict pairs (first edges, then second edges), incidence lists in
-   id order with a loop once, its scratch arrays depth_of (m ints) and
-   last (nq ints), and the per-depth arrays of `flow_walk` (m + 1 ints
-   each). */
+   the conflict pairs (first edges, then second edges), the largest value
+   top = 2^bits - 1, incidence lists in id order, its scratch arrays
+   depth_of (m ints) and last (nq ints), and the per-depth arrays of
+   `flow_walk` (m + 1 ints each). */
 typedef struct {
-    int nq, m, npairs, mode, nvals, best_conf;
-    const int *eu, *ev, *pairs, *vals;
+    int nq, m, npairs, mode, top, best_conf;
+    const int *eu, *ev, *pairs;
     Step *steps;
-    int *order, *acc, *val, *best_val, *partner_off, *partner_dat, *sym_skip;
+    int *order, *acc, *val, *best_val, *partner_off, *partner_dat;
     int *inc_off, *inc_dat, *depth_of, *last, *next, *conf, *sym;
     long long nodes;
     double deadline;
 } FlowState;
-
-/* x with bits 0 and 1 exchanged: alpha = 1 <-> beta = 2 (and 5 <-> 6). */
-static int swap_alpha_beta(int x)
-{
-    return ((x ^ (x >> 1)) & 1) ? x ^ 3 : x;
-}
-
-/* The first index of x in vals[0..n), or n. */
-static int index_of(const int *vals, int n, int x)
-{
-    int i = 0;
-    while (i < n && vals[i] != x)
-        i++;
-    return i;
-}
 
 /* The edges in the order of the search that takes the vertices in the
    sequence `seq`: each vertex in turn takes its edges not yet placed, in
@@ -155,14 +148,13 @@ static void flow_setup(FlowState *s, int *order)
     int *depth_of = s->depth_of, *last = s->last;
 
     s->order = order;
-    /* last: the depth of the last non-loop edge at each vertex */
+    /* last: the depth of the last edge at each vertex */
     for (int w = 0; w < nq; w++)
         last[w] = -1;
     for (int d = 0; d < m; d++) {
         int e = s->order[d];
         depth_of[e] = d;
-        if (eu[e] != ev[e])
-            last[eu[e]] = last[ev[e]] = d;
+        last[eu[e]] = last[ev[e]] = d;
     }
     for (int d = 0; d < m; d++) {
         int u = eu[s->order[d]], v = ev[s->order[d]];
@@ -170,42 +162,41 @@ static void flow_setup(FlowState *s, int *order)
     }
 
     /* the later depth of a pair lists the earlier one, which is valued
-       whenever the later one is tried; a self-pair never conflicts */
+       whenever the later one is tried */
     memset(s->partner_off, 0, ((size_t)m + 1) * sizeof(int));
     for (int i = 0; i < npairs; i++) {
         int a = depth_of[pairs[i]], b = depth_of[pairs[npairs + i]];
-        if (a != b)
-            s->partner_off[(a > b ? a : b) + 1]++;
+        s->partner_off[(a > b ? a : b) + 1]++;
     }
     offsets(s->partner_off, m);
     for (int i = 0; i < npairs; i++) {
         int a = depth_of[pairs[i]], b = depth_of[pairs[npairs + i]];
-        if (a != b)
-            s->partner_dat[s->partner_off[a > b ? a : b]++] = a > b ? b : a;
+        s->partner_dat[s->partner_off[a > b ? a : b]++] = a > b ? b : a;
     }
     rewind_offsets(s->partner_off, m);
 }
 
 /* 1 once "first" has its flow, TIMED_OUT on the deadline, 0 otherwise.
-   The search walks the depths in a loop and keeps, per depth, the index
-   of the next candidate (next), the conflicts of the values above it
-   (conf) and whether they are all swap-fixed (sym), so its depth is
+   The search walks the depths in a loop and keeps, per depth, the last
+   value tried, or for a closing edge whether it was tried (next), the
+   conflicts of the values above it (conf) and whether they are all fixed
+   by the alpha <-> beta swap, x & 3 being 0 or 3 (sym), so its depth is
    bounded by memory, not by the stack.  val[d] is the value at depth d
    and acc[w] the XOR of the values at w, so an edge that closes a vertex
-   can only take acc there (a loop XORs its value in twice, which changes
-   nothing); every value is XORed out again on the way back, so acc is
-   all zeros after a search that did not time out.  While sym holds, a
-   free edge skips each value whose swap comes earlier in `vals`, and a
-   skipped value is not a node.  A value conflicts with a partner (an
-   earlier depth) alpha + beta apart, and a branch is cut once its
-   conflicts reach best_conf.  No value is 0, so x = 0 marks a depth
-   with no candidate left. */
-static int flow_walk(FlowState *s, int sym_start)
+   can only take acc there; every value is XORed out again on the way
+   back, so acc is all zeros after a search that did not time out.  A
+   free edge takes 1..top in turn; while sym holds it skips each x with
+   x & 3 == 2, whose swap x ^ 3 comes one earlier, and a skipped value is
+   not a node.  A value conflicts with a partner (an earlier depth)
+   alpha + beta apart, and a branch is cut once its conflicts reach
+   best_conf.  No value is 0, so x = 0 marks a depth with no candidate
+   left. */
+static int flow_walk(FlowState *s)
 {
     int m = s->m, depth = 0;
     int *next = s->next, *conf = s->conf, *sym = s->sym;
     next[0] = conf[0] = 0;
-    sym[0] = sym_start;
+    sym[0] = 1;
     for (;;) {
         const Step *st = &s->steps[depth];
         int x = 0;
@@ -224,10 +215,11 @@ static int flow_walk(FlowState *s, int sym_start)
                     x = 0;
             }
         } else {
-            while (next[depth] < s->nvals && sym[depth] && s->sym_skip[next[depth]])
-                next[depth]++;
-            if (next[depth] < s->nvals)
-                x = s->vals[next[depth]++];
+            x = ++next[depth];
+            if (sym[depth] && (x & 3) == 2)
+                x = ++next[depth];
+            if (x > s->top)
+                x = 0;
         }
         if (x == 0) { /* back to the depth above, taking its value out */
             if (depth == 0)
@@ -250,30 +242,33 @@ static int flow_walk(FlowState *s, int sym_start)
         depth++;
         next[depth] = 0;
         conf[depth] = c;
-        sym[depth] = sym[depth - 1] && swap_alpha_beta(x) == x;
+        sym[depth] = sym[depth - 1] && (x & 3) % 3 == 0;
     }
 }
 
-/* Nowhere-zero flows of the multigraph on nq vertices with edges
-   eu[i]-ev[i], XOR conservation at every vertex, free edges valued from
-   vals in the order given; vals with 0 must be closed under XOR, as
+/* Nowhere-zero Z_2^bits flows of the loop-free multigraph on nq vertices
+   with edges eu[i]-ev[i], XOR conservation at every vertex, free edges
+   valued 1..2^bits - 1 in increasing order; bits is 2 or 3, as
    `_kernels_py.check_search_args` requires.  pairs holds the first edges
-   of npairs conflict pairs, then their second edges.  mode 0 ("first")
+   of npairs conflict pairs, then their second edges; no pair has equal
+   ends.  NC_BADINDEX refuses an index out of range, NC_BADARG a loop, a
+   self-pair or another bits.  mode 0 ("first")
    looks for a flow without conflicts, mode 1 ("min") for the first flow
    with the fewest.  On NC_FOUND the flow is in out_val and its conflict
    count in *out_conf; *out_nodes is set on NC_FOUND, NC_EXHAUSTED and
    NC_TIMEOUT.
 
    Both modes search once, in the order of `_kernels_py.flow_search`: the
-   vertices by their number of edges (a loop once), then by id, so the
-   vertices with fewest edges close first (fail first). */
+   vertices by their number of edges, then by id, so the vertices with
+   fewest edges close first (fail first). */
 int nc_flow_search(int nq, int m, const int *eu, const int *ev, int npairs, const int *pairs,
-                   int mode, int nvals, const int *vals, double seconds,
-                   int *out_val, int *out_conf, long long *out_nodes)
+                   int mode, int bits, double seconds, int *out_val, int *out_conf, long long *out_nodes)
 {
     if (!in_range(nq, eu, m) || !in_range(nq, ev, m) || !in_range(m, pairs, 2 * npairs))
         return NC_BADINDEX;
-    size_t total = 10 * (size_t)m + 4 * (size_t)nq + (size_t)npairs + (size_t)nvals + 7;
+    if ((bits != 2 && bits != 3) || has_loop(eu, ev, m) || has_loop(pairs, pairs + npairs, npairs))
+        return NC_BADARG;
+    size_t total = 10 * (size_t)m + 4 * (size_t)nq + (size_t)npairs + 7;
     int *block = calloc(total, sizeof(int));
     Step *steps = malloc(((size_t)m + 1) * sizeof(Step));
     if (block == NULL || steps == NULL) {
@@ -283,16 +278,15 @@ int nc_flow_search(int nq, int m, const int *eu, const int *ev, int npairs, cons
     }
     /* "first" is "min" that admits no conflict and stops at its first flow */
     int bound = mode == MODE_FIRST ? 1 : npairs + 1;
-    FlowState s = {.nq = nq, .m = m, .npairs = npairs, .mode = mode, .nvals = nvals, .eu = eu,
-                   .ev = ev, .pairs = pairs, .vals = vals, .steps = steps, .best_val = out_val,
-                   .best_conf = bound, .deadline = deadline_in(seconds)};
+    FlowState s = {.nq = nq, .m = m, .npairs = npairs, .mode = mode, .top = (1 << bits) - 1, .eu = eu,
+                   .ev = ev, .pairs = pairs, .steps = steps, .best_val = out_val, .best_conf = bound,
+                   .deadline = deadline_in(seconds)};
     int *p = block;
     int *order = p;
     p += m;
     s.val = p, p += m;
     s.partner_off = p, p += m + 1;
     s.partner_dat = p, p += npairs;
-    s.sym_skip = p, p += nvals;
     s.acc = p, p += nq;
     s.depth_of = p, p += m;
     s.last = p, p += nq;
@@ -304,7 +298,7 @@ int nc_flow_search(int nq, int m, const int *eu, const int *ev, int npairs, cons
     int *fail_first = p; /* the vertices by (edges, id), counted out */
     p += nq;
     int *by_edges = p; /* m + 2 ints */
-    incidence(nq, m, eu, ev, 1, s.inc_off, s.inc_dat);
+    incidence(nq, m, eu, ev, s.inc_off, s.inc_dat);
 
     for (int w = 0; w < nq; w++)
         by_edges[s.inc_off[w + 1] - s.inc_off[w] + 1]++;
@@ -312,17 +306,9 @@ int nc_flow_search(int nq, int m, const int *eu, const int *ev, int npairs, cons
     for (int w = 0; w < nq; w++)
         fail_first[by_edges[s.inc_off[w + 1] - s.inc_off[w]]++] = w;
 
-    /* the symmetry is broken only when vals is closed under the swap */
-    int sym = 1;
-    for (int i = 0; i < nvals; i++) {
-        int j = index_of(vals, nvals, swap_alpha_beta(vals[i]));
-        sym &= j < nvals;
-        s.sym_skip[i] = j < i;
-    }
-
     edge_order(&s, fail_first, order);
     flow_setup(&s, order);
-    int done = flow_walk(&s, sym);
+    int done = flow_walk(&s);
     free(block);
     free(steps);
     *out_nodes = s.nodes;
@@ -588,6 +574,8 @@ int nc_normal_coloring_search(int n, int m, const int *eu, const int *ev, int np
 {
     if (!in_range(n, eu, m) || !in_range(n, ev, m))
         return NC_BADINDEX;
+    if (has_loop(eu, ev, m))
+        return NC_BADARG;
     int widest = 1; /* words of the widest palette */
     for (int i = 0; i < npal; i++) {
         int colors = palettes[i] < m + 1 ? palettes[i] : m + 1;
@@ -617,7 +605,7 @@ int nc_normal_coloring_search(int n, int m, const int *eu, const int *ev, int np
     p += 2 * (size_t)m;
     int *work = p;
     s.color = out_color;
-    incidence(n, m, eu, ev, 0, inc_off, inc_dat);
+    incidence(n, m, eu, ev, inc_off, inc_dat);
 
     /* edges sharing an endpoint with e: e excluded, parallel edges once */
     size_t adj_size = 1;

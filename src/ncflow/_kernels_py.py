@@ -4,8 +4,9 @@ The readable reference for the C kernels in `_kernels.c`; `ncflow.kernels`
 uses those when the library is built and these otherwise.  Both implement
 identical semantics, node counts included:
 
-* `flow_search` -- backtracking over edge values of a group Z_2^b with
-  vertex-saturation (conservation) pruning and conflict-pair pruning
+* `flow_search` -- backtracking over the non-zero values of Z_2^bits
+  (bits 2 for the Klein group, 3 for Z_2^3), tried in increasing order,
+  with vertex-saturation (conservation) pruning and conflict-pair pruning
   ("first") or branch-and-bound ("min").  Both modes search once, valuing
   the edges in one vertex-grouped static order that takes the vertices
   with fewest edges first (fail first), so a step table built once
@@ -15,8 +16,8 @@ identical semantics, node counts included:
   runs its own recursion without a conflict count.  Both modes break the
   alpha <-> beta symmetry: swapping bits 0 and 1 of every value maps
   flows to flows with the same conflicts, so until some edge holds a
-  value the swap moves, a free edge skips a value whose image comes
-  earlier in `values`.
+  value the swap moves, a free edge skips each value x with x & 3 == 2,
+  whose image x ^ 3 comes one earlier.
 * `normal_coloring_search` -- proper k-edge-coloring search with poor/rich
   pruning and canonical color introduction (colors first appear in
   increasing order, which is sound because normality is invariant under
@@ -36,16 +37,15 @@ identical semantics, node counts included:
   stars makes the checks and the look-ahead fire early (Petersen at k = 5:
   1,139 nodes in breadth-first order over the line graph, 513 in this
   one).  One call searches a sequence of palettes on tables built once,
-  as none of them depends on k.  Its input must be cubic and loop-free;
-  both callers (`chi_n_exact` and `admits_normal_k_coloring`) refuse
-  anything else.
+  as none of them depends on k.  Its input must be cubic; a loop is
+  refused (`check_edge_args`).
 """
 
 from __future__ import annotations
 
 import time
-from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from operator import eq
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import ResourceLimitError
@@ -53,58 +53,38 @@ from .errors import ResourceLimitError
 BACKEND = "python"
 
 _DEADLINE_STRIDE = 4096
-# the largest flow value: the C kernels hold values in a C int
-_MAX_VALUE = (1 << 31) - 1
 
 
 class SearchTimeout(Exception):
     pass
 
 
-def _swap_alpha_beta(x: int) -> int:
-    """x with bits 0 and 1 exchanged: alpha = 1 <-> beta = 2 (and 5 <-> 6)."""
-    return x ^ 3 if (x ^ x >> 1) & 1 else x
-
-
 def check_edge_args(n: int, eu: Sequence[int], ev: Sequence[int]) -> None:
-    """Reject an edge list neither backend reads safely: `eu` and `ev` of
-    different lengths (ValueError) or an endpoint outside [0, n)
-    (IndexError, as the C kernels' own check raises)."""
+    """Reject an edge list neither backend reads: `eu` and `ev` of
+    different lengths or an entry with equal ends (ValueError), or an end
+    outside [0, n) (IndexError, as the C kernels' own check raises).  The
+    package hands the kernels no loop: `flows._kernel_args` settles F-bar's
+    chords and the colorings refuse loops."""
     if len(eu) != len(ev):
         raise ValueError("eu and ev must have one entry per edge")
     if eu and (min(eu) < 0 or min(ev) < 0 or max(eu) >= n or max(ev) >= n):
         raise IndexError("vertex or edge index out of range")
+    if any(map(eq, eu, ev)):
+        raise ValueError("an edge or conflict pair has equal ends")
 
 
 def check_search_args(
-    nq: int,
-    eu: Sequence[int],
-    ev: Sequence[int],
-    first: Sequence[int],
-    second: Sequence[int],
-    mode: str,
-    values: Sequence[int],
+    nq: int, eu: Sequence[int], ev: Sequence[int], first: Sequence[int], second: Sequence[int], mode: str, bits: int
 ) -> None:
     """Reject what neither backend's `flow_search` handles: a mode other
-    than "first" or "min", a value that is not an int (TypeError; a bool
-    is not taken), the value 0, which both use as the mark of an unvalued
-    edge, a value outside 1..2^31 - 1, which the C kernels do not hold in
-    an int, values that with 0 are not closed under XOR, as a closing edge
-    takes whatever XOR conservation leaves (ValueError), and a bad edge list or conflict pair list (`check_edge_args`: the pairs
-    are an edge list over the m edges).  Only the XOR verdict is kept per
-    value tuple (`_candidates`): the other checks run on every call, so
-    the cache never sees a tuple that only equals an int tuple."""
+    than "first" or "min", `bits` other than the int 2 or 3 (ValueError;
+    a bool or a float is not taken), and a bad edge list or conflict pair
+    list (`check_edge_args`: the pairs are an edge list over the m edges,
+    so a self-pair is refused)."""
     if mode not in ("first", "min"):
         raise ValueError(f"unknown flow search mode {mode!r}")
-    values = tuple(values)
-    for x in values:
-        if type(x) is not int:
-            raise TypeError("flow values must be ints")
-    if 0 in values:
-        raise ValueError("flow values must be non-zero")
-    if not all(0 < x <= _MAX_VALUE for x in values):
-        raise ValueError("flow values must lie in 1..2**31 - 1")
-    _candidates(values)
+    if type(bits) is not int or bits not in _SYM:
+        raise ValueError(f"flow values span Z_2^2 or Z_2^3, not bits={bits!r}")
     check_edge_args(nq, eu, ev)
     check_edge_args(len(eu), first, second)
 
@@ -112,35 +92,25 @@ def check_search_args(
 Candidates = List[Tuple[int, int, list]]
 
 
-@lru_cache(maxsize=8)
-def _candidates(values: Tuple[int, ...]) -> Candidates:
-    """The candidates of `flow_search`'s first free edge over `values`,
-    ints in 1..2^31 - 1 (`check_search_args`), built once per value tuple
-    after checking that `values` with 0 is closed under XOR (ValueError,
-    which is not cached).
+def _candidates(bits: int) -> Candidates:
+    """The candidates of `flow_search`'s first free edge over Z_2^bits.
 
     An entry (x, x ^ 3, next list) is a value, the partner value it
     conflicts with (alpha+beta apart) and the candidate list of the next
     free edge: `full`, every value, once the alpha <-> beta symmetry is
-    broken, and `sym` before, which is returned; `sym` is `full` unless
-    `values` is closed under the swap.  The lists are shared by every
-    call and never changed.
+    broken, and `sym` before, which is returned.  `sym` leaves out each x
+    with x & 3 == 2, whose swap x ^ 3 comes one earlier, and keeps itself
+    after a value the swap fixes (x & 3 in 0, 3).
     """
-    group = {0, *values}
-    for x in values:
-        for y in values:
-            if x ^ y not in group:
-                raise ValueError("flow values with 0 must be closed under XOR")
     full: Candidates = []
-    full += [(x, x ^ 3, full) for x in values]
-    sym = full
-    if all(_swap_alpha_beta(x) in values for x in values):
-        sym = []
-        for i, x in enumerate(values):
-            sx = _swap_alpha_beta(x)
-            if sx not in values[:i]:
-                sym.append((x, x ^ 3, sym if sx == x else full))
+    full += [(x, x ^ 3, full) for x in range(1, 1 << bits)]
+    sym: Candidates = []
+    sym += [(x, x ^ 3, full if x & 3 == 1 else sym) for x in range(1, 1 << bits) if x & 3 != 2]
     return sym
+
+
+# the lists are shared by every call and never changed
+_SYM = {bits: _candidates(bits) for bits in (2, 3)}
 
 
 # (edge, u, v, vertex it closes or -1, closes both ends, earlier partners)
@@ -173,9 +143,9 @@ def _step_table(
 ) -> List[Step]:
     """The steps of the search that values the edges in `order`:
     `steps[depth]` holds the edge valued at that depth, its endpoints, the
-    vertex it closes (the first endpoint at which it is the last non-loop
-    edge, or -1), whether it closes both, and its conflict partners valued
-    at earlier depths."""
+    vertex it closes (the first endpoint at which it is the last edge, or
+    -1), whether it closes both, and its conflict partners valued at
+    earlier depths."""
     m = len(eu)
     depth_of = [0] * m
     for d, e in enumerate(order):
@@ -185,18 +155,16 @@ def _step_table(
         da, db = depth_of[a], depth_of[b]
         if da < db:
             earlier[db].append(a)
-        elif db < da:
+        else:
             earlier[da].append(b)
-    # from the deepest edge up: a non-loop edge closes each end not seen yet
+    # from the deepest edge up: an edge closes each end not seen yet
     seen = [False] * nq
     steps = []
     for d in range(m - 1, -1, -1):
         e = order[d]
         u, v = eu[e], ev[e]
-        close_u = close_v = False
-        if u != v:
-            close_u, close_v = not seen[u], not seen[v]
-            seen[u] = seen[v] = True
+        close_u, close_v = not seen[u], not seen[v]
+        seen[u] = seen[v] = True
         closes = u if close_u else v if close_v else -1
         steps.append((e, u, v, closes, close_u and close_v, tuple(earlier[d])))
     steps.reverse()
@@ -212,7 +180,14 @@ def _first_flow(
 ) -> Tuple[Optional[List[int]], int]:
     """(the first conflict-free flow in the order of `steps`, or None; the
     nodes expanded).  It prunes every conflict, so it keeps no conflict
-    count."""
+    count.
+
+    The C kernel runs "first" as "min" with a bound of one conflict that
+    stops at its first flow, in one walk; here "first" keeps a recursion
+    of its own, as the folded one must count conflicts and test the bound
+    at every node: folded into "min", the pure-Python kernel read 4.5%
+    fewer items/s on perfbench's `negative-family` (2,416 -> 2,307, slower
+    in 8 of 8 alternated pairs on a shared 2-CPU x86-64 host)."""
     m = len(steps)
     acc = [0] * nq
     val = [0] * m  # not cleared on backtracking: only earlier partners are read
@@ -262,13 +237,16 @@ def flow_search(
     first: Sequence[int],
     second: Sequence[int],
     mode: str,
-    values: Sequence[int] = (1, 2, 3),
+    bits: int = 2,
     deadline: Optional[float] = None,
 ) -> Tuple[Optional[List[int]], int, int]:
-    """Search nowhere-zero flows with XOR conservation at every vertex.
+    """Search nowhere-zero Z_2^bits flows with XOR conservation at every
+    vertex of the loop-free multigraph on nq vertices with edges eu[i]-ev[i].
 
-    Conflict pair i is (first[i], second[i]): two edge ids whose values
-    conflict when they are alpha + beta apart.
+    The values are 1..2^bits - 1 in increasing order: (1, 2, 3) =
+    (beta, alpha, alpha+beta) at bits 2, 1..7 at bits 3.  Conflict pair i
+    is (first[i], second[i]): two edge ids whose values conflict when they
+    are alpha + beta apart.
 
     mode:
       "first" -- first flow with zero conflicts (prunes on any conflict)
@@ -281,43 +259,40 @@ def flow_search(
     such limit).
 
     Edges are valued in a vertex-grouped static order (`_edge_order`,
-    `_step_table`) that takes the vertices by their number of edges (a loop
-    once), then by id, so the edges go by their end taken first, then by
-    id.  The vertices with fewest edges close first, so their constraints
-    cut early (fail first, Haralick and Elliott, Artificial Intelligence
-    14, 1980).  A closing edge can only take the XOR already at the vertex
-    it closes; as `values` with 0 is closed under XOR, that is a value of
-    the group, so every order searches the same flows and only which one
-    comes first depends on the order.  A later partner is still unvalued
-    when the edge is tried and a self-pair never counts, so only earlier
-    partners are kept; a duplicate pair counts twice.  A loop closes
-    nothing and XORs its value into its vertex twice, which changes
-    nothing.  Each value tried is one node, pruned or not, and the deadline
-    is read every `_DEADLINE_STRIDE` nodes.
+    `_step_table`) that takes the vertices by their number of edges, then
+    by id, so the edges go by their end taken first, then by id.  The
+    vertices with fewest edges close first, so their constraints cut early
+    (fail first, Haralick and Elliott, Artificial Intelligence 14, 1980).
+    A closing edge can only take the XOR already at the vertex it closes,
+    an element of the group, so every order searches the same flows and
+    only which one comes first depends on the order.  A later partner is
+    still unvalued when the edge is tried, so only earlier partners are
+    kept; a duplicate pair counts twice.  Each value tried is one node,
+    pruned or not, and the deadline is read every `_DEADLINE_STRIDE` nodes.
 
-    Symmetry breaking (when `values` is closed under sigma =
-    `_swap_alpha_beta`): sigma is an automorphism of the group that fixes
-    alpha + beta = 3, so it maps every flow to a flow with the same
-    conflicts.  Until some edge holds a value sigma moves, a free edge
-    skips each x whose sigma(x) comes earlier in `values` (a skipped value
-    is not a node); a closing edge then takes an XOR of sigma-fixed values,
-    which is sigma-fixed itself.  The flow returned is the first in the
-    search order (for "min", the first with the fewest conflicts), and its
-    first sigma-moved value is the earlier one of its pair, so values and
+    Symmetry breaking: sigma, which swaps bits 0 and 1 (alpha <-> beta), is
+    an automorphism of the group that fixes alpha + beta = 3, so it maps
+    every flow to a flow with the same conflicts.  Until some edge holds a
+    value sigma moves, a free edge skips each x with x & 3 == 2, whose
+    sigma(x) = x ^ 3 comes one earlier (a skipped value is not a node); a
+    closing edge then takes an XOR of sigma-fixed values, which is
+    sigma-fixed itself.  The flow returned is the first in the search
+    order (for "min", the first with the fewest conflicts), and its first
+    sigma-moved value is the earlier one of its pair, so values and
     conflict counts are those of the unpruned search; nodes are not.  Each
     candidate carries the candidate list of the next free edge
-    (`_candidates`, built once per value tuple).
+    (`_candidates`, built once per group).
     """
-    check_search_args(nq, eu, ev, first, second, mode, values)
+    check_search_args(nq, eu, ev, first, second, mode, bits)
     if deadline is not None and time.monotonic() > deadline:
         raise SearchTimeout
     m = len(eu)
 
-    sym = _candidates(tuple(values))
-    edges_at = [0] * nq  # a loop once
+    sym = _SYM[bits]
+    edges_at = [0] * nq
     for u, v in zip(eu, ev):
         edges_at[u] += 1
-        edges_at[v] += u != v
+        edges_at[v] += 1
     rank = [0] * nq
     for i, w in enumerate(sorted(range(nq), key=edges_at.__getitem__)):  # stable: ties by id
         rank[w] = i
@@ -484,8 +459,8 @@ def normal_coloring_search(
     not depend on the order; the coloring found and the node counts do.
 
     Endpoints of every edge must have degree 3 for the poor/rich pruning to
-    apply; both callers in `ncflow.coloring` reject loops and non-cubic
-    graphs.  Raises as `check_edge_args` does on a bad edge list,
+    apply; both callers in `ncflow.coloring` reject non-cubic graphs.
+    Raises as `check_edge_args` does on a bad edge list, a loop included,
     SearchTimeout once `deadline` has passed (read before each palette and
     every `_DEADLINE_STRIDE` nodes), and ResourceLimitError as
     `flow_search` does.

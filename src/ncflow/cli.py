@@ -17,7 +17,7 @@ from typing import List, Optional
 from . import __version__
 from .batch import MODES, graph_timeout, run_batch
 from .certificates import Certificate, fingerprint, flow_certificate
-from .coloring import EdgeColoring, chi_n_exact, classify_edge, h_coloring, is_normal
+from .coloring import POOR, RICH, EdgeColoring, _color_masks, chi_n_exact, h_coloring, is_normal
 from .errors import InputError, NcflowError, ResourceLimitError
 from .flows import (
     _three_colorable_route,
@@ -230,21 +230,35 @@ def _cmd_chi_n(args) -> int:
     return EXIT_FOUND
 
 
+def _read_coloring(path: str) -> EdgeColoring:
+    """The coloring in the JSON file at `path`: an object with "colors"
+    (or "witness") and an optional "k", which defaults to the largest
+    color, or a certificate holding such an object as its payload."""
+    with open(path) as fh:
+        raw = json.load(fh)
+    if isinstance(raw, dict) and "payload" in raw:  # a stored certificate
+        raw = raw["payload"]
+    if not isinstance(raw, dict):
+        raise InputError(f"{path}: expected a JSON object with the colors")
+    colors = raw.get("colors") or raw.get("witness")
+    if not isinstance(colors, list) or not colors or any(type(x) is not int for x in colors):
+        raise InputError(f"{path}: expected a non-empty list of int colors")
+    k = raw.get("k") or max(colors)
+    if type(k) is not int:
+        raise InputError(f"{path}: expected an int k")
+    return EdgeColoring(tuple(colors), k)
+
+
 def _cmd_normal(args) -> int:
     if args.action != "verify":
         raise InputError(f"unknown normal action {args.action!r}")
     g = _resolve_graph(args.graph)
-    with open(args.coloring) as fh:
-        raw = json.load(fh)
-    if "payload" in raw:  # a stored certificate
-        raw = raw["payload"]
-    colors = raw.get("colors") or raw.get("witness")
-    k = raw.get("k") or max(colors)
-    c = EdgeColoring(tuple(colors), k)
+    c = _read_coloring(args.coloring)
     verdict = is_normal(g, c)
-    if verdict.ok:
-        kinds = {classify_edge(g, c, e).kind for e in range(g.m)}
-        print(f"normal {k}-edge-coloring verified; edge classes: {sorted(kinds)}")
+    if verdict.ok:  # every closed star holds 3 colors (poor) or 5 (rich), read in one pass
+        pal = _color_masks(g, c)
+        kinds = {POOR if (pal[u] | pal[v]).bit_count() == 3 else RICH for u, v in g.edges}
+        print(f"normal {c.k}-edge-coloring verified; edge classes: {sorted(kinds)}")
         return EXIT_FOUND
     print("abnormal edges:", " ".join(map(str, verdict.abnormal_edges)))
     return EXIT_NEGATIVE
@@ -374,7 +388,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (InputError, FileNotFoundError, ValueError) as exc:
+    except (InputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NcflowError as exc:

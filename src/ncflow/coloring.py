@@ -101,8 +101,10 @@ def is_normal(g: Pseudograph, c: EdgeColoring) -> NormalVerdict:
     return NormalVerdict(not bad, bad)
 
 
-def _abnormal_edges(g: Pseudograph, c: EdgeColoring) -> Tuple[int, ...]:
-    """`is_normal`'s abnormal edges, for a proper coloring c of a loop-free g."""
+def _color_masks(g: Pseudograph, c: EdgeColoring) -> List[int]:
+    """The bitmask of the colors at each vertex, for a proper coloring c of
+    a loop-free g: the closed star of edge uv holds the colors of
+    `pal[u] | pal[v]`, 3 when uv is poor, 4 abnormal and 5 rich."""
     # proper and loop-free, so a vertex has one palette bit per edge at it
     if not {0, 3}.issuperset(g._degree):
         raise InputError("classification needs degree-3 endpoints")
@@ -111,6 +113,12 @@ def _abnormal_edges(g: Pseudograph, c: EdgeColoring) -> Tuple[int, ...]:
         bit = 1 << col
         pal[u] |= bit
         pal[v] |= bit
+    return pal
+
+
+def _abnormal_edges(g: Pseudograph, c: EdgeColoring) -> Tuple[int, ...]:
+    """`is_normal`'s abnormal edges, for a proper coloring c of a loop-free g."""
+    pal = _color_masks(g, c)
     bad = []
     for e, (u, v) in enumerate(g.edges):
         if (pal[u] | pal[v]).bit_count() == 4:
@@ -450,9 +458,7 @@ def z2cubed_flow_coloring(
         raise InputError("graph has a bridge; no nowhere-zero flow exists")
     eu = [e[0] for e in g.edges]
     ev = [e[1] for e in g.edges]
-    vals, _conf, _nodes = flow_search(
-        g.n, eu, ev, [], [], "first", values=tuple(range(1, 8)), deadline=deadline
-    )
+    vals, _conf, _nodes = flow_search(g.n, eu, ev, [], [], "first", bits=3, deadline=deadline)
     if vals is None:
         raise InputError("no nowhere-zero Z2^3 flow found")
     mu = Z2CubedFlow(tuple(vals))

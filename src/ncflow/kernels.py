@@ -22,7 +22,7 @@ from ._kernels_py import SearchTimeout, check_edge_args, check_search_args
 LIBRARY = os.path.join(os.path.dirname(__file__), "_kernels.so")
 
 # status codes of the C entry points
-_EXHAUSTED, _FOUND, _TIMEOUT, _NOMEM, _BADINDEX = range(5)
+_EXHAUSTED, _FOUND, _TIMEOUT, _NOMEM, _BADINDEX, _BADARG = range(6)
 _MODES = {"first": 0, "min": 1}
 
 
@@ -45,6 +45,8 @@ def _check(status: int) -> None:
         raise MemoryError
     if status == _BADINDEX:
         raise IndexError("vertex or edge index out of range")
+    if status == _BADARG:
+        raise ValueError("a loop, a self-pair or a group the C kernels do not search")
 
 
 def bind(path: str) -> SimpleNamespace:
@@ -64,7 +66,7 @@ def bind(path: str) -> SimpleNamespace:
     c_int, c_nodes = ctypes.c_int, ctypes.c_longlong
     ints_in, ints_out = ctypes.c_char_p, ctypes.c_void_p
     c_flow = lib.nc_flow_search
-    c_flow.argtypes = [c_int, c_int, ints_in, ints_in, c_int, ints_in, c_int, c_int, ints_in, ctypes.c_double]
+    c_flow.argtypes = [c_int, c_int, ints_in, ints_in, c_int, ints_in, c_int, c_int, ctypes.c_double]
     c_flow.argtypes += [ints_out, ctypes.POINTER(c_int), ctypes.POINTER(c_nodes)]
     c_flow.restype = c_int
     c_color = lib.nc_normal_coloring_search
@@ -75,16 +77,16 @@ def bind(path: str) -> SimpleNamespace:
     def pack(seq) -> bytes:
         return struct.pack("%di" % len(seq), *seq)
 
-    def flow_search(nq, eu, ev, first, second, mode, values=(1, 2, 3), deadline=None):
+    def flow_search(nq, eu, ev, first, second, mode, bits=2, deadline=None):
         """See `_kernels_py.flow_search`; same contract and return shape."""
-        check_search_args(nq, eu, ev, first, second, mode, values)
+        check_search_args(nq, eu, ev, first, second, mode, bits)
         seconds = _seconds_left(deadline)
         m, npairs = len(eu), len(first)
         pairs = pack(first) + pack(second)  # the layout nc_flow_search reads
         out, conf, nodes = array("i", [0]) * m, c_int(), c_nodes()
         status = c_flow(
-            nq, m, pack(eu), pack(ev), npairs, pairs, _MODES[mode], len(values), pack(values),
-            seconds, out.buffer_info()[0], conf, nodes,
+            nq, m, pack(eu), pack(ev), npairs, pairs, _MODES[mode], bits, seconds,
+            out.buffer_info()[0], conf, nodes,
         )
         _check(status)
         if status == _FOUND:

@@ -465,6 +465,49 @@ class TestCliFiles:
         col_path.write_text(json.dumps({"colors": bad, "k": 3}))
         assert main(["normal", "verify", "k33", str(col_path)]) == 2  # improper
 
+    @pytest.mark.parametrize("text", ["{}", "[1, 2]", '{"colors": [1, "x"]}', '{"colors": [1], "k": "3"}'])
+    def test_normal_verify_refuses_malformed_colorings(self, text, tmp_path, capsys):
+        col_path = tmp_path / "coloring.json"
+        col_path.write_text(text)
+        assert main(["normal", "verify", "k33", str(col_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_normal_verify_checks_properness_once(self, monkeypatch, tmp_path, capsys):
+        # the edge classes are read in one pass after `is_normal`, so the
+        # coloring's properness is checked once, not once per edge
+        from ncflow import coloring
+
+        literal = encode_graph6(prism(50))
+        g = parse_any(literal)  # the edge ids the CLI reads
+        c = coloring.admits_normal_k_coloring(g, 3)
+        col_path = tmp_path / "coloring.json"
+        col_path.write_text(json.dumps({"colors": list(c.colors)}))
+        calls = []
+        real = coloring.is_proper
+        monkeypatch.setattr(coloring, "is_proper", lambda g, c: calls.append(c) or real(g, c))
+        assert main(["normal", "verify", literal, str(col_path)]) == 0
+        assert capsys.readouterr().out == "normal 3-edge-coloring verified; edge classes: ['poor']\n"
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["flow", "search", "k4", "--certificate", "{dir}"],
+            ["batch", "{dir}", "--mode", "chi-n"],
+            ["batch", "{corpus}", "--mode", "chi-n", "--report", "{dir}"],
+        ],
+        ids=["certificate", "batch-corpus", "batch-report"],
+    )
+    def test_an_unopenable_path_is_an_input_error(self, argv, tmp_path, capsys):
+        # exit 1 means a definite negative; a directory given for a file is
+        # bad input, whether it is read or written and whatever was found
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(encode_graph6(k4()) + "\n")
+        assert main([a.format(dir=tmp_path, corpus=corpus) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
     def test_batch_report_is_byte_identical_across_jobs(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("\n".join(lines_for(k4(), k33(), petersen(), k23())) + "\n")

@@ -845,7 +845,7 @@ class TestDeepPurePythonSearches:
     def test_flow_search(self, mode):
         m = 3 * sys.getrecursionlimit()
         with pytest.raises(ResourceLimitError, match=f"flow search over {m} edges"):
-            _kernels_py.flow_search(1, [0] * m, [0] * m, [], [], mode)
+            _kernels_py.flow_search(2, [0] * m, [1] * m, [], [], mode)
 
 
 # _kernels_py.flow_search on fixed quotients: the values, conflict count
@@ -916,4 +916,4 @@ class TestPurePythonFlowKernelGolden:
         g = build()
         eu = [a for a, _ in g.edges]
         ev = [b for _, b in g.edges]
-        assert _kernels_py.flow_search(g.n, eu, ev, [], [], "first", values=tuple(range(1, 8))) == expected
+        assert _kernels_py.flow_search(g.n, eu, ev, [], [], "first", bits=3) == expected

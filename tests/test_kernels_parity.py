@@ -6,9 +6,11 @@ temporary directory and binds it as `ncflow.kernels` does; these tests
 skip only when no C compiler is present.
 """
 
+import ctypes
 import itertools
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -32,8 +34,7 @@ from ncflow.generators import (
     replace_vertex_with_triangle,
     triangle_replace_all,
 )
-from ncflow.graph import contract_two_factor
-from ncflow.matchings import complement_two_factor, enumerate_perfect_matchings
+from ncflow.matchings import enumerate_perfect_matchings
 
 from conftest import (
     claw_free_corpus,
@@ -49,79 +50,47 @@ from conftest import (
 
 
 def flow_instances():
-    """(nq, eu, ev, first, second) drawn from real contractions plus fuzz.
+    """((nq, eu, ev, first, second), bits) from real quotients plus fuzz.
 
-    The second fuzz keeps self-pairs (a, a) and duplicate pairs, and both
-    draw loops; the `counterexample_family(1)` quotients are the ones
-    `find_nonconflicting_flow` searches.
+    Real quotients go through `kernel_instance`, as
+    `find_nonconflicting_flow` hands them to the kernel; the
+    `counterexample_family(1)` ones are those it searches.  The fuzz draws
+    loop-free edge lists and conflict pairs with duplicates but no
+    self-pairs, over Z2^2 and Z2^3.
     """
     out = []
-    for g in (petersen(), k33(), k4()):
-        for f in enumerate_perfect_matchings(g):
-            tf = complement_two_factor(g, f)
-            h = contract_two_factor(g, tf)
-            q = h.quotient
-            pairs = set()
-            for u, v in g.edges:
-                eu_ = [e for e in g.incident(u) if e in f.as_set()]
-                ev_ = [e for e in g.incident(v) if e in f.as_set()]
-                if eu_ and ev_ and eu_[0] != ev_[0]:
-                    pairs.add(
-                        tuple(sorted((h.matching_edge_at[u], h.matching_edge_at[v])))
-                    )
-            out.append(
-                (
-                    q.n,
-                    [e[0] for e in q.edges],
-                    [e[1] for e in q.edges],
-                    *flat(sorted(pairs)),
-                )
-            )
+    for g in (petersen(), k33(), k4(), counterexample_family(1)):
+        out += [(kernel_instance(g, f), 2) for f in enumerate_perfect_matchings(g)]
     rng = random.Random(99)
-    for _ in range(25):
-        nq = rng.randint(1, 4)
-        m = rng.randint(1, 8)
+    for _ in range(85):
+        bits = rng.choice((2, 3))
+        nq = rng.randint(2, 4)
+        m = rng.randint(1, 9 if bits == 2 else 6)
         eu = [rng.randrange(nq) for _ in range(m)]
-        ev = [rng.randrange(nq) for _ in range(m)]
-        k = rng.randint(0, m)
-        pairs = set()
-        for _p in range(k):
-            a, b = rng.randrange(m), rng.randrange(m)
-            if a != b:
-                pairs.add((min(a, b), max(a, b)))
-        out.append((nq, eu, ev, *flat(sorted(pairs))))
-    for _ in range(60):
-        nq = rng.randint(1, 4)
-        m = rng.randint(1, 9)
-        eu = [rng.randrange(nq) for _ in range(m)]
-        ev = [rng.randrange(nq) for _ in range(m)]
-        pairs = [(rng.randrange(m), rng.randrange(m)) for _ in range(rng.randint(0, 2 * m))]
-        pairs += pairs[: rng.randint(0, len(pairs))]
-        out.append((nq, eu, ev, *flat(pairs)))
-    g = counterexample_family(1)
-    out += [kernel_instance(g, f) for f in enumerate_perfect_matchings(g)]
+        ev = [(u + rng.randrange(1, nq)) % nq for u in eu]
+        pairs = []
+        if m > 1:
+            firsts = [rng.randrange(m) for _ in range(rng.randint(0, 2 * m))]
+            pairs = [(a, (a + rng.randrange(1, m)) % m) for a in firsts]
+            pairs += pairs[: rng.randint(0, len(pairs))]
+        out.append(((nq, eu, ev, *flat(pairs)), bits))
     return out
 
 
 class TestFlowParity:
     @pytest.mark.parametrize("mode", ["first", "min"])
     def test_exact_agreement(self, mode, compiled):
-        for args in flow_instances():
-            a = _kernels_py.flow_search(*args, mode)
-            b = compiled.flow_search(*args, mode)
-            assert a == b, (args, mode)
+        for args, bits in flow_instances():
+            a = _kernels_py.flow_search(*args, mode, bits)
+            b = compiled.flow_search(*args, mode, bits)
+            assert a == b, (args, mode, bits)
 
     def test_deadline_raises_in_both(self, compiled):
         g = petersen()
-        f = next(enumerate_perfect_matchings(g))
-        tf = complement_two_factor(g, f)
-        h = contract_two_factor(g, tf)
-        q = h.quotient
-        eu = [e[0] for e in q.edges]
-        ev = [e[1] for e in q.edges]
+        instance = kernel_instance(g, next(enumerate_perfect_matchings(g)))
         for impl in (_kernels_py, compiled):
             with pytest.raises(_kernels_py.SearchTimeout):
-                impl.flow_search(q.n, eu, ev, [], [], "min", deadline=0.0)
+                impl.flow_search(*instance, "min", deadline=0.0)
 
     def test_deadline_inside_the_search(self, compiled):
         # "min" on this quotient expands 36,242,033 nodes (about 0.5 s in
@@ -136,44 +105,28 @@ class TestFlowParity:
                 impl.flow_search(*instance, "min", deadline=time.monotonic() + 0.002)
             assert impl.flow_search(*instance, "first") == (None, 0, 356)
 
-    @pytest.mark.parametrize("mode,values", [("first", (0, 1, 2, 3)), ("min", (1, 2, 3, 0)), ("count", (1, 2, 3))])
-    def test_zero_value_and_unknown_mode_raise_in_both(self, mode, values, compiled):
-        # 0 is both kernels' mark of an unvalued edge
+    @pytest.mark.parametrize(
+        "bits, mode", [(b, m) for b in (0, 1, 4, 2.0, True) for m in ("first", "min")] + [(2, "count"), (3, "count")]
+    )
+    def test_other_groups_and_an_unknown_mode_raise_in_both(self, bits, mode, compiled):
+        # the kernels search Z2^2 and Z2^3 only; 2.0 and True equal ints,
+        # and are refused all the same
         for impl in (_kernels_py, compiled):
             with pytest.raises(ValueError):
-                impl.flow_search(2, [0, 0, 1], [1, 1, 0], [0], [1], mode, values=values)
+                impl.flow_search(2, [0, 0, 1], [1, 1, 0], [0], [1], mode, bits)
 
-    @pytest.mark.parametrize("values", [(1 << 40, 1 << 41, 3 << 40), (1 << 31, 1, (1 << 31) + 1), (-1, -2, 1)])
-    def test_values_outside_a_c_int_raise_in_both(self, values, compiled):
-        # each list is a group with 0, and the C kernels hold values in an
-        # int; the first once raised struct.error in C while Python searched
-        # it in 4 nodes
+    def test_a_loop_or_a_self_pair_is_refused_in_both(self, compiled):
+        # the package sends neither: F-bar's chords, the loops of G/F-bar,
+        # are settled outside the search, and a self-pair would be a
+        # 2-factor edge parallel to its own F-edge, which is such a chord
         for impl in (_kernels_py, compiled):
             for mode in ("first", "min"):
-                with pytest.raises(ValueError, match="1..2"):
-                    impl.flow_search(2, [0, 0, 1], [1, 1, 0], [0], [1], mode, values=values)
-        top = (1 << 31) - 1  # the largest value both take
-        found = [impl.flow_search(2, [0, 0], [1, 1], [], [], "first", values=(top,)) for impl in (_kernels_py, compiled)]
-        assert found[0] == found[1] and found[0][0] == [top, top]
-
-    @pytest.mark.parametrize("values", [(3, 1), (1, 2), (5, 6, 1)])
-    def test_values_not_a_group_with_0_raise_in_both(self, values, compiled):
-        # a closing edge takes whatever XOR conservation leaves, so over
-        # such a list the flows searched would depend on the edge order
-        for impl in (_kernels_py, compiled):
-            for mode in ("first", "min"):
-                with pytest.raises(ValueError, match="closed under XOR"):
-                    impl.flow_search(2, [0, 0, 1], [1, 1, 0], [0], [1], mode, values=values)
-
-    @pytest.mark.parametrize("values", [(1.0, 2.0, 3.0), (True, 2, 3), (1, 2, 3.0)])
-    def test_values_that_are_not_ints_raise_in_both(self, values, compiled):
-        # each tuple equals (1, 2, 3), whose candidates are kept once
-        # searched, so the check must not depend on what came before
-        for impl in (_kernels_py, compiled):
-            impl.flow_search(2, [0, 0, 1], [1, 1, 0], [0], [1], "first", values=(1, 2, 3))
-            for mode in ("first", "min"):
-                with pytest.raises(TypeError, match="ints"):
-                    impl.flow_search(2, [0, 0, 1], [1, 1, 0], [0], [1], mode, values=values)
+                with pytest.raises(ValueError, match="equal ends"):
+                    impl.flow_search(2, [0, 0, 1], [1, 0, 0], [], [], mode)
+                with pytest.raises(ValueError, match="equal ends"):
+                    impl.flow_search(2, [0, 0, 1], [1, 1, 0], [0, 2], [1, 2], mode)
+            with pytest.raises(ValueError, match="equal ends"):
+                impl.normal_coloring_search(2, [0, 0, 1], [1, 1, 1], 3)
 
     def test_out_of_range_index_raises_in_both(self, compiled):
         # the C kernels check every index before touching memory
@@ -218,9 +171,9 @@ class TestFlowParity:
 
 
 def static_order(nq, eu, ev):
-    """The kernels' edge order: the vertices by their number of edges (a
-    loop once), then by id, each taking its incident edges in id order,
-    every edge at its first appearance."""
+    """The kernels' edge order: the vertices by their number of edges, then
+    by id, each taking its incident edges in id order, every edge at its
+    first appearance."""
     edges_at = [sum(v in (eu[e], ev[e]) for e in range(len(eu))) for v in range(nq)]
     order = []
     for v in sorted(range(nq), key=lambda v: (edges_at[v], v)):
@@ -230,55 +183,48 @@ def static_order(nq, eu, ev):
     return order
 
 
-def enumerate_flows(nq, eu, ev, values):
-    """Every flow the kernels search, in their order, by brute force.
+def enumerate_flows(nq, eu, ev, bits):
+    """Every nowhere-zero Z2^bits flow, in the kernels' order, by brute force.
 
-    An edge that is the last non-loop edge at one of its endpoints in the
-    static order takes the value conservation leaves there, which must be
-    non-zero; every other edge takes a value from `values`, tried in the
-    order given.  Yields values indexed by edge id.
+    The edges take the values 1..2^bits - 1 in product order over the
+    static order, which is the kernels' order: an edge that closes a vertex
+    there has one value that conservation allows, and every other edge
+    tries the values in increasing order.  Yields values indexed by edge id.
     """
     order = static_order(nq, eu, ev)
-    last = {}
-    for d, e in enumerate(order):
-        if eu[e] != ev[e]:
-            last[eu[e]] = last[ev[e]] = d
-    closing = set(last.values())
-    domains = [range(1, 8) if d in closing else values for d in range(len(order))]
-    for assignment in itertools.product(*domains):
+    for assignment in itertools.product(range(1, 1 << bits), repeat=len(order)):
         val = [0] * len(eu)
         acc = [0] * nq
         for e, x in zip(order, assignment):
             val[e] = x
-            if eu[e] != ev[e]:
-                acc[eu[e]] ^= x
-                acc[ev[e]] ^= x
+            acc[eu[e]] ^= x
+            acc[ev[e]] ^= x
         if not any(acc):
             yield val
 
 
 def conflict_count(val, pairs):
-    """Pairs whose values are alpha + beta apart; a self-pair never counts
-    and a duplicate pair counts twice."""
-    return sum(a != b and val[a] ^ val[b] == 3 for a, b in pairs)
+    """Pairs whose values are alpha + beta apart; a duplicate pair counts twice."""
+    return sum(val[a] ^ val[b] == 3 for a, b in pairs)
 
 
 @st.composite
 def small_flow_instances(draw):
-    """Multigraphs with loops, and conflict pairs with self-pairs and
-    duplicates, small enough to enumerate every assignment.  The value
-    lists cover Z2^2 and Z2^3, a group the swap does not close, and
-    repeated values."""
-    values = draw(st.sampled_from([(1, 2, 3), tuple(range(1, 8)), (5, 1, 4), (2, 3, 2, 1, 3)]))
-    nq = draw(st.integers(1, 3))
-    m = draw(st.integers(0, 4 if len(values) > 4 else 6))
+    """Loop-free multigraphs, and conflict pairs with duplicates but no
+    self-pairs, small enough to enumerate every assignment, over Z2^2 and
+    Z2^3."""
+    bits = draw(st.sampled_from([2, 3]))
+    nq = draw(st.integers(2, 3))
+    m = draw(st.integers(0, 4 if bits == 3 else 6))
     eu = draw(st.lists(st.integers(0, nq - 1), min_size=m, max_size=m))
-    ev = draw(st.lists(st.integers(0, nq - 1), min_size=m, max_size=m))
+    shifts = draw(st.lists(st.integers(1, nq - 1), min_size=m, max_size=m))
+    ev = [(u + s) % nq for u, s in zip(eu, shifts)]
     pairs = []
-    if m:
-        pairs = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)), max_size=2 * m))
+    if m > 1:
+        drawn = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(1, m - 1)), max_size=2 * m))
+        pairs = [(a, (a + s) % m) for a, s in drawn]
         pairs += pairs[: draw(st.integers(0, len(pairs)))]
-    return nq, eu, ev, pairs, values
+    return nq, eu, ev, pairs, bits
 
 
 class TestFlowOracle:
@@ -292,15 +238,15 @@ class TestFlowOracle:
     @settings(max_examples=300, deadline=None)
     @given(small_flow_instances())
     def test_first_and_min_match_enumeration(self, compiled, instance):
-        nq, eu, ev, pairs, values = instance
-        flows = [(val, conflict_count(val, pairs)) for val in enumerate_flows(nq, eu, ev, values)]
+        nq, eu, ev, pairs, bits = instance
+        flows = [(val, conflict_count(val, pairs)) for val in enumerate_flows(nq, eu, ev, bits)]
         clean = [val for val, conf in flows if conf == 0]
         fewest = min(flows, key=lambda fc: fc[1], default=None)  # min keeps the first
 
         results = {}
         for mode in ("first", "min"):
-            results[mode] = _kernels_py.flow_search(nq, eu, ev, *flat(pairs), mode, values=values)
-            assert compiled.flow_search(nq, eu, ev, *flat(pairs), mode, values=values) == results[mode]
+            results[mode] = _kernels_py.flow_search(nq, eu, ev, *flat(pairs), mode, bits)
+            assert compiled.flow_search(nq, eu, ev, *flat(pairs), mode, bits) == results[mode]
         vals, conf, _nodes = results["first"]
         assert (vals, conf) == ((clean[0], 0) if clean else (None, 0))
         vals, conf, _nodes = results["min"]
@@ -378,19 +324,19 @@ class TestFailFirst:
 
     @pytest.mark.parametrize("mode", ["first", "min"])
     def test_deadline_inside_both_modes(self, mode, compiled):
-        # Vertex 0 has one edge, to Petersen's vertex 0 (here 1), and six
-        # loops, so no flow exists.  In vertex-id order a search would
-        # refute at depth 0 without a node; fail first, both modes take
-        # vertex 0 last, after the Petersen vertices, each with two loops
-        # that conservation ignores and that triple the search (86,007,763
-        # nodes, over a second in C), so a deadline 2 ms ahead passes inside
+        # Petersen, which has no nowhere-zero Klein flow, with a pendant
+        # digon (two parallel edges to a new vertex) at each vertex and a
+        # second one at vertex 0.  Fail first, both modes value the digons
+        # before any Petersen edge, and each digon adds nothing to
+        # conservation and triples the search (94,330,788 nodes, about a
+        # second in C), so a deadline 2 ms ahead passes inside
         g = petersen()
-        loops = [w for w in range(1, 11) for _ in (0, 1)] + [0] * 6
-        eu = [0] + [u + 1 for u, _ in g.edges] + loops
-        ev = [1] + [v + 1 for _, v in g.edges] + loops
+        hosts = list(range(10)) + [0]
+        eu = [u for u, _ in g.edges] + [w for w in hosts for _ in (0, 1)]
+        ev = [v for _, v in g.edges] + [10 + i for i in range(len(hosts)) for _ in (0, 1)]
         for impl in (_kernels_py, compiled):
             with pytest.raises(_kernels_py.SearchTimeout):
-                impl.flow_search(11, eu, ev, [], [], mode, deadline=time.monotonic() + 0.002)
+                impl.flow_search(10 + len(hosts), eu, ev, [], [], mode, deadline=time.monotonic() + 0.002)
 
 
 DEEP_SEARCH = """
@@ -409,6 +355,62 @@ colors = impl.normal_coloring_search(g.n, [u for u, _ in g.edges], [v for _, v i
 assert all(len({colors[e] for e in g.incident(v)}) == 3 for v in range(g.n))
 print("ok")
 """
+
+
+@pytest.fixture
+def c_library(kernel_library, monkeypatch):
+    """The ctypes library that `kernels.bind` loads and declares its entry
+    points on, recorded as it is built."""
+    libraries = []
+
+    class Recorded(ctypes.CDLL):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            libraries.append(self)
+
+    monkeypatch.setattr(ctypes, "CDLL", Recorded)
+    kernels.bind(str(kernel_library))
+    (library,) = libraries
+    return library
+
+
+class TestCEntryPoints:
+    def test_bindings_declare_every_parameter(self, c_library):
+        # ctypes passes what argtypes declares, so a parameter added to a
+        # prototype but not to its binding would read garbage
+        source = Path(ncflow.__file__).with_name("_kernels.c").read_text()
+        prototypes = dict(re.findall(r"^int (nc_\w+)\(([^)]*)\)", source, re.M))
+        assert sorted(prototypes) == ["nc_flow_search", "nc_normal_coloring_search"]
+        for name, params in prototypes.items():
+            argtypes = getattr(c_library, name).argtypes
+            assert argtypes is not None and len(argtypes) == len(params.split(",")), name
+
+    def test_c_guards_its_own_arguments(self, c_library):
+        # the Python checks come first on both backends; C refuses a group
+        # other than Z2^2 and Z2^3, a loop and a self-pair by itself
+        # (NC_BADARG), without reading past its arrays
+        def ints(xs):
+            return bytes((ctypes.c_int * len(xs))(*xs))
+
+        def flow_status(eu, ev, pairs, bits):
+            out, conf, nodes = (ctypes.c_int * len(eu))(), ctypes.c_int(), ctypes.c_longlong()
+            return c_library.nc_flow_search(
+                2, len(eu), ints(eu), ints(ev), len(pairs) // 2, ints(pairs), 0, bits, -1.0,
+                ctypes.addressof(out), ctypes.byref(conf), ctypes.byref(nodes),
+            )
+
+        badarg = 5
+        assert flow_status([0, 0, 1], [1, 1, 0], [0, 1], 2) == 1  # a flow with no conflict
+        for bits in (0, 1, 4, 31):
+            assert flow_status([0, 0, 1], [1, 1, 0], [0, 1], bits) == badarg
+        assert flow_status([0, 0, 1], [1, 0, 0], [], 2) == badarg
+        assert flow_status([0, 0, 1], [1, 1, 0], [2, 2], 2) == badarg
+        out, nodes, searched = (ctypes.c_int * 3)(), (ctypes.c_longlong * 1)(), ctypes.c_int()
+        status = c_library.nc_normal_coloring_search(
+            2, 3, ints([0, 0, 1]), ints([1, 1, 1]), 1, ints([3]), -1.0,
+            ctypes.addressof(out), ctypes.addressof(nodes), ctypes.byref(searched),
+        )
+        assert status == badarg
 
 
 class TestDeepCompiledSearches:
