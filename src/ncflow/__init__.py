@@ -5,7 +5,7 @@ The public surface re-exports the graph model, matching/2-factor machinery,
 the flow engine, the coloring layer, generators, and the interchange formats.
 """
 
-from .errors import ContractError, InputError, NcflowError, ResourceLimitError
+from .errors import ContractError, InputError, NcflowError
 from .flows import (
     ALPHA,
     ALPHA_BETA,

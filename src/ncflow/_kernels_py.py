@@ -2,7 +2,10 @@
 
 The readable reference for the C kernels in `_kernels.c`; `ncflow.kernels`
 uses those when the library is built and these otherwise.  Both implement
-identical semantics, node counts included:
+identical semantics, node counts included.  Neither recurses: each search
+walks its depths in a loop and keeps each depth's state (the candidates
+it has not tried yet, and in "min" its conflicts so far) on lists, so
+any depth is searched, as in C.
 
 * `flow_search` -- backtracking over the non-zero values of Z_2^bits
   (bits 2 for the Klein group, 3 for Z_2^3), tried in increasing order,
@@ -13,11 +16,12 @@ identical semantics, node counts included:
   records at each depth which vertex the edge closes (its value is then
   forced) and which conflict partners are already valued; the search
   keeps no per-vertex edge counts.  "first", which prunes every conflict,
-  runs its own recursion without a conflict count.  Both modes break the
-  alpha <-> beta symmetry: swapping bits 0 and 1 of every value maps
-  flows to flows with the same conflicts, so until some edge holds a
-  value the swap moves, a free edge skips each value x with x & 3 == 2,
-  whose image x ^ 3 comes one earlier.
+  keeps a walk of its own without a conflict count (`_first_flow`), as
+  folding it into the "min" walk (`_min_flow`) cost throughput.  Both
+  modes break the alpha <-> beta symmetry: swapping bits 0 and 1 of
+  every value maps flows to flows with the same conflicts, so until some
+  edge holds a value the swap moves, a free edge skips each value x with
+  x & 3 == 2, whose image x ^ 3 comes one earlier.
 * `normal_coloring_search` -- proper k-edge-coloring search with poor/rich
   pruning and canonical color introduction (colors first appear in
   increasing order, which is sound because normality is invariant under
@@ -46,9 +50,7 @@ from __future__ import annotations
 import time
 from heapq import heapify, heappop, heappush
 from operator import eq
-from typing import List, Optional, Sequence, Tuple, Union
-
-from .errors import ResourceLimitError
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 BACKEND = "python"
 
@@ -89,7 +91,8 @@ def check_search_args(
     check_edge_args(len(eu), first, second)
 
 
-Candidates = List[Tuple[int, int, list]]
+Candidate = Tuple[int, int, list]
+Candidates = List[Candidate]
 
 
 def _candidates(bits: int) -> Candidates:
@@ -171,45 +174,39 @@ def _step_table(
     return steps
 
 
-def _too_deep(m: int) -> ResourceLimitError:
-    return ResourceLimitError(f"flow search over {m} edges recurses deeper than Python allows")
-
-
 def _first_flow(
-    steps: List[Step], nq: int, start: list, deadline: Optional[float]
+    steps: List[Step], nq: int, start: Candidates, deadline: Optional[float]
 ) -> Tuple[Optional[List[int]], int]:
     """(the first conflict-free flow in the order of `steps`, or None; the
     nodes expanded).  It prunes every conflict, so it keeps no conflict
     count.
 
-    The C kernel runs "first" as "min" with a bound of one conflict that
-    stops at its first flow, in one walk; here "first" keeps a recursion
-    of its own, as the folded one must count conflicts and test the bound
-    at every node: folded into "min", the pure-Python kernel read 4.5%
-    fewer items/s on perfbench's `negative-family` (2,416 -> 2,307, slower
-    in 8 of 8 alternated pairs on a shared 2-CPU x86-64 host)."""
+    The walk goes down and back up the depths in a loop: `left[d]` holds
+    the candidates the free edge at depth d has not tried, and `free` the
+    candidate list of the next free edge, set on each step down from a
+    free edge (after backing up, the walk goes down again only from a free
+    edge).  A closing edge's one value is placed inline, with no iterator.
+    The C kernel runs "first" as "min" with a bound of one conflict, in
+    one walk; here "first" keeps a walk of its own, as the folded one must
+    count conflicts and test the bound at every node: folded into "min",
+    the pure-Python kernel read 4.5% fewer items/s on perfbench's
+    `negative-family` (2,416 -> 2,307, slower in 8 of 8 alternated pairs
+    on a shared 2-CPU x86-64 host)."""
     m = len(steps)
     acc = [0] * nq
     val = [0] * m  # not cleared on backtracking: only earlier partners are read
-    nodes = 0
-
-    def first(depth: int, free: list) -> bool:
-        nonlocal nodes
-        if depth == m:
-            return True
+    left: List[Iterator[Candidate]] = [iter(())] * m
+    free, nodes, depth = start, 0, 0
+    while depth < m:
         e, u, v, closes, both, partners = steps[depth]
+        tried: Iterable[Candidate] = ()
         if closes < 0:
-            cands = free
-        else:
-            x = acc[closes]
-            if x == 0 or (both and acc[v] != x):
-                return False
-            cands = ((x, x ^ 3, free),)
-        for x, clash, nxt in cands:
+            tried = left[depth] = iter(free)
+        elif (x := acc[closes]) and not (both and acc[v] != x):
             nodes += 1
-            if deadline is not None and nodes % _DEADLINE_STRIDE == 0:
-                if time.monotonic() > deadline:
-                    raise SearchTimeout
+            if deadline is not None and nodes % _DEADLINE_STRIDE == 0 and time.monotonic() > deadline:
+                raise SearchTimeout
+            clash = x ^ 3
             for p in partners:
                 if val[p] == clash:
                     break
@@ -217,17 +214,103 @@ def _first_flow(
                 val[e] = x
                 acc[u] ^= x
                 acc[v] ^= x
-                if first(depth + 1, nxt):
-                    return True
-                acc[u] ^= x
-                acc[v] ^= x
-        return False
+                depth += 1
+                continue
+        while True:  # the next candidate at this depth, or back up
+            for x, clash, nxt in tried:
+                nodes += 1
+                if deadline is not None and nodes % _DEADLINE_STRIDE == 0 and time.monotonic() > deadline:
+                    raise SearchTimeout
+                for p in partners:
+                    if val[p] == clash:
+                        break
+                else:
+                    val[e] = x
+                    acc[u] ^= x
+                    acc[v] ^= x
+                    depth += 1
+                    free = nxt
+                    break
+            else:
+                if depth == 0:
+                    return None, nodes
+                depth -= 1
+                e, u, v, closes, both, partners = steps[depth]
+                acc[u] ^= val[e]
+                acc[v] ^= val[e]
+                tried = left[depth] if closes < 0 else ()
+                continue
+            break
+    return val, nodes
 
-    try:
-        found = first(0, start)
-    except RecursionError:
-        raise _too_deep(m) from None
-    return (val if found else None), nodes
+
+def _min_flow(
+    steps: List[Step], nq: int, start: Candidates, bound: int, deadline: Optional[float]
+) -> Tuple[Optional[List[int]], int, int]:
+    """(the first flow in the order of `steps` with the fewest conflicts,
+    if that is below `bound`, or None; those conflicts, or 0; the nodes
+    expanded), by branch and bound: a branch is cut once its conflicts
+    reach those of the best flow so far.  The walk is `_first_flow`'s,
+    with `conf[d]` the conflicts of the values above depth d."""
+    m = len(steps)
+    acc = [0] * nq
+    val = [0] * m
+    left: List[Iterator[Candidate]] = [iter(())] * m
+    conf = [0] * (m + 1)
+    free, nodes, depth = start, 0, 0
+    best_val: Optional[List[int]] = None
+    best_conf = bound
+    while True:
+        tried: Iterable[Candidate] = ()
+        if depth == m:  # every descent has fewer conflicts than the best so far
+            best_conf, best_val = conf[m], val[:]
+        else:
+            e, u, v, closes, both, partners = steps[depth]
+            if closes < 0:
+                tried = left[depth] = iter(free)
+            elif (x := acc[closes]) and not (both and acc[v] != x):
+                nodes += 1
+                if deadline is not None and nodes % _DEADLINE_STRIDE == 0 and time.monotonic() > deadline:
+                    raise SearchTimeout
+                clash = x ^ 3
+                c = conf[depth]
+                for p in partners:
+                    if val[p] == clash:
+                        c += 1
+                if c < best_conf:
+                    val[e] = x
+                    acc[u] ^= x
+                    acc[v] ^= x
+                    depth += 1
+                    conf[depth] = c
+                    continue
+        while True:  # the next candidate at this depth, or back up
+            for x, clash, nxt in tried:
+                nodes += 1
+                if deadline is not None and nodes % _DEADLINE_STRIDE == 0 and time.monotonic() > deadline:
+                    raise SearchTimeout
+                c = conf[depth]
+                for p in partners:
+                    if val[p] == clash:
+                        c += 1
+                if c < best_conf:
+                    val[e] = x
+                    acc[u] ^= x
+                    acc[v] ^= x
+                    depth += 1
+                    conf[depth] = c
+                    free = nxt
+                    break
+            else:
+                if depth == 0:
+                    return best_val, (0 if best_val is None else best_conf), nodes
+                depth -= 1
+                e, u, v, closes, both, partners = steps[depth]
+                acc[u] ^= val[e]
+                acc[v] ^= val[e]
+                tried = left[depth] if closes < 0 else ()
+                continue
+            break
 
 
 def flow_search(
@@ -252,11 +335,9 @@ def flow_search(
       "first" -- first flow with zero conflicts (prunes on any conflict)
       "min"   -- flow minimizing the number of conflicts (branch & bound)
 
-    Returns (values or None, conflict_count_of_result, nodes_expanded).
-    Raises as `check_search_args` does on bad arguments, and
-    ResourceLimitError when the search, one call per edge, nests deeper
-    than the interpreter allows (about 1,000 edges; the C kernel has no
-    such limit).
+    Returns (values or None, conflict_count_of_result, nodes_expanded);
+    with no edge, that is ([], 0, 0), and no table is built.  Raises as
+    `check_search_args` does on bad arguments.
 
     Edges are valued in a vertex-grouped static order (`_edge_order`,
     `_step_table`) that takes the vertices by their number of edges, then
@@ -286,8 +367,8 @@ def flow_search(
     check_search_args(nq, eu, ev, first, second, mode, bits)
     if deadline is not None and time.monotonic() > deadline:
         raise SearchTimeout
-    m = len(eu)
-
+    if not eu:
+        return [], 0, 0
     sym = _SYM[bits]
     edges_at = [0] * nq
     for u, v in zip(eu, ev):
@@ -300,53 +381,7 @@ def flow_search(
     if mode == "first":
         found, nodes = _first_flow(steps, nq, sym, deadline)
         return found, 0, nodes
-
-    acc = [0] * nq
-    val = [0] * m
-    nodes = 0
-    best_val: Optional[List[int]] = None
-    best_conf = len(first) + 1
-
-    def rec(depth: int, conf: int, free: list) -> None:
-        nonlocal nodes, best_val, best_conf
-        if depth == m:
-            if conf < best_conf:
-                best_conf = conf
-                best_val = val[:]
-            return
-        e, u, v, closes, both, partners = steps[depth]
-        if closes < 0:
-            cands = free
-        else:
-            x = acc[closes]
-            if x == 0 or (both and acc[v] != x):
-                return
-            cands = ((x, x ^ 3, free),)
-        for x, clash, nxt in cands:
-            nodes += 1
-            if deadline is not None and nodes % _DEADLINE_STRIDE == 0:
-                if time.monotonic() > deadline:
-                    raise SearchTimeout
-            c = conf
-            for p in partners:
-                if val[p] == clash:
-                    c += 1
-            if c >= best_conf:
-                continue
-            val[e] = x
-            acc[u] ^= x
-            acc[v] ^= x
-            rec(depth + 1, c, nxt)
-            acc[u] ^= x
-            acc[v] ^= x
-
-    try:
-        rec(0, 0, sym)
-    except RecursionError:
-        raise _too_deep(m) from None
-    if best_val is None:
-        return None, 0, nodes
-    return best_val, best_conf, nodes
+    return _min_flow(steps, nq, sym, len(first) + 1, deadline)
 
 
 # (edge, u, v, ends of the edges whose closed star it completes, and
@@ -413,6 +448,64 @@ def _coloring_steps(eu: Sequence[int], ev: Sequence[int], adjacent: Sequence[Seq
     return steps
 
 
+def _color_walk(
+    steps: List[ColorStep], n: int, choices: List[Tuple[Tuple[int, int], ...]], palette: int, deadline: Optional[float]
+) -> Tuple[Optional[List[int]], int]:
+    """(the first normal coloring in the order of `steps` with the colors
+    of `palette`, or None; the nodes expanded).  The walk is a loop, as
+    the flow walks are: `left[d]` holds the (color, bit) pairs the edge at
+    depth d has not tried, of `choices[top[d]]`, where `top[d]` is the
+    highest color in use above depth d."""
+    m = len(steps)
+    pal = [0] * n
+    color = [0] * m
+    left: List[Iterator[Tuple[int, int]]] = [iter(())] * m
+    top = [0] * (m + 1)
+    nodes = depth = 0
+    while depth < m:
+        e, u, v, star_checks, star_ahead = steps[depth]
+        tried = left[depth] = iter(choices[top[depth]])
+        while True:  # the next color at this depth, or back up
+            used = pal[u] | pal[v]
+            for c, bit in tried:
+                nodes += 1
+                if deadline is not None and nodes % _DEADLINE_STRIDE == 0 and time.monotonic() > deadline:
+                    raise SearchTimeout
+                if used & bit:
+                    continue
+                pal[u] |= bit
+                pal[v] |= bit
+                for a, b in star_checks:
+                    if (pal[a] | pal[b]).bit_count() == 4:
+                        break
+                else:
+                    for a, b, x, y in star_ahead:
+                        seen = pal[a] | pal[b]
+                        free = palette & ~(pal[x] | pal[y])
+                        size = seen.bit_count()
+                        if not ((free & seen and size != 4) or (free & ~seen and size != 3)):
+                            break
+                    else:
+                        color[e] = c
+                        depth += 1
+                        top[depth] = c if c > top[depth - 1] else top[depth - 1]
+                        break
+                pal[u] ^= bit
+                pal[v] ^= bit
+            else:
+                if depth == 0:
+                    return None, nodes
+                depth -= 1
+                e, u, v, star_checks, star_ahead = steps[depth]
+                bit = 1 << color[e]
+                pal[u] ^= bit
+                pal[v] ^= bit
+                tried = left[depth]
+                continue
+            break
+    return color, nodes
+
+
 def normal_coloring_search(
     n: int,
     eu: Sequence[int],
@@ -461,9 +554,8 @@ def normal_coloring_search(
     Endpoints of every edge must have degree 3 for the poor/rich pruning to
     apply; both callers in `ncflow.coloring` reject non-cubic graphs.
     Raises as `check_edge_args` does on a bad edge list, a loop included,
-    SearchTimeout once `deadline` has passed (read before each palette and
-    every `_DEADLINE_STRIDE` nodes), and ResourceLimitError as
-    `flow_search` does.
+    and SearchTimeout once `deadline` has passed (read before each palette
+    and every `_DEADLINE_STRIDE` nodes).
     """
     check_edge_args(n, eu, ev)
     palettes = (k,) if isinstance(k, int) else tuple(k)
@@ -481,45 +573,6 @@ def normal_coloring_search(
         adjacent.append(list(star))
     steps = _coloring_steps(eu, ev, adjacent)
 
-    pal = [0] * n
-    color = [0] * m
-    nodes = 0
-    choices: List[Tuple[Tuple[int, int], ...]] = []
-    palette = 0
-
-    def rec(depth: int, maxused: int) -> bool:
-        nonlocal nodes
-        if depth == m:
-            return True
-        e, u, v, star_checks, star_ahead = steps[depth]
-        used = pal[u] | pal[v]
-        for c, bit in choices[maxused]:
-            nodes += 1
-            if deadline is not None and nodes % _DEADLINE_STRIDE == 0:
-                if time.monotonic() > deadline:
-                    raise SearchTimeout
-            if used & bit:
-                continue
-            pal[u] |= bit
-            pal[v] |= bit
-            for a, b in star_checks:
-                if (pal[a] | pal[b]).bit_count() == 4:
-                    break
-            else:
-                for a, b, x, y in star_ahead:
-                    seen = pal[a] | pal[b]
-                    free = palette & ~(pal[x] | pal[y])
-                    size = seen.bit_count()
-                    if not ((free & seen and size != 4) or (free & ~seen and size != 3)):
-                        break
-                else:
-                    if rec(depth + 1, c if c > maxused else maxused):
-                        color[e] = c
-                        return True
-            pal[u] ^= bit
-            pal[v] ^= bit
-        return False
-
     trail: List[int] = []
     for k in palettes:
         if deadline is not None and time.monotonic() > deadline:
@@ -531,13 +584,8 @@ def normal_coloring_search(
         # used and stands for every color above it.
         colors = max(min(k, m + 1), 0)
         choices = [tuple((c, 1 << c) for c in range(1, min(colors, top + 1) + 1)) for top in range(colors + 1)]
-        palette = (1 << colors + 1) - 2
-        nodes = 0
-        try:
-            found = rec(0, 0)
-        except RecursionError:
-            raise ResourceLimitError(f"coloring search over {m} edges recurses deeper than Python allows") from None
+        found, nodes = _color_walk(steps, n, choices, (1 << colors + 1) - 2, deadline)
         trail.append(nodes)
-        if found:
-            return color, sum(trail), tuple(trail)
+        if found is not None:
+            return found, sum(trail), tuple(trail)
     return None, sum(trail), tuple(trail)

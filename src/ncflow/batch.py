@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from .coloring import chi_n_exact
-from .errors import NcflowError, ResourceLimitError
+from .errors import NcflowError
 from .flows import matching_verdicts, nonconflicting_for_every_two_factor
 from .formats import parse_any
 from .graph import bridges, is_claw_free, is_cubic
@@ -45,8 +45,8 @@ class BatchRow:
     detail: Dict[str, Any] = field(default_factory=dict)
     finding: bool = False
     seconds: float = 0.0
-    # stopped at the resource guard (a timeout or a resource limit); the
-    # CLI's exit code reads it, the report does not
+    # stopped by the timeout, the one resource guard (exit 3); the CLI's
+    # exit code reads it, the report does not
     resource_guard: bool = False
 
 
@@ -131,9 +131,6 @@ def _run_one(args: Tuple[int, str, str, float]) -> BatchRow:
             row.error = f"unknown mode {mode!r}"
     except SearchTimeout:
         row.error = "timeout"
-        row.resource_guard = True
-    except ResourceLimitError as exc:
-        row.error = f"resource-limit: {exc}"
         row.resource_guard = True
     except NcflowError as exc:
         row.error = str(exc)

@@ -1,10 +1,10 @@
-"""Self-validating JSON certificates for search results.
+"""Self-validating JSON certificates for flow searches.
 
-Positive certificates (flows, colorings, witnesses) re-verify against the
-graph in polynomial time on load.  A `no-flow-for-any-matching`
-certificate is re-verified by re-running its search: every matching its
-selector names must be refuted again, and their number must be the count
-it records.
+The two kinds are those `flow search --certificate` writes.  A
+`flow-found` certificate re-verifies against the graph in polynomial
+time.  A `no-flow-for-any-matching` certificate is re-verified by
+re-running its search: every matching its selector names must be refuted
+again, and their number must be the count it records.
 """
 
 from __future__ import annotations
@@ -18,18 +18,11 @@ from . import __version__
 from .errors import InputError
 from .flows import FlowAssignment, _is_nonconflicting_flow, klein_bits, klein_from_bits, matching_verdicts
 from .graph import Pseudograph, contract_two_factor
-from .matchings import PerfectMatching, complement_two_factor, covered_vertices, select_matchings
+from .matchings import PerfectMatching, complement_two_factor, select_matchings
 
 SCHEMA_VERSION = 1
 
-KINDS = (
-    "flow-found",
-    "no-flow-for-any-matching",
-    "chi-n-value",
-    "normal-coloring",
-    "conjecture4-witness",
-    "disjoint-matchings",
-)
+KINDS = ("flow-found", "no-flow-for-any-matching")
 
 
 def fingerprint(g: Pseudograph) -> str:
@@ -117,14 +110,14 @@ def flow_certificate(
 def verify_certificate(cert: Certificate, g: Pseudograph, deadline: Optional[float] = None) -> bool:
     """Re-verify a certificate against a graph.
 
-    Positive kinds re-run the polynomial checks.  `no-flow-for-any-matching`
-    replays its search: the matchings of its payload's `selector` ("all"
-    when absent, "INDEX" or "edge=ID", as `flow search --matching` takes
-    it) go through `matching_verdicts` again, and it verifies only when none
-    has a flow and their number is its `stats.matchings_checked`.  A payload
-    of the wrong shape or type is refuted (False), never raised; the replay
-    raises SearchTimeout once `deadline` has passed, and ResourceLimitError
-    as the search does.
+    `flow-found` re-runs the polynomial checks on its matching and flow.
+    `no-flow-for-any-matching` replays its search: the matchings of its
+    payload's `selector` ("all" when absent, "INDEX" or "edge=ID", as `flow
+    search --matching` takes it) go through `matching_verdicts` again, and
+    it verifies only when none has a flow and their number is its
+    `stats.matchings_checked`.  Any other kind is refuted (False), and so
+    is a payload of the wrong shape or type, never raised; the replay
+    raises SearchTimeout once `deadline` has passed.
     """
     if cert.graph_fingerprint != fingerprint(g):
         return False
@@ -135,36 +128,6 @@ def verify_certificate(cert: Certificate, g: Pseudograph, deadline: Optional[flo
                 tuple(klein_from_bits(b) for b in cert.payload["flow"])
             )
             return _is_nonconflicting_flow(contract_two_factor(g, complement_two_factor(g, f)), theta)
-        if cert.kind == "normal-coloring":
-            from .coloring import EdgeColoring, is_normal
-
-            c = EdgeColoring(tuple(cert.payload["colors"]), cert.payload["k"])
-            return is_normal(g, c).ok
-        if cert.kind == "chi-n-value":
-            from .coloring import EdgeColoring, is_normal
-
-            c = EdgeColoring(tuple(cert.payload["witness"]), cert.payload["k"])
-            # a witness with fewer distinct colours refutes the claimed minimum;
-            # that no smaller k works is not checked here
-            return is_normal(g, c).ok and len(set(c.colors)) == c.k
-        if cert.kind == "conjecture4-witness":
-            from .coloring import Z2CubedFlow, verify_conjecture4_witness
-
-            mu = Z2CubedFlow(tuple(cert.payload["mu"]))
-            return verify_conjecture4_witness(
-                g, mu, cert.payload["x"], cert.payload["y"]
-            )
-        if cert.kind == "disjoint-matchings":
-            a = cert.payload["alpha"]
-            b = cert.payload["beta"]
-            if set(a) & set(b):
-                return False
-            for sel in (a, b):
-                # covered_vertices refuses an edge listed twice
-                cover = covered_vertices(g, sel)
-                if cover is None or len(cover) != g.n:
-                    return False
-            return True
         if cert.kind == "no-flow-for-any-matching":
             claimed = cert.stats["matchings_checked"]
             selector = cert.payload.get("selector", "all") if isinstance(cert.payload, dict) else None

@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 = claim verified / object found; 1 = definite negative
-(search completed by exhaustion); 2 = input error; 3 = resource guard
-tripped (timeout or size limit).
+(search completed by exhaustion); 2 = input error; 3 = timeout
+(NZFLOW_TIMEOUT_SECS passed).  Searches have no depth or size limit of
+their own: on either kernel backend they answer at any depth, or run to
+the timeout.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from . import __version__
 from .batch import MODES, graph_timeout, run_batch
 from .certificates import Certificate, fingerprint, flow_certificate
 from .coloring import POOR, RICH, EdgeColoring, _color_masks, chi_n_exact, h_coloring, is_normal
-from .errors import InputError, NcflowError, ResourceLimitError
+from .errors import InputError, NcflowError
 from .flows import (
     _three_colorable_route,
     extract_disjoint_matchings,
@@ -233,11 +235,9 @@ def _cmd_chi_n(args) -> int:
 def _read_coloring(path: str) -> EdgeColoring:
     """The coloring in the JSON file at `path`: an object with "colors"
     (or "witness") and an optional "k", which defaults to the largest
-    color, or a certificate holding such an object as its payload."""
+    color."""
     with open(path) as fh:
         raw = json.load(fh)
-    if isinstance(raw, dict) and "payload" in raw:  # a stored certificate
-        raw = raw["payload"]
     if not isinstance(raw, dict):
         raise InputError(f"{path}: expected a JSON object with the colors")
     colors = raw.get("colors") or raw.get("witness")
@@ -309,7 +309,7 @@ def _cmd_batch(args) -> int:
         f"findings={summary['findings']}",
         file=sys.stderr,
     )
-    # a row stopped by the resource guard outranks any other error; a
+    # a row stopped by the timeout outranks any other error; a
     # batch never answers a definite negative, so it never exits 1
     if any(row.resource_guard for row in report.rows):
         return EXIT_RESOURCE
@@ -384,9 +384,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except SearchTimeout:
         print("error: search timed out (NZFLOW_TIMEOUT_SECS)", file=sys.stderr)
-        return EXIT_RESOURCE
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (InputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,9 +12,9 @@ import itertools
 from dataclasses import dataclass
 from itertools import starmap
 from operator import eq
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .errors import InputError, NcflowError, ResourceLimitError
+from .errors import InputError, NcflowError
 from .flows import FlowAssignment, _conflict_edges, _conserves, _f_values, _xor_balanced
 from .graph import (
     Pseudograph,
@@ -669,9 +669,9 @@ def h_coloring(
 ) -> Optional[Dict[int, int]]:
     """Edge map G -> H carrying every G-star onto some H-star, or None.
 
-    The search makes one nested call per vertex of G, so it raises
-    ResourceLimitError past about 1,000 vertices, where the interpreter
-    would raise RecursionError.
+    The search maps the stars of G in BFS order.  It walks the depths in a
+    loop, with each depth's candidates (the images of its unmapped edges)
+    listed on entry, so G may have any number of vertices.
     """
     if not is_cubic(g) or not is_cubic(h):
         raise InputError("H-colorings are defined between cubic graphs")
@@ -696,35 +696,31 @@ def h_coloring(
                     seen[w] = True
                     queue.append(w)
     img: Dict[int, int] = {}
-
-    def rec(i: int) -> bool:
+    # per depth: its unmapped edges and the images they have not tried
+    free: List[List[int]] = [[] for _ in order]
+    left: List[Iterator[Tuple[int, ...]]] = [iter(())] * len(order)
+    i = 0
+    while True:
         check_deadline(deadline)
         if i == len(order):
-            return True
-        v = order[i]
-        star = list(g.incident(v))
-        fixed = {e: img[e] for e in star if e in img}
-        for w in range(h.n):
-            if not set(fixed.values()) <= h_stars[w]:
-                continue
-            if len(set(fixed.values())) != len(fixed):
-                continue
-            free = [e for e in star if e not in img]
-            remaining = list(h_stars[w] - set(fixed.values()))
-            for assign in itertools.permutations(remaining, len(free)):
-                for e, fe in zip(free, assign):
-                    img[e] = fe
-                if rec(i + 1):
-                    return True
-                for e in free:
-                    del img[e]
-        return False
-
-    try:
-        found = rec(0)
-    except RecursionError:
-        raise ResourceLimitError(f"H-coloring search over {g.n} vertices recurses deeper than Python allows") from None
-    return dict(img) if found else None
+            return img
+        star = g.incident(order[i])
+        fixed = {img[e] for e in star if e in img}
+        free[i] = [e for e in star if e not in img]
+        cands: List[Tuple[int, ...]] = []
+        if len(fixed) == len(star) - len(free[i]):  # no two edges of the star share an image
+            for w in range(h.n):
+                if fixed <= h_stars[w]:
+                    cands += itertools.permutations(list(h_stars[w] - fixed), len(free[i]))
+        left[i] = iter(cands)
+        while (assign := next(left[i], None)) is None:  # back up to a depth with images left
+            if i == 0:
+                return None
+            i -= 1
+            for e in free[i]:
+                del img[e]
+        img.update(zip(free[i], assign))
+        i += 1
 
 
 def verify_h_coloring(g: Pseudograph, h: Pseudograph, phi: Dict[int, int]) -> bool:

@@ -11,7 +11,3 @@ class InputError(NcflowError):
 
 class ContractError(InputError):
     """A claimed 2-factor / matching does not fit the graph."""
-
-
-class ResourceLimitError(NcflowError):
-    """A desk-scale size or time guard tripped (CLI exit code 3)."""

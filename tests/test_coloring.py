@@ -34,7 +34,7 @@ from ncflow.coloring import (
     z2cubed_flow_coloring,
 )
 from ncflow import _kernels_py, coloring, graph
-from ncflow.errors import InputError, NcflowError, ResourceLimitError
+from ncflow.errors import InputError, NcflowError
 from ncflow.flows import ALPHA, BETA, find_nonconflicting_flow
 from ncflow.generators import (
     counterexample_family,
@@ -781,24 +781,30 @@ class TestHColoring:
         with pytest.raises(InputError):
             h_coloring(diamond(), k4())
 
-    def test_a_search_deeper_than_python_allows_is_a_resource_limit(self):
-        # one nested call per vertex: 1,400 of them
-        with pytest.raises(ResourceLimitError, match="H-coloring search over 1400 vertices"):
-            h_coloring(prism(700), k4())
+    def test_a_search_deeper_than_the_recursion_limit_answers(self):
+        # 1,400 depths, one per vertex, walked in a loop
+        g = prism(700)
+        phi = h_coloring(g, k4())
+        assert phi is not None and verify_h_coloring(g, k4(), phi)
 
 
 class TestDeepPurePythonColoringSearch:
-    """The pure-Python coloring kernel recurses once per edge; past the
-    interpreter's limit it raises ResourceLimitError, not RecursionError."""
+    """The pure-Python coloring kernel walks its depths in a loop, as the C
+    kernel does, so a search deeper than the interpreter's recursion limit
+    answers as C does, nodes included."""
 
-    def test_the_kernel(self):
+    def test_the_kernel(self, compiled):
         g = prism(700)
         eu, ev = [a for a, _ in g.edges], [b for _, b in g.edges]
-        with pytest.raises(ResourceLimitError, match="coloring search over 2100 edges"):
-            _kernels_py.normal_coloring_search(g.n, eu, ev, 5)
+        found = _kernels_py.normal_coloring_search(g.n, eu, ev, 5)
+        assert found == compiled.normal_coloring_search(g.n, eu, ev, 5)
+        assert found[0] is not None
 
-    def test_chi_n_exact(self, monkeypatch):
-        # the C kernel solves this graph's 1,800-edge prism piece in 0.035 s
-        monkeypatch.setattr(coloring, "normal_coloring_search", _kernels_py.normal_coloring_search)
-        with pytest.raises(ResourceLimitError, match="coloring search over 1800 edges"):
-            chi_n_exact(hub_graph(600), 7)
+    def test_chi_n_exact(self, monkeypatch, compiled):
+        # the prism piece of this graph has 1,800 edges
+        results = []
+        for impl in (_kernels_py, compiled):
+            monkeypatch.setattr(coloring, "normal_coloring_search", impl.normal_coloring_search)
+            results.append(chi_n_exact(hub_graph(600), 7))
+        assert results[0] == results[1]
+        assert results[0].k == 3

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from ncflow import _kernels_py, coloring, flows
 from ncflow.certificates import flow_certificate, verify_certificate
 from ncflow.coloring import coloring_from_flow
-from ncflow.errors import ContractError, InputError, NcflowError, ResourceLimitError
+from ncflow.errors import ContractError, InputError, NcflowError
 from ncflow.flows import (
     ALPHA,
     ALPHA_BETA,
@@ -838,14 +838,17 @@ class TestNoQuotientCeiling:
 
 
 class TestDeepPurePythonSearches:
-    """The pure-Python kernels recurse once per edge; past the interpreter's
-    limit they raise ResourceLimitError, not RecursionError."""
+    """The pure-Python flow walks keep their state per depth on lists, as
+    the C kernel does, so a search three times deeper than the
+    interpreter's recursion limit answers as C does, nodes included."""
 
     @pytest.mark.parametrize("mode", ["first", "min"])
-    def test_flow_search(self, mode):
+    def test_flow_search(self, mode, compiled):
         m = 3 * sys.getrecursionlimit()
-        with pytest.raises(ResourceLimitError, match=f"flow search over {m} edges"):
-            _kernels_py.flow_search(2, [0] * m, [1] * m, [], [], mode)
+        args = (2, [0] * m, [1] * m, [], [], mode)
+        found = _kernels_py.flow_search(*args)
+        assert found == compiled.flow_search(*args)
+        assert found[0] == [1] * m
 
 
 # _kernels_py.flow_search on fixed quotients: the values, conflict count

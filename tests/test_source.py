@@ -10,6 +10,9 @@
 * No `global` statement: module state rebound by a function is hidden
   from its callers.  The exceptions are listed in `GLOBAL_ALLOWED`, each
   with its reason.
+* No function that calls itself by name: one nested call per level fails
+  past the interpreter's recursion limit, so the searches keep each
+  depth's state on lists and walk the depths in a loop.
 """
 
 import ast
@@ -112,6 +115,18 @@ def global_statements(tree: ast.Module) -> list:
     return found
 
 
+def self_calls(tree: ast.Module) -> list:
+    """(line, name) of each call of a function to itself by name, made in
+    its body or in a function nested in it."""
+    return [
+        (call.lineno, node.name)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == node.name
+    ]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_assert_statements(path):
     assert asserts(ast.parse(path.read_text())) == []
@@ -138,6 +153,11 @@ def test_no_getattr_method(path):
 def test_no_global_statements(path):
     found = global_statements(ast.parse(path.read_text()))
     assert [(line, f) for line, f in found if (path.name, f) not in GLOBAL_ALLOWED] == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_function_calls_itself(path):
+    assert self_calls(ast.parse(path.read_text())) == []
 
 
 def test_every_allowed_global_is_still_used():
@@ -180,3 +200,10 @@ class TestTheChecksThemselves:
             "def g():\n    def h():\n        global x\n    return h\n"
         )
         assert global_statements(ast.parse(src)) == [(4, "f"), (9, "h")]
+
+    def test_flags_a_function_calling_itself(self):
+        src = (
+            "def f(n):\n    return f(n - 1) if n else g(n)\n\n"
+            "def g(n):\n    def rec(i):\n        return rec(i + 1)\n    return f(n)\n"
+        )
+        assert self_calls(ast.parse(src)) == [(2, "f"), (6, "rec")]
