@@ -19,7 +19,7 @@ from typing import List, Optional
 from . import __version__
 from .batch import MODES, graph_timeout, run_batch
 from .certificates import Certificate, fingerprint, flow_certificate
-from .coloring import POOR, RICH, EdgeColoring, _color_masks, chi_n_exact, h_coloring, is_normal
+from .coloring import POOR, RICH, EdgeColoring, chi_n_exact, h_coloring, is_normal, palette_at
 from .errors import InputError, NcflowError
 from .flows import (
     _three_colorable_route,
@@ -255,9 +255,9 @@ def _cmd_normal(args) -> int:
     g = _resolve_graph(args.graph)
     c = _read_coloring(args.coloring)
     verdict = is_normal(g, c)
-    if verdict.ok:  # every closed star holds 3 colors (poor) or 5 (rich), read in one pass
-        pal = _color_masks(g, c)
-        kinds = {POOR if (pal[u] | pal[v]).bit_count() == 3 else RICH for u, v in g.edges}
+    if verdict.ok:  # every closed star holds 3 colors (poor: one palette at both ends) or 5 (rich)
+        pal = [palette_at(g, c, v) for v in range(g.n)]
+        kinds = {POOR if pal[u] == pal[v] else RICH for u, v in g.edges}
         print(f"normal {c.k}-edge-coloring verified; edge classes: {sorted(kinds)}")
         return EXIT_FOUND
     print("abnormal edges:", " ".join(map(str, verdict.abnormal_edges)))

@@ -4,18 +4,23 @@ coloring constructions derived from flows.
 A proper coloring of a cubic graph puts 3 to 5 colors on the closed
 neighborhood of an edge; size 3 is poor, 5 is rich, 4 is abnormal.  A
 coloring is normal when no edge is abnormal.
+
+A non-conflicting Klein flow on G/F-bar becomes a normal 6-coloring of G
+through a nowhere-zero Z2^3 flow (`coloring_from_flow`): each F-edge keeps
+its Klein value, below 4, and each cycle of F-bar is walked from the seed
+4 on its first edge.  XOR with a value below 4 never clears bit 2, so
+every seed 4..7 keeps each cycle edge nonzero and closes on the same
+cycles, those that conserve: seed 4 is the only one needed.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from itertools import starmap
-from operator import eq
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import InputError, NcflowError
-from .flows import FlowAssignment, _conflict_edges, _conserves, _f_values, _xor_balanced
+from .flows import ALPHA_BETA, FlowAssignment, _f_values, _require_in, _xor_balanced
 from .graph import (
     Pseudograph,
     _contract_vertex_sets,
@@ -51,7 +56,7 @@ class NormalVerdict:
 
 
 def _reject_loops(g: Pseudograph):
-    if any(starmap(eq, g.edges)):
+    if g._has_loop:
         raise InputError("loops make properness undefined; refusing to color")
 
 
@@ -101,29 +106,15 @@ def is_normal(g: Pseudograph, c: EdgeColoring) -> NormalVerdict:
     return NormalVerdict(not bad, bad)
 
 
-def _color_masks(g: Pseudograph, c: EdgeColoring) -> List[int]:
-    """The bitmask of the colors at each vertex, for a proper coloring c of
-    a loop-free g: the closed star of edge uv holds the colors of
-    `pal[u] | pal[v]`, 3 when uv is poor, 4 abnormal and 5 rich."""
-    # proper and loop-free, so a vertex has one palette bit per edge at it
+def _abnormal_edges(g: Pseudograph, c: EdgeColoring) -> Tuple[int, ...]:
+    """`is_normal`'s abnormal edges, for a proper coloring c of a loop-free
+    g: those whose ends' color masks have 4 colors in their union."""
     if not {0, 3}.issuperset(g._degree):
         raise InputError("classification needs degree-3 endpoints")
-    pal = [0] * g.n
-    for (u, v), col in zip(g.edges, c.colors):
-        bit = 1 << col
-        pal[u] |= bit
-        pal[v] |= bit
-    return pal
-
-
-def _abnormal_edges(g: Pseudograph, c: EdgeColoring) -> Tuple[int, ...]:
-    """`is_normal`'s abnormal edges, for a proper coloring c of a loop-free g."""
-    pal = _color_masks(g, c)
-    bad = []
-    for e, (u, v) in enumerate(g.edges):
-        if (pal[u] | pal[v]).bit_count() == 4:
-            bad.append(e)
-    return tuple(bad)
+    # proper and loop-free: three distinct colors at each vertex of degree 3
+    bit = [1 << x for x in c.colors]
+    pal = [bit[i[0]] | bit[i[1]] | bit[i[2]] if i else 0 for i in g._incident]
+    return tuple([e for e, (u, v) in enumerate(g.edges) if (pal[u] | pal[v]).bit_count() == 4])
 
 
 @dataclass(frozen=True)
@@ -354,6 +345,9 @@ def structural_abnormality(g: Pseudograph) -> Optional[AbnormalityWitness]:
 # flows -> colorings
 
 
+_Z2_CUBED_NONZERO = frozenset(range(1, 8))
+
+
 @dataclass(frozen=True)
 class Z2CubedFlow:
     """Edge -> nonzero element of Z2 x Z2 x Z2, encoded in 3 bits.
@@ -365,9 +359,7 @@ class Z2CubedFlow:
     values: Tuple[int, ...]
 
     def __post_init__(self):
-        for v in self.values:
-            if not 1 <= v <= 7:
-                raise InputError(f"{v} is not a nonzero Z2^3 element")
+        _require_in(self.values, _Z2_CUBED_NONZERO, "a nonzero Z2^3 element")
 
 
 def verify_z2cubed_flow(g: Pseudograph, mu: Z2CubedFlow) -> bool:
@@ -393,31 +385,40 @@ def coloring_from_flow(
 ) -> FlowColoringResult:
     """Normal 6-edge-coloring from a non-conflicting flow, read on G.
 
-    Matching edges carry (0, theta); each 2-factor cycle gets a leading-bit
-    seed propagated around it; the resulting 3-bit flow is then collapsed
-    by recoloring (0, beta) as (0, alpha).  F-bar's index comes from
-    `contract_two_factor`, so a 2-factor carrying its contraction on g is
-    not indexed again.
+    Matching edges carry (0, theta); each 2-factor cycle is walked once,
+    checking conservation and conflicts, from the seed 4 on its first edge.
+    The F-values are below 4 and never clear bit 2, so seed 4 closes the
+    walk exactly when the cycle conserves, as any other would.  The 3-bit
+    flow is then collapsed by recoloring (0, beta) as (0, alpha).  F-bar's
+    index comes from `contract_two_factor`, so a 2-factor carrying its
+    contraction on g is not indexed again.
     """
     h = contract_two_factor(g, tf)
     vals = theta.values
     f_value = _f_values(h, theta, f)
-    if not _conserves(h, f_value):
-        raise InputError("not a valid flow")
-    if _conflict_edges(h, vals, f_value):
-        raise InputError("flow has conflicts; the 6-color merge would go abnormal")
     mu = [0] * g.m
     for eid, val in zip(h.edge_origin, vals):
         mu[eid] = val
+    conflict = False
     for cyc in h.cycles:
-        for x0 in (4, 5, 6, 7):
-            around = _propagate_cycle(cyc, f_value, x0)
-            if around is not None:
-                for eid, val in around.items():
-                    mu[eid] = val
-                break
-        else:
-            raise NcflowError("no leading-bit seed propagates; conservation broken")
+        vertices, edges = cyc.vertices, cyc.edges
+        # edges[i] joins vertices[i] and vertices[i + 1]; x is its value
+        x, first = 4, f_value[vertices[0]]
+        prev = first
+        for v, eid in zip(vertices[1:], edges):
+            mu[eid] = x
+            fv = f_value[v]
+            if prev ^ fv == ALPHA_BETA:
+                conflict = True
+            x ^= fv
+            prev = fv
+        mu[edges[-1]] = x
+        if x ^ first != 4:
+            raise InputError("not a valid flow")
+        if prev ^ first == ALPHA_BETA:
+            conflict = True
+    if conflict:
+        raise InputError("flow has conflicts; the 6-color merge would go abnormal")
     mu_flow = Z2CubedFlow(tuple(mu))
     if not verify_z2cubed_flow(g, mu_flow):
         raise NcflowError("propagated Z2^3 flow does not conserve")
@@ -426,25 +427,6 @@ def coloring_from_flow(
     if not verdict.ok:
         raise NcflowError("merged coloring is abnormal; flow was not non-conflicting")
     return FlowColoringResult(coloring, mu_flow)
-
-
-def _propagate_cycle(cyc, f_value: List[int], x0: int) -> Optional[Dict[int, int]]:
-    """Fix the seed on the first cycle edge and walk conservation around.
-
-    `f_value[v]` is the flow value on the matching edge at vertex v.
-    """
-    out = {cyc.edges[0]: x0}
-    cur = x0
-    k = len(cyc.vertices)
-    for i in range(1, k):
-        cur = cur ^ f_value[cyc.vertices[i]]
-        if cur & 4 == 0:
-            return None
-        out[cyc.edges[i]] = cur
-    # closing consistency at vertices[0]
-    if out[cyc.edges[k - 1]] ^ f_value[cyc.vertices[0]] != x0:
-        return None
-    return out
 
 
 def z2cubed_flow_coloring(

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import ContractError, InputError, NcflowError
 from .graph import (
@@ -46,6 +46,7 @@ ALPHA = 0b10
 BETA = 0b01
 ALPHA_BETA = 0b11
 KLEIN_VALUES = (BETA, ALPHA, ALPHA_BETA)
+_KLEIN_SET = frozenset(KLEIN_VALUES)
 
 _KLEIN_BITS = {ALPHA: "10", BETA: "01", ALPHA_BETA: "11"}
 _KLEIN_NAMES = {ALPHA: "a", BETA: "b", ALPHA_BETA: "a+b"}
@@ -74,9 +75,17 @@ class FlowAssignment:
     values: Tuple[int, ...]
 
     def __post_init__(self):
-        for v in self.values:
-            if v not in KLEIN_VALUES:
-                raise InputError(f"flow value {v} is not a nonzero Klein element")
+        _require_in(self.values, _KLEIN_SET, "a nonzero Klein element")
+
+
+def _require_in(values: Sequence[int], allowed: FrozenSet[int], what: str) -> None:
+    """Raise InputError unless every value is in `allowed`, by one set test."""
+    try:
+        ok = allowed.issuperset(values)
+    except TypeError:  # an unhashable value
+        ok = False
+    if not ok:
+        raise InputError(f"flow values {values!r} are not each {what}")
 
 
 @dataclass(frozen=True)
@@ -132,25 +141,9 @@ def _f_values(h: ContractedGraph, theta: FlowAssignment, f: Optional[PerfectMatc
     vals = theta.values
     if len(vals) != len(h.edge_origin):
         raise InputError("flow does not match the contraction of this 2-factor")
-    if f is not None and sorted(f.edge_ids) != list(h.edge_origin):
+    if f is not None and f.edge_ids != h.edge_origin and sorted(f.edge_ids) != list(h.edge_origin):
         raise ContractError("matching is not the perfect-matching complement of this 2-factor")
     return [vals[i] for i in h.matching_edge_at]
-
-
-def _conserves(h: ContractedGraph, f_value: Sequence[int]) -> bool:
-    """verify_flow on G/F-bar, read on G from the F-values at each vertex.
-
-    A quotient vertex is one cycle of F-bar; it balances when the F-values
-    around the cycle XOR to zero.  A chord meets its cycle twice and
-    cancels, as a loop does in verify_flow.
-    """
-    for cyc in h.cycles:
-        acc = 0
-        for v in cyc.vertices:
-            acc ^= f_value[v]
-        if acc:
-            return False
-    return True
 
 
 def _conflict_edges(h: ContractedGraph, vals: Sequence[int], f_value: Sequence[int]) -> List[ConflictEdge]:
@@ -169,9 +162,23 @@ def _conflict_edges(h: ContractedGraph, vals: Sequence[int], f_value: Sequence[i
 
 
 def _is_nonconflicting_flow(h: ContractedGraph, theta: FlowAssignment) -> bool:
-    """theta is a flow of h = G/F-bar with no conflict, read on G."""
+    """theta is a flow of h = G/F-bar with no conflict, read on G in one
+    walk of each cycle of F-bar: its F-values XOR to zero (a chord meets
+    its cycle twice and cancels, as a loop does in verify_flow), and no
+    two at the ends of a cycle edge XOR to alpha+beta."""
     f_value = _f_values(h, theta)
-    return _conserves(h, f_value) and not _conflict_edges(h, theta.values, f_value)
+    for cyc in h.cycles:
+        acc = 0
+        prev = f_value[cyc.vertices[-1]]  # the closing edge joins the last vertex to the first
+        for v in cyc.vertices:
+            x = f_value[v]
+            if prev ^ x == ALPHA_BETA:
+                return False
+            acc ^= x
+            prev = x
+        if acc:
+            return False
+    return True
 
 
 def conflicts(g: Pseudograph, f: PerfectMatching, tf: TwoFactor, theta: FlowAssignment) -> ConflictReport:

@@ -30,9 +30,10 @@ class Pseudograph:
 
     A loop contributes 2 to the degree of its vertex.  Instances are
     immutable after construction and safe to share across workers.
+    `_has_loop` records whether any edge is a loop.
     """
 
-    __slots__ = ("n", "edges", "_incident", "_degree")
+    __slots__ = ("n", "edges", "_incident", "_degree", "_has_loop")
 
     def __init__(self, n: int, edges: Sequence[Tuple[int, int]]):
         if n < 0:
@@ -60,6 +61,7 @@ class Pseudograph:
         self.edges = tuple(pairs)
         self._incident = tuple(map(tuple, incident))
         self._degree = tuple(degree)
+        self._has_loop = bool(loops)
 
     @property
     def m(self) -> int:
@@ -162,7 +164,7 @@ def bridges(g: Pseudograph) -> List[int]:
 
 def girth(g: Pseudograph):
     """Length of a shortest cycle; loop = 1, parallel pair = 2, forests -> inf."""
-    if any(u == v for u, v in g.edges):
+    if g._has_loop:
         return 1
     seen = set()
     for u, v in g.edges:
@@ -230,13 +232,14 @@ def _two_factor_index(g: Pseudograph, cycles) -> Tuple[List[int], List[int], Lis
     cover every vertex exactly once, use edges of G only, and leave a
     perfect matching of G off the cycles.
     """
-    m = g.m
-    vertex_cycle = [-1] * g.n
+    n, m = g.n, g.m
+    vertex_cycle = [-1] * n
     on_cycle = [False] * m
+    total = 0
     for ci, cyc in enumerate(cycles):
-        for v in cyc.vertices:
-            if vertex_cycle[v] != -1:
-                raise ContractError("2-factor cycles are not vertex-disjoint")
+        vertices = cyc.vertices
+        total += len(vertices)
+        for v in vertices:
             vertex_cycle[v] = ci
         for eid in cyc.edges:
             if not 0 <= eid < m:
@@ -244,15 +247,18 @@ def _two_factor_index(g: Pseudograph, cycles) -> Tuple[List[int], List[int], Lis
             on_cycle[eid] = True
     if -1 in vertex_cycle:
         raise ContractError("2-factor does not cover all vertices")
-    ids = [eid for eid in range(m) if not on_cycle[eid]]
-    at = [-1] * g.n
+    # n places on the cycles that reach all n vertices hold each one once
+    if total != n:
+        raise ContractError("2-factor cycles are not vertex-disjoint")
+    ids = [eid for eid, on in enumerate(on_cycle) if not on]
+    at = [-1] * n
     edges = g.edges
     for i, eid in enumerate(ids):
         u, v = edges[eid]
         at[u] = at[v] = i
     # n endpoints (a loop's two included) reach all n vertices only when
     # each vertex is the end of exactly one edge
-    if 2 * len(ids) != g.n or -1 in at:
+    if 2 * len(ids) != n or -1 in at:
         raise ContractError("the edges off the 2-factor are not a perfect matching")
     return vertex_cycle, ids, at
 

@@ -52,8 +52,7 @@ counterexample_family(2) about 45% slower.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice, starmap
-from operator import eq
+from itertools import islice
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import ContractError, InputError
@@ -235,39 +234,46 @@ def complement_two_factor(g: Pseudograph, f: PerfectMatching) -> TwoFactor:
     Each cycle starts at its lowest vertex, leaves it by its lower non-F
     edge and walks on through the one non-F edge at each vertex that it did
     not arrive by; cycles come in the order of their lowest vertices.
+    Raises InputError unless G is cubic and loop-free, and ContractError
+    unless F is a perfect matching of G.
     """
     if not is_cubic(g):
         raise InputError("complement_two_factor requires a cubic graph")
-    edges = g.edges
-    if any(starmap(eq, edges)):
+    if g._has_loop:
         raise InputError("cubic input graphs may not contain loops")
-    cover = covered_vertices(g, f.edge_ids)
-    if cover is None or len(cover) != g.n:
-        raise ContractError("not a perfect matching of this graph")
-    in_f = [False] * len(edges)
+    edges = g.edges
+    m, n = len(edges), g.n
+    f_at = [-1] * n  # vertex -> the F-edge at it
     for eid in f.edge_ids:
-        in_f[eid] = True
-    # F is perfect and G cubic and loop-free: every vertex has two non-F edges
+        if not 0 <= eid < m:
+            raise ContractError("not a perfect matching of this graph")
+        a, b = edges[eid]
+        if f_at[a] != -1 or f_at[b] != -1:
+            raise ContractError("not a perfect matching of this graph")
+        f_at[a] = f_at[b] = eid
+    if 2 * len(f.edge_ids) != n:
+        raise ContractError("not a perfect matching of this graph")
+    # G is cubic and loop-free: three edge ids at each vertex, in id order,
+    # one of them its F-edge.  The walk reads f_at[v] once, leaving -1 to
+    # mark v as on a cycle.
     incident = g._incident
-    on_cycle = [False] * g.n
     cycles: List[Cycle] = []
-    for start in range(g.n):
-        if on_cycle[start]:
+    for start in range(n):
+        if f_at[start] == -1:
             continue
-        on_cycle[start] = True
         verts = [start]
         cyc_edges: List[int] = []
         v, came_by = start, -1
         while True:
-            for eid in incident[v]:
-                if not in_f[eid] and eid != came_by:
-                    break
+            x, y, z = incident[v]
+            fe, f_at[v] = f_at[v], -1
+            lo, hi = (y, z) if x == fe else (x, z) if y == fe else (x, y)
+            eid = hi if lo == came_by else lo
             cyc_edges.append(eid)
             a, b = edges[eid]
             v, came_by = (b if a == v else a), eid
             if v == start:
                 break
-            on_cycle[v] = True
             verts.append(v)
         cycles.append(Cycle(tuple(verts), tuple(cyc_edges)))
     return TwoFactor(tuple(cycles))
@@ -428,5 +434,4 @@ def matchings_meeting_all_3cuts_once(
 
 
 def odd_cycle_count(tf: TwoFactor) -> int:
-    count = sum(1 for cyc in tf.cycles if len(cyc) % 2 == 1)
-    return count
+    return sum(1 for cyc in tf.cycles if len(cyc) % 2 == 1)

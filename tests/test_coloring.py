@@ -35,7 +35,7 @@ from ncflow.coloring import (
 )
 from ncflow import _kernels_py, coloring, graph
 from ncflow.errors import InputError, NcflowError
-from ncflow.flows import ALPHA, BETA, find_nonconflicting_flow
+from ncflow.flows import ALPHA, ALPHA_BETA, BETA, find_nonconflicting_flow
 from ncflow.generators import (
     counterexample_family,
     diamond,
@@ -54,7 +54,7 @@ from ncflow.generators import (
 )
 from ncflow.graph import bridges, build_graph, contract_two_factor, is_isomorphic_to_petersen
 from ncflow.kernels import SearchTimeout
-from ncflow.matchings import complement_two_factor, enumerate_perfect_matchings
+from ncflow.matchings import PerfectMatching, complement_two_factor, enumerate_perfect_matchings
 
 from conftest import (
     bridged_pair,
@@ -510,6 +510,18 @@ class TestColoringFromFlow:
         with pytest.raises(InputError):
             coloring_from_flow(g, f, tf, theta)
 
+    def test_a_flow_that_does_not_conserve_is_refused(self):
+        from ncflow.flows import FlowAssignment
+
+        # the spokes of the 3-prism join its two triangles: alpha on one
+        # spoke and alpha+beta on the others XOR to alpha at each triangle
+        g = permutation_graph((0, 1, 2))
+        f = PerfectMatching((6, 7, 8))
+        tf = complement_two_factor(g, f)
+        theta = FlowAssignment((ALPHA, ALPHA_BETA, ALPHA_BETA))
+        with pytest.raises(InputError, match="not a valid flow"):
+            coloring_from_flow(g, f, tf, theta)
+
 
 class TestZ2CubedColoring:
     def test_seven_coloring_on_bridgeless_corpus(self):
@@ -535,6 +547,12 @@ class TestZ2CubedColoring:
         g = k4()
         with pytest.raises(InputError):
             verify_conjecture4_witness(g, Z2CubedFlow((1,) * 6), ALPHA, BETA)
+
+    @pytest.mark.parametrize("bad", [[1], None, 0, 8])
+    def test_every_value_outside_the_group_raises_input_error(self, bad):
+        with pytest.raises(InputError) as info:
+            Z2CubedFlow((1, bad, 7))
+        assert info.type is InputError
 
 
 class TestTwoCutReduction:

@@ -52,12 +52,13 @@ from ncflow.generators import (
     ring_of_diamonds,
     triangle_replace_all,
 )
-from ncflow.graph import ContractedGraph, Pseudograph, build_graph, contract_two_factor
+from ncflow.graph import ContractedGraph, Pseudograph, build_graph, contract_two_factor, three_edge_cuts
 from ncflow.kernels import SearchTimeout
 from ncflow.matchings import (
     PerfectMatching,
     complement_two_factor,
     enumerate_perfect_matchings,
+    matchings_meeting_all_3cuts_once,
     odd_cycle_count,
 )
 
@@ -106,6 +107,12 @@ class TestKleinEncoding:
     def test_zero_rejected(self):
         with pytest.raises(InputError):
             FlowAssignment((ALPHA, 0))
+
+    @pytest.mark.parametrize("bad", [[ALPHA], None, 0, 4])
+    def test_every_value_outside_the_group_raises_input_error(self, bad):
+        with pytest.raises(InputError) as info:
+            FlowAssignment((ALPHA, bad, BETA))
+        assert info.type is InputError
 
 
 class TestVerifyFlow:
@@ -615,6 +622,33 @@ def test_two_cycle_outputs_are_pinned():
         line = (res.matching.edge_ids, res.flow.values, res.branch, col.colors)
         digest.update(repr(line).encode() + b"\n")
     assert digest.hexdigest() == TWO_CYCLE_DIGEST
+
+
+# sha256 of one line per edge of each claw_free_corpus() graph, served as
+# the benchmark's claw-free sweep serves it: the edge, then the first cut
+# stream matching through it whose "min" flow has no conflict, that flow's
+# values and its 6-coloring, or (edge, None); recorded before
+# coloring_from_flow walked each cycle of F-bar once
+CLAW_FREE_DIGEST = "30f999788fecbba2c21fdb38f52fa82785b9d321da76fffefa379d0e20237dc0"
+
+
+def test_claw_free_outputs_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for g in claw_free_corpus():
+        cuts = three_edge_cuts(g)
+        for eid in range(g.m):
+            line = (eid, None)
+            for f in matchings_meeting_all_3cuts_once(g, eid, cuts):
+                mc = min_conflict_flow(g, f)
+                if mc is not None and mc.conflict_count == 0:
+                    col = coloring_from_flow(g, f, complement_two_factor(g, f), mc.flow).coloring
+                    line = (eid, f.edge_ids, mc.flow.values, col.colors)
+                    break
+            digest.update(repr(line).encode() + b"\n")
+            count += 1
+    assert count == 765
+    assert digest.hexdigest() == CLAW_FREE_DIGEST
 
 
 class TestOneIndexPerTwoFactor:

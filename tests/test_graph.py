@@ -212,6 +212,24 @@ class TestContraction:
             with pytest.raises(ContractError):
                 contract_two_factor(g, two_cycles)
 
+    @pytest.mark.parametrize(
+        "cycles",
+        [
+            [((0, 2, 1), (1, 3, 0)), ((1, 3), (4, 4))],  # both hold vertex 1
+            [((0, 2), (1, 1)), ((2, 1), (3, 3))],  # both hold vertex 2, none vertex 3
+            [((0, 2, 1), (1, 3, 0))],  # vertex 3 on no cycle
+            [((0, 2, 1, 3), (1, 3, 4, -1))],  # no edge -1
+            [((0, 2, 1, 3), (1, 3, 4, 6))],  # no edge m
+            [((0, 2, 1, 3), (1, 3, 4))],  # edges 0, 2 and 5 left off, two at vertex 0
+        ],
+    )
+    def test_each_kind_of_bad_two_factor_raises_contract_error(self, cycles):
+        # in k4(), F = (0, 5) leaves the 2-factor 0-2-1-3 on edges 1, 3, 4, 2
+        tf = TwoFactor(tuple(Cycle(vs, es) for vs, es in cycles))
+        with pytest.raises(ContractError) as info:
+            contract_two_factor(k4(), tf)
+        assert info.type is ContractError
+
     def test_girth_monotone_under_contraction(self):
         for name, g in small_corpus():
             f = next(enumerate_perfect_matchings(g))

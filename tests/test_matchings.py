@@ -141,6 +141,11 @@ class TestEnumeration:
         assert set(count.values()) == {2}
 
 
+# k4(): edge i joins the i-th pair, so (0, 5), (1, 4) and (2, 3) are its
+# perfect matchings
+K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
 class TestComplement:
     def test_petersen_always_two_five_cycles(self):
         g = petersen()
@@ -215,6 +220,24 @@ class TestComplement:
         g = build_graph(2, [(0, 1)])
         with pytest.raises(InputError):
             complement_two_factor(g, PerfectMatching((0,)))
+
+    @pytest.mark.parametrize(
+        "edges,ids,error",
+        [
+            (K4_EDGES, (-1, 5), ContractError),  # no edge -1
+            (K4_EDGES, (0, 6), ContractError),  # no edge m
+            (K4_EDGES, (0, 0), ContractError),  # an id listed twice
+            (K4_EDGES, (0, 1), ContractError),  # both at vertex 0
+            (K4_EDGES, (0,), ContractError),  # too few to cover the graph
+            ([(0, 0), (0, 1), (1, 1)], (1,), InputError),  # cubic with loops
+            ([(0, 1)], (0,), InputError),  # not cubic
+        ],
+    )
+    def test_each_kind_of_bad_input_raises_its_error(self, edges, ids, error):
+        g = build_graph(max(max(e) for e in edges) + 1, edges)
+        with pytest.raises(InputError) as info:
+            complement_two_factor(g, PerfectMatching(ids))
+        assert info.type is error
 
 
 class TestOddCycleCount:

@@ -4,12 +4,15 @@ perfbench's tracer wraps the functions listed in `SPANNED` and `COUNTED`
 (`perfbench/tracer.py`), and each workload in `perfbench/workloads.py`
 names in `reached` the spans a traced pass must reach.  A function that is
 renamed or removed in `ncflow` would otherwise fail only in a traced
-benchmark run.  The two files are read with `ast`, not imported.
+benchmark run.  The two files are read with `ast`, not imported, except by
+the last test, which runs one pass of each workload under the tracer.
 """
 
 import ast
 import importlib
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -53,3 +56,41 @@ def test_the_traced_name_is_a_function_of_its_module(name):
     layer, fname = name.split(".")
     module = importlib.import_module(f"ncflow.{layer}")
     assert callable(getattr(module, fname, None)), f"ncflow.{name} is gone"
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    """perfbench's `tracer` and `workloads` modules, imported from its
+    directory as `perfbench/run.py` imports them, and the loaded ncflow
+    modules in the namespace its workloads read."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        tracer = importlib.import_module("tracer")
+        workloads = importlib.import_module("workloads")
+    modules = ("graph", "matchings", "flows", "kernels", "coloring", "generators")
+    nc = SimpleNamespace(**{m: importlib.import_module(f"ncflow.{m}") for m in modules})
+    yield tracer, workloads, nc
+    for name in ("tracer", "workloads", "checks"):
+        sys.modules.pop(name, None)
+
+
+@pytest.mark.parametrize("name", [name for name in assigned(PERFBENCH / "workloads.py", "name") if name])
+def test_a_traced_pass_reaches_every_listed_span(perfbench, name):
+    # `run.py --trace 1` raises TraceError when a span in `reached` is never
+    # called, as when a function stops calling another through its module
+    # binding: is_normal must call is_proper, and the flows and coloring
+    # entry points complement_two_factor and contract_two_factor
+    tracer_mod, workloads, nc = perfbench
+    w = workloads.WORKLOADS[name]
+    inputs = w.build(nc, 1)
+    tracer = tracer_mod.Tracer({m: getattr(nc, m) for m in tracer_mod.LAYERS})
+    tracer.install()
+    try:
+        w.start_pass(nc, inputs)
+        for inp in inputs:
+            tracer.root()
+            w.item(nc, inp)
+    finally:
+        tracer.remove()
+    missing = [span for span in w.reached if not tracer.calls[span]]
+    assert not missing, f"{name}: never reached {missing}"
